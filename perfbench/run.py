@@ -19,11 +19,15 @@ added and the BLAS pools are pinned to one thread.  A run
    the per-layer metrics.
 
 A pass is a fixed sequence of calls (CLI invocations and direct solver
-calls), each timed on its own.  ``wall_s`` sums each call's shortest time
-over the run's untraced passes.  On a shared machine a core's speed
-drifts by tens of percent over spans of seconds; the per-call minimum
-keeps that drift out of the figure while any part of the run saw a
-quiet core.  Each pass's plain wall time goes to the run record.
+calls), each timed on its own, with a short fixed reference loop run
+before the first call and after each call.  On a shared machine a core's speed drifts by tens of percent over
+spans of seconds to minutes, and the reference loop slows with it: a
+call's time divided by the mean of the reference times just before and
+after it is close to constant.  ``wall_s`` sums, over the calls of one
+pass, the median of that ratio over the run's untraced passes, times
+``REF_NOMINAL_S``; it reads as seconds on a core on which the reference
+loop takes ``REF_NOMINAL_S``.  Each pass's plain wall time and the raw
+call and reference times go to the run record.
 
 Every pass is checked against the paper's verdicts and against the
 warm-up pass's digest and counts; a check is one operation, and so is
@@ -55,6 +59,10 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 WORK = BENCH_DIR / ".work"
 SETUP_REPEATS = 7
+# the reference loop's time on the 2-vCPU x86_64 host (AVX512, Python 3.11,
+# numpy 2.4) the benchmark was defined on, median over a minute
+REF_NOMINAL_S = 0.02
+REF_ITERATIONS = 32000
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 WORKLOAD_NAMES = ("adaptive", "lipschitz")
@@ -68,6 +76,7 @@ for _var in BLAS_THREAD_VARS:
 class Pass:
     wall_s: float
     call_s: list
+    ref_s: list
     checks: list
     digest: str
     errors: list
@@ -143,29 +152,51 @@ def measure_setup(workload: str, seed: int, work: Path) -> float:
     return statistics.median(times)
 
 
-def best_call_sum(passes: list[Pass]) -> float:
-    """Time to the verdicts: each call's shortest time over the passes,
-    summed over the calls of one pass."""
-    return sum(min(times) for times in zip(*(p.call_s for p in passes)))
+def reference_s() -> float:
+    """Time of a fixed loop of the program's kind of work: interpreted
+    float arithmetic with a small numpy reduction every eighth step."""
+    import numpy as np
+    anchors = np.arange(16.0)
+    x = 0.1
+    t0 = time.perf_counter()
+    for i in range(REF_ITERATIONS):
+        x = x * 1.0000001 + 1e-9
+        if i % 8 == 0:
+            x += float(np.abs(anchors - x).min()) * 1e-12
+    return time.perf_counter() - t0
+
+
+def scaled_wall(passes: list[Pass]) -> float:
+    """Time to the verdicts on the reference scale: per call, the median
+    over the passes of its time over the adjacent reference time, summed
+    over the calls of one pass, times ``REF_NOMINAL_S``."""
+    per_call = zip(zip(*(p.call_s for p in passes)),
+                   zip(*(p.ref_s for p in passes)))
+    return REF_NOMINAL_S * sum(
+        statistics.median(c / r for c, r in zip(calls, refs))
+        for calls, refs in per_call)
 
 
 def run_pass(wl, tracer=None) -> Pass:
-    """One pass, each call timed on its own."""
+    """One pass, each call timed on its own between two reference loops;
+    the pass's wall time is the time spent in its calls."""
     from workloads import PassRecord
     shutil.rmtree(wl.out, ignore_errors=True)
     rec = PassRecord()
     if tracer is not None:
         tracer.reset()
-    call_s = []
+    call_s, ref_s = [], []
     with tracer.installed() if tracer is not None else nullcontext():
-        t0 = time.perf_counter()
+        before = reference_s()
         for call in wl.calls(rec, tracer):
             t1 = time.perf_counter()
             call()
             call_s.append(time.perf_counter() - t1)
-        wall = time.perf_counter() - t0
-    p = Pass(wall_s=wall, call_s=call_s, checks=wl.check(rec),
-             digest=wl.digest(rec), errors=rec.errors)
+            after = reference_s()
+            ref_s.append((before + after) / 2)
+            before = after
+    p = Pass(wall_s=sum(call_s), call_s=call_s, ref_s=ref_s,
+             checks=wl.check(rec), digest=wl.digest(rec), errors=rec.errors)
     if tracer is not None:
         p.counts = tracer.counts()
         p.spans = {k: vars(v).copy() for k, v in tracer.spans.items()}
@@ -279,8 +310,8 @@ def per_layer_metrics(traced: list[Pass], untraced_wall: float,
         m[f"layer.{layer}.self_s"] = (value, "s")
     m["layer.bench.self_s"] = (traced_wall - layer_sum, "s")
     m["trace.wall_s"] = (traced_wall, "s")
-    # the same estimator on both sides: per-call best times, summed
-    m["trace.overhead_s"] = (best_call_sum(traced) - untraced_wall, "s")
+    # the same estimator on both sides
+    m["trace.overhead_s"] = (scaled_wall(traced) - untraced_wall, "s")
     m["trace.passes"] = (len(traced), "count")
     return m
 
@@ -344,7 +375,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
     for err in errors[:5]:
         print(err, file=sys.stderr)
 
-    wall_s = best_call_sum(untraced)
+    wall_s = scaled_wall(untraced)
     if trace:
         metrics = per_layer_metrics(traced, wall_s, replay_s,
                                     len(replay_checks))
@@ -361,6 +392,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
         "untraced_walls_s": [p.wall_s for p in untraced],
         "traced_walls_s": [p.wall_s for p in traced],
         "call_s": [p.call_s for p in untraced],
+        "ref_s": [p.ref_s for p in untraced],
         "failed_checks": failed,
         "failed_fraction": len(failed) / len(checks),
         "metrics": {k: v for k, (v, _) in metrics.items()},

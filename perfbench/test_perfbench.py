@@ -58,13 +58,36 @@ def test_held_out_seed_passes_every_output_check(name, tmp_path):
     assert p.wall_s - layers < 0.02 * p.wall_s
 
 
+# Two program defects kept out of the workloads, each pinned on a seed where
+# it shows; once one is fixed its test fails, and the operation it covers
+# goes back into the workload (Parametric.STABLE_B, LipschitzDuel).
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the float64 RLS loop at b = 3.5 overflows on an early transient whose "
+    "exact-arithmetic peak stays near 1e30, so criterion 1's stable side "
+    "reports a blow-up on this master seed"))
+def test_b_3_5_episode_stays_bounded():
+    system = sim.ParametricSystem(f=sim.PowerGrowthFn(1.0, 3.5))
+    _, verdict = sim.run_episode(system, sim.MvRlsControl(), None, 5000,
+                                 sim.episode_seed(492990968, 20))
+    assert verdict.outcome is not sim.Outcome.BLOWUP
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "bounded nonparametric duels commit interval endpoints that differ "
     "from the stored anchor value by one ulp when a state revisits an "
     "anchor, so their stored trajectories do not replay bit for bit"))
+def test_bounded_nonparametric_duel_replays_bit_for_bit():
+    system = sim.NonparametricSystem(L=2.0, w_bar=1.0, y0_std=1.0)
+    traj, _ = sim.run_episode(system, sim.SwitchingControl(),
+                              sim.GreedyAdversary(), 500,
+                              sim.episode_seed(1, 0))
+    assert sim.check_replay(traj)
+
+
 def test_duel_episodes_replay_bit_for_bit(tmp_path):
     _, tracer = traced_pass("lipschitz", SEED, tmp_path)
-    assert len(tracer.duel_episodes) == 4
+    assert len(tracer.duel_episodes) == 3
     assert all(sim.check_replay(traj) for traj in tracer.duel_episodes)
 
 
