@@ -8,7 +8,7 @@ control, sampled-data slope-times-period limits, and jump-linear
 stabilizability through coupled fixed-point equations.
 """
 
-from ._accel import NUMBA_ENABLED, backend_name
+from ._accel import HAS_NUMBA, backend_name
 from .adversary import (Extension, HighOrderAnchors, LinearFn,
                         PiecewiseLinearFn, RealizedPiecewiseLinear,
                         adversary_choose, feasible_interval,
@@ -24,8 +24,7 @@ from .controllers import (MjlsControllerState, NnHistory, RlsState,
                           adaptive_mv_control, make_rls, mjls_control,
                           mjls_estimate_mode, nn_estimate, rls_update,
                           sampled_control, switching_control)
-from .models import (GUARD, BoundedAdversarial, BoundedRandom,
-                     ConfigurationError, GaussianIID, MarkovChain,
+from .models import (GUARD, ConfigurationError, GaussianIID, MarkovChain,
                      MartingaleDiffVector, MjlsSpec, Overflow,
                      PolyRegressors, PowerGrowthFn, SampledSpec, eval_power,
                      integrate_sampled, markov_next, step_highorder,

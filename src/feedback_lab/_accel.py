@@ -1,20 +1,10 @@
-"""Backend selection for the hot numeric kernels.
+"""Optional numba compilation for the hot numeric kernels.
 
-Two interchangeable backends exist for every kernel: a numba ``@njit``
-compilation of the loop form, and a plain numpy form with vectorized
-inner operations.  The active backend is chosen once at import time:
-
-* ``FEEDBACK_LAB_NUMBA=0`` (or ``false``/``off``) forces the numpy backend.
-* If numba is not importable the numpy backend is used automatically.
-* Otherwise the numba backend is used.
-
-``benchmarks/bench_kernels.py`` times the two backends side by side.
+Every kernel in ``kernels`` has one body.  When numba imports, the body
+is compiled with ``@njit`` (cached on disk after the first build);
+otherwise it runs as plain Python over numpy arrays.  Whether numba
+imports is the only backend decision.
 """
-
-import os
-
-_FLAG = os.environ.get("FEEDBACK_LAB_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "off", "no")
 
 try:
     import numba as _numba
@@ -22,8 +12,6 @@ try:
 except ImportError:  # pragma: no cover - depends on environment
     _numba = None
     HAS_NUMBA = False
-
-NUMBA_ENABLED = HAS_NUMBA and _WANT_NUMBA
 
 
 def njit_compile(func):
@@ -34,4 +22,4 @@ def njit_compile(func):
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numba" if HAS_NUMBA else "numpy"

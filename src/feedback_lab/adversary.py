@@ -39,19 +39,50 @@ class InconsistentAnchors(ValueError):
     """A committed value violates the Lipschitz budget against the store."""
 
 
+def slopes_exceed(xs: np.ndarray, vs: np.ndarray, L: float) -> bool:
+    """Whether an adjacent difference quotient of sorted anchors exceeds L.
+
+    The tolerance scales with the values' magnitude, so realizations of
+    far-escaped runs are not rejected on last-bit rounding.
+    """
+    if xs.shape[0] < 2:
+        return False
+    dv = np.abs(np.diff(vs))
+    scale = np.maximum(1.0, np.maximum(np.abs(vs[:-1]), np.abs(vs[1:])))
+    return bool(np.any(dv > L * np.diff(xs) + 1e-9 * scale))
+
+
 @dataclass(frozen=True)
 class RealizedPiecewiseLinear:
     """Immutable total function built from an anchor snapshot.
 
-    Evaluation returns the stored value exactly on anchor points and the
-    extension-rule value elsewhere, so replaying a trajectory through a
-    realization reproduces every recorded function value bit for bit.
+    The abscissas are finite, sorted and distinct, and adjacent anchors
+    respect the slope budget L; construction raises ``ValueError``
+    otherwise.  Evaluation returns the stored value exactly on anchor
+    points and the extension-rule value elsewhere, so replaying a
+    trajectory through a realization reproduces every recorded function
+    value bit for bit.
     """
 
     xs: np.ndarray
     vs: np.ndarray
     L: float
     extension: Extension = Extension.MCSHANE_MIN
+
+    def __post_init__(self):
+        xs = np.asarray(self.xs, dtype=float)
+        vs = np.asarray(self.vs, dtype=float)
+        if xs.ndim != 1 or xs.shape != vs.shape or xs.shape[0] == 0:
+            raise ValueError("xs and vs must be 1-D, of one nonzero length")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+            raise ValueError("anchors must be finite")
+        if np.any(np.diff(xs) <= 0.0):
+            raise ValueError("abscissas must be sorted and distinct")
+        if slopes_exceed(xs, vs, self.L):
+            raise ValueError(
+                f"anchor difference quotients exceed the slope budget {self.L}")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "vs", vs)
 
     @property
     def ext_mode(self) -> int:
@@ -145,8 +176,6 @@ class PiecewiseLinearFn:
         self._vs.insert(i, v)
 
     def realize(self) -> RealizedPiecewiseLinear:
-        if not self._xs:
-            raise ValueError("cannot realize an empty anchor store")
         xs, vs = self.anchor_arrays()
         return RealizedPiecewiseLinear(xs, vs, self.L, self.extension)
 
@@ -154,12 +183,11 @@ class PiecewiseLinearFn:
 def feasible_interval(f: PiecewiseLinearFn, x: float) -> tuple[float, float]:
     """Value range at x consistent with every committed anchor.
 
-    Empty store gives (-inf, +inf); consistency of the store guarantees
-    a nonempty intersection of the cones.
+    Empty store gives (-inf, +inf) and a committed anchor its stored
+    value; consistency of the store guarantees a nonempty intersection of
+    the cones, which the two anchors either side of x fix.
     """
     xs, vs = f.anchor_arrays()
-    if xs.shape[0] == 0:
-        return -np.inf, np.inf
     lo, hi = kernels.interval(xs, vs, xs.shape[0], f.L, float(x))
     return float(lo), float(hi)
 

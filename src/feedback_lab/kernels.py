@@ -1,33 +1,35 @@
-"""Hot numeric kernels, in paired numba / numpy variants.
+"""Hot numeric kernels, one body each.
 
 Every episode loop and the coupled fixed-point solver live here as plain
-functions over float64 arrays.  Each kernel has two interchangeable
-implementations:
-
-* ``*_nb``: loop form compiled with ``@njit`` (falls back to the plain
-  Python body when numba is unavailable),
-* ``*_np``: same control flow with the inner scans vectorized in numpy.
-
-The active variant is selected once at import time from the
-``FEEDBACK_LAB_NUMBA`` environment flag (see ``_accel``).  The scalar
-arithmetic is written identically in both variants so that trajectories
-agree bit for bit across backends; ``tests/test_kernels.py`` enforces
-this and ``benchmarks/bench_kernels.py`` times the two sides.
+functions over float64 arrays.  Each is written once, inside numba's
+nopython subset (scalar loops, ``np.searchsorted``, 1-D/2-D slices and
+2-D ``@``), and compiled with ``@njit`` when numba imports (see
+``_accel``); otherwise the same body runs as Python over numpy arrays.
 
 Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
 index at which the guard tripped (-1 means the horizon was reached).
-Piecewise-linear functions are passed as sorted-or-not anchor arrays
-``(xs, vs)`` with slope budget L; extension mode 0 evaluates the upper
-envelope ``min_i(v_i + L|x - x_i|)``, mode 1 the lower envelope
-``max_i(v_i - L|x - x_i|)``, mode 2 their midpoint.  Evaluation checks
-for an exact anchor hit first so replaying a stored trajectory through
-the same anchors is reproducible to the last bit.
+
+Piecewise-linear functions are passed as anchor arrays ``(xs, vs)``
+holding ``n`` sorted, distinct abscissas with slope budget L; extension
+mode 0 evaluates the upper envelope ``min_i(v_i + L|x - x_i|)``, mode 1
+the lower envelope ``max_i(v_i - L|x - x_i|)``, mode 2 their midpoint.
+For L-consistent anchors both envelopes at x are fixed by the two
+anchors either side of x (McShane 1934), so evaluation reads only those
+two.  An exact anchor hit returns the stored value, so replaying a
+stored trajectory through the same anchors is reproducible to the last
+bit.
+
+Anchor stores (``_insert``) and nearest-neighbour histories (``_visit``)
+grow by sorted insertion.  A history keeps each distinct past state
+once, with the step of its first visit: among equal computed distances
+the smallest step wins, and a repeat of a state can never beat its first
+visit.
 """
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit_compile
+from ._accel import njit_compile
 
 EXT_UPPER = 0
 EXT_LOWER = 1
@@ -35,9 +37,10 @@ EXT_MIDPOINT = 2
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers
+# scalar helpers and sorted stores
 
-def _power_body(M, b, y):
+@njit_compile
+def power_eval(M, b, y):
     # odd extension M*sign(y)*|y|^b; value 0 at y=0 for every b >= 0
     if y > 0.0:
         return M * y**b
@@ -46,75 +49,23 @@ def _power_body(M, b, y):
     return 0.0
 
 
-power_eval_nb = njit_compile(_power_body)
-power_eval_np = _power_body
-
-
-def _mcshane_body(xs, vs, n, L, mode, x):
-    for i in range(n):
-        if xs[i] == x:
-            return vs[i]
-    if mode == 0:
-        best = np.inf
-        for i in range(n):
-            d = x - xs[i]
-            if d < 0.0:
-                d = -d
-            c = vs[i] + L * d
-            if c < best:
-                best = c
-        return best
-    if mode == 1:
-        best = -np.inf
-        for i in range(n):
-            d = x - xs[i]
-            if d < 0.0:
-                d = -d
-            c = vs[i] - L * d
-            if c > best:
-                best = c
-        return best
+@njit_compile
+def interval(xs, vs, n, L, x):
+    """Values at x consistent with the first n anchors: the single stored
+    value on an anchor, else the intersection of the neighbours' cones."""
+    j = np.searchsorted(xs[:n], x)
+    if j < n and xs[j] == x:
+        return vs[j], vs[j]
     lo = -np.inf
     hi = np.inf
-    for i in range(n):
-        d = x - xs[i]
-        if d < 0.0:
-            d = -d
-        a = vs[i] - L * d
-        c = vs[i] + L * d
-        if a > lo:
-            lo = a
-        if c < hi:
-            hi = c
-    return 0.5 * (lo + hi)
-
-
-mcshane_eval_nb = njit_compile(_mcshane_body)
-
-
-def mcshane_eval_np(xs, vs, n, L, mode, x):
-    xa = xs[:n]
-    va = vs[:n]
-    hit = xa == x
-    if hit.any():
-        return float(va[int(np.argmax(hit))])
-    d = np.abs(x - xa)
-    if mode == 0:
-        return float(np.min(va + L * d))
-    if mode == 1:
-        return float(np.max(va - L * d))
-    return 0.5 * (float(np.max(va - L * d)) + float(np.min(va + L * d)))
-
-
-def _interval_body(xs, vs, n, L, x):
-    lo = -np.inf
-    hi = np.inf
-    for i in range(n):
-        d = x - xs[i]
-        if d < 0.0:
-            d = -d
-        a = vs[i] - L * d
-        c = vs[i] + L * d
+    if j > 0:
+        d = x - xs[j - 1]
+        lo = vs[j - 1] - L * d
+        hi = vs[j - 1] + L * d
+    if j < n:
+        d = xs[j] - x
+        a = vs[j] - L * d
+        c = vs[j] + L * d
         if a > lo:
             lo = a
         if c < hi:
@@ -122,20 +73,109 @@ def _interval_body(xs, vs, n, L, x):
     return lo, hi
 
 
-interval_nb = njit_compile(_interval_body)
+@njit_compile
+def mcshane_eval(xs, vs, n, L, mode, x):
+    """Extension-rule value at x: upper envelope (mode 0), lower (1) or
+    their midpoint (2)."""
+    lo, hi = interval(xs, vs, n, L, x)
+    if mode == 0:
+        return hi
+    if mode == 1:
+        return lo
+    return 0.5 * (lo + hi)
 
 
-def interval_np(xs, vs, n, L, x):
-    if n == 0:
-        return -np.inf, np.inf
-    d = np.abs(x - xs[:n])
-    return float(np.max(vs[:n] - L * d)), float(np.min(vs[:n] + L * d))
+@njit_compile
+def _shift_in(keys, vals, n, j, key, val):
+    # the explicit copy keeps the shift right whether or not slice
+    # assignment buffers an overlapping source
+    keys[j + 1:n + 1] = keys[j:n].copy()
+    vals[j + 1:n + 1] = vals[j:n].copy()
+    keys[j] = key
+    vals[j] = val
+
+
+@njit_compile
+def _insert(keys, vals, n, key, val):
+    """Insert (key, val) into the sorted store of n entries unless key is
+    already there or the store is full; returns the new count."""
+    j = np.searchsorted(keys[:n], key)
+    if (j < n and keys[j] == key) or n == keys.shape[0]:
+        return n
+    _shift_in(keys, vals, n, j, key, val)
+    return n + 1
+
+
+@njit_compile
+def _visit(keys, steps, n, x, t):
+    """Look up the stored state nearest to x, then record x at step t.
+
+    Returns the step k of the nearest state (-1 for an empty history),
+    its distance, and the new count.  Computed distances grow
+    monotonically away from the insertion point on either side, so the
+    entries tied at the minimum form one run on each side of it; the
+    smallest step among them wins.
+    """
+    j = np.searchsorted(keys[:n], x)
+    best = np.inf
+    if j > 0:
+        best = x - keys[j - 1]
+    if j < n and keys[j] - x < best:
+        best = keys[j] - x
+    k = -1
+    i = j - 1
+    while i >= 0 and x - keys[i] == best:
+        if k < 0 or steps[i] < k:
+            k = steps[i]
+        i -= 1
+    i = j
+    while i < n and keys[i] - x == best:
+        if k < 0 or steps[i] < k:
+            k = steps[i]
+        i += 1
+    if not (j < n and keys[j] == x):
+        _shift_in(keys, steps, n, j, x, t)
+        n += 1
+    return k, best, n
+
+
+@njit_compile
+def _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar, bmin, bmax):
+    # nearest-neighbour estimate fhat = y_{k+1} - u_k, then range-centring
+    # far from every past output and tracking close to one; returns the
+    # input and the history count once y is recorded
+    k, gap, nh = _visit(hy, hk, nh, y, t)
+    if k < 0:
+        return 0.0, nh
+    fhat = ys[k + 1] - us[k]
+    if gap > eps:
+        return -fhat + 0.5 * (bmin + bmax), nh
+    return -fhat + ystar, nh
+
+
+@njit_compile
+def _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa):
+    # certainty equivalence on the nearest past sample, clipped to
+    # |u| <= kappa (L|x| + c); returns the input and the history count
+    # once x is recorded
+    i, _, ns = _visit(sx, sk, ns, x, k)
+    if i < 0:
+        return 0.0, ns
+    ftilde = (xs[i + 1] - xs[i]) / h - us[i]
+    u = -ftilde - x / h
+    cap = kappa * (L * abs(x) + c)
+    if u > cap:
+        u = cap
+    if u < -cap:
+        u = -cap
+    return u, ns
 
 
 # ---------------------------------------------------------------------------
 # parametric episode: recursive least squares + minimum variance input
 
-def _parametric_episode_body(y0, theta, w, M, b, s0, theta0, guard):
+@njit_compile
+def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
     T = w.shape[0] - 1
     ys = np.zeros(T + 1)
     us = np.zeros(T)
@@ -167,22 +207,18 @@ def _parametric_episode_body(y0, theta, w, M, b, s0, theta0, guard):
     return ys, us, ths, blow
 
 
-parametric_episode_nb = njit_compile(_parametric_episode_body)
-parametric_episode_np = _parametric_episode_body
-
-
 # ---------------------------------------------------------------------------
 # nonparametric episode, fixed realized f + switching NN controller
 
-def _nonparam_fixed_nb_body(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
-                            guard, use_controller):
+@njit_compile
+def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
+                   guard, use_controller):
     T = ws.shape[0] - 1
     nf = fxs.shape[0]
     ys = np.zeros(T + 1)
     us = np.zeros(T)
     hy = np.zeros(T)
-    hu = np.zeros(T)
-    hn = np.zeros(T)
+    hk = np.zeros(T, dtype=np.int64)
     nh = 0
     ys[0] = y0
     y = y0
@@ -194,81 +230,14 @@ def _nonparam_fixed_nb_body(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
             bmin = y
         if y > bmax:
             bmax = y
-        if use_controller == 0 or nh == 0:
-            u = 0.0
-        else:
-            best = np.inf
-            bi = 0
-            for i in range(nh):
-                d = y - hy[i]
-                if d < 0.0:
-                    d = -d
-                if d < best:
-                    best = d
-                    bi = i
-            fhat = hn[bi] - hu[bi]
-            if best > eps:
-                u = -fhat + 0.5 * (bmin + bmax)
-            else:
-                u = -fhat + ystar
-        fy = mcshane_eval_nb(fxs, fvs, nf, L, ext_mode, y)
-        w = w_bar * ws[t + 1]
-        y1 = fy + u + w
+        u = 0.0
+        if use_controller != 0:
+            u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar,
+                                     bmin, bmax)
+        fy = mcshane_eval(fxs, fvs, nf, L, ext_mode, y)
+        y1 = fy + u + w_bar * ws[t + 1]
         us[t] = u
         ys[t + 1] = y1
-        hy[nh] = y
-        hu[nh] = u
-        hn[nh] = y1
-        nh += 1
-        if y1 != y1 or y1 > guard or y1 < -guard:
-            blow = t + 1
-            break
-        y = y1
-    return ys, us, blow
-
-
-nonparam_fixed_nb = njit_compile(_nonparam_fixed_nb_body)
-
-
-def nonparam_fixed_np(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
-                      guard, use_controller):
-    T = ws.shape[0] - 1
-    nf = fxs.shape[0]
-    ys = np.zeros(T + 1)
-    us = np.zeros(T)
-    hy = np.zeros(T)
-    hu = np.zeros(T)
-    hn = np.zeros(T)
-    nh = 0
-    ys[0] = y0
-    y = y0
-    bmin = y0
-    bmax = y0
-    blow = -1
-    for t in range(T):
-        if y < bmin:
-            bmin = y
-        if y > bmax:
-            bmax = y
-        if use_controller == 0 or nh == 0:
-            u = 0.0
-        else:
-            gaps = np.abs(y - hy[:nh])
-            bi = int(np.argmin(gaps))
-            fhat = hn[bi] - hu[bi]
-            if gaps[bi] > eps:
-                u = -fhat + 0.5 * (bmin + bmax)
-            else:
-                u = -fhat + ystar
-        fy = mcshane_eval_np(fxs, fvs, nf, L, ext_mode, y)
-        w = w_bar * ws[t + 1]
-        y1 = fy + u + w
-        us[t] = u
-        ys[t + 1] = y1
-        hy[nh] = y
-        hu[nh] = u
-        hn[nh] = y1
-        nh += 1
         if y1 != y1 or y1 > guard or y1 < -guard:
             blow = t + 1
             break
@@ -279,8 +248,9 @@ def nonparam_fixed_np(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
 # ---------------------------------------------------------------------------
 # nonparametric duel: greedy anchor-committing opponent vs the controller
 
-def _nonparam_duel_nb_body(y0, L, w_bar, budget_c, eps, ystar, guard, T,
-                           use_controller):
+@njit_compile
+def nonparam_duel(y0, L, w_bar, budget_c, eps, ystar, guard, T,
+                  use_controller):
     ys = np.zeros(T + 1)
     us = np.zeros(T)
     ws = np.zeros(T + 1)
@@ -289,8 +259,7 @@ def _nonparam_duel_nb_body(y0, L, w_bar, budget_c, eps, ystar, guard, T,
     avs = np.zeros(T + 1)
     na = 0
     hy = np.zeros(T)
-    hu = np.zeros(T)
-    hn = np.zeros(T)
+    hk = np.zeros(T, dtype=np.int64)
     nh = 0
     ys[0] = y0
     y = y0
@@ -302,120 +271,23 @@ def _nonparam_duel_nb_body(y0, L, w_bar, budget_c, eps, ystar, guard, T,
             bmin = y
         if y > bmax:
             bmax = y
-        if use_controller == 0 or nh == 0:
-            u = 0.0
-        else:
-            best = np.inf
-            bi = 0
-            for i in range(nh):
-                d = y - hy[i]
-                if d < 0.0:
-                    d = -d
-                if d < best:
-                    best = d
-                    bi = i
-            fhat = hn[bi] - hu[bi]
-            if best > eps:
-                u = -fhat + 0.5 * (bmin + bmax)
-            else:
-                u = -fhat + ystar
+        u = 0.0
+        if use_controller != 0:
+            u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar,
+                                     bmin, bmax)
         if na == 0:
-            ay = y if y >= 0.0 else -y
-            cap = L * ay + budget_c
-            lo = -cap
-            hi = cap
+            hi = L * abs(y) + budget_c
+            lo = -hi
         else:
-            lo, hi = interval_nb(axs, avs, na, L, y)
-        dhi = hi + u
-        if dhi < 0.0:
-            dhi = -dhi
-        dlo = lo + u
-        if dlo < 0.0:
-            dlo = -dlo
-        v = hi if dhi >= dlo else lo
-        w = w_bar if (v + u) >= 0.0 else -w_bar
-        seen = False
-        for i in range(na):
-            if axs[i] == y:
-                seen = True
-                break
-        if not seen:
-            axs[na] = y
-            avs[na] = v
-            na += 1
-        y1 = v + u + w
-        us[t] = u
-        ws[t + 1] = w
-        vsc[t] = v
-        ys[t + 1] = y1
-        hy[nh] = y
-        hu[nh] = u
-        hn[nh] = y1
-        nh += 1
-        if y1 != y1 or y1 > guard or y1 < -guard:
-            blow = t + 1
-            break
-        y = y1
-    return ys, us, ws, vsc, axs, avs, na, blow
-
-
-nonparam_duel_nb = njit_compile(_nonparam_duel_nb_body)
-
-
-def nonparam_duel_np(y0, L, w_bar, budget_c, eps, ystar, guard, T,
-                     use_controller):
-    ys = np.zeros(T + 1)
-    us = np.zeros(T)
-    ws = np.zeros(T + 1)
-    vsc = np.zeros(T)
-    axs = np.zeros(T + 1)
-    avs = np.zeros(T + 1)
-    na = 0
-    hy = np.zeros(T)
-    hu = np.zeros(T)
-    hn = np.zeros(T)
-    nh = 0
-    ys[0] = y0
-    y = y0
-    bmin = y0
-    bmax = y0
-    blow = -1
-    for t in range(T):
-        if y < bmin:
-            bmin = y
-        if y > bmax:
-            bmax = y
-        if use_controller == 0 or nh == 0:
-            u = 0.0
-        else:
-            gaps = np.abs(y - hy[:nh])
-            bi = int(np.argmin(gaps))
-            fhat = hn[bi] - hu[bi]
-            if gaps[bi] > eps:
-                u = -fhat + 0.5 * (bmin + bmax)
-            else:
-                u = -fhat + ystar
-        if na == 0:
-            cap = L * abs(y) + budget_c
-            lo = -cap
-            hi = cap
-        else:
-            lo, hi = interval_np(axs, avs, na, L, y)
+            lo, hi = interval(axs, avs, na, L, y)
         v = hi if abs(hi + u) >= abs(lo + u) else lo
         w = w_bar if (v + u) >= 0.0 else -w_bar
-        if not (axs[:na] == y).any():
-            axs[na] = y
-            avs[na] = v
-            na += 1
+        na = _insert(axs, avs, na, y, v)
         y1 = v + u + w
         us[t] = u
         ws[t + 1] = w
         vsc[t] = v
         ys[t + 1] = y1
-        hy[nh] = y
-        hu[nh] = u
-        hn[nh] = y1
-        nh += 1
         if y1 != y1 or y1 > guard or y1 < -guard:
             blow = t + 1
             break
@@ -426,31 +298,15 @@ def nonparam_duel_np(y0, L, w_bar, budget_c, eps, ystar, guard, T,
 # ---------------------------------------------------------------------------
 # zero-order-hold integration of dx/dt = f(x) + u over one sampling period
 
-def _rk4_nb_body(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
+@njit_compile
+def rk4_mcshane(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
     dt = h / substeps
     xx = x0
     for _ in range(substeps):
-        k1 = mcshane_eval_nb(fxs, fvs, nf, L, ext_mode, xx) + u
-        k2 = mcshane_eval_nb(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k1) + u
-        k3 = mcshane_eval_nb(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k2) + u
-        k4 = mcshane_eval_nb(fxs, fvs, nf, L, ext_mode, xx + dt * k3) + u
-        xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if xx != xx or xx > guard or xx < -guard:
-            return xx
-    return xx
-
-
-rk4_mcshane_nb = njit_compile(_rk4_nb_body)
-
-
-def rk4_mcshane_np(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
-    dt = h / substeps
-    xx = x0
-    for _ in range(substeps):
-        k1 = mcshane_eval_np(fxs, fvs, nf, L, ext_mode, xx) + u
-        k2 = mcshane_eval_np(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k1) + u
-        k3 = mcshane_eval_np(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k2) + u
-        k4 = mcshane_eval_np(fxs, fvs, nf, L, ext_mode, xx + dt * k3) + u
+        k1 = mcshane_eval(fxs, fvs, nf, L, ext_mode, xx) + u
+        k2 = mcshane_eval(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k1) + u
+        k3 = mcshane_eval(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k2) + u
+        k4 = mcshane_eval(fxs, fvs, nf, L, ext_mode, xx + dt * k3) + u
         xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if xx != xx or xx > guard or xx < -guard:
             return xx
@@ -460,87 +316,25 @@ def rk4_mcshane_np(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
 # ---------------------------------------------------------------------------
 # sampled-data episode, fixed f + certainty-equivalence controller
 
-def _sampled_fixed_nb_body(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
-                           n_samples, guard, use_controller):
+@njit_compile
+def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
+                  n_samples, guard, use_controller):
     nf = fxs.shape[0]
     xs = np.zeros(n_samples + 1)
     us = np.zeros(n_samples)
     sx = np.zeros(n_samples)
-    su = np.zeros(n_samples)
-    s1 = np.zeros(n_samples)
+    sk = np.zeros(n_samples, dtype=np.int64)
     ns = 0
     xs[0] = x0
     x = x0
     blow = -1
     for k in range(n_samples):
-        if use_controller == 0 or ns == 0:
-            u = 0.0
-        else:
-            best = np.inf
-            bi = 0
-            for i in range(ns):
-                d = x - sx[i]
-                if d < 0.0:
-                    d = -d
-                if d < best:
-                    best = d
-                    bi = i
-            ftilde = (s1[bi] - sx[bi]) / h - su[bi]
-            u = -ftilde - x / h
-            ax = x if x >= 0.0 else -x
-            cap = kappa * (L * ax + c)
-            if u > cap:
-                u = cap
-            if u < -cap:
-                u = -cap
-        x1 = rk4_mcshane_nb(fxs, fvs, nf, L, ext_mode, x, u, h, substeps, guard)
+        u = 0.0
+        if use_controller != 0:
+            u, ns = _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa)
+        x1 = rk4_mcshane(fxs, fvs, nf, L, ext_mode, x, u, h, substeps, guard)
         us[k] = u
         xs[k + 1] = x1
-        sx[ns] = x
-        su[ns] = u
-        s1[ns] = x1
-        ns += 1
-        if x1 != x1 or x1 > guard or x1 < -guard:
-            blow = k + 1
-            break
-        x = x1
-    return xs, us, blow
-
-
-sampled_fixed_nb = njit_compile(_sampled_fixed_nb_body)
-
-
-def sampled_fixed_np(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
-                     n_samples, guard, use_controller):
-    nf = fxs.shape[0]
-    xs = np.zeros(n_samples + 1)
-    us = np.zeros(n_samples)
-    sx = np.zeros(n_samples)
-    su = np.zeros(n_samples)
-    s1 = np.zeros(n_samples)
-    ns = 0
-    xs[0] = x0
-    x = x0
-    blow = -1
-    for k in range(n_samples):
-        if use_controller == 0 or ns == 0:
-            u = 0.0
-        else:
-            bi = int(np.argmin(np.abs(x - sx[:ns])))
-            ftilde = (s1[bi] - sx[bi]) / h - su[bi]
-            u = -ftilde - x / h
-            cap = kappa * (L * abs(x) + c)
-            if u > cap:
-                u = cap
-            if u < -cap:
-                u = -cap
-        x1 = rk4_mcshane_np(fxs, fvs, nf, L, ext_mode, x, u, h, substeps, guard)
-        us[k] = u
-        xs[k + 1] = x1
-        sx[ns] = x
-        su[ns] = u
-        s1[ns] = x1
-        ns += 1
         if x1 != x1 or x1 > guard or x1 < -guard:
             blow = k + 1
             break
@@ -553,36 +347,15 @@ def sampled_fixed_np(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
 # and at every integrator evaluation, and drives each period with the
 # envelope (upper or lower) that continues the current push direction
 
-def _env_commit_nb_body(axs, avs, na, L, mode, x):
-    cap = axs.shape[0]
-    for i in range(na):
-        if axs[i] == x:
-            return avs[i], na
-    v = mcshane_eval_nb(axs, avs, na, L, mode, x)
-    if na < cap:
-        axs[na] = x
-        avs[na] = v
-        na += 1
-    return v, na
+@njit_compile
+def _env_commit(axs, avs, na, L, mode, x):
+    v = mcshane_eval(axs, avs, na, L, mode, x)
+    return v, _insert(axs, avs, na, x, v)
 
 
-_env_commit_nb = njit_compile(_env_commit_nb_body)
-
-
-def _env_commit_np(axs, avs, na, L, mode, x):
-    hit = axs[:na] == x
-    if hit.any():
-        return float(avs[:na][int(np.argmax(hit))]), na
-    v = mcshane_eval_np(axs, avs, na, L, mode, x)
-    if na < axs.shape[0]:
-        axs[na] = x
-        avs[na] = v
-        na += 1
-    return v, na
-
-
-def _sampled_duel_nb_body(x0, L, c, h, substeps, kappa, n_samples, guard,
-                          use_controller, cap_anchors):
+@njit_compile
+def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
+                 use_controller, cap_anchors):
     xs = np.zeros(n_samples + 1)
     us = np.zeros(n_samples)
     vsc = np.zeros(n_samples)
@@ -590,138 +363,34 @@ def _sampled_duel_nb_body(x0, L, c, h, substeps, kappa, n_samples, guard,
     avs = np.zeros(cap_anchors)
     na = 0
     sx = np.zeros(n_samples)
-    su = np.zeros(n_samples)
-    s1 = np.zeros(n_samples)
+    sk = np.zeros(n_samples, dtype=np.int64)
     ns = 0
     xs[0] = x0
     x = x0
     blow = -1
+    dt = h / substeps
     for k in range(n_samples):
-        if use_controller == 0 or ns == 0:
-            u = 0.0
-        else:
-            best = np.inf
-            bi = 0
-            for i in range(ns):
-                d = x - sx[i]
-                if d < 0.0:
-                    d = -d
-                if d < best:
-                    best = d
-                    bi = i
-            ftilde = (s1[bi] - sx[bi]) / h - su[bi]
-            u = -ftilde - x / h
-            ax = x if x >= 0.0 else -x
-            cap = kappa * (L * ax + c)
-            if u > cap:
-                u = cap
-            if u < -cap:
-                u = -cap
-        ax = x if x >= 0.0 else -x
-        box = L * ax + c
-        lo, hi = interval_nb(axs, avs, na, L, x)
-        if lo < -box:
-            lo = -box
-        if hi > box:
-            hi = box
-        dhi = hi + u
-        if dhi < 0.0:
-            dhi = -dhi
-        dlo = lo + u
-        if dlo < 0.0:
-            dlo = -dlo
-        v = hi if dhi >= dlo else lo
-        seen = False
-        for i in range(na):
-            if axs[i] == x:
-                seen = True
-                break
-        if not seen and na < cap_anchors:
-            axs[na] = x
-            avs[na] = v
-            na += 1
-        mode = 0 if (v + u) >= 0.0 else 1
-        dt = h / substeps
-        xx = x
-        for _ in range(substeps):
-            f1, na = _env_commit_nb(axs, avs, na, L, mode, xx)
-            k1 = f1 + u
-            f2, na = _env_commit_nb(axs, avs, na, L, mode, xx + 0.5 * dt * k1)
-            k2 = f2 + u
-            f3, na = _env_commit_nb(axs, avs, na, L, mode, xx + 0.5 * dt * k2)
-            k3 = f3 + u
-            f4, na = _env_commit_nb(axs, avs, na, L, mode, xx + dt * k3)
-            k4 = f4 + u
-            xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if xx != xx or xx > guard or xx < -guard:
-                break
-        x1 = xx
-        us[k] = u
-        vsc[k] = v
-        xs[k + 1] = x1
-        sx[ns] = x
-        su[ns] = u
-        s1[ns] = x1
-        ns += 1
-        if x1 != x1 or x1 > guard or x1 < -guard:
-            blow = k + 1
-            break
-        x = x1
-    return xs, us, vsc, axs, avs, na, blow
-
-
-sampled_duel_nb = njit_compile(_sampled_duel_nb_body)
-
-
-def sampled_duel_np(x0, L, c, h, substeps, kappa, n_samples, guard,
-                    use_controller, cap_anchors):
-    xs = np.zeros(n_samples + 1)
-    us = np.zeros(n_samples)
-    vsc = np.zeros(n_samples)
-    axs = np.zeros(cap_anchors)
-    avs = np.zeros(cap_anchors)
-    na = 0
-    sx = np.zeros(n_samples)
-    su = np.zeros(n_samples)
-    s1 = np.zeros(n_samples)
-    ns = 0
-    xs[0] = x0
-    x = x0
-    blow = -1
-    for k in range(n_samples):
-        if use_controller == 0 or ns == 0:
-            u = 0.0
-        else:
-            bi = int(np.argmin(np.abs(x - sx[:ns])))
-            ftilde = (s1[bi] - sx[bi]) / h - su[bi]
-            u = -ftilde - x / h
-            cap = kappa * (L * abs(x) + c)
-            if u > cap:
-                u = cap
-            if u < -cap:
-                u = -cap
+        u = 0.0
+        if use_controller != 0:
+            u, ns = _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa)
         box = L * abs(x) + c
-        lo, hi = interval_np(axs, avs, na, L, x)
+        lo, hi = interval(axs, avs, na, L, x)
         if lo < -box:
             lo = -box
         if hi > box:
             hi = box
         v = hi if abs(hi + u) >= abs(lo + u) else lo
-        if not (axs[:na] == x).any() and na < cap_anchors:
-            axs[na] = x
-            avs[na] = v
-            na += 1
+        na = _insert(axs, avs, na, x, v)
         mode = 0 if (v + u) >= 0.0 else 1
-        dt = h / substeps
         xx = x
         for _ in range(substeps):
-            f1, na = _env_commit_np(axs, avs, na, L, mode, xx)
+            f1, na = _env_commit(axs, avs, na, L, mode, xx)
             k1 = f1 + u
-            f2, na = _env_commit_np(axs, avs, na, L, mode, xx + 0.5 * dt * k1)
+            f2, na = _env_commit(axs, avs, na, L, mode, xx + 0.5 * dt * k1)
             k2 = f2 + u
-            f3, na = _env_commit_np(axs, avs, na, L, mode, xx + 0.5 * dt * k2)
+            f3, na = _env_commit(axs, avs, na, L, mode, xx + 0.5 * dt * k2)
             k3 = f3 + u
-            f4, na = _env_commit_np(axs, avs, na, L, mode, xx + dt * k3)
+            f4, na = _env_commit(axs, avs, na, L, mode, xx + dt * k3)
             k4 = f4 + u
             xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if xx != xx or xx > guard or xx < -guard:
@@ -730,10 +399,6 @@ def sampled_duel_np(x0, L, c, h, substeps, kappa, n_samples, guard,
         us[k] = u
         vsc[k] = v
         xs[k + 1] = x1
-        sx[ns] = x
-        su[ns] = u
-        s1[ns] = x1
-        ns += 1
         if x1 != x1 or x1 > guard or x1 < -guard:
             blow = k + 1
             break
@@ -744,11 +409,27 @@ def sampled_duel_np(x0, L, c, h, substeps, kappa, n_samples, guard,
 # ---------------------------------------------------------------------------
 # Markov jump linear episode with residual-matching mode estimation
 
-def _mjls_nb_body(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
+@njit_compile
+def mjls_step(Ai, Bi, x, u, w):
+    return Ai @ x + Bi @ u + w
+
+
+@njit_compile
+def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
     T = W.shape[0]
     N = A.shape[0]
     n = A.shape[1]
     m = B.shape[2]
+    # every mode's one-step prediction in one product per matrix
+    A2 = A.reshape(N * n, n)
+    B2 = B.reshape(N * n, m)
+    # most likely successor of each mode and the cumulative transition
+    # rows the mode draw bisects
+    succ = np.zeros(N, dtype=np.int64)
+    cum = np.zeros((N, N))
+    for i in range(N):
+        succ[i] = np.argmax(P[i])
+        cum[i] = np.cumsum(P[i])
     X = np.zeros((T + 1, n))
     U = np.zeros((T, m))
     modes = np.zeros(T + 1, dtype=np.int64)
@@ -757,131 +438,30 @@ def _mjls_nb_body(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
     modes[0] = mode0
     blow = -1
     for t in range(T):
+        ihat = 0
         if t >= 1:
-            bestr = np.inf
-            bi = 0
-            for i in range(N):
-                rss = 0.0
-                for a in range(n):
-                    acc = X[t, a]
-                    for j in range(n):
-                        acc -= A[i, a, j] * X[t - 1, j]
-                    for j in range(m):
-                        acc -= B[i, a, j] * U[t - 1, j]
-                    rss += acc * acc
-                if rss < bestr:
-                    bestr = rss
-                    bi = i
+            preds = (A2 @ X[t - 1] + B2 @ U[t - 1]).reshape(N, n)
+            bi = np.argmin(np.sum((X[t] - preds) ** 2, axis=1))
             est[t] = bi
-            ihat = 0
-            bestp = P[bi, 0]
-            for j in range(1, N):
-                if P[bi, j] > bestp:
-                    bestp = P[bi, j]
-                    ihat = j
-        else:
-            ihat = 0
-        if use_controller != 0:
-            for a in range(m):
-                acc = 0.0
-                for j in range(n):
-                    acc += Kg[ihat, a, j] * X[t, j]
-                U[t, a] = -acc
-        th = modes[t]
-        bad = False
-        for a in range(n):
-            acc = W[t, a]
-            for j in range(n):
-                acc += A[th, a, j] * X[t, j]
-            for j in range(m):
-                acc += B[th, a, j] * U[t, j]
-            X[t + 1, a] = acc
-            if acc != acc or acc > guard or acc < -guard:
-                bad = True
-        if bad:
-            blow = t + 1
-            break
-        r = munif[t]
-        acc = 0.0
-        nm = N - 1
-        for j in range(N):
-            acc += P[th, j]
-            if r < acc:
-                nm = j
-                break
-        modes[t + 1] = nm
-    return X, U, modes, est, blow
-
-
-mjls_episode_nb = njit_compile(_mjls_nb_body)
-
-
-def mjls_episode_np(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
-    T = W.shape[0]
-    N = A.shape[0]
-    m = B.shape[2]
-    n = A.shape[1]
-    X = np.zeros((T + 1, n))
-    U = np.zeros((T, m))
-    modes = np.zeros(T + 1, dtype=np.int64)
-    est = np.full(T + 1, -1, dtype=np.int64)
-    X[0] = x0
-    modes[0] = mode0
-    blow = -1
-    for t in range(T):
-        if t >= 1:
-            preds = A @ X[t - 1] + B @ U[t - 1]
-            resid = np.sum((X[t] - preds) ** 2, axis=1)
-            bi = int(np.argmin(resid))
-            est[t] = bi
-            ihat = int(np.argmax(P[bi]))
-        else:
-            ihat = 0
+            ihat = succ[bi]
         if use_controller != 0:
             U[t] = -(Kg[ihat] @ X[t])
         th = modes[t]
-        x1 = A[th] @ X[t] + B[th] @ U[t] + W[t]
+        x1 = mjls_step(A[th], B[th], X[t], U[t], W[t])
         X[t + 1] = x1
-        if np.any(x1 != x1) or np.any(x1 > guard) or np.any(x1 < -guard):
+        if not np.max(np.abs(x1)) <= guard:
             blow = t + 1
             break
-        r = munif[t]
-        acc = 0.0
-        nm = N - 1
-        for j in range(N):
-            acc += P[th, j]
-            if r < acc:
-                nm = j
-                break
-        modes[t + 1] = nm
+        modes[t + 1] = min(np.searchsorted(cum[th], munif[t], side="right"),
+                           N - 1)
     return X, U, modes, est, blow
-
-
-def _mjls_step_nb_body(Ai, Bi, x, u, w):
-    n = Ai.shape[0]
-    m = Bi.shape[1]
-    out = np.zeros(n)
-    for a in range(n):
-        acc = w[a]
-        for j in range(n):
-            acc += Ai[a, j] * x[j]
-        for j in range(m):
-            acc += Bi[a, j] * u[j]
-        out[a] = acc
-    return out
-
-
-mjls_step_nb = njit_compile(_mjls_step_nb_body)
-
-
-def mjls_step_np(Ai, Bi, x, u, w):
-    return Ai @ x + Bi @ u + w
 
 
 # ---------------------------------------------------------------------------
 # coupled fixed-point solver for the jump-linear stabilizability equations
 
-def _riccati_solve_body(A, B, P, tol, max_iter, div_guard, svd_rtol):
+@njit_compile
+def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     N = A.shape[0]
     n = A.shape[1]
     m = B.shape[2]
@@ -953,48 +533,6 @@ def _riccati_solve_body(A, B, P, tol, max_iter, div_guard, svd_rtol):
         if growing:
             status = 1
     return Ms, status, iters, delta
-
-
-riccati_solve_nb = njit_compile(_riccati_solve_body)
-riccati_solve_np = _riccati_solve_body
-
-
-# ---------------------------------------------------------------------------
-# backend registry
-
-VARIANTS = {
-    "power_eval": (power_eval_nb, power_eval_np),
-    "mcshane_eval": (mcshane_eval_nb, mcshane_eval_np),
-    "interval": (interval_nb, interval_np),
-    "parametric_episode": (parametric_episode_nb, parametric_episode_np),
-    "nonparam_fixed": (nonparam_fixed_nb, nonparam_fixed_np),
-    "nonparam_duel": (nonparam_duel_nb, nonparam_duel_np),
-    "rk4_mcshane": (rk4_mcshane_nb, rk4_mcshane_np),
-    "sampled_fixed": (sampled_fixed_nb, sampled_fixed_np),
-    "sampled_duel": (sampled_duel_nb, sampled_duel_np),
-    "mjls_episode": (mjls_episode_nb, mjls_episode_np),
-    "mjls_step": (mjls_step_nb, mjls_step_np),
-    "riccati_solve": (riccati_solve_nb, riccati_solve_np),
-}
-
-
-def select(name):
-    nb, np_ = VARIANTS[name]
-    return nb if NUMBA_ENABLED else np_
-
-
-power_eval = select("power_eval")
-mcshane_eval = select("mcshane_eval")
-interval = select("interval")
-parametric_episode = select("parametric_episode")
-nonparam_fixed = select("nonparam_fixed")
-nonparam_duel = select("nonparam_duel")
-rk4_mcshane = select("rk4_mcshane")
-sampled_fixed = select("sampled_fixed")
-sampled_duel = select("sampled_duel")
-mjls_episode = select("mjls_episode")
-mjls_step = select("mjls_step")
-riccati_solve = select("riccati_solve")
 
 
 def warm_up():

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .adversary import PiecewiseLinearFn, RealizedPiecewiseLinear
+from .adversary import (PiecewiseLinearFn, RealizedPiecewiseLinear,
+                        slopes_exceed)
 
 #: Divergence guard on state magnitude.  Large enough to witness any
 #: faster-than-exponential escape, small enough that one more power step
@@ -93,24 +94,6 @@ class GaussianIID:
 
 
 @dataclass(frozen=True)
-class BoundedAdversarial:
-    w_bar: float = 1.0
-
-    def __post_init__(self):
-        if not self.w_bar > 0:
-            raise ValueError("noise bound must be positive")
-
-
-@dataclass(frozen=True)
-class BoundedRandom:
-    w_bar: float = 1.0
-
-    def __post_init__(self):
-        if not self.w_bar > 0:
-            raise ValueError("noise bound must be positive")
-
-
-@dataclass(frozen=True)
 class MartingaleDiffVector:
     """Vector noise with sigma_lo*I <= E[w w'] and E[w'w] <= sigma_hi."""
 
@@ -125,9 +108,6 @@ class MartingaleDiffVector:
             raise ValueError("sigma_lo * dim must not exceed sigma_hi")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-
-
-NoiseModel = GaussianIID | BoundedAdversarial | BoundedRandom | MartingaleDiffVector
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
@@ -316,20 +296,10 @@ def integrate_sampled(x0: float, f: PiecewiseLinearFn | RealizedPiecewiseLinear,
     else:
         realized = f
     xs, vs = realized.xs, realized.vs
-    if xs.shape[0] == 0:
-        raise ValueError("f must carry at least one anchor")
-    order = np.argsort(xs)
-    sx, sv = xs[order], vs[order]
-    # tolerances scale with magnitude so replays of far-escaped runs
-    # are not rejected on last-bit rounding
-    if sx.shape[0] > 1:
-        dv = np.abs(np.diff(sv))
-        dx = np.diff(sx)
-        scale = np.maximum(1.0, np.maximum(np.abs(sv[:-1]), np.abs(sv[1:])))
-        if np.any(dv > spec.L * dx + 1e-9 * scale):
-            raise ValueError("anchor difference quotients exceed the slope bound")
-    box = spec.L * np.abs(sx) + spec.c
-    if np.any(np.abs(sv) > box + 1e-9 * np.maximum(1.0, box)):
+    if slopes_exceed(xs, vs, spec.L):
+        raise ValueError("anchor difference quotients exceed the slope bound")
+    box = spec.L * np.abs(xs) + spec.c
+    if np.any(np.abs(vs) > box + 1e-9 * np.maximum(1.0, box)):
         raise ValueError("anchor values leave the declared envelope |v| <= L|x| + c")
     out = kernels.rk4_mcshane(xs, vs, xs.shape[0], realized.L,
                               realized.ext_mode, float(x0), float(u_const),

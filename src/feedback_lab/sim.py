@@ -386,11 +386,9 @@ def _run_polynomial(system: PolynomialSystem, controller, T: int, seed: int):
     return traj, _verdict(ys[:end], w[:end], blow, T)
 
 
-def _sorted_realized(axs, avs, na, L) -> RealizedPiecewiseLinear:
-    xs = np.asarray(axs[:na], dtype=float)
-    vs = np.asarray(avs[:na], dtype=float)
-    order = np.argsort(xs)
-    return RealizedPiecewiseLinear(xs[order], vs[order], L,
+def _realized(axs, avs, na, L) -> RealizedPiecewiseLinear:
+    # the duel kernels keep their anchor stores sorted
+    return RealizedPiecewiseLinear(axs[:na].copy(), avs[:na].copy(), L,
                                    Extension.MCSHANE_MIN)
 
 
@@ -419,7 +417,7 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
         end = blow + 1 if blow >= 0 else T + 1
         traj = Trajectory(kind="nonparametric", states=ys[:end],
                           inputs=us[:end - 1], noises=ws[:end], system=system,
-                          seed=seed, realized_f=_sorted_realized(axs, avs, na, system.L),
+                          seed=seed, realized_f=_realized(axs, avs, na, system.L),
                           committed=vsc[:end - 1], adversarial=True,
                           blow_step=blow if blow >= 0 else None,
                           controller=controller)
@@ -517,7 +515,7 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
         end = blow + 1 if blow >= 0 else T + 1
         traj = Trajectory(kind="sampled", states=xs[:end], inputs=us[:end - 1],
                           noises=np.zeros(end), system=system, seed=seed,
-                          realized_f=_sorted_realized(axs, avs, na, spec.L),
+                          realized_f=_realized(axs, avs, na, spec.L),
                           committed=vsc[:end - 1], adversarial=True,
                           blow_step=blow if blow >= 0 else None,
                           controller=controller)

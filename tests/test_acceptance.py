@@ -28,7 +28,7 @@ from feedback_lab import (CRITICAL_RADIUS, GreedyAdversary, MarkovChain,
                           run_episode, sampled_regime,
                           scalar_mjls_stabilizable, solve_coupled_riccati,
                           SolveStatus, Trajectory)
-from feedback_lab._accel import NUMBA_ENABLED
+from feedback_lab._accel import HAS_NUMBA
 from feedback_lab.sim import _aggregate, _episode_summary
 
 
@@ -54,7 +54,7 @@ def test_criterion_1_critical_exponent():
     elapsed = time.perf_counter() - t0
     ok_stable = all(f == 0.0 for f in stable_fracs.values())
     ok_unstable = all(f > 0.02 for f in unstable_fracs.values())
-    ok_time = elapsed < 60.0 or not NUMBA_ENABLED
+    ok_time = elapsed < 60.0 or not HAS_NUMBA
     detail = (f"stable={stable_fracs} unstable="
               f"{ {b: round(f, 3) for b, f in unstable_fracs.items()} } "
               f"elapsed={elapsed:.1f}s")
@@ -222,7 +222,7 @@ def test_criterion_6_coupled_equations_vs_closed_form():
              and np.array_equal(res1.solution.Ms[0], np.eye(1))
              and res1.solution.residual < 1e-12)
     elapsed = time.perf_counter() - t0
-    ok = (not mismatches) and n1_ok and (elapsed < 10.0 or not NUMBA_ENABLED)
+    ok = (not mismatches) and n1_ok and (elapsed < 10.0 or not HAS_NUMBA)
     report(6, "coupled equations vs closed form", ok,
            f"grid mismatches={len(mismatches)} "
            f"indeterminate_in_band={indeterminate_in_band} "

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from feedback_lab import (Extension, HighOrderAnchors, PiecewiseLinearFn,
-                          adversary_choose, feasible_interval,
+                          RealizedPiecewiseLinear, adversary_choose, feasible_interval,
                           highorder_feasible_interval, quasi_norm, realize,
                           SampledAdversaryState, sampled_adversary_choose)
 from feedback_lab.adversary import InconsistentAnchors
@@ -121,6 +121,40 @@ class TestRealize:
         f = PiecewiseLinearFn(L=1.0, anchors=[(0.0, 0.0)])
         with pytest.raises(InconsistentAnchors):
             f.commit(1.0, 5.0)
+
+
+class TestRealizedValidation:
+    """A realized function is built only from sorted, distinct, finite
+    abscissas within the slope budget."""
+
+    def test_unsorted_abscissas_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            RealizedPiecewiseLinear(np.array([1.0, 0.0]), np.zeros(2), 1.0)
+
+    def test_duplicate_abscissas_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            RealizedPiecewiseLinear(np.array([0.0, 0.0]), np.zeros(2), 1.0)
+
+    def test_non_finite_abscissas_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            RealizedPiecewiseLinear(np.array([0.0, np.nan]), np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            RealizedPiecewiseLinear(np.array([0.0, np.inf]), np.zeros(2), 1.0)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            RealizedPiecewiseLinear(np.array([0.0, 1.0]), np.zeros(3), 1.0)
+
+    def test_slope_above_budget_rejected(self):
+        with pytest.raises(ValueError, match="slope"):
+            RealizedPiecewiseLinear(np.array([0.0, 1.0]),
+                                    np.array([0.0, 1.5]), 1.0)
+
+    def test_rounding_within_scaled_tolerance_accepted(self):
+        v = 1e6
+        g = RealizedPiecewiseLinear(np.array([0.0, 1.0]),
+                                    np.array([v, v + 1.0 + 1e-4]), 1.0)
+        assert g(1.0) == v + 1.0 + 1e-4
 
 
 class TestMidpointExtension:

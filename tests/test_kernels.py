@@ -1,22 +1,28 @@
-"""Both kernel backends must tell the same story.
+"""Every kernel against a reference route that does not share its body.
 
-Scalar-chain kernels (episode loops, envelope evaluation, integration)
-are written with identical arithmetic in the numba and numpy variants
-and must agree bit for bit.  Matrix kernels route through different
-matmul machinery, so they are held to a tight tolerance instead.
+Each kernel has one body, so the references live elsewhere: full-cone
+scans written here for the neighbour-only envelope and interval,
+linear-scan controllers (``recompute_input``) for the sorted-history
+nearest-neighbour choice, the model step operations (replay) for the
+states, the reference adversary for the duel's committed values, and
+``riccati_rhs`` for the fixed-point iterates.
 """
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
-import pytest
 
-from feedback_lab import kernels
-
-NB = {name: pair[0] for name, pair in kernels.VARIANTS.items()}
-NP = {name: pair[1] for name, pair in kernels.VARIANTS.items()}
+from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
+                          MartingaleDiffVector, MjlsGainControl, MjlsSpec,
+                          MjlsSystem, NonparametricSystem, PiecewiseLinearFn,
+                          RealizedPiecewiseLinear, SampledCeControl,
+                          SampledGreedyAdversary, SampledSpec, SampledSystem,
+                          SwitchingControl, Trajectory, adversary_choose,
+                          check_replay, controllers, kernels, models,
+                          recompute_input, riccati_rhs, run_episode,
+                          solve_coupled_riccati)
+from feedback_lab.sim import (RandomEnvelopeMember, RandomMember,
+                              random_envelope_member, random_lipschitz_member)
 
 GUARD = 1e150
 
@@ -31,6 +37,34 @@ def anchors(seed=0, n=12, L=2.0, span=8.0):
     return xs, vs
 
 
+def full_interval(xs, vs, L, x):
+    """Intersection of every anchor's cone; the stored value on a hit."""
+    hit = xs == x
+    if hit.any():
+        v = vs[int(np.argmax(hit))]
+        return v, v
+    d = np.abs(x - xs)
+    return float(np.max(vs - L * d)), float(np.min(vs + L * d))
+
+
+def full_mcshane(xs, vs, L, mode, x):
+    lo, hi = full_interval(xs, vs, L, x)
+    return (hi, lo, 0.5 * (lo + hi))[mode]
+
+
+def members():
+    """Random Lipschitz members and envelope-clipped members, whose
+    clipped runs lie on segments of slope exactly L."""
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        yield random_lipschitz_member(2.0, RandomMember(), rng), 12.0
+        yield random_envelope_member(1.5, 1.0, RandomEnvelopeMember(), rng), 25.0
+
+
+def queries(f, span, rng):
+    return np.concatenate([rng.uniform(-span, span, 60), f.xs])
+
+
 class TestScalarHelpersAgree:
     def test_power_eval(self):
         rng = np.random.default_rng(0)
@@ -38,31 +72,123 @@ class TestScalarHelpersAgree:
             M = float(rng.uniform(0.1, 5))
             b = float(rng.uniform(0, 6))
             y = float(rng.standard_normal() * 10)
-            assert NB["power_eval"](M, b, y) == NP["power_eval"](M, b, y)
+            ref = math.copysign(M * abs(y) ** b, y)
+            assert kernels.power_eval(M, b, y) == ref
+        assert kernels.power_eval(2.0, 0.0, 0.0) == 0.0
 
     def test_mcshane_eval(self):
-        xs, vs = anchors()
-        rng = np.random.default_rng(1)
-        queries = list(rng.uniform(-12, 12, 200)) + list(xs)
-        for mode in (0, 1, 2):
-            for x in queries:
-                a = NB["mcshane_eval"](xs, vs, xs.shape[0], 2.0, mode, float(x))
-                b = NP["mcshane_eval"](xs, vs, xs.shape[0], 2.0, mode, float(x))
-                assert a == b
+        # neighbour-only evaluation equals the full-cone scan bit for bit
+        rng = np.random.default_rng(2)
+        for f, span in members():
+            for x in queries(f, span, rng):
+                for mode in (0, 1, 2):
+                    assert kernels.mcshane_eval(
+                        f.xs, f.vs, f.xs.shape[0], f.L, mode, float(x)) == \
+                        full_mcshane(f.xs, f.vs, f.L, mode, float(x))
 
     def test_exact_anchor_hit_returns_stored_value(self):
         xs, vs = anchors()
-        for mode in (0, 1, 2):
-            for i in range(xs.shape[0]):
-                assert NB["mcshane_eval"](xs, vs, xs.shape[0], 2.0, mode,
-                                          xs[i]) == vs[i]
+        for i in range(xs.shape[0]):
+            assert kernels.interval(xs, vs, xs.shape[0], 2.0, xs[i]) == \
+                (vs[i], vs[i])
+            for mode in (0, 1, 2):
+                assert kernels.mcshane_eval(xs, vs, xs.shape[0], 2.0, mode,
+                                            xs[i]) == vs[i]
 
     def test_interval(self):
-        xs, vs = anchors(seed=2)
         rng = np.random.default_rng(3)
-        for x in rng.uniform(-12, 12, 200):
-            assert NB["interval"](xs, vs, xs.shape[0], 2.0, float(x)) == \
-                NP["interval"](xs, vs, xs.shape[0], 2.0, float(x))
+        for f, span in members():
+            for x in queries(f, span, rng):
+                assert kernels.interval(f.xs, f.vs, f.xs.shape[0], f.L,
+                                        float(x)) == \
+                    full_interval(f.xs, f.vs, f.L, float(x))
+        assert kernels.interval(np.zeros(4), np.zeros(4), 0, 1.0, 3.0) == \
+            (-np.inf, np.inf)
+
+    def test_duel_stores_within_rounding_of_full_scan(self):
+        # the greedy opponent commits cone endpoints, so its anchors sit on
+        # segments of slope exactly L; there the neighbours' cones and the
+        # full scan may round apart by a few ulps, never more
+        rng = np.random.default_rng(4)
+        for L in (2.0, 6.0):
+            out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, 0.0, GUARD,
+                                        200, 1)
+            xs, vs = out[4][:out[6]], out[5][:out[6]]
+            for x in rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 300):
+                for mode in (0, 1):
+                    a = kernels.mcshane_eval(xs, vs, xs.shape[0], L, mode, x)
+                    b = full_mcshane(xs, vs, L, mode, x)
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+class TestSortedStores:
+    def test_insert_keeps_first_value_sorted_and_distinct(self):
+        rng = np.random.default_rng(5)
+        keys_in = rng.integers(-20, 20, 300).astype(float)
+        keys = np.zeros(64)
+        vals = np.zeros(64, dtype=np.int64)
+        n = 0
+        for t, key in enumerate(keys_in):
+            n = kernels._insert(keys, vals, n, key, t)
+        uniq, first = np.unique(keys_in, return_index=True)
+        assert n == uniq.shape[0]
+        assert np.array_equal(keys[:n], uniq)
+        assert np.array_equal(vals[:n], first)
+
+    def test_insert_stops_at_capacity(self):
+        keys = np.zeros(3)
+        vals = np.zeros(3)
+        n = 0
+        for key in (3.0, 1.0, 2.0, 0.0):
+            n = kernels._insert(keys, vals, n, key, key)
+        assert n == 3
+        assert np.array_equal(keys, [1.0, 2.0, 3.0])
+
+    def test_visit_matches_linear_scan_on_ties(self):
+        # states on a dyadic grid repeat and sit exactly midway between
+        # two others, so distance ties are frequent
+        rng = np.random.default_rng(6)
+        states = rng.integers(-256, 256, 400) / 16.0
+        keys = np.zeros(400)
+        steps = np.zeros(400, dtype=np.int64)
+        n = 0
+        hist = controllers.NnHistory()
+        ties = repeats = 0
+        for t, y in enumerate(states):
+            k, gap, n = kernels._visit(keys, steps, n, y, t)
+            if t == 0:
+                assert (k, gap, n) == (-1, np.inf, 1)
+            else:
+                d = np.abs(y - states[:t])
+                ties += np.unique(states[:t][d == d.min()]).shape[0] > 1
+                repeats += d.min() == 0.0
+                assert (k, gap) == (int(np.argmin(d)), d.min())
+                assert controllers.nn_estimate(hist, y) == \
+                    (hist.ynexts[k] - hist.us[k], gap)
+            hist.append(y, 0.5 * t, float(t))
+        assert np.array_equal(keys[:n], np.unique(states))
+        assert ties > 20 and repeats > 20
+
+
+class Uniforms:
+    """Stands in for a generator, handing out the given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def _trajectory(kind, states, inputs, noises, system, controller):
+    return Trajectory(kind=kind, states=states, inputs=inputs, noises=noises,
+                      system=system, realized_f=getattr(system, "f", None),
+                      controller=controller)
+
+
+def _assert_inputs_recomputable(traj):
+    for t in range(traj.inputs.shape[0]):
+        assert recompute_input(traj, t) == traj.inputs[t], t
 
 
 class TestEpisodeKernelsAgree:
@@ -70,117 +196,160 @@ class TestEpisodeKernelsAgree:
         rng = np.random.default_rng(4)
         w = rng.standard_normal(2001)
         for b in (1.5, 2.0, 3.5, 5.0):
-            out_nb = NB["parametric_episode"](0.0, 1.3, w, 1.0, b, 1.0, 1.0,
-                                              GUARD)
-            out_np = NP["parametric_episode"](0.0, 1.3, w, 1.0, b, 1.0, 1.0,
-                                              GUARD)
-            for a, c in zip(out_nb, out_np):
-                assert np.array_equal(np.asarray(a), np.asarray(c),
-                                      equal_nan=True)
+            f = models.PowerGrowthFn(1.0, b)
+            ys, us, ths, blow = kernels.parametric_episode(
+                0.0, 1.3, w, 1.0, b, 1.0, 1.0, GUARD)
+            state = controllers.make_rls(s0=1.0, theta0=1.0)
+            end = blow if blow >= 0 else w.shape[0] - 1
+            for t in range(end):
+                phi = models.eval_power(f, ys[t])
+                assert us[t] == controllers.adaptive_mv_control(state, phi)
+                try:
+                    y1 = models.step_parametric(ys[t], 1.3, us[t], w[t + 1], f)
+                except models.Overflow as exc:
+                    y1 = exc.value
+                assert np.array_equal(y1, ys[t + 1], equal_nan=True)
+                state = controllers.rls_update(state, phi, ys[t + 1] - us[t])
+                if t + 1 < end:
+                    assert ths[t + 1] == state.theta_hat
 
     def test_nonparam_fixed(self):
         xs, vs = anchors(seed=5)
+        f = RealizedPiecewiseLinear(xs, vs, 2.0)
         rng = np.random.default_rng(6)
-        raw = rng.uniform(-1, 1, 801)
-        for use_ctl in (0, 1):
-            out_nb = NB["nonparam_fixed"](0.3, xs, vs, 2.0, 0, raw, 1.0, 0.1,
-                                          0.0, GUARD, use_ctl)
-            out_np = NP["nonparam_fixed"](0.3, xs, vs, 2.0, 0, raw, 1.0, 0.1,
-                                          0.0, GUARD, use_ctl)
-            for a, c in zip(out_nb, out_np):
-                assert np.array_equal(np.asarray(a), np.asarray(c),
-                                      equal_nan=True)
+        raw = rng.uniform(-1, 1, 401)
+        raw[0] = 0.0
+        system = NonparametricSystem(L=2.0, f=f)
+        ys, us, blow = kernels.nonparam_fixed(0.3, xs, vs, 2.0, 0, raw, 1.0,
+                                              0.1, 0.0, GUARD, 1)
+        traj = _trajectory("nonparametric", ys, us, raw, system,
+                           SwitchingControl())
+        _assert_inputs_recomputable(traj)
+        assert check_replay(traj)
+
+    def test_nonparam_fixed_tie_rule(self):
+        # f == 0 and dyadic noise keep every state on a dyadic grid: states
+        # repeat and fall exactly midway between two earlier ones
+        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0,
+                                    Extension.MIDPOINT)
+        rng = np.random.default_rng(0)
+        raw = rng.integers(-64, 65, 401) / 64.0
+        raw[0] = 0.0
+        system = NonparametricSystem(L=1.0, f=f)
+        ys, us, blow = kernels.nonparam_fixed(0.0, f.xs, f.vs, 1.0, 2, raw,
+                                              1.0, 0.1, 0.0, GUARD, 1)
+        assert blow == -1
+        ties = repeats = 0
+        for t in range(1, 400):
+            d = np.abs(ys[t] - ys[:t])
+            ties += np.unique(ys[:t][d == d.min()]).shape[0] > 1
+            repeats += d.min() == 0.0
+        assert ties > 10 and repeats > 100
+        traj = _trajectory("nonparametric", ys, us, raw, system,
+                           SwitchingControl())
+        _assert_inputs_recomputable(traj)
 
     def test_nonparam_duel(self):
-        for y0 in (0.4, -1.2):
-            out_nb = NB["nonparam_duel"](y0, 6.0, 1.0, 10.0, 0.1, 0.0, GUARD,
-                                         200, 1)
-            out_np = NP["nonparam_duel"](y0, 6.0, 1.0, 10.0, 0.1, 0.0, GUARD,
-                                         200, 1)
-            for a, c in zip(out_nb, out_np):
-                assert np.array_equal(np.asarray(a), np.asarray(c),
-                                      equal_nan=True)
+        for L in (2.0, 6.0):
+            system = NonparametricSystem(L=L, y0_std=1.0)
+            traj, _ = run_episode(system, SwitchingControl(),
+                                  GreedyAdversary(), 150, seed=3)
+            assert check_replay(traj)
+            _assert_inputs_recomputable(traj)
+
+    def test_nonparam_duel_commits_what_the_reference_adversary_picks(self):
+        # bounded run: an escaping one soon outgrows the reference store's
+        # absolute consistency tolerance
+        system = NonparametricSystem(L=2.0, y0_std=1.0)
+        traj, _ = run_episode(system, SwitchingControl(), GreedyAdversary(),
+                              150, seed=3)
+        fn = PiecewiseLinearFn(L=2.0)
+        for t in range(traj.inputs.shape[0]):
+            v, w = adversary_choose(fn, traj.states[t], traj.inputs[t], 1.0)
+            assert (v, w) == (traj.committed[t], traj.noises[t + 1]), t
 
     def test_rk4(self):
         xs, vs = anchors(seed=7, L=1.0)
         for u in (-1.0, 0.0, 2.0):
-            a = NB["rk4_mcshane"](xs, vs, xs.shape[0], 1.0, 0, 0.5, u, 0.7,
-                                  32, GUARD)
-            b = NP["rk4_mcshane"](xs, vs, xs.shape[0], 1.0, 0, 0.5, u, 0.7,
-                                  32, GUARD)
-            assert a == b
+            dt = 0.7 / 32
+            xx = 0.5
+            for _ in range(32):
+                k1 = full_mcshane(xs, vs, 1.0, 0, xx) + u
+                k2 = full_mcshane(xs, vs, 1.0, 0, xx + 0.5 * dt * k1) + u
+                k3 = full_mcshane(xs, vs, 1.0, 0, xx + 0.5 * dt * k2) + u
+                k4 = full_mcshane(xs, vs, 1.0, 0, xx + dt * k3) + u
+                xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert kernels.rk4_mcshane(xs, vs, xs.shape[0], 1.0, 0, 0.5, u,
+                                       0.7, 32, GUARD) == xx
 
     def test_sampled_fixed(self):
         xs, vs = anchors(seed=8, L=1.0)
-        out_nb = NB["sampled_fixed"](0.7, xs, vs, 1.0, 0, 1.0, 0.5, 32, 4.0,
-                                     50, GUARD, 1)
-        out_np = NP["sampled_fixed"](0.7, xs, vs, 1.0, 0, 1.0, 0.5, 32, 4.0,
-                                     50, GUARD, 1)
-        for a, c in zip(out_nb, out_np):
-            assert np.array_equal(np.asarray(a), np.asarray(c), equal_nan=True)
+        spec = SampledSpec(L=1.0, c=1.0, h=0.5, substeps=32)
+        f = RealizedPiecewiseLinear(xs, vs, 1.0)
+        system = SampledSystem(spec=spec, f=f)
+        out, us, blow = kernels.sampled_fixed(0.7, xs, vs, 1.0, 0, 1.0, 0.5,
+                                              32, 4.0, 50, GUARD, 1)
+        traj = _trajectory("sampled", out, us, np.zeros(51), system,
+                           SampledCeControl())
+        _assert_inputs_recomputable(traj)
+        assert check_replay(traj)
+
+    def test_sampled_control_tie_rule(self):
+        # the certainty-equivalence input over a sorted history with
+        # repeated and equidistant samples equals the linear scan
+        spec = SampledSpec(L=1.0, c=1.0, h=0.5)
+        rng = np.random.default_rng(9)
+        xs = rng.integers(-256, 256, 301) / 16.0
+        us = rng.uniform(-1, 1, 300)
+        keys = np.zeros(300)
+        steps = np.zeros(300, dtype=np.int64)
+        n = 0
+        for k in range(300):
+            samples = [(xs[i], us[i], xs[i + 1]) for i in range(k)]
+            u, n = kernels._ce_input(xs, us, keys, steps, n, k, xs[k], 1.0,
+                                     1.0, 0.5, 4.0)
+            assert u == controllers.sampled_control(samples, xs[k], spec)
 
     def test_sampled_duel(self):
-        cap = 20 * (1 + 4 * 16) + 4
-        out_nb = NB["sampled_duel"](0.0, 1.0, 1.0, 8.0, 16, 4.0, 20, GUARD,
-                                    1, cap)
-        out_np = NP["sampled_duel"](0.0, 1.0, 1.0, 8.0, 16, 4.0, 20, GUARD,
-                                    1, cap)
-        for a, c in zip(out_nb, out_np):
-            assert np.array_equal(np.asarray(a), np.asarray(c), equal_nan=True)
+        system = SampledSystem(spec=SampledSpec(1.0, 1.0, 8.0, substeps=16))
+        traj, _ = run_episode(system, SampledCeControl(),
+                              SampledGreedyAdversary(), 20, seed=0)
+        assert check_replay(traj)
+        _assert_inputs_recomputable(traj)
 
     def test_mjls(self):
         rng = np.random.default_rng(9)
-        A = rng.standard_normal((2, 2, 2)) * 0.4
-        B = rng.standard_normal((2, 2, 1))
-        Kg = rng.standard_normal((2, 1, 2)) * 0.2
-        P = np.array([[0.6, 0.4], [0.3, 0.7]])
-        W = rng.standard_normal((300, 2))
-        mu = rng.random(300)
-        x0 = np.array([0.5, -0.2])
-        out_nb = NB["mjls_episode"](A, B, Kg, P, x0, 0, mu, W, GUARD, 1)
-        out_np = NP["mjls_episode"](A, B, Kg, P, x0, 0, mu, W, GUARD, 1)
-        assert np.array_equal(out_nb[2], out_np[2])  # modes
-        assert np.array_equal(out_nb[3], out_np[3])  # estimates
-        assert out_nb[4] == out_np[4]
-        assert np.allclose(out_nb[0], out_np[0], rtol=1e-12, atol=1e-12)
-        assert np.allclose(out_nb[1], out_np[1], rtol=1e-12, atol=1e-12)
+        chain = MarkovChain(np.array([[0.6, 0.4], [0.3, 0.7]]))
+        spec = MjlsSpec(chain=chain, A=rng.standard_normal((2, 2, 2)) * 0.4,
+                        B=rng.standard_normal((2, 2, 1)),
+                        noise=MartingaleDiffVector(1.0, 3.0, 2))
+        controller = MjlsGainControl(solve_coupled_riccati(spec).solution)
+        system = MjlsSystem(spec=spec, x0=(0.5, -0.2))
+        for seed in range(3):
+            traj, _ = run_episode(system, controller, None, 300, seed)
+            assert check_replay(traj)
+            for t in range(traj.inputs.shape[0]):
+                assert np.allclose(recompute_input(traj, t), traj.inputs[t],
+                                   rtol=1e-12, atol=1e-12)
+        # the mode draws bisect cumulative rows; the reference sampler
+        # accumulates the row, fed the same uniforms
+        munif = rng.random(300)
+        out = kernels.mjls_episode(spec.A, spec.B, controller.solution.Ks,
+                                   spec.chain.P, np.zeros(2), 0, munif,
+                                   rng.standard_normal((300, 2)), GUARD, 1)
+        uniforms = Uniforms(munif)
+        for t in range(300):
+            assert models.markov_next(int(out[2][t]) + 1, chain,
+                                      uniforms) == out[2][t + 1] + 1
 
     def test_riccati(self):
-        A = np.array([[[0.0]], [[1.9]]])
-        B = np.ones((2, 1, 1))
-        P = np.full((2, 2), 0.5)
-        out_nb = NB["riccati_solve"](A, B, P, 1e-10, 10000, 1e12, 1e-10)
-        out_np = NP["riccati_solve"](A, B, P, 1e-10, 10000, 1e12, 1e-10)
-        assert out_nb[1] == out_np[1]
-        assert out_nb[2] == out_np[2]
-        assert np.allclose(out_nb[0], out_np[0], rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                    reason="numba backend not active in this process")
-class TestEnvFlagSelection:
-    SNIPPET = (
-        "import numpy as np\n"
-        "from feedback_lab import kernels\n"
-        "from feedback_lab._accel import backend_name\n"
-        "w = np.random.default_rng(0).standard_normal(501)\n"
-        "ys, us, ths, blow = kernels.parametric_episode("
-        "0.0, 1.3, w, 1.0, 2.0, 1.0, 1.0, 1e150)\n"
-        "print(backend_name())\n"
-        "print(repr(float(ys.sum())))\n"
-        "print(repr(float(us.sum())))\n"
-    )
-
-    def _run(self, flag):
-        env = dict(os.environ)
-        env["FEEDBACK_LAB_NUMBA"] = flag
-        out = subprocess.run([sys.executable, "-c", self.SNIPPET], env=env,
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip().splitlines()
-
-    def test_flag_switches_backend_and_results_match(self):
-        on = self._run("1")
-        off = self._run("0")
-        assert on[0] == "numba"
-        assert off[0] == "numpy"
-        assert on[1:] == off[1:]
+        chain = MarkovChain(np.full((2, 2), 0.5))
+        spec = MjlsSpec(chain=chain, A=np.array([[[0.0]], [[1.9]]]),
+                        B=np.ones((2, 1, 1)),
+                        noise=MartingaleDiffVector(1.0, 1.0, 1))
+        Ms = np.array([np.eye(1), np.eye(1)])
+        for k in range(1, 30):
+            Ms = np.array([riccati_rhs(Ms, spec, i + 1) for i in range(2)])
+            out = kernels.riccati_solve(spec.A, spec.B, spec.chain.P, 0.0, k,
+                                        1e12, 1e-10)
+            assert np.allclose(out[0], Ms, rtol=1e-12, atol=1e-14)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from feedback_lab import (GreedyAdversary, MarkovChain, MartingaleDiffVector,
+                          PiecewiseLinearFn, adversary_choose, kernels,
                           McConfig, MjlsGainControl, MjlsSpec, MjlsSystem,
                           MvRlsControl, NonparametricSystem, Outcome,
                           ParametricSystem, PolynomialSystem, PolyRegressors,
@@ -375,3 +376,78 @@ class TestCheckpoints:
         assert default_checkpoints(8192) == (128, 256, 512, 1024, 2048,
                                              4096, 8192)
         assert default_checkpoints(100) == (100,)
+
+
+class TestBoundedDuelReplay:
+    """Bounded duels revisit anchors exactly; the feasible interval there
+    is the stored value, so the committed value replays bit for bit."""
+
+    SYSTEM = NonparametricSystem(L=2.0, w_bar=1.0, y0_std=1.0)
+
+    def test_master_seeds_replay_bit_for_bit(self):
+        for master in range(10):
+            traj, verdict = run_episode(self.SYSTEM, SwitchingControl(),
+                                        GreedyAdversary(), 500,
+                                        episode_seed(master, 0))
+            assert verdict.outcome is Outcome.BOUNDED
+            assert check_replay(traj), master
+
+    def test_adversary_choose_at_revisited_anchor_returns_stored_value(self):
+        traj, _ = run_episode(self.SYSTEM, SwitchingControl(),
+                              GreedyAdversary(), 500, episode_seed(1, 0))
+        revisits = [t for t in range(1, traj.inputs.shape[0])
+                    if traj.states[t] in traj.states[:t]]
+        assert revisits
+        g = traj.realized_f
+        fn = PiecewiseLinearFn(L=2.0, anchors=zip(g.xs, g.vs))
+        for t in revisits:
+            v, _ = adversary_choose(fn, traj.states[t], traj.inputs[t], 1.0)
+            assert v == traj.committed[t] == g(traj.states[t])
+        assert len(fn) == g.xs.shape[0]
+
+
+class TestKernelTraceContract:
+    """Episode runners and the solver reach the kernels as module
+    attributes, so wrapping those attributes traces every call."""
+
+    TRACED = ("parametric_episode", "nonparam_fixed", "nonparam_duel",
+              "sampled_fixed", "sampled_duel", "mjls_episode",
+              "riccati_solve")
+
+    def test_runners_reach_every_wrapped_kernel(self, monkeypatch):
+        outputs = {name: [] for name in self.TRACED}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                outputs[name].append(out)
+                return out
+            return wrapper
+
+        for name in self.TRACED:
+            monkeypatch.setattr(kernels, name,
+                                counting(name, getattr(kernels, name)))
+        mjls_system, mjls_controller = mjls_pieces()
+        for system, controller, adversary, T in (
+                (param_system(), MvRlsControl(), None, 50),
+                (NonparametricSystem(L=2.0, member=RandomMember()),
+                 SwitchingControl(), None, 50),
+                (NonparametricSystem(L=6.0), SwitchingControl(),
+                 GreedyAdversary(), 20),
+                (SampledSystem(spec=SampledSpec(1.0, 1.0, 0.5),
+                               member=RandomEnvelopeMember()),
+                 SampledCeControl(), None, 5),
+                (SampledSystem(spec=SampledSpec(1.0, 1.0, 8.0)),
+                 SampledCeControl(), SampledGreedyAdversary(), 5),
+                (mjls_system, mjls_controller, None, 50)):
+            run_episode(system, controller, adversary, T, seed=0)
+        assert {name: len(outs) for name, outs in outputs.items()} == \
+            dict.fromkeys(self.TRACED, 1)
+        # the fields a tracer reads: the state array, the blow step, the
+        # duels' anchor count and the solver's iteration count
+        for name in self.TRACED[:-1]:
+            out = outputs[name][0]
+            assert out[0].ndim >= 1 and int(out[-1]) >= -1
+        for name in ("nonparam_duel", "sampled_duel"):
+            assert int(outputs[name][0][-2]) >= 1
+        assert int(outputs["riccati_solve"][0][2]) >= 1
