@@ -123,7 +123,9 @@ class PiecewiseLinearFn:
     """Anchor store with slope budget L and an extension rule.
 
     Anchors are kept sorted by x with distinct abscissas; every commit is
-    checked against the whole store within ``CONSISTENCY_TOL``.
+    checked against the whole store within ``CONSISTENCY_TOL`` times the
+    larger of 1 and the two values' magnitudes, so far-escaped stores are
+    not rejected on last-bit rounding of slope-L cones.
     """
 
     def __init__(self, L: float, extension: Extension = Extension.MCSHANE_MIN,
@@ -156,7 +158,8 @@ class PiecewiseLinearFn:
 
     def check_consistent(self, x: float, v: float) -> bool:
         for xi, vi in zip(self._xs, self._vs):
-            if abs(v - vi) > self.L * abs(x - xi) + CONSISTENCY_TOL:
+            tol = CONSISTENCY_TOL * max(1.0, abs(v), abs(vi))
+            if abs(v - vi) > self.L * abs(x - xi) + tol:
                 return False
         return True
 
@@ -230,7 +233,8 @@ class SampledAdversaryState:
         if not self.c > 0:
             raise ValueError("offset c must be positive")
         for x, v in self.fn.anchors:
-            if abs(v) > self.fn.L * abs(x) + self.c + CONSISTENCY_TOL:
+            tol = CONSISTENCY_TOL * max(1.0, abs(v))
+            if abs(v) > self.fn.L * abs(x) + self.c + tol:
                 raise InconsistentAnchors(
                     "anchor outside the envelope |v| <= L|x| + c")
 
@@ -284,7 +288,8 @@ class HighOrderAnchors:
                 if v != value:
                     raise InconsistentAnchors("conflicting value at a point")
                 return
-            if abs(value - v) > self.L * np.sum(np.abs(point - q)) + CONSISTENCY_TOL:
+            tol = CONSISTENCY_TOL * max(1.0, abs(value), abs(v))
+            if abs(value - v) > self.L * np.sum(np.abs(point - q)) + tol:
                 raise InconsistentAnchors("value violates the l1 slope budget")
         self._points.append(point)
         self._values.append(float(value))

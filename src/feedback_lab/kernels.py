@@ -2,9 +2,10 @@
 
 Every episode loop and the coupled fixed-point solver live here as plain
 functions over float64 arrays.  Each is written once, inside numba's
-nopython subset (scalar loops, ``np.searchsorted``, 1-D/2-D slices and
-2-D ``@``), and compiled with ``@njit`` when numba imports (see
-``_accel``); otherwise the same body runs as Python over numpy arrays.
+nopython subset (scalar loops, 1-D/2-D slices, ``np.searchsorted`` on
+the jump-linear transition rows, and 2-D ``@``), and compiled with
+``@njit`` when numba imports (see ``_accel``); otherwise the same body
+runs as Python over numpy arrays.
 
 Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
@@ -25,6 +26,19 @@ grow by sorted insertion.  A history keeps each distinct past state
 once, with the step of its first visit: among equal computed distances
 the smallest step wins, and a repeat of a state can never beat its first
 visit.
+
+Every store access finds x's index once and uses it for both the lookup
+and the insertion: the index j of the first key >= x (n if none, and n
+for NaN), which is what ``np.searchsorted(xs[:n], x)`` returns.  It is
+the one j with ``(j == 0 or xs[j-1] < x) and (j == n or xs[j] >= x)``
+(the bracket invariant).  Successive RK4 stages, and successive steps
+over a fixed function, mostly land in the bracket of the access before,
+so ``_locate`` checks that guess and its right neighbour before falling
+back to a scalar-loop bisection (``_bisect``); histories, fed random
+states, bisect at once.  The invariant fixes the index whatever the
+guess, and the cone arithmetic at it (``_cone``) is the same as without
+a guess, so trajectories, stores and reports do not depend on how the
+index was found.
 """
 
 import numpy as np
@@ -50,10 +64,40 @@ def power_eval(M, b, y):
 
 
 @njit_compile
-def interval(xs, vs, n, L, x):
-    """Values at x consistent with the first n anchors: the single stored
-    value on an anchor, else the intersection of the neighbours' cones."""
-    j = np.searchsorted(xs[:n], x)
+def _bisect(xs, n, x):
+    """The index ``np.searchsorted(xs[:n], x)`` returns: the first i < n
+    with xs[i] >= x, else n; NaN sorts after every key."""
+    if x != x:
+        return n
+    lo = 0
+    hi = n
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if xs[mid] < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@njit_compile
+def _locate(xs, n, x, j):
+    """``_bisect(xs, n, x)``, trying the guess j and then j + 1 first.
+
+    A guess is taken only where it brackets x, which fixes the index
+    uniquely, so the result does not depend on the guess.
+    """
+    if 0 <= j <= n and (j == 0 or xs[j - 1] < x) and (j == n or xs[j] >= x):
+        return j
+    j += 1
+    if 0 <= j <= n and (j == 0 or xs[j - 1] < x) and (j == n or xs[j] >= x):
+        return j
+    return _bisect(xs, n, x)
+
+
+@njit_compile
+def _cone(xs, vs, n, L, x, j):
+    # the interval at x from the anchors either side of its index j
     if j < n and xs[j] == x:
         return vs[j], vs[j]
     lo = -np.inf
@@ -74,15 +118,36 @@ def interval(xs, vs, n, L, x):
 
 
 @njit_compile
-def mcshane_eval(xs, vs, n, L, mode, x):
-    """Extension-rule value at x: upper envelope (mode 0), lower (1) or
-    their midpoint (2)."""
-    lo, hi = interval(xs, vs, n, L, x)
+def _extend(lo, hi, mode):
+    # the extension rule's pick from the interval
     if mode == 0:
         return hi
     if mode == 1:
         return lo
     return 0.5 * (lo + hi)
+
+
+@njit_compile
+def interval(xs, vs, n, L, x):
+    """Values at x consistent with the first n anchors: the single stored
+    value on an anchor, else the intersection of the neighbours' cones."""
+    return _cone(xs, vs, n, L, x, _bisect(xs, n, x))
+
+
+@njit_compile
+def mcshane_eval(xs, vs, n, L, mode, x):
+    """Extension-rule value at x: upper envelope (mode 0), lower (1) or
+    their midpoint (2)."""
+    lo, hi = interval(xs, vs, n, L, x)
+    return _extend(lo, hi, mode)
+
+
+@njit_compile
+def _mcshane_from(xs, vs, n, L, mode, x, j):
+    # mcshane_eval located from the guess j; returns the value and index
+    j = _locate(xs, n, x, j)
+    lo, hi = _cone(xs, vs, n, L, x, j)
+    return _extend(lo, hi, mode), j
 
 
 @njit_compile
@@ -96,10 +161,10 @@ def _shift_in(keys, vals, n, j, key, val):
 
 
 @njit_compile
-def _insert(keys, vals, n, key, val):
-    """Insert (key, val) into the sorted store of n entries unless key is
-    already there or the store is full; returns the new count."""
-    j = np.searchsorted(keys[:n], key)
+def _insert(keys, vals, n, j, key, val):
+    """Insert (key, val) at key's located index j in the sorted store of n
+    entries unless key is already there or the store is full; returns the
+    new count."""
     if (j < n and keys[j] == key) or n == keys.shape[0]:
         return n
     _shift_in(keys, vals, n, j, key, val)
@@ -116,7 +181,7 @@ def _visit(keys, steps, n, x, t):
     entries tied at the minimum form one run on each side of it; the
     smallest step among them wins.
     """
-    j = np.searchsorted(keys[:n], x)
+    j = _bisect(keys, n, x)
     best = np.inf
     if j > 0:
         best = x - keys[j - 1]
@@ -225,6 +290,7 @@ def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
     bmin = y0
     bmax = y0
     blow = -1
+    j = 0
     for t in range(T):
         if y < bmin:
             bmin = y
@@ -234,7 +300,7 @@ def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
         if use_controller != 0:
             u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar,
                                      bmin, bmax)
-        fy = mcshane_eval(fxs, fvs, nf, L, ext_mode, y)
+        fy, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, y, j)
         y1 = fy + u + w_bar * ws[t + 1]
         us[t] = u
         ys[t + 1] = y1
@@ -275,14 +341,15 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, ystar, guard, T,
         if use_controller != 0:
             u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar,
                                      bmin, bmax)
+        j = _bisect(axs, na, y)
         if na == 0:
             hi = L * abs(y) + budget_c
             lo = -hi
         else:
-            lo, hi = interval(axs, avs, na, L, y)
+            lo, hi = _cone(axs, avs, na, L, y, j)
         v = hi if abs(hi + u) >= abs(lo + u) else lo
         w = w_bar if (v + u) >= 0.0 else -w_bar
-        na = _insert(axs, avs, na, y, v)
+        na = _insert(axs, avs, na, j, y, v)
         y1 = v + u + w
         us[t] = u
         ws[t + 1] = w
@@ -300,13 +367,20 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, ystar, guard, T,
 
 @njit_compile
 def rk4_mcshane(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
+    # the stages of one step and the steps of one period stay close, so
+    # each evaluation is located from the index of the one before
     dt = h / substeps
     xx = x0
+    j = _bisect(fxs, nf, x0)
     for _ in range(substeps):
-        k1 = mcshane_eval(fxs, fvs, nf, L, ext_mode, xx) + u
-        k2 = mcshane_eval(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k1) + u
-        k3 = mcshane_eval(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k2) + u
-        k4 = mcshane_eval(fxs, fvs, nf, L, ext_mode, xx + dt * k3) + u
+        f1, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, xx, j)
+        k1 = f1 + u
+        f2, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k1, j)
+        k2 = f2 + u
+        f3, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k2, j)
+        k3 = f3 + u
+        f4, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, xx + dt * k3, j)
+        k4 = f4 + u
         xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if xx != xx or xx > guard or xx < -guard:
             return xx
@@ -348,9 +422,11 @@ def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
 # envelope (upper or lower) that continues the current push direction
 
 @njit_compile
-def _env_commit(axs, avs, na, L, mode, x):
-    v = mcshane_eval(axs, avs, na, L, mode, x)
-    return v, _insert(axs, avs, na, x, v)
+def _env_commit(axs, avs, na, L, mode, x, j):
+    # evaluate the envelope at x and commit it there, both at the index
+    # located from the guess j; returns the value, the count and the index
+    v, j = _mcshane_from(axs, avs, na, L, mode, x, j)
+    return v, _insert(axs, avs, na, j, x, v), j
 
 
 @njit_compile
@@ -369,28 +445,33 @@ def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
     x = x0
     blow = -1
     dt = h / substeps
+    # index of the last store access; the next one lands next to it
+    j = 0
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
             u, ns = _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa)
         box = L * abs(x) + c
-        lo, hi = interval(axs, avs, na, L, x)
+        j = _locate(axs, na, x, j)
+        lo, hi = _cone(axs, avs, na, L, x, j)
         if lo < -box:
             lo = -box
         if hi > box:
             hi = box
         v = hi if abs(hi + u) >= abs(lo + u) else lo
-        na = _insert(axs, avs, na, x, v)
+        na = _insert(axs, avs, na, j, x, v)
         mode = 0 if (v + u) >= 0.0 else 1
         xx = x
         for _ in range(substeps):
-            f1, na = _env_commit(axs, avs, na, L, mode, xx)
+            f1, na, j = _env_commit(axs, avs, na, L, mode, xx, j)
             k1 = f1 + u
-            f2, na = _env_commit(axs, avs, na, L, mode, xx + 0.5 * dt * k1)
+            f2, na, j = _env_commit(axs, avs, na, L, mode, xx + 0.5 * dt * k1,
+                                    j)
             k2 = f2 + u
-            f3, na = _env_commit(axs, avs, na, L, mode, xx + 0.5 * dt * k2)
+            f3, na, j = _env_commit(axs, avs, na, L, mode, xx + 0.5 * dt * k2,
+                                    j)
             k3 = f3 + u
-            f4, na = _env_commit(axs, avs, na, L, mode, xx + dt * k3)
+            f4, na, j = _env_commit(axs, avs, na, L, mode, xx + dt * k3, j)
             k4 = f4 + u
             xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if xx != xx or xx > guard or xx < -guard:

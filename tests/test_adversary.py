@@ -122,6 +122,25 @@ class TestRealize:
         with pytest.raises(InconsistentAnchors):
             f.commit(1.0, 5.0)
 
+    def test_consistency_tolerance_scales_with_magnitude(self):
+        # at values near 1e6 an excess of 1e-7 is rounding, 1e-5 is not
+        v = 1e6
+        f = PiecewiseLinearFn(L=1.0, anchors=[(0.0, v)])
+        f.commit(1.0, v + 1.0 + 1e-7)
+        with pytest.raises(InconsistentAnchors):
+            f.commit(-1.0, v + 1.0 + 1e-5)
+        anchors = HighOrderAnchors(p=2, L=1.0)
+        anchors.commit([0.0, 0.0], v)
+        anchors.commit([1.0, 1.0], v + 2.0 + 1e-7)
+        with pytest.raises(InconsistentAnchors):
+            anchors.commit([-1.0, 0.0], v + 1.0 + 1e-5)
+        SampledAdversaryState(
+            fn=PiecewiseLinearFn(L=1.0, anchors=[(v, v + 1.0 + 1e-7)]), c=1.0)
+        with pytest.raises(InconsistentAnchors):
+            SampledAdversaryState(
+                fn=PiecewiseLinearFn(L=1.0, anchors=[(v, v + 1.0 + 1e-5)]),
+                c=1.0)
+
 
 class TestRealizedValidation:
     """A realized function is built only from sorted, distinct, finite

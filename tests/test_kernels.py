@@ -11,6 +11,8 @@ states, the reference adversary for the duel's committed values, and
 import math
 
 import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
 
 from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
                           MartingaleDiffVector, MjlsGainControl, MjlsSpec,
@@ -21,6 +23,7 @@ from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
                           check_replay, controllers, kernels, models,
                           recompute_input, riccati_rhs, run_episode,
                           solve_coupled_riccati)
+from feedback_lab._accel import HAS_NUMBA
 from feedback_lab.sim import (RandomEnvelopeMember, RandomMember,
                               random_envelope_member, random_lipschitz_member)
 
@@ -121,6 +124,72 @@ class TestScalarHelpersAgree:
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
+def _same(a, b):
+    return a == b or (a != a and b != b)
+
+
+def probes(keys):
+    """Anchor hits, points between anchors, points beyond both ends,
+    +-inf and NaN."""
+    out = [-np.inf, np.inf, np.nan, 0.0]
+    if keys:
+        out += keys + [keys[0] - 1.0, keys[-1] + 1.0, keys[0] * 2.0,
+                       keys[-1] * 2.0]
+        out += [0.5 * a + 0.5 * b for a, b in zip(keys, keys[1:])]
+    return out
+
+
+class TestLocatedIndex:
+    """The located index is np.searchsorted's (left side), from any guess,
+    and the cone at it is the interval."""
+
+    @given(keys=st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                   min_value=-1e300, max_value=1e300),
+                         max_size=10, unique=True).map(sorted),
+           extra=st.floats(allow_nan=True, allow_infinity=True),
+           pad=st.integers(0, 2))
+    @example(keys=[], extra=1.0, pad=2)
+    @example(keys=[2.0], extra=3.0, pad=1)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bisect_and_locate_equal_searchsorted(self, keys, extra, pad):
+        n = len(keys)
+        # spare capacity past n holds keys that would break the order
+        xs = np.array(keys + [-np.inf] * pad, dtype=float)
+        vs = np.cos(np.arange(xs.shape[0], dtype=float))
+        for x in probes(keys) + [extra]:
+            ref = int(np.searchsorted(xs[:n], x))
+            assert kernels._bisect(xs, n, x) == ref, x
+            lo, hi = kernels.interval(xs, vs, n, 1.5, x)
+            cone = kernels._cone(xs, vs, n, 1.5, x, ref)
+            assert _same(cone[0], lo) and _same(cone[1], hi), x
+            for j in range(-1, n + 2):
+                assert kernels._locate(xs, n, x, j) == ref, (x, j)
+                for mode in (0, 1, 2):
+                    v, i = kernels._mcshane_from(xs, vs, n, 1.5, mode, x, j)
+                    assert i == ref
+                    assert _same(v, kernels.mcshane_eval(xs, vs, n, 1.5,
+                                                         mode, x))
+
+    @pytest.mark.skipif(HAS_NUMBA, reason="compiled kernels bind _bisect")
+    def test_rk4_stages_mostly_skip_bisection(self, monkeypatch):
+        # RK4 stages land in the bracket of the evaluation before, so the
+        # guess serves nearly all of 200 periods x 64 substeps x 4 stages
+        calls = [0]
+        bisect = kernels._bisect
+
+        def counted(xs, n, x):
+            calls[0] += 1
+            return bisect(xs, n, x)
+
+        monkeypatch.setattr(kernels, "_bisect", counted)
+        rng = np.random.default_rng(12)
+        f = random_envelope_member(1.0, 1.0, RandomEnvelopeMember(), rng)
+        _, _, blow = kernels.sampled_fixed(0.7, f.xs, f.vs, f.L, f.ext_mode,
+                                           1.0, 0.5, 64, 4.0, 200, GUARD, 1)
+        assert blow == -1
+        assert calls[0] <= 0.02 * 200 * 64 * 4
+
+
 class TestSortedStores:
     def test_insert_keeps_first_value_sorted_and_distinct(self):
         rng = np.random.default_rng(5)
@@ -129,7 +198,8 @@ class TestSortedStores:
         vals = np.zeros(64, dtype=np.int64)
         n = 0
         for t, key in enumerate(keys_in):
-            n = kernels._insert(keys, vals, n, key, t)
+            n = kernels._insert(keys, vals, n, kernels._bisect(keys, n, key),
+                                key, t)
         uniq, first = np.unique(keys_in, return_index=True)
         assert n == uniq.shape[0]
         assert np.array_equal(keys[:n], uniq)
@@ -140,7 +210,8 @@ class TestSortedStores:
         vals = np.zeros(3)
         n = 0
         for key in (3.0, 1.0, 2.0, 0.0):
-            n = kernels._insert(keys, vals, n, key, key)
+            n = kernels._insert(keys, vals, n, kernels._bisect(keys, n, key),
+                                key, key)
         assert n == 3
         assert np.array_equal(keys, [1.0, 2.0, 3.0])
 
@@ -258,15 +329,21 @@ class TestEpisodeKernelsAgree:
             _assert_inputs_recomputable(traj)
 
     def test_nonparam_duel_commits_what_the_reference_adversary_picks(self):
-        # bounded run: an escaping one soon outgrows the reference store's
-        # absolute consistency tolerance
-        system = NonparametricSystem(L=2.0, y0_std=1.0)
-        traj, _ = run_episode(system, SwitchingControl(), GreedyAdversary(),
-                              150, seed=3)
-        fn = PiecewiseLinearFn(L=2.0)
-        for t in range(traj.inputs.shape[0]):
-            v, w = adversary_choose(fn, traj.states[t], traj.inputs[t], 1.0)
-            assert (v, w) == (traj.committed[t], traj.noises[t + 1]), t
+        # a bounded run and escaping runs, which the reference store follows
+        # out to the guard on its magnitude-scaled consistency tolerance
+        cases = [(2.0, 150, 3)] + [(6.0, 500, seed) for seed in range(5)]
+        for L, T, seed in cases:
+            system = NonparametricSystem(L=L, y0_std=1.0)
+            traj, _ = run_episode(system, SwitchingControl(),
+                                  GreedyAdversary(), T, seed=seed)
+            fn = PiecewiseLinearFn(L=L)
+            for t in range(traj.inputs.shape[0]):
+                v, w = adversary_choose(fn, traj.states[t], traj.inputs[t],
+                                        1.0)
+                assert (v, w) == (traj.committed[t], traj.noises[t + 1]), \
+                    (L, seed, t)
+            if L == 6.0:
+                assert traj.blow_step is not None
 
     def test_rk4(self):
         xs, vs = anchors(seed=7, L=1.0)
