@@ -7,6 +7,15 @@ the jump-linear transition rows, and 2-D ``@``), and compiled with
 ``@njit`` when numba imports (see ``_accel``); otherwise the same body
 runs as Python over numpy arrays.
 
+The RLS recurrence (``parametric_episode``) keeps Python floats: an
+operation on a numpy scalar costs about twice as much on the uncompiled
+path, and both follow IEEE double arithmetic, so results are the same
+bits.  The one difference is overflow: ``x ** b`` raises
+``OverflowError`` on Python floats where float64 gives inf.
+``power_eval`` is the one place a state is raised to a power, in the
+kernel and in the model step operations that replay it; it never
+raises, and returns what float64 arithmetic gives.
+
 Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
 index at which the guard tripped (-1 means the horizon was reached).
@@ -55,12 +64,25 @@ EXT_MIDPOINT = 2
 
 @njit_compile
 def power_eval(M, b, y):
-    # odd extension M*sign(y)*|y|^b; value 0 at y=0 for every b >= 0
+    """Odd extension M*sign(y)*|y|^b, 0 at y = 0 (and NaN) for every b >= 0.
+
+    Never raises: where |y|^b overflows (Python floats raise
+    OverflowError there) the power is taken as inf, the float64 result.
+    """
     if y > 0.0:
-        return M * y**b
-    if y < 0.0:
-        return -(M * (-y) ** b)
-    return 0.0
+        a = y
+    elif y < 0.0:
+        a = -y
+    else:
+        return 0.0
+    # OverflowError is the one exception possible; numba's nopython mode
+    # accepts no narrower clause than Exception
+    try:
+        p = a**b
+    except Exception:
+        p = np.inf
+    v = M * p
+    return v if y > 0.0 else -v
 
 
 @njit_compile
@@ -241,25 +263,24 @@ def _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa):
 
 @njit_compile
 def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
+    # the recurrence keeps Python floats (see the module docstring)
     T = w.shape[0] - 1
     ys = np.zeros(T + 1)
     us = np.zeros(T)
     ths = np.zeros(T + 1)
-    ys[0] = y0
-    ths[0] = theta0
-    y = y0
-    s = s0
-    th = theta0
+    y = float(y0)
+    theta = float(theta)
+    M = float(M)
+    b = float(b)
+    s = float(s0)
+    th = float(theta0)
+    ys[0] = y
+    ths[0] = th
     blow = -1
     for t in range(T):
-        if y > 0.0:
-            phi = M * y**b
-        elif y < 0.0:
-            phi = -(M * (-y) ** b)
-        else:
-            phi = 0.0
+        phi = power_eval(M, b, y)
         u = -th * phi
-        y1 = theta * phi + u + w[t + 1]
+        y1 = theta * phi + u + float(w[t + 1])
         us[t] = u
         ys[t + 1] = y1
         if y1 != y1 or y1 > guard or y1 < -guard:

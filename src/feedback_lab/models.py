@@ -18,8 +18,11 @@ from .adversary import (PiecewiseLinearFn, RealizedPiecewiseLinear,
                         slopes_exceed)
 
 #: Divergence guard on state magnitude.  Large enough to witness any
-#: faster-than-exponential escape, small enough that one more power step
-#: with exponent <= 10 stays inside double precision.
+#: faster-than-exponential escape.  One more power step from inside the
+#: guard can still leave double precision: |y|^5 does above |y| = 4e61,
+#: where most b = 5 RLS blow-ups take their last step from.  The power
+#: then reads inf (``kernels.power_eval``) and the guard classifies the
+#: inf or NaN state that follows.
 GUARD = 1e150
 
 

@@ -128,6 +128,10 @@ class MvRlsControl:
     s0: float = 1.0
     theta0: float | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.s0) and self.s0 > 0):
+            raise ValueError("information start s0 must be finite and positive")
+
 
 @dataclass(frozen=True)
 class SwitchingControl:

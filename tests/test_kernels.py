@@ -68,6 +68,10 @@ def queries(f, span, rng):
     return np.concatenate([rng.uniform(-span, span, 60), f.xs])
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
 class TestScalarHelpersAgree:
     def test_power_eval(self):
         rng = np.random.default_rng(0)
@@ -78,6 +82,46 @@ class TestScalarHelpersAgree:
             ref = math.copysign(M * abs(y) ** b, y)
             assert kernels.power_eval(M, b, y) == ref
         assert kernels.power_eval(2.0, 0.0, 0.0) == 0.0
+
+    def test_power_eval_overflow_matches_float64(self):
+        # Python floats raise OverflowError where float64 gives inf;
+        # power_eval returns the float64 bits and never raises
+        def float64_power(M, b, y):
+            M, b, y = np.float64(M), np.float64(b), np.float64(y)
+            if y > 0:
+                return M * y**b
+            if y < 0:
+                return -(M * (-y) ** b)
+            return np.float64(0.0)
+
+        ys = [0.0, 5e-324, 1.0, 1e60, 1e150]
+        overflows = 0
+        with np.errstate(over="ignore"):
+            for y in ys + [-y for y in ys] + [math.nan]:
+                for b in (0.0, 0.5, 1.5, 2.0, 3.5, 6.0, 10.0):
+                    for M in (1.0, 2.5):
+                        got = kernels.power_eval(M, b, y)
+                        assert _bits(got) == _bits(float64_power(M, b, y))
+                        overflows += math.isinf(got)
+        # 1e60 at b 6 and 10, 1e150 at b 3.5, 6 and 10; both signs and Ms
+        assert overflows == 5 * 2 * 2
+
+    @pytest.mark.skipif(HAS_NUMBA, reason="compiled kernels bind power_eval")
+    def test_parametric_episode_powers_python_floats(self, monkeypatch):
+        # a numpy scalar state would double the uncompiled cost per step
+        seen = []
+        power = kernels.power_eval
+
+        def recorded(M, b, y):
+            seen.append(type(y))
+            return power(M, b, y)
+
+        monkeypatch.setattr(kernels, "power_eval", recorded)
+        w = np.random.default_rng(3).standard_normal(501)
+        for b in (2.0, 6.0):
+            kernels.parametric_episode(0.3, 1.3, w, 1.0, b, 1.0, 1.0, GUARD)
+        assert len(seen) > 500
+        assert set(seen) == {float}
 
     def test_mcshane_eval(self):
         # neighbour-only evaluation equals the full-cone scan bit for bit
@@ -262,27 +306,45 @@ def _assert_inputs_recomputable(traj):
         assert recompute_input(traj, t) == traj.inputs[t], t
 
 
+def _assert_parametric_steps(theta, w, b):
+    """Check a parametric_episode run step by step against the model and
+    controller step operations, every state byte for byte (a final NaN or
+    inf too); returns the final state."""
+    f = models.PowerGrowthFn(1.0, b)
+    ys, us, ths, blow = kernels.parametric_episode(
+        0.0, theta, w, 1.0, b, 1.0, 1.0, GUARD)
+    state = controllers.make_rls(s0=1.0, theta0=1.0)
+    end = blow if blow >= 0 else w.shape[0] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(end):
+            phi = models.eval_power(f, ys[t])
+            assert us[t] == controllers.adaptive_mv_control(state, phi)
+            try:
+                y1 = models.step_parametric(ys[t], theta, us[t], w[t + 1], f)
+            except models.Overflow as exc:
+                y1 = exc.value
+            assert _bits(y1) == _bits(ys[t + 1]), t
+            state = controllers.rls_update(state, phi, ys[t + 1] - us[t])
+            if t + 1 < end:
+                assert ths[t + 1] == state.theta_hat
+    return ys[end]
+
+
 class TestEpisodeKernelsAgree:
     def test_parametric(self):
         rng = np.random.default_rng(4)
         w = rng.standard_normal(2001)
         for b in (1.5, 2.0, 3.5, 5.0):
-            f = models.PowerGrowthFn(1.0, b)
-            ys, us, ths, blow = kernels.parametric_episode(
-                0.0, 1.3, w, 1.0, b, 1.0, 1.0, GUARD)
-            state = controllers.make_rls(s0=1.0, theta0=1.0)
-            end = blow if blow >= 0 else w.shape[0] - 1
-            for t in range(end):
-                phi = models.eval_power(f, ys[t])
-                assert us[t] == controllers.adaptive_mv_control(state, phi)
-                try:
-                    y1 = models.step_parametric(ys[t], 1.3, us[t], w[t + 1], f)
-                except models.Overflow as exc:
-                    y1 = exc.value
-                assert np.array_equal(y1, ys[t + 1], equal_nan=True)
-                state = controllers.rls_update(state, phi, ys[t + 1] - us[t])
-                if t + 1 < end:
-                    assert ths[t + 1] == state.theta_hat
+            assert math.isfinite(_assert_parametric_steps(1.3, w, b))
+        # blow-ups whose last power overflows double precision end in NaN
+        for b in (4.5, 6.0):
+            finals = []
+            for seed in range(40):
+                rng = np.random.default_rng(seed)
+                w = rng.standard_normal(201)
+                finals.append(_assert_parametric_steps(
+                    1.0 + rng.standard_normal(), w, b))
+            assert any(math.isnan(y) for y in finals), b
 
     def test_nonparam_fixed(self):
         xs, vs = anchors(seed=5)

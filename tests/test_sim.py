@@ -76,14 +76,28 @@ class TestReplayInvariant:
             assert check_replay(traj), f"{name} seed {seed} replay drifted"
 
     def test_blowup_final_transition_replays(self):
+        # most b = 5 blow-ups take their last power step beyond double
+        # precision; every one replays
         system = param_system(5.0)
-        for seed in range(30):
+        blowups = 0
+        for seed in range(100):
             traj, verdict = run_episode(system, MvRlsControl(), None, 200, seed)
             if verdict.outcome is Outcome.BLOWUP:
-                assert check_replay(traj)
-                break
-        else:
-            pytest.fail("no blowup found to exercise the final transition")
+                blowups += 1
+                assert check_replay(traj), f"seed {seed}"
+        assert blowups > 0, "no blowup found to exercise the final transition"
+
+    @pytest.mark.parametrize("system", [
+        ParametricSystem(f=PowerGrowthFn(1.0, 3.0), y0=2.0),
+        PolynomialSystem(regs=PolyRegressors((3.0, 1.0), (1.0, 1.0)), y0=2.0),
+    ], ids=["parametric", "polynomial"])
+    def test_zero_control_overflow_is_a_blowup(self, system):
+        # the uncontrolled power overflows double precision on the last
+        # transition: a BLOWUP verdict with a non-finite final state
+        traj, verdict = run_episode(system, ZeroControl(), None, 50, seed=3)
+        assert verdict.outcome is Outcome.BLOWUP
+        assert not np.isfinite(traj.states[-1])
+        assert check_replay(traj)
 
 
 class TestDeterminism:
@@ -130,6 +144,11 @@ class TestConfigurationErrors:
         with pytest.raises(ConfigurationError):
             run_episode(NonparametricSystem(L=1.0), SwitchingControl(),
                         None, 10, 0)
+
+    @pytest.mark.parametrize("s0", [0.0, -1.0, math.nan, math.inf])
+    def test_rls_information_start_must_be_finite_and_positive(self, s0):
+        with pytest.raises(ValueError):
+            MvRlsControl(s0=s0)
 
 
 class TestCausality:
