@@ -2,10 +2,10 @@
 
 Every episode loop and the coupled fixed-point solver live here as plain
 functions over float64 arrays.  Each is written once, inside numba's
-nopython subset (scalar loops, 1-D/2-D slices, ``np.searchsorted`` on
-the jump-linear transition rows, and 2-D ``@``), and compiled with
-``@njit`` when numba imports (see ``_accel``); otherwise the same body
-runs as Python over numpy arrays.
+nopython subset (scalar loops, flat lists of floats, 1-D/2-D slices,
+and, in ``mjls_episode`` alone, ``np.searchsorted`` on the transition
+rows and 2-D ``@``), and compiled with ``@njit`` when numba imports (see
+``_accel``); otherwise the same body runs as Python over numpy arrays.
 
 The RLS recurrence (``parametric_episode``) keeps Python floats: an
 operation on a numpy scalar costs about twice as much on the uncompiled
@@ -15,6 +15,20 @@ bits.  The one difference is overflow: ``x ** b`` raises
 ``power_eval`` is the one place a state is raised to a power, in the
 kernel and in the model step operations that replay it; it never
 raises, and returns what float64 arithmetic gives.
+
+The coupled Riccati solve (``riccati_solve``) copies ``A``, ``B`` and
+``P`` once into flat row-major lists of Python floats and iterates in
+scalar loops: its matrices are a few entries wide, where each numpy
+call costs more than the arithmetic.  Every product and sum keeps the
+left-to-right order of the matrix expression, ``(A_j' (p M_j)) A_j``
+summed over j in order, and at m = 1 the pseudo-inverse is 1/x in
+closed form, so 1 x 1 iterates are the bits the numpy route
+(``riccati.riccati_rhs``) gives.  From n = 2 on, a dot product summed
+in a scalar loop rounds differently from BLAS's small-matrix kernels
+(which may fuse multiply-adds), so iterates differ from that route in
+the last bits; in exchange they no longer depend on which BLAS kernel
+the CPU dispatches.  For m > 1 the pseudo-inverse still goes through
+LAPACK's SVD.
 
 Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
@@ -563,56 +577,139 @@ def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
 # coupled fixed-point solver for the jump-linear stabilizability equations
 
 @njit_compile
+def _floats(a):
+    # a row-major flat list of Python floats
+    return [float(v) for v in a.ravel()]
+
+
+@njit_compile
+def _svd_pinv(S, m, rtol):
+    # Moore-Penrose inverse of the m x m matrix held row-major in S, by
+    # SVD, truncating singular values at or below rtol times the largest
+    U, s, Vt = np.linalg.svd(np.array(S).reshape((m, m)))
+    pinv = np.zeros((m, m))
+    if s[0] > 0.0:
+        cut = rtol * s[0]
+        for a in range(m):
+            if s[a] > cut:
+                pinv = pinv + (1.0 / s[a]) * np.outer(Vt[a], U[:, a])
+    return _floats(pinv)
+
+
+@njit_compile
+def _pinv(S, m, rtol):
+    """``_svd_pinv``, in closed form at m = 1: 1/x, but 0 at +-0 and
+    +-inf (LAPACK's singular value of inf is NaN), and ``LinAlgError`` at
+    NaN, as the SVD raises.  The bits are the SVD route's wherever LAPACK
+    does not rescale (about 6.7e-139 <= |x| <= 1.5e138); beyond, its
+    singular value can be an ulp off |x| and the closed form stays the
+    correctly rounded 1/x."""
+    if m > 1:
+        return _svd_pinv(S, m, rtol)
+    x = S[0]
+    if x != x:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    s = abs(x)
+    return [1.0 / x if s > 0.0 and s > rtol * s else 0.0]
+
+
+@njit_compile
 def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
+    # flat row-major lists of Python floats (see the module docstring);
+    # every product and sum keeps the order of the matrix expression
+    # M_i <- S_aa - (S_ab S_bb^+) S_ab' + I, symmetrized
     N = A.shape[0]
     n = A.shape[1]
     m = B.shape[2]
-    Ms = np.zeros((N, n, n))
+    nn = n * n
+    nm = n * m
+    Af = _floats(A)
+    Bf = _floats(B)
+    Pf = _floats(P)
+    Ms = [0.0] * (N * nn)
     for i in range(N):
         for a in range(n):
-            Ms[i, a, a] = 1.0
-    hist = np.zeros(max_iter)
+            Ms[i * nn + a * n + a] = 1.0
+    hist = [0.0] * max_iter
     status = 2
     iters = max_iter
     delta = np.inf
     for k in range(max_iter):
-        Mnew = np.zeros((N, n, n))
+        Mnew = [0.0] * (N * nn)
         for i in range(N):
-            S_aa = np.zeros((n, n))
-            S_ab = np.zeros((n, m))
-            S_bb = np.zeros((m, m))
+            S_aa = [0.0] * nn
+            S_ab = [0.0] * nm
+            S_bb = [0.0] * (m * m)
             for j in range(N):
-                p = P[i, j]
-                pm = p * Ms[j]
-                S_aa = S_aa + A[j].T @ pm @ A[j]
-                S_ab = S_ab + A[j].T @ pm @ B[j]
-                S_bb = S_bb + B[j].T @ pm @ B[j]
-            U, s, Vt = np.linalg.svd(S_bb)
-            pinv = np.zeros((m, m))
-            if s[0] > 0.0:
-                cut = svd_rtol * s[0]
-                for a in range(m):
-                    if s[a] > cut:
-                        pinv = pinv + (1.0 / s[a]) * np.outer(Vt[a], U[:, a])
-            X = S_aa - S_ab @ pinv @ S_ab.T
+                p = Pf[i * N + j]
+                oa = j * nn
+                ob = j * nm
+                pm = [p * Ms[oa + e] for e in range(nn)]
+                for a in range(n):
+                    # row a of A_j' (p M_j), shared by S_aa and S_ab
+                    row = [0.0] * n
+                    for c in range(n):
+                        s = 0.0
+                        for r in range(n):
+                            s += Af[oa + r * n + a] * pm[r * n + c]
+                        row[c] = s
+                    for b in range(n):
+                        s = 0.0
+                        for c in range(n):
+                            s += row[c] * Af[oa + c * n + b]
+                        S_aa[a * n + b] += s
+                    for q in range(m):
+                        s = 0.0
+                        for c in range(n):
+                            s += row[c] * Bf[ob + c * m + q]
+                        S_ab[a * m + q] += s
+                for q in range(m):
+                    # row q of B_j' (p M_j)
+                    row = [0.0] * n
+                    for c in range(n):
+                        s = 0.0
+                        for r in range(n):
+                            s += Bf[ob + r * m + q] * pm[r * n + c]
+                        row[c] = s
+                    for q2 in range(m):
+                        s = 0.0
+                        for c in range(n):
+                            s += row[c] * Bf[ob + c * m + q2]
+                        S_bb[q * m + q2] += s
+            pinv = _pinv(S_bb, m, svd_rtol)
+            G = [0.0] * nm
             for a in range(n):
-                X[a, a] += 1.0
-            Mnew[i] = 0.5 * (X + X.T)
+                for q in range(m):
+                    s = 0.0
+                    for r in range(m):
+                        s += S_ab[a * m + r] * pinv[r * m + q]
+                    G[a * m + q] = s
+            X = [0.0] * nn
+            for a in range(n):
+                for b in range(n):
+                    s = 0.0
+                    for q in range(m):
+                        s += G[a * m + q] * S_ab[b * m + q]
+                    X[a * n + b] = S_aa[a * n + b] - s
+                X[a * n + a] += 1.0
+            o = i * nn
+            for a in range(n):
+                for b in range(n):
+                    Mnew[o + a * n + b] = 0.5 * (X[a * n + b] + X[b * n + a])
         delta = 0.0
         nrm = 0.0
-        for i in range(N):
-            for a in range(n):
-                for bcol in range(n):
-                    d = Mnew[i, a, bcol] - Ms[i, a, bcol]
-                    if d < 0.0:
-                        d = -d
-                    if d > delta:
-                        delta = d
-                    v = Mnew[i, a, bcol]
-                    if v < 0.0:
-                        v = -v
-                    if v > nrm:
-                        nrm = v
+        for e in range(N * nn):
+            v = Mnew[e]
+            if v != v:
+                # NaN comes from an overflow (inf - inf), and no norm
+                # comparison would see it: count it as infinite
+                v = np.inf
+            d = abs(v - Ms[e])
+            if d > delta:
+                delta = d
+            v = abs(v)
+            if v > nrm:
+                nrm = v
         Ms = Mnew
         hist[k] = nrm
         if nrm > div_guard:
@@ -634,7 +731,7 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
                 break
         if growing:
             status = 1
-    return Ms, status, iters, delta
+    return np.array(Ms).reshape((N, n, n)), status, iters, delta
 
 
 def warm_up():

@@ -7,10 +7,13 @@ A solution is N positive-definite matrices M_i satisfying, for each mode,
         (sum_j B_j' p_ij M_j A_j)  - M_i = -I,
 
 with (.)^+ the Moore-Penrose inverse.  The solver iterates the
-fixed-point map from M_i = I (the hot loop lives in ``kernels``);
-``riccati_rhs`` and ``riccati_residual`` re-evaluate the map in plain
-numpy, independent of the solve path, so a claimed solution can always
-be checked against a second route.
+fixed-point map from M_i = I; the loop lives in ``kernels``, on Python
+floats in scalar loops, with the pseudo-inverse in closed form at one
+input and by SVD beyond.  ``riccati_rhs`` and ``riccati_residual``
+re-evaluate the map with numpy matrix products and ``pseudoinverse``,
+independent of the solve path, so a claimed solution can always be
+checked against a second route: for scalar systems the two give the
+same bits, for larger ones they agree to rounding.
 """
 
 from __future__ import annotations
@@ -98,10 +101,10 @@ def solve_coupled_riccati(spec: MjlsSpec, tol: float = DEFAULT_TOL,
 
     Convergence (max elementwise change below ``tol``) yields a solution
     with gains K_i = (sum_j B_j' p_ij M_j B_j)^+ (sum_j B_j' p_ij M_j A_j).
-    Iterate norms beyond 1e12, or a norm still strictly growing over the
-    last 100 of ``max_iter`` steps, yield NO_SOLUTION.  Anything else at
-    the iteration cap is reported INDETERMINATE, never silently mapped
-    to NO_SOLUTION.
+    Iterate norms beyond 1e12, an iterate that overflows to NaN, or a
+    norm still strictly growing over the last 100 of ``max_iter`` steps,
+    yield NO_SOLUTION.  Anything else at the iteration cap is reported
+    INDETERMINATE, never silently mapped to NO_SOLUTION.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")

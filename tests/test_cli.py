@@ -144,6 +144,15 @@ class TestMjlsSolve:
         assert run_cli(["mjls-solve", "--spec", mjls_spec_file]) == 0
         assert "solved" in capsys.readouterr().out
 
+    def test_overflowing_iterate_is_no_solution(self, capsys, tmp_path):
+        # a^2 overflows, so the first iterate is inf - inf = NaN
+        spec = {"P": [[1.0]], "A": [[[1e200]]], "B": [[[1.0]]]}
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(spec))
+        assert run_cli(["mjls-solve", "--spec", str(path)]) == 0
+        assert "verdict: no-solution after 1 iterations" in (
+            capsys.readouterr().out)
+
 
 class TestEmission:
     def test_csv_deterministic_without_timestamp(self, tmp_path, capsys):

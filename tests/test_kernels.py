@@ -24,6 +24,7 @@ from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
                           recompute_input, riccati_rhs, run_episode,
                           solve_coupled_riccati)
 from feedback_lab._accel import HAS_NUMBA
+from feedback_lab.riccati import SVD_RTOL
 from feedback_lab.sim import (RandomEnvelopeMember, RandomMember,
                               random_envelope_member, random_lipschitz_member)
 
@@ -105,6 +106,29 @@ class TestScalarHelpersAgree:
                         overflows += math.isinf(got)
         # 1e60 at b 6 and 10, 1e150 at b 3.5, 6 and 10; both signs and Ms
         assert overflows == 5 * 2 * 2
+
+    def test_pinv_closed_form_matches_svd_route(self):
+        # at m = 1 the pseudo-inverse skips the SVD.  Where LAPACK does not
+        # rescale the matrix (about 6.7e-139 <= |x| <= 1.5e138) its
+        # singular value is |x|, so both routes give the same bits; at
+        # +-inf it is NaN, which the truncation maps to 0
+        for x in (0.0, 1e-138, 1e-100, 1.0, 3.0, 1e100, 1e138, math.inf):
+            for v in (x, -x):
+                got = kernels._pinv([v], 1, SVD_RTOL)
+                assert _bits(got[0]) == _bits(
+                    kernels._svd_pinv([v], 1, SVD_RTOL)[0])
+        # beyond that range the rescaled singular value can be an ulp off
+        # |x|; the closed form stays the correctly rounded 1/x
+        with np.errstate(over="ignore"):
+            for x in (5e-324, 1e-300, 1e300):
+                for v in (x, -x):
+                    got = kernels._pinv([v], 1, SVD_RTOL)[0]
+                    want = kernels._svd_pinv([v], 1, SVD_RTOL)[0]
+                    assert _bits(got) == _bits(1.0 / v)
+                    assert got == want or abs(got - want) <= 2 * math.ulp(got)
+        for pinv in (kernels._pinv, kernels._svd_pinv):
+            with pytest.raises(np.linalg.LinAlgError):
+                pinv([math.nan], 1, SVD_RTOL)
 
     @pytest.mark.skipif(HAS_NUMBA, reason="compiled kernels bind power_eval")
     def test_parametric_episode_powers_python_floats(self, monkeypatch):
@@ -482,13 +506,59 @@ class TestEpisodeKernelsAgree:
                                       uniforms) == out[2][t + 1] + 1
 
     def test_riccati(self):
-        chain = MarkovChain(np.full((2, 2), 0.5))
-        spec = MjlsSpec(chain=chain, A=np.array([[[0.0]], [[1.9]]]),
-                        B=np.ones((2, 1, 1)),
-                        noise=MartingaleDiffVector(1.0, 1.0, 1))
-        Ms = np.array([np.eye(1), np.eye(1)])
-        for k in range(1, 30):
-            Ms = np.array([riccati_rhs(Ms, spec, i + 1) for i in range(2)])
-            out = kernels.riccati_solve(spec.A, spec.B, spec.chain.P, 0.0, k,
-                                        1e12, 1e-10)
-            assert np.allclose(out[0], Ms, rtol=1e-12, atol=1e-14)
+        # scalar systems: every iterate is the reference map's bits, on a
+        # 5 x 5 sub-grid of criterion 6 straddling the boundary
+        compared = 0
+        for delta in np.linspace(0.2, 2.8, 5):
+            for p12 in np.linspace(0.15, 0.85, 5):
+                chain = MarkovChain(np.array([[1 - p12, p12], [p12, 1 - p12]]))
+                spec = MjlsSpec(chain=chain, A=np.array([[[0.0]], [[delta]]]),
+                                B=np.ones((2, 1, 1)),
+                                noise=MartingaleDiffVector(1.0, 1.0, 1))
+                Ms = np.array([np.eye(1), np.eye(1)])
+                for k in range(1, 25):
+                    Ms = np.array([riccati_rhs(Ms, spec, i + 1)
+                                   for i in range(2)])
+                    out = kernels.riccati_solve(spec.A, spec.B, spec.chain.P,
+                                                0.0, k, 1e12, 1e-10)
+                    assert out[2] == k
+                    assert out[0].tobytes() == Ms.tobytes()
+                    compared += 1
+        assert compared == 600
+
+    @pytest.mark.parametrize("P, A, B, status, iters", [
+        # two states, one input
+        ([[0.7, 0.3], [0.4, 0.6]],
+         [[[0.6, 0.3], [0.0, 0.9]], [[1.1, 0.0], [0.2, 0.7]]],
+         [[[1.0], [0.5]], [[0.0], [1.0]]], 0, 80),
+        # the benchmark's jump-linear shape: three modes, three states,
+        # full actuation
+        ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+         [[[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]],
+          [[1.2 * 0.7648, -1.2 * 0.6442, 0.0],
+           [1.2 * 0.6442, 1.2 * 0.7648, 0.0], [0.0, 0.0, 0.9]],
+          [[1.5, 0.2, 0.0], [0.0, 0.3, 0.1], [0.0, 0.0, -0.8]]],
+         [np.eye(3).tolist()] * 3, 0, 19),
+    ], ids=["n2_m1", "n3_m3"])
+    def test_riccati_vector_states(self, P, A, B, status, iters):
+        # from n = 2 on, the scalar loops and the reference's BLAS products
+        # round differently, so the iterates agree to rounding only
+        P, A, B = np.array(P), np.array(A), np.array(B)
+        N, n = A.shape[:2]
+        spec = MjlsSpec(chain=MarkovChain(P), A=A, B=B,
+                        noise=MartingaleDiffVector(1.0, float(n), n))
+        out = kernels.riccati_solve(A, B, P, 1e-10, 10000, 1e12, 1e-10)
+        assert (out[1], out[2]) == (status, iters)
+        Ms = np.array([np.eye(n)] * N)
+        for k in range(1, iters + 1):
+            Ms = np.array([riccati_rhs(Ms, spec, i + 1) for i in range(N)])
+            out = kernels.riccati_solve(A, B, P, 0.0, k, 1e12, 1e-10)
+            np.testing.assert_allclose(out[0], Ms, rtol=1e-12, atol=0.0)
+
+    def test_riccati_overflowing_iterate_diverges(self):
+        # inf - inf makes the first iterate NaN, which no norm exceeds
+        Ms, status, iters, delta = kernels.riccati_solve(
+            np.array([[[1e200]]]), np.ones((1, 1, 1)), np.ones((1, 1)),
+            1e-10, 10000, 1e12, 1e-10)
+        assert (status, iters) == (1, 1)
+        assert math.isnan(Ms[0, 0, 0])
