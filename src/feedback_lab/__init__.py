@@ -8,7 +8,7 @@ control, sampled-data slope-times-period limits, and jump-linear
 stabilizability through coupled fixed-point equations.
 """
 
-from ._accel import HAS_NUMBA, backend_name
+from ._accel import backend_name
 from .adversary import (Extension, HighOrderAnchors, LinearFn,
                         PiecewiseLinearFn, RealizedPiecewiseLinear,
                         adversary_choose, feasible_interval,

@@ -1,20 +1,19 @@
 """Hot numeric kernels, one body each.
 
 Every episode loop and the coupled fixed-point solver live here as plain
-functions over float64 arrays.  Each is written once, inside numba's
-nopython subset (scalar loops, flat lists of floats, 1-D/2-D slices,
-and, in ``mjls_episode`` alone, ``np.searchsorted`` on the transition
-rows and 2-D ``@``), and compiled with ``@njit`` when numba imports (see
-``_accel``); otherwise the same body runs as Python over numpy arrays.
-
-The RLS recurrence (``parametric_episode``) keeps Python floats: an
-operation on a numpy scalar costs about twice as much on the uncompiled
-path, and both follow IEEE double arithmetic, so results are the same
-bits.  The one difference is overflow: ``x ** b`` raises
+Python functions.  The episode kernels read their input arrays once as
+lists (``.tolist()``), keep states, anchor stores and nearest-neighbour
+histories in Python lists of Python floats, and build their numpy return
+arrays once, when they return.  A list read costs about a third of a
+numpy-scalar read, and both follow IEEE double arithmetic, so results
+are the same bits.  The one difference is overflow: ``x ** b`` raises
 ``OverflowError`` on Python floats where float64 gives inf.
 ``power_eval`` is the one place a state is raised to a power, in the
-kernel and in the model step operations that replay it; it never
+RLS kernel and in the model step operations that replay it; it never
 raises, and returns what float64 arithmetic gives.
+
+``mjls_episode`` keeps its numpy form: one 2-D product per matrix over
+every mode's prediction.
 
 The coupled Riccati solve (``riccati_solve``) copies ``A``, ``B`` and
 ``P`` once into flat row-major lists of Python floats and iterates in
@@ -34,10 +33,11 @@ Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
 index at which the guard tripped (-1 means the horizon was reached).
 
-Piecewise-linear functions are passed as anchor arrays ``(xs, vs)``
-holding ``n`` sorted, distinct abscissas with slope budget L; extension
-mode 0 evaluates the upper envelope ``min_i(v_i + L|x - x_i|)``, mode 1
-the lower envelope ``max_i(v_i - L|x - x_i|)``, mode 2 their midpoint.
+Piecewise-linear functions are passed as anchor sequences ``(xs, vs)``
+(lists in the kernels, arrays from other callers) holding ``n`` sorted,
+distinct abscissas with slope budget L; extension mode 0 evaluates the
+upper envelope ``min_i(v_i + L|x - x_i|)``, mode 1 the lower envelope
+``max_i(v_i - L|x - x_i|)``, mode 2 their midpoint.
 For L-consistent anchors both envelopes at x are fixed by the two
 anchors either side of x (McShane 1934), so evaluation reads only those
 two.  An exact anchor hit returns the stored value, so replaying a
@@ -45,10 +45,10 @@ stored trajectory through the same anchors is reproducible to the last
 bit.
 
 Anchor stores (``_insert``) and nearest-neighbour histories (``_visit``)
-grow by sorted insertion.  A history keeps each distinct past state
-once, with the step of its first visit: among equal computed distances
-the smallest step wins, and a repeat of a state can never beat its first
-visit.
+are lists that grow by sorted insertion (``list.insert``).  A history
+keeps each distinct past state once, with the step of its first visit:
+among equal computed distances the smallest step wins, and a repeat of
+a state can never beat its first visit.
 
 Every store access finds x's index once and uses it for both the lookup
 and the insertion: the index j of the first key >= x (n if none, and n
@@ -57,16 +57,16 @@ the one j with ``(j == 0 or xs[j-1] < x) and (j == n or xs[j] >= x)``
 (the bracket invariant).  Successive RK4 stages, and successive steps
 over a fixed function, mostly land in the bracket of the access before,
 so ``_locate`` checks that guess and its right neighbour before falling
-back to a scalar-loop bisection (``_bisect``); histories, fed random
+back to a bisection (``_bisect``); histories, fed random
 states, bisect at once.  The invariant fixes the index whatever the
 guess, and the cone arithmetic at it (``_cone``) is the same as without
 a guess, so trajectories, stores and reports do not depend on how the
 index was found.
 """
 
-import numpy as np
+from bisect import bisect_left
 
-from ._accel import njit_compile
+import numpy as np
 
 EXT_UPPER = 0
 EXT_LOWER = 1
@@ -76,7 +76,6 @@ EXT_MIDPOINT = 2
 # ---------------------------------------------------------------------------
 # scalar helpers and sorted stores
 
-@njit_compile
 def power_eval(M, b, y):
     """Odd extension M*sign(y)*|y|^b, 0 at y = 0 (and NaN) for every b >= 0.
 
@@ -89,34 +88,23 @@ def power_eval(M, b, y):
         a = -y
     else:
         return 0.0
-    # OverflowError is the one exception possible; numba's nopython mode
-    # accepts no narrower clause than Exception
     try:
         p = a**b
-    except Exception:
+    except OverflowError:
         p = np.inf
     v = M * p
     return v if y > 0.0 else -v
 
 
-@njit_compile
 def _bisect(xs, n, x):
     """The index ``np.searchsorted(xs[:n], x)`` returns: the first i < n
-    with xs[i] >= x, else n; NaN sorts after every key."""
+    with xs[i] >= x, else n.  NaN sorts after every key, where
+    ``bisect_left`` would return 0."""
     if x != x:
         return n
-    lo = 0
-    hi = n
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if xs[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect_left(xs, x, 0, n)
 
 
-@njit_compile
 def _locate(xs, n, x, j):
     """``_bisect(xs, n, x)``, trying the guess j and then j + 1 first.
 
@@ -131,7 +119,6 @@ def _locate(xs, n, x, j):
     return _bisect(xs, n, x)
 
 
-@njit_compile
 def _cone(xs, vs, n, L, x, j):
     # the interval at x from the anchors either side of its index j
     if j < n and xs[j] == x:
@@ -153,7 +140,6 @@ def _cone(xs, vs, n, L, x, j):
     return lo, hi
 
 
-@njit_compile
 def _extend(lo, hi, mode):
     # the extension rule's pick from the interval
     if mode == 0:
@@ -163,14 +149,12 @@ def _extend(lo, hi, mode):
     return 0.5 * (lo + hi)
 
 
-@njit_compile
 def interval(xs, vs, n, L, x):
     """Values at x consistent with the first n anchors: the single stored
     value on an anchor, else the intersection of the neighbours' cones."""
     return _cone(xs, vs, n, L, x, _bisect(xs, n, x))
 
 
-@njit_compile
 def mcshane_eval(xs, vs, n, L, mode, x):
     """Extension-rule value at x: upper envelope (mode 0), lower (1) or
     their midpoint (2)."""
@@ -178,7 +162,6 @@ def mcshane_eval(xs, vs, n, L, mode, x):
     return _extend(lo, hi, mode)
 
 
-@njit_compile
 def _mcshane_from(xs, vs, n, L, mode, x, j):
     # mcshane_eval located from the guess j; returns the value and index
     j = _locate(xs, n, x, j)
@@ -186,28 +169,16 @@ def _mcshane_from(xs, vs, n, L, mode, x, j):
     return _extend(lo, hi, mode), j
 
 
-@njit_compile
-def _shift_in(keys, vals, n, j, key, val):
-    # the explicit copy keeps the shift right whether or not slice
-    # assignment buffers an overlapping source
-    keys[j + 1:n + 1] = keys[j:n].copy()
-    vals[j + 1:n + 1] = vals[j:n].copy()
-    keys[j] = key
-    vals[j] = val
-
-
-@njit_compile
 def _insert(keys, vals, n, j, key, val):
     """Insert (key, val) at key's located index j in the sorted store of n
-    entries unless key is already there or the store is full; returns the
-    new count."""
-    if (j < n and keys[j] == key) or n == keys.shape[0]:
+    entries unless key is already there; returns the new count."""
+    if j < n and keys[j] == key:
         return n
-    _shift_in(keys, vals, n, j, key, val)
+    keys.insert(j, key)
+    vals.insert(j, val)
     return n + 1
 
 
-@njit_compile
 def _visit(keys, steps, n, x, t):
     """Look up the stored state nearest to x, then record x at step t.
 
@@ -234,13 +205,9 @@ def _visit(keys, steps, n, x, t):
         if k < 0 or steps[i] < k:
             k = steps[i]
         i += 1
-    if not (j < n and keys[j] == x):
-        _shift_in(keys, steps, n, j, x, t)
-        n += 1
-    return k, best, n
+    return k, best, _insert(keys, steps, n, j, x, t)
 
 
-@njit_compile
 def _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar, bmin, bmax):
     # nearest-neighbour estimate fhat = y_{k+1} - u_k, then range-centring
     # far from every past output and tracking close to one; returns the
@@ -254,7 +221,6 @@ def _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar, bmin, bmax):
     return -fhat + ystar, nh
 
 
-@njit_compile
 def _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa):
     # certainty equivalence on the nearest past sample, clipped to
     # |u| <= kappa (L|x| + c); returns the input and the history count
@@ -272,58 +238,63 @@ def _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa):
     return u, ns
 
 
+def _padded(values, size):
+    # a float64 array of the given size holding values, zero past them
+    out = np.zeros(size)
+    out[:len(values)] = values
+    return out
+
+
 # ---------------------------------------------------------------------------
 # parametric episode: recursive least squares + minimum variance input
 
-@njit_compile
 def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
-    # the recurrence keeps Python floats (see the module docstring)
     T = w.shape[0] - 1
-    ys = np.zeros(T + 1)
-    us = np.zeros(T)
-    ths = np.zeros(T + 1)
-    y = float(y0)
+    ws = w.tolist()
     theta = float(theta)
     M = float(M)
     b = float(b)
     s = float(s0)
     th = float(theta0)
-    ys[0] = y
-    ths[0] = th
+    y = float(y0)
+    ys = [y]
+    us = []
+    ths = [th]
     blow = -1
     for t in range(T):
         phi = power_eval(M, b, y)
         u = -th * phi
-        y1 = theta * phi + u + float(w[t + 1])
-        us[t] = u
-        ys[t + 1] = y1
+        y1 = theta * phi + u + ws[t + 1]
+        us.append(u)
+        ys.append(y1)
         if y1 != y1 or y1 > guard or y1 < -guard:
             blow = t + 1
             break
         s = s + phi * phi
         th = th + phi * ((y1 - u) - th * phi) / s
-        ths[t + 1] = th
+        ths.append(th)
         y = y1
-    return ys, us, ths, blow
+    return _padded(ys, T + 1), _padded(us, T), _padded(ths, T + 1), blow
 
 
 # ---------------------------------------------------------------------------
 # nonparametric episode, fixed realized f + switching NN controller
 
-@njit_compile
 def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
                    guard, use_controller):
     T = ws.shape[0] - 1
     nf = fxs.shape[0]
-    ys = np.zeros(T + 1)
-    us = np.zeros(T)
-    hy = np.zeros(T)
-    hk = np.zeros(T, dtype=np.int64)
+    fxs = fxs.tolist()
+    fvs = fvs.tolist()
+    ws = ws.tolist()
+    y = float(y0)
+    ys = [y]
+    us = []
+    hy = []
+    hk = []
     nh = 0
-    ys[0] = y0
-    y = y0
-    bmin = y0
-    bmax = y0
+    bmin = y
+    bmax = y
     blow = -1
     j = 0
     for t in range(T):
@@ -337,35 +308,33 @@ def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
                                      bmin, bmax)
         fy, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, y, j)
         y1 = fy + u + w_bar * ws[t + 1]
-        us[t] = u
-        ys[t + 1] = y1
+        us.append(u)
+        ys.append(y1)
         if y1 != y1 or y1 > guard or y1 < -guard:
             blow = t + 1
             break
         y = y1
-    return ys, us, blow
+    return _padded(ys, T + 1), _padded(us, T), blow
 
 
 # ---------------------------------------------------------------------------
 # nonparametric duel: greedy anchor-committing opponent vs the controller
 
-@njit_compile
 def nonparam_duel(y0, L, w_bar, budget_c, eps, ystar, guard, T,
                   use_controller):
-    ys = np.zeros(T + 1)
-    us = np.zeros(T)
-    ws = np.zeros(T + 1)
-    vsc = np.zeros(T)
-    axs = np.zeros(T + 1)
-    avs = np.zeros(T + 1)
+    y = float(y0)
+    ys = [y]
+    us = []
+    ws = [0.0]
+    vsc = []
+    axs = []
+    avs = []
     na = 0
-    hy = np.zeros(T)
-    hk = np.zeros(T, dtype=np.int64)
+    hy = []
+    hk = []
     nh = 0
-    ys[0] = y0
-    y = y0
-    bmin = y0
-    bmax = y0
+    bmin = y
+    bmax = y
     blow = -1
     for t in range(T):
         if y < bmin:
@@ -386,21 +355,21 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, ystar, guard, T,
         w = w_bar if (v + u) >= 0.0 else -w_bar
         na = _insert(axs, avs, na, j, y, v)
         y1 = v + u + w
-        us[t] = u
-        ws[t + 1] = w
-        vsc[t] = v
-        ys[t + 1] = y1
+        us.append(u)
+        ws.append(w)
+        vsc.append(v)
+        ys.append(y1)
         if y1 != y1 or y1 > guard or y1 < -guard:
             blow = t + 1
             break
         y = y1
-    return ys, us, ws, vsc, axs, avs, na, blow
+    return (_padded(ys, T + 1), _padded(us, T), _padded(ws, T + 1),
+            _padded(vsc, T), np.array(axs), np.array(avs), na, blow)
 
 
 # ---------------------------------------------------------------------------
 # zero-order-hold integration of dx/dt = f(x) + u over one sampling period
 
-@njit_compile
 def rk4_mcshane(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
     # the stages of one step and the steps of one period stay close, so
     # each evaluation is located from the index of the one before
@@ -425,30 +394,30 @@ def rk4_mcshane(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
 # ---------------------------------------------------------------------------
 # sampled-data episode, fixed f + certainty-equivalence controller
 
-@njit_compile
 def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
                   n_samples, guard, use_controller):
     nf = fxs.shape[0]
-    xs = np.zeros(n_samples + 1)
-    us = np.zeros(n_samples)
-    sx = np.zeros(n_samples)
-    sk = np.zeros(n_samples, dtype=np.int64)
+    fxs = fxs.tolist()
+    fvs = fvs.tolist()
+    x = float(x0)
+    xs = [x]
+    us = []
+    sx = []
+    sk = []
     ns = 0
-    xs[0] = x0
-    x = x0
     blow = -1
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
             u, ns = _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa)
         x1 = rk4_mcshane(fxs, fvs, nf, L, ext_mode, x, u, h, substeps, guard)
-        us[k] = u
-        xs[k + 1] = x1
+        us.append(u)
+        xs.append(x1)
         if x1 != x1 or x1 > guard or x1 < -guard:
             blow = k + 1
             break
         x = x1
-    return xs, us, blow
+    return _padded(xs, n_samples + 1), _padded(us, n_samples), blow
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +425,6 @@ def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
 # and at every integrator evaluation, and drives each period with the
 # envelope (upper or lower) that continues the current push direction
 
-@njit_compile
 def _env_commit(axs, avs, na, L, mode, x, j):
     # evaluate the envelope at x and commit it there, both at the index
     # located from the guess j; returns the value, the count and the index
@@ -464,20 +432,18 @@ def _env_commit(axs, avs, na, L, mode, x, j):
     return v, _insert(axs, avs, na, j, x, v), j
 
 
-@njit_compile
 def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
-                 use_controller, cap_anchors):
-    xs = np.zeros(n_samples + 1)
-    us = np.zeros(n_samples)
-    vsc = np.zeros(n_samples)
-    axs = np.zeros(cap_anchors)
-    avs = np.zeros(cap_anchors)
+                 use_controller):
+    x = float(x0)
+    xs = [x]
+    us = []
+    vsc = []
+    axs = []
+    avs = []
     na = 0
-    sx = np.zeros(n_samples)
-    sk = np.zeros(n_samples, dtype=np.int64)
+    sx = []
+    sk = []
     ns = 0
-    xs[0] = x0
-    x = x0
     blow = -1
     dt = h / substeps
     # index of the last store access; the next one lands next to it
@@ -512,25 +478,24 @@ def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
             if xx != xx or xx > guard or xx < -guard:
                 break
         x1 = xx
-        us[k] = u
-        vsc[k] = v
-        xs[k + 1] = x1
+        us.append(u)
+        vsc.append(v)
+        xs.append(x1)
         if x1 != x1 or x1 > guard or x1 < -guard:
             blow = k + 1
             break
         x = x1
-    return xs, us, vsc, axs, avs, na, blow
+    return (_padded(xs, n_samples + 1), _padded(us, n_samples),
+            _padded(vsc, n_samples), np.array(axs), np.array(avs), na, blow)
 
 
 # ---------------------------------------------------------------------------
 # Markov jump linear episode with residual-matching mode estimation
 
-@njit_compile
 def mjls_step(Ai, Bi, x, u, w):
     return Ai @ x + Bi @ u + w
 
 
-@njit_compile
 def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
     T = W.shape[0]
     N = A.shape[0]
@@ -576,13 +541,11 @@ def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
 # ---------------------------------------------------------------------------
 # coupled fixed-point solver for the jump-linear stabilizability equations
 
-@njit_compile
 def _floats(a):
     # a row-major flat list of Python floats
     return [float(v) for v in a.ravel()]
 
 
-@njit_compile
 def _svd_pinv(S, m, rtol):
     # Moore-Penrose inverse of the m x m matrix held row-major in S, by
     # SVD, truncating singular values at or below rtol times the largest
@@ -596,7 +559,6 @@ def _svd_pinv(S, m, rtol):
     return _floats(pinv)
 
 
-@njit_compile
 def _pinv(S, m, rtol):
     """``_svd_pinv``, in closed form at m = 1: 1/x, but 0 at +-0 and
     +-inf (LAPACK's singular value of inf is NaN), and ``LinAlgError`` at
@@ -613,7 +575,6 @@ def _pinv(S, m, rtol):
     return [1.0 / x if s > 0.0 and s > rtol * s else 0.0]
 
 
-@njit_compile
 def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     # flat row-major lists of Python floats (see the module docstring);
     # every product and sum keeps the order of the matrix expression
@@ -735,23 +696,5 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
 
 
 def warm_up():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    xs = np.array([0.0, 1.0])
-    vs = np.array([0.0, 1.0])
-    power_eval(1.0, 2.0, 1.5)
-    mcshane_eval(xs, vs, 2, 1.0, 0, 0.5)
-    interval(xs, vs, 2, 1.0, 0.5)
-    parametric_episode(0.0, 1.0, np.zeros(3), 1.0, 2.0, 1.0, 1.0, 1e150)
-    nonparam_fixed(0.0, xs, vs, 1.0, 0, np.zeros(3), 1.0, 0.1, 0.0, 1e150, 1)
-    nonparam_duel(0.1, 1.0, 1.0, 10.0, 0.1, 0.0, 1e150, 3, 1)
-    rk4_mcshane(xs, vs, 2, 1.0, 0, 0.5, 0.0, 0.1, 2, 1e150)
-    sampled_fixed(0.5, xs, vs, 1.0, 0, 1.0, 0.1, 2, 4.0, 2, 1e150, 1)
-    sampled_duel(0.0, 1.0, 1.0, 0.1, 2, 4.0, 2, 1e150, 1, 64)
-    A = np.zeros((1, 1, 1))
-    Bm = np.ones((1, 1, 1))
-    Kg = np.zeros((1, 1, 1))
-    P = np.ones((1, 1))
-    mjls_episode(A, Bm, Kg, P, np.zeros(1), 0, np.zeros(2), np.zeros((2, 1)),
-                 1e150, 1)
-    mjls_step(A[0], Bm[0], np.zeros(1), np.zeros(1), np.zeros(1))
-    riccati_solve(A, Bm, P, 1e-10, 5, 1e12, 1e-10)
+    """Nothing to prepare: the kernels are plain Python.  Kept only for
+    its two callers, ``perfbench/run.py`` and ``perfbench/fresh_setup.py``."""

@@ -201,6 +201,10 @@ class MjlsSpec:
             raise ValueError("A must be (N, n, n)")
         if B.ndim != 3 or B.shape[0] != N or B.shape[1] != A.shape[1]:
             raise ValueError("B must be (N, n, m)")
+        if B.shape[2] == 0:
+            raise ValueError("B must have at least one input (m >= 1)")
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise ValueError("A and B must be finite")
         if not (self.chain.is_irreducible and self.chain.is_aperiodic):
             raise ConfigurationError(
                 "mode chain must be irreducible and aperiodic")

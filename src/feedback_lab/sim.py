@@ -80,6 +80,13 @@ class PolynomialSystem:
     y0: float = 0.0
 
 
+def _require_finite(spec, *names):
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NonparametricSystem:
     L: float
@@ -89,6 +96,13 @@ class NonparametricSystem:
     y0: float = 0.0
     y0_std: float = 0.0
 
+    def __post_init__(self):
+        if not self.L > 0:
+            raise ValueError(f"L must be positive, got {self.L}")
+        if not self.w_bar > 0:
+            raise ValueError(f"w_bar must be positive, got {self.w_bar}")
+        _require_finite(self, "y0", "y0_std")
+
 
 @dataclass(frozen=True)
 class SampledSystem:
@@ -97,6 +111,9 @@ class SampledSystem:
     member: RandomEnvelopeMember | None = None
     x0: float = 0.0
     x0_std: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "x0", "x0_std")
 
 
 @dataclass(frozen=True)
@@ -326,6 +343,35 @@ def random_envelope_member(L: float, c: float, member: RandomEnvelopeMember,
                                    L, Extension.MCSHANE_MIN)
 
 
+def _uncontrolled(step, law, y0, theta, w, T: int):
+    # the ZeroControl loop of a scalar system through its model step
+    # operation; an overflow ends it, with the overflowing value as the
+    # final state
+    ys = np.zeros(T + 1)
+    ys[0] = y0
+    blow = -1
+    y = y0
+    for t in range(T):
+        try:
+            y = step(y, theta, 0.0, w[t + 1], law)
+        except Overflow as exc:
+            ys[t + 1] = exc.value
+            blow = t + 1
+            break
+        ys[t + 1] = y
+    return ys, np.zeros(T), blow
+
+
+def _scalar_episode(kind, system, controller, seed, theta, ys, us, w, blow,
+                    T: int):
+    end = blow + 1 if blow >= 0 else T + 1
+    traj = Trajectory(kind=kind, states=ys[:end], inputs=us[:end - 1],
+                      noises=w[:end], system=system, seed=seed, theta=theta,
+                      blow_step=blow if blow >= 0 else None,
+                      controller=controller)
+    return traj, _verdict(ys[:end], w[:end], blow, T)
+
+
 def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = system.theta_mean + system.theta_std * rng.standard_normal()
@@ -337,28 +383,13 @@ def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
             system.y0, theta, w, system.f.M, system.f.b,
             controller.s0, theta0, GUARD)
     elif isinstance(controller, ZeroControl):
-        ys = np.zeros(T + 1)
-        us = np.zeros(T)
-        ys[0] = system.y0
-        blow = -1
-        y = system.y0
-        for t in range(T):
-            try:
-                y = models.step_parametric(y, theta, 0.0, w[t + 1], system.f)
-            except Overflow as exc:
-                ys[t + 1] = exc.value
-                blow = t + 1
-                break
-            ys[t + 1] = y
+        ys, us, blow = _uncontrolled(models.step_parametric, system.f,
+                                     system.y0, theta, w, T)
     else:
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a parametric system")
-    end = blow + 1 if blow >= 0 else T + 1
-    traj = Trajectory(kind="parametric", states=ys[:end], inputs=us[:end - 1],
-                      noises=w[:end], system=system, seed=seed, theta=theta,
-                      blow_step=blow if blow >= 0 else None,
-                      controller=controller)
-    return traj, _verdict(ys[:end], w[:end], blow, T)
+    return _scalar_episode("parametric", system, controller, seed, theta, ys,
+                           us, w, blow, T)
 
 
 def _run_polynomial(system: PolynomialSystem, controller, T: int, seed: int):
@@ -369,31 +400,10 @@ def _run_polynomial(system: PolynomialSystem, controller, T: int, seed: int):
     theta = np.asarray(system.regs.theta_mean) + rng.standard_normal(system.regs.p)
     w = math.sqrt(system.noise.variance) * rng.standard_normal(T + 1)
     w[0] = 0.0
-    ys = np.zeros(T + 1)
-    ys[0] = system.y0
-    us = np.zeros(T)
-    blow = -1
-    y = system.y0
-    for t in range(T):
-        try:
-            y = models.step_polynomial(y, theta, 0.0, w[t + 1], system.regs)
-        except Overflow as exc:
-            ys[t + 1] = exc.value
-            blow = t + 1
-            break
-        ys[t + 1] = y
-    end = blow + 1 if blow >= 0 else T + 1
-    traj = Trajectory(kind="polynomial", states=ys[:end], inputs=us[:end - 1],
-                      noises=w[:end], system=system, seed=seed, theta=theta,
-                      blow_step=blow if blow >= 0 else None,
-                      controller=controller)
-    return traj, _verdict(ys[:end], w[:end], blow, T)
-
-
-def _realized(axs, avs, na, L) -> RealizedPiecewiseLinear:
-    # the duel kernels keep their anchor stores sorted
-    return RealizedPiecewiseLinear(axs[:na].copy(), avs[:na].copy(), L,
-                                   Extension.MCSHANE_MIN)
+    ys, us, blow = _uncontrolled(models.step_polynomial, system.regs,
+                                 system.y0, theta, w, T)
+    return _scalar_episode("polynomial", system, controller, seed, theta, ys,
+                           us, w, blow, T)
 
 
 def _run_nonparametric(system: NonparametricSystem, controller, adversary,
@@ -416,12 +426,13 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
             raise ConfigurationError("adversarial episodes leave f unspecified")
         y0 = system.y0 + system.y0_std * rng.standard_normal()
         budget_c = adversary.budget_mult * system.w_bar
-        ys, us, ws, vsc, axs, avs, na, blow = kernels.nonparam_duel(
+        ys, us, ws, vsc, axs, avs, _, blow = kernels.nonparam_duel(
             y0, system.L, system.w_bar, budget_c, eps, ystar, GUARD, T, use_ctl)
         end = blow + 1 if blow >= 0 else T + 1
         traj = Trajectory(kind="nonparametric", states=ys[:end],
                           inputs=us[:end - 1], noises=ws[:end], system=system,
-                          seed=seed, realized_f=_realized(axs, avs, na, system.L),
+                          seed=seed,
+                          realized_f=RealizedPiecewiseLinear(axs, avs, system.L),
                           committed=vsc[:end - 1], adversarial=True,
                           blow_step=blow if blow >= 0 else None,
                           controller=controller)
@@ -510,16 +521,13 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
         if system.f is not None or system.member is not None:
             raise ConfigurationError("adversarial episodes leave f unspecified")
         x0 = system.x0 + system.x0_std * rng.standard_normal()
-        cap = T * (1 + 4 * spec.substeps) + 4
-        xs, us, vsc, axs, avs, na, blow = kernels.sampled_duel(
+        xs, us, vsc, axs, avs, _, blow = kernels.sampled_duel(
             x0, spec.L, spec.c, spec.h, spec.substeps, kappa, T, GUARD,
-            use_ctl, cap)
-        if na >= cap:
-            raise RuntimeError("anchor capacity exhausted in the sampled duel")
+            use_ctl)
         end = blow + 1 if blow >= 0 else T + 1
         traj = Trajectory(kind="sampled", states=xs[:end], inputs=us[:end - 1],
                           noises=np.zeros(end), system=system, seed=seed,
-                          realized_f=_realized(axs, avs, na, spec.L),
+                          realized_f=RealizedPiecewiseLinear(axs, avs, spec.L),
                           committed=vsc[:end - 1], adversarial=True,
                           blow_step=blow if blow >= 0 else None,
                           controller=controller)

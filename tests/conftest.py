@@ -1,13 +1,4 @@
-import pytest
 from hypothesis import settings
-
-from feedback_lab import kernels
 
 settings.register_profile("ci", deadline=None, max_examples=60)
 settings.load_profile("ci")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # one-time JIT compilation so timed tests measure simulation work
-    kernels.warm_up()

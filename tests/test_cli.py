@@ -153,6 +153,16 @@ class TestMjlsSolve:
         assert "verdict: no-solution after 1 iterations" in (
             capsys.readouterr().out)
 
+    @pytest.mark.parametrize("command", ["mjls-solve", "mjls-run"])
+    @pytest.mark.parametrize("A, B", [([[[2.0]]], [[[]]]),
+                                      ([[[float("nan")]]], [[[1.0]]])],
+                             ids=["zero_inputs", "nan_A"])
+    def test_invalid_spec_exits_2(self, command, A, B, capsys, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"P": [[1.0]], "A": A, "B": B}))
+        assert run_cli([command, "--spec", str(path)]) == cli.EXIT_CONFIG
+        assert "invalid jump-linear spec" in capsys.readouterr().err
+
 
 class TestEmission:
     def test_csv_deterministic_without_timestamp(self, tmp_path, capsys):

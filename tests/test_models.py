@@ -233,6 +233,30 @@ class TestMarkovChain:
                      noise=MartingaleDiffVector(1.0, 1.0, 1))
 
 
+class TestMjlsSpecValidation:
+    CHAIN = MarkovChain(np.full((2, 2), 0.5))
+    NOISE = MartingaleDiffVector(1.0, 1.0, 1)
+
+    def test_zero_inputs_rejected(self):
+        with pytest.raises(ValueError, match="input"):
+            MjlsSpec(chain=self.CHAIN, A=np.zeros((2, 1, 1)),
+                     B=np.ones((2, 1, 0)), noise=self.NOISE)
+
+    def test_non_finite_A_rejected(self):
+        A = np.zeros((2, 1, 1))
+        A[1, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            MjlsSpec(chain=self.CHAIN, A=A, B=np.ones((2, 1, 1)),
+                     noise=self.NOISE)
+
+    def test_non_finite_B_rejected(self):
+        B = np.ones((2, 1, 1))
+        B[0, 0, 0] = -math.inf
+        with pytest.raises(ValueError, match="finite"):
+            MjlsSpec(chain=self.CHAIN, A=np.zeros((2, 1, 1)), B=B,
+                     noise=self.NOISE)
+
+
 class TestMarkovNext:
     def test_identity_keeps_mode(self):
         chain = MarkovChain(np.eye(2))

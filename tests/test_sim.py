@@ -150,6 +150,23 @@ class TestConfigurationErrors:
         with pytest.raises(ValueError):
             MvRlsControl(s0=s0)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("L", {"L": 0.0}),
+        ("L", {"L": -1.0}),
+        ("w_bar", {"L": 1.0, "w_bar": 0.0}),
+        ("y0", {"L": 1.0, "y0": math.nan}),
+        ("y0_std", {"L": 1.0, "y0_std": math.inf}),
+    ], ids=["L_zero", "L_negative", "w_bar", "y0", "y0_std"])
+    def test_nonparametric_system_rejected_when_built(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            NonparametricSystem(**kwargs)
+
+    @pytest.mark.parametrize("field", ["x0", "x0_std"])
+    def test_sampled_system_start_must_be_finite(self, field):
+        with pytest.raises(ValueError, match=field):
+            SampledSystem(spec=SampledSpec(1.0, 1.0, 1.0),
+                          **{field: math.nan})
+
 
 class TestCausality:
     CASES = [
