@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -32,9 +34,6 @@ EXIT_CONFIG = 2
 EXIT_INDETERMINATE = 3
 
 SEED_ENV_VAR = "FEEDBACK_LAB_SEED"
-
-EXPERIMENTS = ("parametric-sweep", "poly-check", "nonparam-duel",
-               "highorder-check", "sampled-sweep", "mjls-solve", "mjls-run")
 
 
 class CliError(Exception):
@@ -54,27 +53,34 @@ class EmitOptions:
 # config handling
 
 
-_SCHEMAS = {
-    "parametric-sweep": {"b": str, "seeds": int, "T": int, "M": float,
-                         "theta_mean": float, "noise_var": float,
-                         "unstable_T": int, "unstable_seeds": int,
-                         "seed": int},
-    "poly-check": {"exponents": str, "seed": int},
-    "highorder-check": {"L": float, "p": int, "seed": int},
-    "nonparam-duel": {"L": str, "seeds": int, "T": int, "w_bar": float,
-                      "eps": float, "mode": str, "escape": float,
-                      "n_anchors": int, "seed": int},
-    "sampled-sweep": {"L": str, "h": float, "c": float, "samples": int,
-                      "substeps": int, "seeds": int, "mode": str,
-                      "seed": int},
-    "mjls-solve": {"spec": str, "tol": float, "max_iter": int, "seed": int},
-    "mjls-run": {"spec": str, "T": int, "seeds": int, "seed": int},
-}
+@dataclass(frozen=True)
+class Option:
+    """One experiment option.  ``key`` is the config-file key and, with
+    ``_`` spelled ``-``, the flag; file values and flags alike are
+    coerced to ``type`` and, where ``choices`` is set, checked against
+    it."""
+
+    key: str
+    type: type
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """``run(cfg, seed)`` prints the subcommand's summary and returns the
+    tables to emit."""
+
+    run: Callable[[dict, int], list[dict]]
+    help: str
+    options: tuple[Option, ...]
 
 
 def load_config(path: str | None, experiment: str, overrides: dict) -> dict:
     """Merge file config and flag overrides; unknown keys are rejected."""
-    schema = _SCHEMAS[experiment]
+    options = SUBCOMMANDS[experiment].options
+    schema = {opt.key: opt.type for opt in options}
+    schema["seed"] = int
     merged: dict = {}
     if path is not None:
         try:
@@ -108,6 +114,11 @@ def load_config(path: str | None, experiment: str, overrides: dict) -> dict:
             merged[key] = want(value)
         except (TypeError, ValueError):
             raise CliError(f"config key {key!r} must be {want.__name__}")
+    for opt in options:
+        if opt.choices and opt.key in merged and (
+                merged[opt.key] not in opt.choices):
+            raise CliError(f"{opt.key} must be "
+                           + " or ".join(repr(c) for c in opt.choices))
     return merged
 
 
@@ -131,6 +142,8 @@ def parse_value_list(spec: str) -> list[float]:
         if len(parts) != 3:
             raise CliError(f"range must be lo:hi:step, got {spec!r}")
         lo, hi, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise CliError(f"range bounds and step must be finite: {spec!r}")
         if step <= 0:
             raise CliError("range step must be positive")
         vals = []
@@ -141,8 +154,11 @@ def parse_value_list(spec: str) -> list[float]:
                 break
             vals.append(round(v, 12))
             k += 1
-        return vals
-    return [float(p) for p in spec.split(",") if p.strip()]
+    else:
+        vals = [float(p) for p in spec.split(",") if p.strip()]
+    if not vals:
+        raise CliError(f"value list {spec!r} is empty")
+    return vals
 
 
 def resolve_seed(flag_seed: int | None, cfg: dict) -> int:
@@ -215,8 +231,9 @@ def emit(results: dict, opts: EmitOptions) -> list[str]:
     return written
 
 
-def _print_table(columns, rows, limit=25):
-    print(",".join(columns))
+def _print_table(table: dict, limit=25) -> None:
+    rows = table["rows"]
+    print(",".join(table["columns"]))
     for row in rows[:limit]:
         print(",".join(str(v) for v in row))
     if len(rows) > limit:
@@ -227,7 +244,7 @@ def _print_table(columns, rows, limit=25):
 # experiments
 
 
-def run_parametric_sweep(cfg: dict, seed: int) -> dict:
+def run_parametric_sweep(cfg: dict, seed: int) -> list[dict]:
     bs = parse_value_list(cfg.get("b", "1.5:6.0:0.5"))
     T = cfg.get("T", 5000)
     seeds = cfg.get("seeds", 100)
@@ -254,13 +271,15 @@ def run_parametric_sweep(cfg: dict, seed: int) -> dict:
             slope, r2 = float("nan"), float("nan")
         rows.append([b, report.blowup_fraction, slope, r2, verdict.regime.value,
                      horizon, n])
-    return {"name": "parametric_sweep",
-            "columns": ["b", "blowup_fraction", "mean_regret_slope",
-                        "regret_fit_r2", "regime", "T", "seeds"],
-            "rows": rows}
+    table = {"name": "parametric_sweep",
+             "columns": ["b", "blowup_fraction", "mean_regret_slope",
+                         "regret_fit_r2", "regime", "T", "seeds"],
+             "rows": rows}
+    _print_table(table)
+    return [table]
 
 
-def run_poly_check(cfg: dict) -> dict:
+def run_poly_check(cfg: dict, seed: int) -> list[dict]:
     exps = parse_value_list(cfg.get("exponents", "5"))
     poly = analysis.characteristic_poly(exps)
     verdict = analysis.poly_impossible(poly, exps[0])
@@ -272,12 +291,12 @@ def run_poly_check(cfg: dict) -> dict:
     else:
         print("criterion not triggered")
         rows = [[",".join(f"{e:g}" for e in exps), "not-triggered", "", ""]]
-    return {"name": "poly_check",
-            "columns": ["exponents", "verdict", "witness_z", "P_at_witness"],
-            "rows": rows}
+    return [{"name": "poly_check",
+             "columns": ["exponents", "verdict", "witness_z", "P_at_witness"],
+             "rows": rows}]
 
 
-def run_highorder_check(cfg: dict) -> dict:
+def run_highorder_check(cfg: dict, seed: int) -> list[dict]:
     L = cfg.get("L", 1.0)
     p = cfg.get("p", 1)
     verdict = analysis.highorder_impossible(L, p)
@@ -285,9 +304,9 @@ def run_highorder_check(cfg: dict) -> dict:
              else "not-triggered")
     flag = " (boundary)" if verdict.boundary else ""
     print(f"L={L} p={p}: {label}{flag}, margin={verdict.witness:.6g}")
-    return {"name": "highorder_check",
-            "columns": ["L", "p", "verdict", "boundary", "margin"],
-            "rows": [[L, p, label, verdict.boundary, verdict.witness]]}
+    return [{"name": "highorder_check",
+             "columns": ["L", "p", "verdict", "boundary", "margin"],
+             "rows": [[L, p, label, verdict.boundary, verdict.witness]]}]
 
 
 def _anchor_table(name: str, label: float, traj) -> dict:
@@ -321,8 +340,6 @@ def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
     w_bar = cfg.get("w_bar", 1.0)
     mode = cfg.get("mode", "adversary")
     escape = cfg.get("escape", 1e6)
-    if mode not in ("adversary", "random"):
-        raise CliError("mode must be 'adversary' or 'random'")
     rows = []
     extras = []
     for L in Ls:
@@ -350,10 +367,12 @@ def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
                                       sim.episode_seed(seed, 0))
             extras = [_anchor_table("nonparam_duel", L, traj),
                       _trajectory_table("nonparam_duel", L, traj)]
-    return [{"name": "nonparam_duel",
+    table = {"name": "nonparam_duel",
              "columns": ["L", "mode", "seeds", "T", "escape_fraction",
                          "blowup_fraction", "median_sup", "max_sup"],
-             "rows": rows}] + extras
+             "rows": rows}
+    _print_table(table)
+    return [table] + extras
 
 
 def run_sampled_sweep(cfg: dict, seed: int) -> list[dict]:
@@ -364,8 +383,6 @@ def run_sampled_sweep(cfg: dict, seed: int) -> list[dict]:
     substeps = cfg.get("substeps", 64)
     seeds = cfg.get("seeds", 50)
     mode = cfg.get("mode", "random")
-    if mode not in ("adversary", "random"):
-        raise CliError("mode must be 'adversary' or 'random'")
     rows = []
     extras = []
     for L in Ls:
@@ -396,10 +413,12 @@ def run_sampled_sweep(cfg: dict, seed: int) -> list[dict]:
             rows.append([L, h, L * h, verdict.regime.value, mode, seeds,
                          report.blowup_fraction, float(np.max(sups)),
                          float("nan")])
-    return [{"name": "sampled_sweep",
+    table = {"name": "sampled_sweep",
              "columns": ["L", "h", "Lh", "regime", "mode", "seeds",
                          "blowup_fraction", "max_sup", "min_audit_multiplier"],
-             "rows": rows}] + extras
+             "rows": rows}
+    _print_table(table)
+    return [table] + extras
 
 
 def load_mjls_spec(path: str) -> MjlsSpec:
@@ -431,7 +450,7 @@ def load_mjls_spec(path: str) -> MjlsSpec:
         raise CliError(f"invalid jump-linear spec: {exc}")
 
 
-def run_mjls_solve(cfg: dict) -> tuple[dict, bool]:
+def run_mjls_solve(cfg: dict, seed: int) -> list[dict]:
     path = cfg.get("spec")
     if not path:
         raise CliError("mjls-solve needs --spec FILE")
@@ -448,13 +467,13 @@ def run_mjls_solve(cfg: dict) -> tuple[dict, bool]:
             print(f"K_{i + 1} =\n{sol.Ks[i]}")
             rows.append([i + 1, json.dumps(sol.Ms[i].tolist()),
                          json.dumps(sol.Ks[i].tolist()), sol.residual])
-    table = {"name": "mjls_solve",
+    indeterminate = result.status is riccati.SolveStatus.INDETERMINATE
+    return [{"name": "mjls_solve",
              "columns": ["mode", "M", "K", "residual"],
-             "rows": rows}
-    return table, result.status is riccati.SolveStatus.INDETERMINATE
+             "rows": rows, "indeterminate": indeterminate}]
 
 
-def run_mjls_run(cfg: dict, seed: int) -> tuple[dict, bool]:
+def run_mjls_run(cfg: dict, seed: int) -> list[dict]:
     path = cfg.get("spec")
     if not path:
         raise CliError("mjls-run needs --spec FILE")
@@ -481,8 +500,84 @@ def run_mjls_run(cfg: dict, seed: int) -> tuple[dict, bool]:
         print(f"final mean square: {report.mean_sq_curve[-1]:.6g}")
     table = {"name": "mjls_run",
              "columns": ["t", "mean_sq_state"],
-             "rows": rows, "downsample": True}
-    return table, indeterminate
+             "rows": rows, "downsample": True,
+             "indeterminate": indeterminate}
+    _print_table(table)
+    return [table]
+
+
+# ---------------------------------------------------------------------------
+# subcommands: one row per option
+
+
+_MODES = ("adversary", "random")
+
+SUBCOMMANDS = {
+    "parametric-sweep": Subcommand(
+        run_parametric_sweep,
+        "blowup fraction and regret growth of the adaptive minimum-variance "
+        "loop across growth exponents; the stabilizable/impossible switch "
+        "sits at b=4",
+        (Option("b", str, "exponents, 'lo:hi:step' or comma list"),
+         Option("seeds", int),
+         Option("T", int),
+         Option("unstable_T", int, "horizon used on the impossible side"),
+         Option("unstable_seeds", int),
+         Option("M", float),
+         Option("theta_mean", float),
+         Option("noise_var", float))),
+    "poly-check": Subcommand(
+        run_poly_check,
+        "negativity test of the characteristic polynomial attached to "
+        "decreasing regression exponents; a negative value inside (1, b_1) "
+        "certifies impossibility",
+        (Option("exponents", str, "comma list, decreasing"),)),
+    "highorder-check": Subcommand(
+        run_highorder_check,
+        "closed-form impossibility inequality for higher-order Lipschitz "
+        "uncertainty; at p=1 the threshold is 3/2+sqrt(2)",
+        (Option("L", float),
+         Option("p", int))),
+    "nonparam-duel": Subcommand(
+        run_nonparam_duel,
+        "switching nearest-neighbor controller against random Lipschitz "
+        "members or the greedy anchor-committing opponent",
+        (Option("L", str, "slope budgets, range or comma list"),
+         Option("seeds", int),
+         Option("T", int),
+         Option("w_bar", float),
+         Option("eps", float),
+         Option("mode", str, choices=_MODES),
+         Option("escape", float),
+         Option("n_anchors", int))),
+    "sampled-sweep": Subcommand(
+        run_sampled_sweep,
+        "sampled-data loop across slope budgets: certainty-equivalence "
+        "control against random members, or the escape audit against the "
+        "greedy opponent",
+        (Option("L", str, "slope bounds, range or comma list"),
+         Option("h", float),
+         Option("c", float),
+         Option("samples", int),
+         Option("substeps", int),
+         Option("seeds", int),
+         Option("mode", str, choices=_MODES))),
+    "mjls-solve": Subcommand(
+        run_mjls_solve,
+        "solve the coupled fixed-point equations whose positive-definite "
+        "solvability decides jump-linear stabilizability; prints M_i, K_i, "
+        "residual and verdict",
+        (Option("spec", str, "YAML file with P, A, B"),
+         Option("tol", float),
+         Option("max_iter", int))),
+    "mjls-run": Subcommand(
+        run_mjls_run,
+        "Monte Carlo of the jump-linear loop under the solved gain schedule; "
+        "emits the mean-square state curve",
+        (Option("spec", str, "YAML file with P, A, B"),
+         Option("T", int),
+         Option("seeds", int))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -523,131 +618,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "of feedback under structural uncertainty.")
     _add_global_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    p = sub.add_parser("parametric-sweep",
-                       help="blowup fraction and regret growth of the "
-                            "adaptive minimum-variance loop across growth "
-                            "exponents; the stabilizable/impossible switch "
-                            "sits at b=4")
-    p.add_argument("--b", help="exponents, 'lo:hi:step' or comma list")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--unstable-T", dest="unstable_T", type=int,
-                   help="horizon used on the impossible side")
-    p.add_argument("--unstable-seeds", dest="unstable_seeds", type=int)
-    p.add_argument("--M", type=float)
-    p.add_argument("--theta-mean", dest="theta_mean", type=float)
-    p.add_argument("--noise-var", dest="noise_var", type=float)
-
-    p = sub.add_parser("poly-check",
-                       help="negativity test of the characteristic "
-                            "polynomial attached to decreasing regression "
-                            "exponents; a negative value inside (1, b_1) "
-                            "certifies impossibility")
-    p.add_argument("--exponents", help="comma list, decreasing")
-
-    p = sub.add_parser("highorder-check",
-                       help="closed-form impossibility inequality for "
-                            "higher-order Lipschitz uncertainty; at p=1 the "
-                            "threshold is 3/2+sqrt(2)")
-    p.add_argument("--L", type=float)
-    p.add_argument("--p", type=int)
-
-    p = sub.add_parser("nonparam-duel",
-                       help="switching nearest-neighbor controller against "
-                            "random Lipschitz members or the greedy "
-                            "anchor-committing opponent")
-    p.add_argument("--L", help="slope budgets, range or comma list")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--w-bar", dest="w_bar", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--mode", choices=("adversary", "random"))
-    p.add_argument("--escape", type=float)
-    p.add_argument("--n-anchors", dest="n_anchors", type=int)
-
-    p = sub.add_parser("sampled-sweep",
-                       help="sampled-data loop across slope budgets: "
-                            "certainty-equivalence control against random "
-                            "members, or the escape audit against the "
-                            "greedy opponent")
-    p.add_argument("--L", help="slope bounds, range or comma list")
-    p.add_argument("--h", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--substeps", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--mode", choices=("adversary", "random"))
-
-    p = sub.add_parser("mjls-solve",
-                       help="solve the coupled fixed-point equations whose "
-                            "positive-definite solvability decides "
-                            "jump-linear stabilizability; prints M_i, K_i, "
-                            "residual and verdict")
-    p.add_argument("--spec", help="YAML file with P, A, B")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-
-    p = sub.add_parser("mjls-run",
-                       help="Monte Carlo of the jump-linear loop under the "
-                            "solved gain schedule; emits the mean-square "
-                            "state curve")
-    p.add_argument("--spec", help="YAML file with P, A, B")
-    p.add_argument("--T", type=int)
-    p.add_argument("--seeds", type=int)
-
-    for sp in sub.choices.values():
-        _add_global_options(sp, suppress=True)
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            # strings need no converter
+            p.add_argument("--" + opt.key.replace("_", "-"),
+                           type=None if opt.type is str else opt.type,
+                           choices=opt.choices, help=opt.help)
+        _add_global_options(p, suppress=True)
     return parser
-
-
-_FLAG_KEYS = {
-    "parametric-sweep": ("b", "seeds", "T", "unstable_T", "unstable_seeds",
-                         "M", "theta_mean", "noise_var"),
-    "poly-check": ("exponents",),
-    "highorder-check": ("L", "p"),
-    "nonparam-duel": ("L", "seeds", "T", "w_bar", "eps", "mode", "escape",
-                      "n_anchors"),
-    "sampled-sweep": ("L", "h", "c", "samples", "substeps", "seeds", "mode"),
-    "mjls-solve": ("spec", "tol", "max_iter"),
-    "mjls-run": ("spec", "T", "seeds"),
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    experiment = args.experiment
+    command = SUBCOMMANDS[args.experiment]
     try:
-        overrides = {k: getattr(args, k, None) for k in _FLAG_KEYS[experiment]}
-        cfg = load_config(args.config, experiment, overrides)
+        overrides = {opt.key: getattr(args, opt.key)
+                     for opt in command.options}
+        cfg = load_config(args.config, args.experiment, overrides)
         seed = resolve_seed(args.seed, cfg)
+        if args.every < 1:
+            raise CliError(f"--every must be at least 1, got {args.every}")
         opts = EmitOptions(out_dir=args.out, fmt=args.format, force=args.force,
-                           timestamp=not args.no_timestamp,
-                           every=max(1, args.every))
-        indeterminate = False
-        if experiment == "parametric-sweep":
-            tables = [run_parametric_sweep(cfg, seed)]
-        elif experiment == "poly-check":
-            tables = [run_poly_check(cfg)]
-        elif experiment == "highorder-check":
-            tables = [run_highorder_check(cfg)]
-        elif experiment == "nonparam-duel":
-            tables = run_nonparam_duel(cfg, seed)
-        elif experiment == "sampled-sweep":
-            tables = run_sampled_sweep(cfg, seed)
-        elif experiment == "mjls-solve":
-            table, indeterminate = run_mjls_solve(cfg)
-            tables = [table]
-        else:
-            table, indeterminate = run_mjls_run(cfg, seed)
-            tables = [table]
-        if experiment not in ("poly-check", "highorder-check", "mjls-solve"):
-            _print_table(tables[0]["columns"], tables[0]["rows"])
+                           timestamp=not args.no_timestamp, every=args.every)
+        tables = command.run(cfg, seed)
         for table in tables:
             for path in emit(table, opts):
                 print(f"wrote {path}")
-        if indeterminate and args.strict:
+        if args.strict and any(t.get("indeterminate") for t in tables):
             return EXIT_INDETERMINATE
         return EXIT_OK
     except (CliError, ConfigurationError, ValueError) as exc:

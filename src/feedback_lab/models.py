@@ -239,6 +239,12 @@ class SampledSpec:
     def __post_init__(self):
         if not (self.L > 0 and self.c > 0 and self.h > 0):
             raise ValueError("L, c and h must be positive")
+        # members draw slopes on [-L, L] and offsets on [-c, c]
+        for name in ("L", "c"):
+            value = getattr(self, name)
+            if not math.isfinite(2.0 * value):
+                raise ValueError(
+                    f"{name} must have a finite span 2{name}, got {value}")
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
 

@@ -53,6 +53,11 @@ class RandomMember:
     x_span: float = 10.0
     v0_span: float = 2.0
 
+    def __post_init__(self):
+        if self.n_anchors < 1:
+            raise ValueError(
+                f"n_anchors must be at least 1, got {self.n_anchors}")
+
 
 @dataclass(frozen=True)
 class RandomEnvelopeMember:
@@ -99,6 +104,8 @@ class NonparametricSystem:
     def __post_init__(self):
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L}")
+        if not math.isfinite(2.0 * self.L):  # members draw slopes on [-L, L]
+            raise ValueError(f"L must have a finite span 2L, got {self.L}")
         if not self.w_bar > 0:
             raise ValueError(f"w_bar must be positive, got {self.w_bar}")
         _require_finite(self, "y0", "y0_std")
@@ -154,6 +161,10 @@ class MvRlsControl:
 class SwitchingControl:
     eps: float | None = None  # None means 0.1 * w_bar
     y_star: float = 0.0
+
+    def __post_init__(self):
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive: {self.eps}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedback_lab import cli, riccati
 
@@ -127,6 +132,47 @@ class TestExitCodes:
         assert run_cli(["--strict", "mjls-solve", "--spec",
                         mjls_spec_file]) == 3
         assert run_cli(["mjls-solve", "--spec", mjls_spec_file]) == 0
+
+    SHORT = ["--T", "10", "--seeds", "2"]
+    SAMPLED = ["sampled-sweep", "--samples", "5", "--seeds", "2",
+               "--substeps", "2"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nonparam-duel", "--mode", "random", "--n-anchors", "0"] + SHORT,
+         "n_anchors must be at least 1"),
+        (["nonparam-duel", "--mode", "random", "--L", "inf"] + SHORT,
+         "L must have a finite span"),
+        (SAMPLED + ["--L", "inf"], "L must have a finite span"),
+        (SAMPLED + ["--c", "inf"], "c must have a finite span"),
+        (SAMPLED + ["--L", "1e308", "--c", "1e308"],
+         "L must have a finite span"),
+        (["nonparam-duel", "--eps", "-1"] + SHORT, "eps must be finite"),
+        (["nonparam-duel", "--eps", "0"] + SHORT, "eps must be finite"),
+        (["nonparam-duel", "--eps", "nan"] + SHORT, "eps must be finite"),
+        (["--every", "0", "poly-check"], "--every must be at least 1"),
+        (["poly-check", "--every", "-3"], "--every must be at least 1"),
+        (["nonparam-duel", "--L", ""] + SHORT, "value list '' is empty"),
+        (["parametric-sweep", "--b", ""] + SHORT, "value list '' is empty"),
+        (["nonparam-duel", "--L", "2:1:1"] + SHORT, "is empty"),
+        (["nonparam-duel", "--L", "nan:1:1"] + SHORT, "must be finite"),
+        (["nonparam-duel", "--L", "0:inf:1"] + SHORT, "must be finite"),
+    ], ids=["n_anchors_zero", "member_L_inf", "sampled_L_inf",
+            "sampled_c_inf", "sampled_span_overflows", "eps_negative",
+            "eps_zero", "eps_nan", "every_zero", "every_negative",
+            "empty_L", "empty_b", "empty_range", "range_nan",
+            "range_inf"])
+    def test_malformed_input_exits_2(self, argv, message, capsys):
+        assert run_cli(argv) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["nonparam-duel", "sampled-sweep"])
+    def test_mode_choices_checked_for_file_values(self, command, tmp_path,
+                                                  capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("mode: bogus\n")
+        assert run_cli(["--config", str(path), command]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: mode must be 'adversary' or 'random'\n")
 
 
 class TestMjlsSolve:
@@ -262,3 +308,214 @@ class TestSampledSweep:
                         "--samples", "50", "--seeds", "3"]) == 0
         out = capsys.readouterr().out
         assert "stabilizable" in out
+
+
+# (option_strings, dest, type name, choices, help) of every parser
+# action; the option table must declare exactly these
+GLOBAL_ACTIONS = [
+    (("-h", "--help"), "help", None, None, "show this help message and exit"),
+    (("--config",), "config", None, None,
+     "YAML config file; flags override it"),
+    (("--out",), "out", None, None, "output directory for result files"),
+    (("--format",), "format", None, ("csv", "json", "both"), None),
+    (("--seed",), "seed", "int", None,
+     "master seed (overrides $FEEDBACK_LAB_SEED)"),
+    (("--force",), "force", None, None, "overwrite existing output files"),
+    (("--no-timestamp",), "no_timestamp", None, None,
+     "omit the timestamp header from CSV output"),
+    (("--every",), "every", "int", None,
+     "down-sample emitted rows to every N-th"),
+    (("--strict",), "strict", None, None,
+     "exit 3 on indeterminate solver verdicts"),
+]
+
+SUBCOMMAND_HELP = {
+    "parametric-sweep": "blowup fraction and regret growth of the adaptive "
+                        "minimum-variance loop across growth exponents; the "
+                        "stabilizable/impossible switch sits at b=4",
+    "poly-check": "negativity test of the characteristic polynomial attached "
+                  "to decreasing regression exponents; a negative value "
+                  "inside (1, b_1) certifies impossibility",
+    "highorder-check": "closed-form impossibility inequality for "
+                       "higher-order Lipschitz uncertainty; at p=1 the "
+                       "threshold is 3/2+sqrt(2)",
+    "nonparam-duel": "switching nearest-neighbor controller against random "
+                     "Lipschitz members or the greedy anchor-committing "
+                     "opponent",
+    "sampled-sweep": "sampled-data loop across slope budgets: "
+                     "certainty-equivalence control against random members, "
+                     "or the escape audit against the greedy opponent",
+    "mjls-solve": "solve the coupled fixed-point equations whose "
+                  "positive-definite solvability decides jump-linear "
+                  "stabilizability; prints M_i, K_i, residual and verdict",
+    "mjls-run": "Monte Carlo of the jump-linear loop under the solved gain "
+                "schedule; emits the mean-square state curve",
+}
+
+MODES = ("adversary", "random")
+SPEC_HELP = "YAML file with P, A, B"
+SUBCOMMAND_ACTIONS = {
+    "parametric-sweep": [
+        (("--b",), "b", None, None, "exponents, 'lo:hi:step' or comma list"),
+        (("--seeds",), "seeds", "int", None, None),
+        (("--T",), "T", "int", None, None),
+        (("--unstable-T",), "unstable_T", "int", None,
+         "horizon used on the impossible side"),
+        (("--unstable-seeds",), "unstable_seeds", "int", None, None),
+        (("--M",), "M", "float", None, None),
+        (("--theta-mean",), "theta_mean", "float", None, None),
+        (("--noise-var",), "noise_var", "float", None, None),
+    ],
+    "poly-check": [
+        (("--exponents",), "exponents", None, None, "comma list, decreasing"),
+    ],
+    "highorder-check": [
+        (("--L",), "L", "float", None, None),
+        (("--p",), "p", "int", None, None),
+    ],
+    "nonparam-duel": [
+        (("--L",), "L", None, None, "slope budgets, range or comma list"),
+        (("--seeds",), "seeds", "int", None, None),
+        (("--T",), "T", "int", None, None),
+        (("--w-bar",), "w_bar", "float", None, None),
+        (("--eps",), "eps", "float", None, None),
+        (("--mode",), "mode", None, MODES, None),
+        (("--escape",), "escape", "float", None, None),
+        (("--n-anchors",), "n_anchors", "int", None, None),
+    ],
+    "sampled-sweep": [
+        (("--L",), "L", None, None, "slope bounds, range or comma list"),
+        (("--h",), "h", "float", None, None),
+        (("--c",), "c", "float", None, None),
+        (("--samples",), "samples", "int", None, None),
+        (("--substeps",), "substeps", "int", None, None),
+        (("--seeds",), "seeds", "int", None, None),
+        (("--mode",), "mode", None, MODES, None),
+    ],
+    "mjls-solve": [
+        (("--spec",), "spec", None, None, SPEC_HELP),
+        (("--tol",), "tol", "float", None, None),
+        (("--max-iter",), "max_iter", "int", None, None),
+    ],
+    "mjls-run": [
+        (("--spec",), "spec", None, None, SPEC_HELP),
+        (("--T",), "T", "int", None, None),
+        (("--seeds",), "seeds", "int", None, None),
+    ],
+}
+
+
+def _declared(action):
+    kind = action.type.__name__ if action.type is not None else None
+    return (tuple(action.option_strings), action.dest, kind, action.choices,
+            action.help)
+
+
+class TestParserDeclarations:
+    """Pins what argparse is told, not how it formats it: ``--help``
+    text varies with the Python version and ``COLUMNS``."""
+
+    @pytest.fixture
+    def parts(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return parser, sub
+
+    def test_global_options(self, parts):
+        parser, sub = parts
+        assert [_declared(a) for a in parser._actions
+                if a is not sub] == GLOBAL_ACTIONS
+
+    def test_subcommands_in_order_with_help(self, parts):
+        _, sub = parts
+        assert list(sub.choices) == list(SUBCOMMAND_HELP)
+        assert {a.dest: a.help for a in sub._choices_actions} == (
+            SUBCOMMAND_HELP)
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_ACTIONS))
+    def test_subcommand_options(self, parts, command):
+        _, sub = parts
+        actions = sub.choices[command]._actions
+        n = len(SUBCOMMAND_ACTIONS[command])
+        # -h first, then the experiment's options, then the global
+        # options again, defaulting to SUPPRESS so that they cannot
+        # clobber values parsed before the subcommand
+        assert _declared(actions[0]) == GLOBAL_ACTIONS[0]
+        assert [_declared(a) for a in actions[1:n + 1]] == (
+            SUBCOMMAND_ACTIONS[command])
+        assert [_declared(a) for a in actions[n + 1:]] == GLOBAL_ACTIONS[1:]
+        assert all(a.default is argparse.SUPPRESS for a in actions[n + 1:])
+
+
+# ---------------------------------------------------------------------------
+# fuzz: invocations generated from the option table
+
+SPEC, MISSING = "<spec>", "<missing>"
+# kind: (values that run, values that must be rejected).  Counts stay
+# at most 4, so every run is small, and value lists have at most three
+# points.
+FUZZ_VALUES = {
+    "count": (["1", "4"], ["0", "-3", "x"]),
+    "float": (["0.5", "2", "6"], ["0", "-1", "nan", "inf", "1e308", "x"]),
+    "list": (["0.5", "2,6", "0.5:1:0.25"],
+             ["", "0.5,inf", "1e308", "nan", "x", "1:0:1", "nan:1:1",
+              "0:inf:1", "1:2"]),
+    "mode": (["adversary", "random"], ["bogus"]),
+    "spec": ([SPEC], [MISSING]),
+}
+# counts that size a run: always given, so that every run stays small
+FUZZ_WORK = {"T", "seeds", "samples", "substeps", "unstable_T",
+             "unstable_seeds", "max_iter", "n_anchors"}
+# the one global option with values to reject, fuzzed like the others
+EVERY = cli.Option("every", int)
+
+
+def _kind(opt):
+    if opt.key in ("mode", "spec"):
+        return opt.key
+    return {int: "count", float: "float", str: "list"}[opt.type]
+
+
+@st.composite
+def _invocations(draw):
+    name = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+    options = cli.SUBCOMMANDS[name].options + (EVERY,)
+    # at most one value that must be rejected, so no earlier check masks
+    # the one under test
+    bad = draw(st.sampled_from((None,) + options))
+    argv = [name]
+    for opt in options:
+        if not (opt is bad or opt.key in FUZZ_WORK or draw(st.booleans())):
+            continue
+        good, hostile = FUZZ_VALUES[_kind(opt)]
+        argv += ["--" + opt.key.replace("_", "-"),
+                 draw(st.sampled_from(hostile if opt is bad else good))]
+    if draw(st.booleans()):
+        argv.append("--strict")
+    return argv
+
+
+class TestCliFuzz:
+    def test_exit_code_is_documented(self, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump(MJLS_SPEC))
+        paths = {SPEC: str(spec), MISSING: str(tmp_path / "missing.yaml")}
+        prefix = ["--out", str(tmp_path / "out"), "--force", "--no-timestamp",
+                  "--seed", "1"]
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(_invocations())
+        def check(argv):
+            argv = [paths.get(a, a) for a in argv]
+            log = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(log), \
+                        contextlib.redirect_stderr(log):
+                    code = cli.main(prefix + argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG,
+                            cli.EXIT_INDETERMINATE), (argv, log.getvalue())
+
+        check()

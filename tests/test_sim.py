@@ -156,10 +156,34 @@ class TestConfigurationErrors:
         ("w_bar", {"L": 1.0, "w_bar": 0.0}),
         ("y0", {"L": 1.0, "y0": math.nan}),
         ("y0_std", {"L": 1.0, "y0_std": math.inf}),
-    ], ids=["L_zero", "L_negative", "w_bar", "y0", "y0_std"])
+        ("L", {"L": math.inf}),
+        ("L", {"L": 1e308}),
+    ], ids=["L_zero", "L_negative", "w_bar", "y0", "y0_std", "L_inf",
+            "L_span_overflows"])
     def test_nonparametric_system_rejected_when_built(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             NonparametricSystem(**kwargs)
+
+    # a member needs an anchor, numpy cannot draw on [-v, v] once 2v
+    # overflows, and the switching controller needs a finite positive
+    # threshold
+    @pytest.mark.parametrize("field, make", [
+        ("n_anchors", lambda: RandomMember(n_anchors=0)),
+        ("L", lambda: SampledSpec(math.inf, 1.0, 1.0)),
+        ("c", lambda: SampledSpec(1.0, math.inf, 1.0)),
+        ("L", lambda: SampledSpec(1e308, 1.0, 1.0)),
+        ("c", lambda: SampledSpec(1.0, 1e308, 1.0)),
+        ("eps", lambda: SwitchingControl(eps=-1.0)),
+        ("eps", lambda: SwitchingControl(eps=0.0)),
+        ("eps", lambda: SwitchingControl(eps=math.nan)),
+        ("eps", lambda: SwitchingControl(eps=math.inf)),
+    ], ids=["n_anchors", "sampled_L_inf", "sampled_c_inf",
+            "sampled_L_span_overflows", "sampled_c_span_overflows",
+            "eps_negative", "eps_zero", "eps_nan", "eps_inf"])
+    def test_member_recipe_and_controller_rejected_when_built(self, field,
+                                                               make):
+        with pytest.raises(ValueError, match=field):
+            make()
 
     @pytest.mark.parametrize("field", ["x0", "x0_std"])
     def test_sampled_system_start_must_be_finite(self, field):
