@@ -84,8 +84,8 @@ def parametric_regime(b: float) -> RegimeVerdict:
     Stabilizable strictly below the critical exponent 4, impossible from
     it onward.
     """
-    if b < 0:
-        raise ValueError("growth exponent must be nonnegative")
+    if not 0 <= b < math.inf:
+        raise ValueError("growth exponent must be nonnegative and finite")
     boundary = abs(b - CRITICAL_EXPONENT) <= BOUNDARY_TOL
     if b >= CRITICAL_EXPONENT:
         return RegimeVerdict(Regime.IMPOSSIBLE, boundary, witness=b)
@@ -215,8 +215,8 @@ def highorder_impossible(L: float, p: int) -> RegimeVerdict:
     For p = 1 the condition reduces to L >= 3/2 + sqrt(2).  The witness
     is the signed distance between the two sides.
     """
-    if not L > 0:
-        raise ValueError("slope budget L must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError("slope budget L must be positive and finite")
     if p < 1:
         raise ValueError("order p must be at least 1")
     lhs = L + 0.5

@@ -34,6 +34,9 @@ EXIT_CONFIG = 2
 EXIT_INDETERMINATE = 3
 
 SEED_ENV_VAR = "FEEDBACK_LAB_SEED"
+# a lo:hi:step range holds at most this many points, far beyond any sweep;
+# it is checked before a point is built
+MAX_RANGE_POINTS = 10_000
 
 
 class CliError(Exception):
@@ -146,6 +149,9 @@ def parse_value_list(spec: str) -> list[float]:
             raise CliError(f"range bounds and step must be finite: {spec!r}")
         if step <= 0:
             raise CliError("range step must be positive")
+        if (hi - lo) / step >= MAX_RANGE_POINTS:
+            raise CliError(f"range {spec!r} has more than "
+                           f"{MAX_RANGE_POINTS} points")
         vals = []
         k = 0
         while True:

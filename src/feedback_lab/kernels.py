@@ -12,22 +12,24 @@ are the same bits.  The one difference is overflow: ``x ** b`` raises
 RLS kernel and in the model step operations that replay it; it never
 raises, and returns what float64 arithmetic gives.
 
-``mjls_episode`` keeps its numpy form: one 2-D product per matrix over
-every mode's prediction.
-
-The coupled Riccati solve (``riccati_solve``) copies ``A``, ``B`` and
-``P`` once into flat row-major lists of Python floats and iterates in
-scalar loops: its matrices are a few entries wide, where each numpy
-call costs more than the arithmetic.  Every product and sum keeps the
-left-to-right order of the matrix expression, ``(A_j' (p M_j)) A_j``
-summed over j in order, and at m = 1 the pseudo-inverse is 1/x in
-closed form, so 1 x 1 iterates are the bits the numpy route
-(``riccati.riccati_rhs``) gives.  From n = 2 on, a dot product summed
-in a scalar loop rounds differently from BLAS's small-matrix kernels
-(which may fuse multiply-adds), so iterates differ from that route in
-the last bits; in exchange they no longer depend on which BLAS kernel
-the CPU dispatches.  For m > 1 the pseudo-inverse still goes through
-LAPACK's SVD.
+The small-matrix kernels, ``riccati_solve`` and ``mjls_episode``, read
+their matrices once into lists of Python floats and work in scalar
+loops, where each numpy call would cost more than the arithmetic.
+Every sum accumulates left to right in an explicit loop: builtin
+``sum()`` over floats is compensated from Python 3.12 on.  From n = 2
+on, such a dot rounds differently from BLAS's small-matrix kernels
+(which may fuse multiply-adds), so results differ from the numpy routes
+in the last bits but do not depend on the CPU's BLAS dispatch.
+``riccati_solve`` keeps the order of the matrix expression,
+``(A_j' (p M_j)) A_j`` summed over j in order; at m = 1 its
+pseudo-inverse is 1/x in closed form, so 1 x 1 iterates are the bits
+of the numpy route (``riccati.riccati_rhs``), and for m > 1 it goes
+through LAPACK's SVD.  ``mjls_episode`` computes each mode's prediction
+``A_i x + B_i u`` once per step, one dot over the row ``[A_i | B_i]``
+and ``(x, u)``; the true step adds the noise to the current mode's,
+the next step's mode estimate reads the same predictions, and
+``mjls_step`` (replay) takes the same dot.  States and inputs go into
+flat ``array('d')`` buffers.
 
 Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
@@ -64,7 +66,9 @@ a guess, so trajectories, stores and reports do not depend on how the
 index was found.
 """
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -492,59 +496,82 @@ def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
 # ---------------------------------------------------------------------------
 # Markov jump linear episode with residual-matching mode estimation
 
+def _predict(rows, v):
+    # each row's dot with v, summed left to right
+    out = []
+    for row in rows:
+        s = 0.0
+        for a, b in zip(row, v):
+            s += a * b
+        out.append(s)
+    return out
+
+
 def mjls_step(Ai, Bi, x, u, w):
-    return Ai @ x + Bi @ u + w
+    """x' = A_i x + B_i u + w, summed in the order ``mjls_episode`` takes."""
+    rows = [a + b for a, b in zip(Ai.tolist(), Bi.tolist())]
+    pred = _predict(rows, x.tolist() + u.tolist())
+    return np.array([p + wk for p, wk in zip(pred, w.tolist())])
 
 
 def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
     T = W.shape[0]
-    N = A.shape[0]
     n = A.shape[1]
     m = B.shape[2]
-    # every mode's one-step prediction in one product per matrix
-    A2 = A.reshape(N * n, n)
-    B2 = B.reshape(N * n, m)
-    # most likely successor of each mode and the cumulative transition
-    # rows the mode draw bisects
-    succ = np.zeros(N, dtype=np.int64)
-    cum = np.zeros((N, N))
-    for i in range(N):
-        succ[i] = np.argmax(P[i])
-        cum[i] = np.cumsum(P[i])
-    X = np.zeros((T + 1, n))
-    U = np.zeros((T, m))
-    modes = np.zeros(T + 1, dtype=np.int64)
-    est = np.full(T + 1, -1, dtype=np.int64)
-    X[0] = x0
-    modes[0] = mode0
+    # each mode's rows [A_i | B_i]
+    rows = [[a + b for a, b in zip(Ai, Bi)]
+            for Ai, Bi in zip(A.tolist(), B.tolist())]
+    Kl = Kg.tolist()
+    Wl = W.tolist()
+    ul = munif.tolist()
+    # most likely successor (the first maximum) of each mode, and the
+    # running-sum rows the mode draw bisects, each ending in inf: a draw
+    # at or past a row's rounded total lands on the last mode
+    succ = [row.index(max(row)) for row in P.tolist()]
+    cum = [list(accumulate(row[:-1])) + [np.inf] for row in P.tolist()]
+    x = x0.tolist()
+    u = [0.0] * m
+    th = mode0
+    xs = array("d", x)
+    us = array("d")
+    modes = [th]
+    est = [-1]
     blow = -1
     for t in range(T):
         ihat = 0
         if t >= 1:
-            preds = (A2 @ X[t - 1] + B2 @ U[t - 1]).reshape(N, n)
-            bi = np.argmin(np.sum((X[t] - preds) ** 2, axis=1))
-            est[t] = bi
+            # residuals against the predictions made one step earlier
+            best = np.inf
+            bi = 0
+            for i, pred in enumerate(preds):
+                s = 0.0
+                for xk, pk in zip(x, pred):
+                    d = xk - pk
+                    s += d * d
+                if s < best:
+                    best = s
+                    bi = i
+            est.append(bi)
             ihat = succ[bi]
         if use_controller != 0:
-            U[t] = -(Kg[ihat] @ X[t])
-        th = modes[t]
-        x1 = mjls_step(A[th], B[th], X[t], U[t], W[t])
-        X[t + 1] = x1
-        if not np.max(np.abs(x1)) <= guard:
+            u = [-v for v in _predict(Kl[ihat], x)]
+        preds = [_predict(mode, x + u) for mode in rows]
+        x = [p + wk for p, wk in zip(preds[th], Wl[t])]
+        xs.extend(x)
+        us.extend(u)
+        if not all(abs(v) <= guard for v in x):
             blow = t + 1
             break
-        modes[t + 1] = min(np.searchsorted(cum[th], munif[t], side="right"),
-                           N - 1)
-    return X, U, modes, est, blow
+        th = bisect_right(cum[th], ul[t])
+        modes.append(th)
+    est += [-1] * (T + 1 - len(est))
+    return (_padded(xs, (T + 1) * n).reshape(T + 1, n),
+            _padded(us, T * m).reshape(T, m),
+            _padded(modes, T + 1).astype(np.int64), np.array(est), blow)
 
 
 # ---------------------------------------------------------------------------
 # coupled fixed-point solver for the jump-linear stabilizability equations
-
-def _floats(a):
-    # a row-major flat list of Python floats
-    return [float(v) for v in a.ravel()]
-
 
 def _svd_pinv(S, m, rtol):
     # Moore-Penrose inverse of the m x m matrix held row-major in S, by
@@ -556,7 +583,7 @@ def _svd_pinv(S, m, rtol):
         for a in range(m):
             if s[a] > cut:
                 pinv = pinv + (1.0 / s[a]) * np.outer(Vt[a], U[:, a])
-    return _floats(pinv)
+    return pinv.ravel().tolist()
 
 
 def _pinv(S, m, rtol):
@@ -584,9 +611,9 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     m = B.shape[2]
     nn = n * n
     nm = n * m
-    Af = _floats(A)
-    Bf = _floats(B)
-    Pf = _floats(P)
+    Af = A.ravel().tolist()
+    Bf = B.ravel().tolist()
+    Pf = P.ravel().tolist()
     Ms = [0.0] * (N * nn)
     for i in range(N):
         for a in range(n):
@@ -682,9 +709,7 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
             iters = k + 1
             break
     if status == 2:
-        lookback = 100
-        if max_iter < lookback + 1:
-            lookback = max_iter - 1
+        lookback = min(100, max_iter - 1)
         growing = lookback > 0
         for k in range(max_iter - lookback, max_iter):
             if hist[k] <= hist[k - 1]:

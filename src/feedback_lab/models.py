@@ -54,10 +54,10 @@ class PowerGrowthFn:
     b: float
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise ValueError("asymptotic gain M must be positive")
-        if self.b < 0:
-            raise ValueError("growth exponent b must be nonnegative")
+        if not 0 < self.M < math.inf:
+            raise ValueError("asymptotic gain M must be positive and finite")
+        if not 0 <= self.b < math.inf:
+            raise ValueError("growth exponent b must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

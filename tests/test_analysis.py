@@ -29,8 +29,9 @@ class TestParametricRegime:
         assert not v.boundary
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            parametric_regime(-0.1)
+        for b in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                parametric_regime(b)
 
 
 class TestCharacteristicPoly:
@@ -121,8 +122,9 @@ class TestHighorderImpossible:
         assert abs(hi - CRITICAL_RADIUS) <= 1e-9
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            highorder_impossible(0.0, 1)
+        for L in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                highorder_impossible(L, 1)
         with pytest.raises(ValueError):
             highorder_impossible(1.0, 0)
 

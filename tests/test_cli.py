@@ -44,6 +44,14 @@ class TestValueParsing:
         with pytest.raises(cli.CliError):
             cli.parse_value_list("1:2:-0.5")
 
+    def test_range_point_cap(self):
+        # counted before the loop: 1e15 points fail without being built
+        n = cli.MAX_RANGE_POINTS
+        assert len(cli.parse_value_list(f"0:{n - 1}:1")) == n
+        for spec in (f"0:{n}:1", "0:1e12:1e-3"):
+            with pytest.raises(cli.CliError, match="more than"):
+                cli.parse_value_list(spec)
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
@@ -156,11 +164,17 @@ class TestExitCodes:
         (["nonparam-duel", "--L", "2:1:1"] + SHORT, "is empty"),
         (["nonparam-duel", "--L", "nan:1:1"] + SHORT, "must be finite"),
         (["nonparam-duel", "--L", "0:inf:1"] + SHORT, "must be finite"),
+        (["parametric-sweep", "--b", "0:1e12:1e-3"] + SHORT,
+         "has more than 10000 points"),
+        (["parametric-sweep", "--b", "nan"] + SHORT,
+         "growth exponent must be nonnegative and finite"),
+        (["highorder-check", "--L", "inf"],
+         "slope budget L must be positive and finite"),
     ], ids=["n_anchors_zero", "member_L_inf", "sampled_L_inf",
             "sampled_c_inf", "sampled_span_overflows", "eps_negative",
             "eps_zero", "eps_nan", "every_zero", "every_negative",
             "empty_L", "empty_b", "empty_range", "range_nan",
-            "range_inf"])
+            "range_inf", "range_too_many_points", "b_nan", "highorder_L_inf"])
     def test_malformed_input_exits_2(self, argv, message, capsys):
         assert run_cli(argv) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err

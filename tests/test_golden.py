@@ -1,23 +1,30 @@
 """Golden digests: the sha256 of every ``--no-timestamp`` CSV of one small
 run of each subcommand that runs an episode kernel over anchor stores,
-nearest-neighbour histories or the RLS recurrence.
+nearest-neighbour histories, the RLS recurrence or the jump-linear loop.
 
 A change that moves a pin on purpose updates it and states the cause in
-CHANGES.md.  The parametric horizons stay below five regret checkpoints,
-so the least-squares regret fit (LAPACK) reads NaN and no pinned byte
-depends on the linear-algebra build.  ``mjls-run`` and ``mjls-solve``
-stay out for the same reason: ``mjls_episode`` multiplies through BLAS
-and multi-input solves take LAPACK's SVD, so their bytes can differ
-across CPUs and builds until those kernels run in scalar loops.
+CHANGES.md.  No pinned byte may depend on the linear-algebra build.  The
+parametric horizons stay below five regret checkpoints, so the
+least-squares regret fit (LAPACK) reads NaN.  ``mjls-run`` runs a
+one-state, one-input spec: its episode kernel and Riccati solve sum in
+scalar loops, and the gains ``pseudoinverse(S_bb) @ S_ab.T`` are
+products of 1 x 1 matrices, where BLAS has no sum to reorder and the
+SVD of [x] is |x|.  ``mjls-solve`` with more than one input stays out:
+its pseudo-inverse takes LAPACK's SVD of a larger matrix.
 """
 
 import hashlib
 
 import pytest
+import yaml
 
 from feedback_lab import cli
 
 SEED = "11"
+SPEC = "<spec>"
+# two scalar modes, one contracting and one expanding, both actuated
+MJLS_SPEC = {"P": [[0.7, 0.3], [0.4, 0.6]], "A": [[[0.5]], [[1.8]]],
+             "B": [[[1.0]], [[0.6]]]}
 
 RUNS = {
     "parametric-sweep": (
@@ -53,15 +60,23 @@ RUNS = {
          "6c7f7c5b4e6e715ffba87337fd308e581b3c395893f3dded5e826bd75d8bb700",
          "sampled_sweep_trajectory.csv":
          "c039a082faa9760d25fef6ac9de27be604fc380635aa81fa1cc41d42382b361f"}),
+    "mjls-run": (
+        ["mjls-run", "--spec", SPEC, "--T", "200", "--seeds", "6"],
+        {"mjls_run.csv":
+         "7f5f0edd2aba221051a1b5c23411ec5f74cf8c8a4cce90fe4ca03679820135f0"}),
 }
 
 
 @pytest.mark.parametrize("name", RUNS)
 def test_csv_bytes_match_the_pins(name, tmp_path):
     argv, pins = RUNS[name]
-    code = cli.main(argv + ["--seed", SEED, "--out", str(tmp_path),
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(MJLS_SPEC))
+    out = tmp_path / "out"
+    argv = [str(spec) if a == SPEC else a for a in argv]
+    code = cli.main(argv + ["--seed", SEED, "--out", str(out),
                             "--no-timestamp"])
     assert code == cli.EXIT_OK
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.iterdir())}
+               for p in sorted(out.iterdir())}
     assert digests == pins

@@ -4,8 +4,9 @@ Each kernel has one body, so the references live elsewhere: full-cone
 scans written here for the neighbour-only envelope and interval,
 linear-scan controllers (``recompute_input``) for the sorted-history
 nearest-neighbour choice, the model step operations (replay) for the
-states, the reference adversary for the duel's committed values, and
-``riccati_rhs`` for the fixed-point iterates.
+states, the reference adversary for the duel's committed values,
+``riccati_rhs`` for the fixed-point iterates, and the matrix-product
+route it replaced for the jump-linear episode.
 """
 
 import math
@@ -549,3 +550,158 @@ class TestEpisodeKernelsAgree:
             1e-10, 10000, 1e12, 1e-10)
         assert (status, iters) == (1, 1)
         assert math.isnan(Ms[0, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the jump-linear kernel against the numpy route it replaced
+
+def numpy_mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard,
+                       use_controller):
+    """``mjls_episode`` as matrix products: every mode's prediction
+    recomputed from the previous state and input, the estimate an argmin
+    over squared residuals, the mode draw a ``searchsorted``."""
+    T = W.shape[0]
+    N, n = A.shape[:2]
+    m = B.shape[2]
+    succ = np.argmax(P, axis=1)
+    cum = np.cumsum(P, axis=1)
+    X = np.zeros((T + 1, n))
+    U = np.zeros((T, m))
+    modes = np.zeros(T + 1, dtype=np.int64)
+    est = np.full(T + 1, -1, dtype=np.int64)
+    X[0] = x0
+    modes[0] = mode0
+    blow = -1
+    for t in range(T):
+        ihat = 0
+        if t >= 1:
+            preds = (A.reshape(N * n, n) @ X[t - 1]
+                     + B.reshape(N * n, m) @ U[t - 1]).reshape(N, n)
+            bi = np.argmin(np.sum((X[t] - preds) ** 2, axis=1))
+            est[t] = bi
+            ihat = succ[bi]
+        if use_controller != 0:
+            U[t] = -(Kg[ihat] @ X[t])
+        th = modes[t]
+        X[t + 1] = A[th] @ X[t] + B[th] @ U[t] + W[t]
+        if not np.max(np.abs(X[t + 1])) <= guard:
+            blow = t + 1
+            break
+        modes[t + 1] = min(np.searchsorted(cum[th], munif[t], side="right"),
+                           N - 1)
+    return X, U, modes, est, blow
+
+
+def mjls_specs():
+    """The benchmark's 3-mode, 3-state, fully actuated spec, a random
+    2-mode, 2-state, single-input spec, and that spec on a chain whose
+    most likely successor of each mode is the other mode."""
+    c, s = 0.7648, 0.6442
+    rng = np.random.default_rng(9)
+    A2 = rng.standard_normal((2, 2, 2)) * 0.4
+    B2 = rng.standard_normal((2, 2, 1))
+    return {
+        "n3_m3": MjlsSpec(
+            chain=MarkovChain(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
+                                        [0.1, 0.1, 0.8]])),
+            A=np.array([[[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]],
+                        [[1.2 * c, -1.2 * s, 0.0], [1.2 * s, 1.2 * c, 0.0],
+                         [0.0, 0.0, 0.9]],
+                        [[1.5, 0.2, 0.0], [0.0, 0.3, 0.1],
+                         [0.0, 0.0, -0.8]]]),
+            B=np.array([np.eye(3)] * 3),
+            noise=MartingaleDiffVector(1.0, 3.0, 3)),
+        "n2_m1": MjlsSpec(
+            chain=MarkovChain(np.array([[0.6, 0.4], [0.3, 0.7]])),
+            A=A2, B=B2, noise=MartingaleDiffVector(1.0, 3.0, 2)),
+        "n2_m1_switching": MjlsSpec(
+            chain=MarkovChain(np.array([[0.2, 0.8], [0.9, 0.1]])),
+            A=A2, B=B2, noise=MartingaleDiffVector(1.0, 3.0, 2)),
+    }
+
+
+def _mjls_args(spec, Kg, x0, seed, T, use_controller):
+    rng = np.random.default_rng(seed)
+    return (spec.A, spec.B, Kg, spec.chain.P, np.asarray(x0, dtype=float),
+            int(rng.integers(spec.n_modes)), rng.random(T),
+            rng.standard_normal((T, spec.n_states)), GUARD, use_controller)
+
+
+def _assert_same_episode(args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = numpy_mjls_episode(*args)
+    got = kernels.mjls_episode(*args)
+    for a, b in zip(got[:4], want[:4]):
+        assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(got[2], want[2])
+    assert np.array_equal(got[3], want[3])
+    assert got[4] == want[4]
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-10, atol=1e-13)
+    return got
+
+
+class TestMjlsScalarKernel:
+    @pytest.mark.parametrize("name", ["n3_m3", "n2_m1", "n2_m1_switching"])
+    def test_agrees_with_numpy_route(self, name):
+        # modes, estimates and blow step are the same; states agree to
+        # rounding, since BLAS and the scalar dot round differently
+        spec = mjls_specs()[name]
+        Kg = solve_coupled_riccati(spec).solution.Ks
+        for seed in range(8):
+            out = _assert_same_episode(
+                _mjls_args(spec, Kg, np.full(spec.n_states, 0.5), seed,
+                           500, 1))
+            assert out[4] == -1
+
+    def test_replays_on_benchmark_spec(self):
+        spec = mjls_specs()["n3_m3"]
+        controller = MjlsGainControl(solve_coupled_riccati(spec).solution)
+        system = MjlsSystem(spec=spec, x0=(0.5, -0.2, 0.1))
+        for seed in range(4):
+            traj, _ = run_episode(system, controller, None, 300, seed)
+            assert check_replay(traj)
+            for t in range(0, traj.inputs.shape[0], 7):
+                assert np.allclose(recompute_input(traj, t), traj.inputs[t],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_guard_trips_at_the_same_step(self):
+        # uncontrolled expanding modes cross the guard after ~300 steps
+        spec = MjlsSpec(chain=MarkovChain(np.array([[0.5, 0.5],
+                                                    [0.5, 0.5]])),
+                        A=np.array([[[3.0, 0.1], [0.0, 2.5]],
+                                    [[0.0, -3.0], [3.0, 0.0]]]),
+                        B=np.ones((2, 2, 1)),
+                        noise=MartingaleDiffVector(1.0, 2.0, 2))
+        Kg = np.zeros((2, 1, 2))
+        for seed in range(4):
+            out = _assert_same_episode(
+                _mjls_args(spec, Kg, (1.0, 1.0), seed, 1000, 0))
+            assert 200 < out[4] < 1000
+            assert not np.max(np.abs(out[0][out[4]])) <= GUARD
+            assert not out[1].any()
+        traj, _ = run_episode(MjlsSystem(spec=spec, x0=(1.0, 1.0)),
+                              T=1000, seed=3)
+        assert traj.blow_step is not None and check_replay(traj)
+
+    def test_nan_state_trips_the_guard(self):
+        # the first state's products overflow to +inf and -inf: their sum
+        # is NaN in the scalar dot, while a BLAS kernel that fuses the
+        # second multiply-add into the first product's infinity returns
+        # that infinity; either way the guard trips at step 1
+        spec = MjlsSpec(chain=MarkovChain(np.array([[1.0]])),
+                        A=np.array([[[1e300, -1e300], [0.0, 1.0]]]),
+                        B=np.ones((1, 2, 1)),
+                        noise=MartingaleDiffVector(1.0, 2.0, 2))
+        args = _mjls_args(spec, np.zeros((1, 1, 2)), (1e10, 1e10), 0, 20, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = numpy_mjls_episode(*args)
+        got = kernels.mjls_episode(*args)
+        assert got[4] == want[4] == 1
+        assert math.isnan(got[0][1, 0]) and not np.isfinite(want[0][1, 0])
+        assert np.array_equal(got[0][:, 1], want[0][:, 1])
+        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[3], want[3])
+        traj, _ = run_episode(MjlsSystem(spec=spec, x0=(1e10, 1e10)),
+                              T=20, seed=0)
+        assert traj.blow_step == 1 and check_replay(traj)

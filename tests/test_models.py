@@ -29,6 +29,13 @@ class TestEvalPower:
         # 2 * 2^3
         assert eval_power(PowerGrowthFn(2, 3), 2.0) == 16.0
 
+    @pytest.mark.parametrize("M, b", [(0.0, 2.0), (math.nan, 2.0),
+                                      (math.inf, 2.0), (1.0, -0.5),
+                                      (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_nonpositive_or_nonfinite(self, M, b):
+        with pytest.raises(ValueError, match="finite"):
+            PowerGrowthFn(M, b)
+
     def test_constant_gain_at_b_zero(self):
         f = PowerGrowthFn(3, 0)
         assert eval_power(f, 5.0) == 3.0
