@@ -21,15 +21,17 @@ on, such a dot rounds differently from BLAS's small-matrix kernels
 (which may fuse multiply-adds), so results differ from the numpy routes
 in the last bits but do not depend on the CPU's BLAS dispatch.
 ``riccati_solve`` keeps the order of the matrix expression,
-``(A_j' (p M_j)) A_j`` summed over j in order; at m = 1 its
-pseudo-inverse is 1/x in closed form, so 1 x 1 iterates are the bits
-of the numpy route (``riccati.riccati_rhs``), and for m > 1 it goes
-through LAPACK's SVD.  ``mjls_episode`` computes each mode's prediction
-``A_i x + B_i u`` once per step, one dot over the row ``[A_i | B_i]``
-and ``(x, u)``; the true step adds the noise to the current mode's,
-the next step's mode estimate reads the same predictions, and
-``mjls_step`` (replay) takes the same dot.  States and inputs go into
-flat ``array('d')`` buffers.
+``(A_j' (p M_j)) A_j`` summed over j in order (``_mode_sums``); at
+m = 1 its pseudo-inverse is 1/x in closed form, so 1 x 1 iterates are
+the bits of the numpy route (``riccati.riccati_rhs``), and for m > 1 it
+goes through LAPACK's SVD.  On convergence it returns, as a fifth
+element, the gains K_i = S_bb^+ S_ab' of the final iterate, from the
+same sums and pseudo-inverse (None otherwise).  ``mjls_episode``
+computes each mode's prediction ``A_i x + B_i u`` once per step, one
+dot over the row ``[A_i | B_i]`` and ``(x, u)``; the true step adds the
+noise to the current mode's, the next step's mode estimate reads the
+same predictions, and ``mjls_step`` (replay) takes the same dot.
+States and inputs go into flat ``array('d')`` buffers.
 
 Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
@@ -602,6 +604,54 @@ def _pinv(S, m, rtol):
     return [1.0 / x if s > 0.0 and s > rtol * s else 0.0]
 
 
+def _mode_sums(Af, Bf, Pf, Ms, i, N, n, m):
+    # S_aa = sum_j A_j' p_ij M_j A_j, S_ab = ... B_j and S_bb = B_j' ... B_j
+    # for mode i, each term in the order (A_j' (p M_j)) A_j and summed
+    # over j in order
+    nn = n * n
+    nm = n * m
+    S_aa = [0.0] * nn
+    S_ab = [0.0] * nm
+    S_bb = [0.0] * (m * m)
+    for j in range(N):
+        p = Pf[i * N + j]
+        oa = j * nn
+        ob = j * nm
+        pm = [p * Ms[oa + e] for e in range(nn)]
+        for a in range(n):
+            # row a of A_j' (p M_j), shared by S_aa and S_ab
+            row = [0.0] * n
+            for c in range(n):
+                s = 0.0
+                for r in range(n):
+                    s += Af[oa + r * n + a] * pm[r * n + c]
+                row[c] = s
+            for b in range(n):
+                s = 0.0
+                for c in range(n):
+                    s += row[c] * Af[oa + c * n + b]
+                S_aa[a * n + b] += s
+            for q in range(m):
+                s = 0.0
+                for c in range(n):
+                    s += row[c] * Bf[ob + c * m + q]
+                S_ab[a * m + q] += s
+        for q in range(m):
+            # row q of B_j' (p M_j)
+            row = [0.0] * n
+            for c in range(n):
+                s = 0.0
+                for r in range(n):
+                    s += Bf[ob + r * m + q] * pm[r * n + c]
+                row[c] = s
+            for q2 in range(m):
+                s = 0.0
+                for c in range(n):
+                    s += row[c] * Bf[ob + c * m + q2]
+                S_bb[q * m + q2] += s
+    return S_aa, S_ab, S_bb
+
+
 def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     # flat row-major lists of Python floats (see the module docstring);
     # every product and sum keeps the order of the matrix expression
@@ -625,45 +675,7 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     for k in range(max_iter):
         Mnew = [0.0] * (N * nn)
         for i in range(N):
-            S_aa = [0.0] * nn
-            S_ab = [0.0] * nm
-            S_bb = [0.0] * (m * m)
-            for j in range(N):
-                p = Pf[i * N + j]
-                oa = j * nn
-                ob = j * nm
-                pm = [p * Ms[oa + e] for e in range(nn)]
-                for a in range(n):
-                    # row a of A_j' (p M_j), shared by S_aa and S_ab
-                    row = [0.0] * n
-                    for c in range(n):
-                        s = 0.0
-                        for r in range(n):
-                            s += Af[oa + r * n + a] * pm[r * n + c]
-                        row[c] = s
-                    for b in range(n):
-                        s = 0.0
-                        for c in range(n):
-                            s += row[c] * Af[oa + c * n + b]
-                        S_aa[a * n + b] += s
-                    for q in range(m):
-                        s = 0.0
-                        for c in range(n):
-                            s += row[c] * Bf[ob + c * m + q]
-                        S_ab[a * m + q] += s
-                for q in range(m):
-                    # row q of B_j' (p M_j)
-                    row = [0.0] * n
-                    for c in range(n):
-                        s = 0.0
-                        for r in range(n):
-                            s += Bf[ob + r * m + q] * pm[r * n + c]
-                        row[c] = s
-                    for q2 in range(m):
-                        s = 0.0
-                        for c in range(n):
-                            s += row[c] * Bf[ob + c * m + q2]
-                        S_bb[q * m + q2] += s
+            S_aa, S_ab, S_bb = _mode_sums(Af, Bf, Pf, Ms, i, N, n, m)
             pinv = _pinv(S_bb, m, svd_rtol)
             G = [0.0] * nm
             for a in range(n):
@@ -717,7 +729,21 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
                 break
         if growing:
             status = 1
-    return np.array(Ms).reshape((N, n, n)), status, iters, delta
+    Ks = None
+    if status == 0:
+        # the gains K_i = S_bb^+ S_ab' of the final iterate
+        Ks = [0.0] * (N * nm)
+        for i in range(N):
+            _, S_ab, S_bb = _mode_sums(Af, Bf, Pf, Ms, i, N, n, m)
+            pinv = _pinv(S_bb, m, svd_rtol)
+            for q in range(m):
+                for a in range(n):
+                    s = 0.0
+                    for r in range(m):
+                        s += pinv[q * m + r] * S_ab[a * m + r]
+                    Ks[i * nm + q * n + a] = s
+        Ks = np.array(Ks).reshape((N, m, n))
+    return np.array(Ms).reshape((N, n, n)), status, iters, delta, Ks
 
 
 def warm_up():

@@ -9,11 +9,14 @@ A solution is N positive-definite matrices M_i satisfying, for each mode,
 with (.)^+ the Moore-Penrose inverse.  The solver iterates the
 fixed-point map from M_i = I; the loop lives in ``kernels``, on Python
 floats in scalar loops, with the pseudo-inverse in closed form at one
-input and by SVD beyond.  ``riccati_rhs`` and ``riccati_residual``
-re-evaluate the map with numpy matrix products and ``pseudoinverse``,
-independent of the solve path, so a claimed solution can always be
-checked against a second route: for scalar systems the two give the
-same bits, for larger ones they agree to rounding.
+input and by SVD beyond.  The kernel also returns the feedback gains
+K_i = S_bb^+ S_ab' of the converged iterate, formed in the same loops,
+so from two states on the gains do not go through BLAS products.
+``riccati_rhs`` and ``riccati_residual`` re-evaluate the map with numpy
+matrix products and ``pseudoinverse``, independent of the solve path,
+so a claimed solution can always be checked against a second route: for
+scalar systems the two give the same bits, for larger ones they agree
+to rounding.
 """
 
 from __future__ import annotations
@@ -110,20 +113,14 @@ def solve_coupled_riccati(spec: MjlsSpec, tol: float = DEFAULT_TOL,
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    Ms, status_code, iters, delta = kernels.riccati_solve(
+    Ms, status_code, iters, delta, Ks = kernels.riccati_solve(
         spec.A, spec.B, spec.chain.P, tol, max_iter, DIVERGENCE_GUARD,
         SVD_RTOL)
-    status = (SolveStatus.SOLVED, SolveStatus.NO_SOLUTION,
-              SolveStatus.INDETERMINATE)[status_code]
+    status = list(SolveStatus)[status_code]
     if status is not SolveStatus.SOLVED:
         return SolveResult(status, None, iters, float(delta))
-    Ks = np.zeros((spec.n_modes, spec.n_inputs, spec.n_states))
-    for i in range(spec.n_modes):
-        _, S_ab, S_bb = _mode_sums(Ms, spec, i)
-        Ks[i] = pseudoinverse(S_bb) @ S_ab.T
-    sol = RiccatiSolution(Ms=Ms, Ks=Ks, iterations=iters, residual=0.0)
-    res = riccati_residual(sol, spec)
-    sol = RiccatiSolution(Ms=Ms, Ks=Ks, iterations=iters, residual=res)
+    sol = RiccatiSolution(Ms=Ms, Ks=Ks, iterations=iters,
+                          residual=riccati_residual(Ms, spec))
     return SolveResult(status, sol, iters, float(delta))
 
 

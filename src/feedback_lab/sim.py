@@ -92,11 +92,20 @@ def _require_finite(spec, *names):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_member(f, L: float):
+    # a given f is an anchor table the kernels read, within the budget L
+    if f is not None and not isinstance(f, RealizedPiecewiseLinear):
+        raise ValueError(
+            f"f must be a RealizedPiecewiseLinear, got {type(f).__name__}")
+    if f is not None and not f.L <= L:
+        raise ValueError(f"f.L = {f.L} exceeds the system's L = {L}")
+
+
 @dataclass(frozen=True)
 class NonparametricSystem:
     L: float
     w_bar: float = 1.0
-    f: object | None = None  # realized function or plain callable
+    f: RealizedPiecewiseLinear | None = None
     member: RandomMember | None = None
     y0: float = 0.0
     y0_std: float = 0.0
@@ -109,6 +118,7 @@ class NonparametricSystem:
         if not self.w_bar > 0:
             raise ValueError(f"w_bar must be positive, got {self.w_bar}")
         _require_finite(self, "y0", "y0_std")
+        _require_member(self.f, self.L)
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,7 @@ class SampledSystem:
 
     def __post_init__(self):
         _require_finite(self, "x0", "x0_std")
+        _require_member(self.f, self.spec.L)
 
 
 @dataclass(frozen=True)
@@ -194,7 +205,6 @@ class SampledGreedyAdversary:
 class Outcome(Enum):
     BOUNDED = "bounded"
     BLOWUP = "blowup"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
@@ -205,7 +215,8 @@ class Trajectory:
     slot 0 is zero) and ``inputs[t]`` is the input applied at t.  Vector
     systems store 2-D arrays.  For adversarial episodes ``realized_f``
     is the single function consistent with the whole run and
-    ``committed`` the values chosen at the visited states.
+    ``committed`` the values chosen at the visited states (None in other
+    episodes).
     """
 
     kind: str
@@ -219,7 +230,6 @@ class Trajectory:
     modes: np.ndarray | None = None
     mode_estimates: np.ndarray | None = None
     committed: np.ndarray | None = None
-    adversarial: bool = False
     blow_step: int | None = None
     controller: object = None
 
@@ -293,26 +303,41 @@ def _abs_states(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(states * states, axis=1))
 
 
-def _regret(states: np.ndarray, noises: np.ndarray) -> float:
+def _regret_terms(states: np.ndarray, noises: np.ndarray) -> np.ndarray:
+    # the squared tracking error |y_t - w_t|^2 of steps 1..; a blow-up's
+    # final term can overflow, and counts 0
     with np.errstate(over="ignore", invalid="ignore"):
         d = states - noises
-        if d.ndim == 1:
-            terms = d[1:] ** 2
-        else:
-            terms = np.sum(d[1:] ** 2, axis=1)
-    return float(np.sum(terms[np.isfinite(terms)]))
+        terms = d[1:] ** 2 if d.ndim == 1 else np.sum(d[1:] ** 2, axis=1)
+    return np.where(np.isfinite(terms), terms, 0.0)
 
 
-def _verdict(states, noises, blow: int, T: int,
-             inconclusive: bool = False) -> EpisodeVerdict:
+def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
+             blow: int, committed=None, modes=None, mode_estimates=None,
+             **fields):
+    """The epilogue of every runner: cut the kernel's buffers at the blow
+    step, record them and judge the episode.
+
+    ``states``, ``noises``, ``modes`` and ``mode_estimates`` hold T + 1
+    entries, ``inputs`` and ``committed`` T; ``fields`` go to the
+    trajectory as they are.
+    """
+    end = blow + 1 if blow >= 0 else T + 1
+    states, noises = states[:end], noises[:end]
+    if modes is not None:
+        modes, mode_estimates = modes[:end], mode_estimates[:end]
+    traj = Trajectory(kind=kind, states=states, inputs=inputs[:end - 1],
+                      noises=noises, system=system, seed=seed,
+                      modes=modes, mode_estimates=mode_estimates,
+                      committed=None if committed is None else committed[:end - 1],
+                      blow_step=blow if blow >= 0 else None,
+                      controller=controller, **fields)
     a = _abs_states(states)
     sup = float(np.max(a[np.isfinite(a)]))
-    regret = _regret(states, noises)
-    if inconclusive:
-        return EpisodeVerdict(Outcome.INCONCLUSIVE, sup, regret, T, None)
+    regret = float(np.sum(_regret_terms(states, noises)))
     if blow >= 0:
-        return EpisodeVerdict(Outcome.BLOWUP, sup, regret, blow, blow)
-    return EpisodeVerdict(Outcome.BOUNDED, sup, regret, T, None)
+        return traj, EpisodeVerdict(Outcome.BLOWUP, sup, regret, blow, blow)
+    return traj, EpisodeVerdict(Outcome.BOUNDED, sup, regret, T, None)
 
 
 def random_lipschitz_member(L: float, member: RandomMember,
@@ -333,22 +358,15 @@ def random_envelope_member(L: float, c: float, member: RandomEnvelopeMember,
     v0 = rng.uniform(-c, c)
     xs = [0.0]
     vs = [v0]
-    v, xp = v0, 0.0
-    for xi in xs_pos:
-        v = v + rng.uniform(-L, L) * (xi - xp)
-        box = L * abs(xi) + c
-        v = min(max(v, -box), box)
-        xs.append(xi)
-        vs.append(v)
-        xp = xi
-    v, xp = v0, 0.0
-    for xi in xs_neg:
-        v = v + rng.uniform(-L, L) * (xp - xi)
-        box = L * abs(xi) + c
-        v = min(max(v, -box), box)
-        xs.append(xi)
-        vs.append(v)
-        xp = xi
+    for side in (xs_pos, xs_neg):  # each walk starts at the origin
+        v, xp = v0, 0.0
+        for xi in side:
+            v = v + rng.uniform(-L, L) * abs(xi - xp)
+            box = L * abs(xi) + c
+            v = min(max(v, -box), box)
+            xs.append(xi)
+            vs.append(v)
+            xp = xi
     order = np.argsort(xs)
     return RealizedPiecewiseLinear(np.asarray(xs)[order], np.asarray(vs)[order],
                                    L, Extension.MCSHANE_MIN)
@@ -373,16 +391,6 @@ def _uncontrolled(step, law, y0, theta, w, T: int):
     return ys, np.zeros(T), blow
 
 
-def _scalar_episode(kind, system, controller, seed, theta, ys, us, w, blow,
-                    T: int):
-    end = blow + 1 if blow >= 0 else T + 1
-    traj = Trajectory(kind=kind, states=ys[:end], inputs=us[:end - 1],
-                      noises=w[:end], system=system, seed=seed, theta=theta,
-                      blow_step=blow if blow >= 0 else None,
-                      controller=controller)
-    return traj, _verdict(ys[:end], w[:end], blow, T)
-
-
 def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = system.theta_mean + system.theta_std * rng.standard_normal()
@@ -399,8 +407,8 @@ def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
     else:
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a parametric system")
-    return _scalar_episode("parametric", system, controller, seed, theta, ys,
-                           us, w, blow, T)
+    return _episode("parametric", system, controller, seed, T, ys, us, w,
+                    blow, theta=theta)
 
 
 def _run_polynomial(system: PolynomialSystem, controller, T: int, seed: int):
@@ -413,8 +421,8 @@ def _run_polynomial(system: PolynomialSystem, controller, T: int, seed: int):
     w[0] = 0.0
     ys, us, blow = _uncontrolled(models.step_polynomial, system.regs,
                                  system.y0, theta, w, T)
-    return _scalar_episode("polynomial", system, controller, seed, theta, ys,
-                           us, w, blow, T)
+    return _episode("polynomial", system, controller, seed, T, ys, us, w,
+                    blow, theta=theta)
 
 
 def _run_nonparametric(system: NonparametricSystem, controller, adversary,
@@ -439,15 +447,9 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
         budget_c = adversary.budget_mult * system.w_bar
         ys, us, ws, vsc, axs, avs, _, blow = kernels.nonparam_duel(
             y0, system.L, system.w_bar, budget_c, eps, ystar, GUARD, T, use_ctl)
-        end = blow + 1 if blow >= 0 else T + 1
-        traj = Trajectory(kind="nonparametric", states=ys[:end],
-                          inputs=us[:end - 1], noises=ws[:end], system=system,
-                          seed=seed,
-                          realized_f=RealizedPiecewiseLinear(axs, avs, system.L),
-                          committed=vsc[:end - 1], adversarial=True,
-                          blow_step=blow if blow >= 0 else None,
-                          controller=controller)
-        return traj, _verdict(ys[:end], ws[:end], blow, T)
+        return _episode("nonparametric", system, controller, seed, T, ys, us,
+                        ws, blow, committed=vsc,
+                        realized_f=RealizedPiecewiseLinear(axs, avs, system.L))
 
     # fixed or randomly drawn member; draws happen in the order
     # (member if needed, y0 perturbation, noise)
@@ -457,61 +459,13 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
             raise ConfigurationError("either f, a member recipe, or an adversary is required")
         f = random_lipschitz_member(system.L, system.member, rng)
     y0 = system.y0 + system.y0_std * rng.standard_normal()
-    if isinstance(f, RealizedPiecewiseLinear):
-        raw = rng.uniform(-1.0, 1.0, T + 1)
-        raw[0] = 0.0
-        ys, us, blow = kernels.nonparam_fixed(
-            y0, f.xs, f.vs, f.L, f.ext_mode, raw, system.w_bar, eps, ystar,
-            GUARD, use_ctl)
-        ws = system.w_bar * raw
-        end = blow + 1 if blow >= 0 else T + 1
-        traj = Trajectory(kind="nonparametric", states=ys[:end],
-                          inputs=us[:end - 1], noises=ws[:end], system=system,
-                          seed=seed, realized_f=f,
-                          blow_step=blow if blow >= 0 else None,
-                          controller=controller)
-        return traj, _verdict(ys[:end], ws[:end], blow, T)
-
-    # plain callable: slow path, non-finite values are the caller's problem
-    # and yield an inconclusive verdict
-    ys = np.zeros(T + 1)
-    us = np.zeros(T)
-    ws = np.zeros(T + 1)
-    ys[0] = y0
-    hist = ctl.NnHistory()
-    y = y0
-    blow = -1
-    inconclusive = False
-    end = T + 1
-    for t in range(T):
-        if use_ctl and len(hist) > 0:
-            u = ctl.switching_control(hist, y, eps, ystar)
-        else:
-            u = 0.0
-        w = system.w_bar * rng.uniform(-1.0, 1.0)
-        fy = f(y)
-        if not np.isfinite(fy):
-            inconclusive = True
-            end = t + 1
-            break
-        y1 = fy + u + w
-        us[t] = u
-        ws[t + 1] = w
-        ys[t + 1] = y1
-        if y1 != y1 or y1 > GUARD or y1 < -GUARD:
-            blow = t + 1
-            break
-        hist.append(y, u, y1)
-        y = y1
-    if blow >= 0:
-        end = blow + 1
-    traj = Trajectory(kind="nonparametric", states=ys[:end], inputs=us[:end - 1],
-                      noises=ws[:end], system=system, seed=seed, realized_f=f,
-                      blow_step=blow if blow >= 0 else None,
-                      controller=controller)
-    horizon = end - 1 if inconclusive else T
-    return traj, _verdict(ys[:end], ws[:end], blow, horizon,
-                          inconclusive=inconclusive)
+    raw = rng.uniform(-1.0, 1.0, T + 1)
+    raw[0] = 0.0
+    ys, us, blow = kernels.nonparam_fixed(
+        y0, f.xs, f.vs, f.L, f.ext_mode, raw, system.w_bar, eps, ystar,
+        GUARD, use_ctl)
+    return _episode("nonparametric", system, controller, seed, T, ys, us,
+                    system.w_bar * raw, blow, realized_f=f)
 
 
 def _run_sampled(system: SampledSystem, controller, adversary, T: int,
@@ -535,14 +489,9 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
         xs, us, vsc, axs, avs, _, blow = kernels.sampled_duel(
             x0, spec.L, spec.c, spec.h, spec.substeps, kappa, T, GUARD,
             use_ctl)
-        end = blow + 1 if blow >= 0 else T + 1
-        traj = Trajectory(kind="sampled", states=xs[:end], inputs=us[:end - 1],
-                          noises=np.zeros(end), system=system, seed=seed,
-                          realized_f=RealizedPiecewiseLinear(axs, avs, spec.L),
-                          committed=vsc[:end - 1], adversarial=True,
-                          blow_step=blow if blow >= 0 else None,
-                          controller=controller)
-        return traj, _verdict(xs[:end], np.zeros(end), blow, T)
+        return _episode("sampled", system, controller, seed, T, xs, us,
+                        np.zeros(T + 1), blow, committed=vsc,
+                        realized_f=RealizedPiecewiseLinear(axs, avs, spec.L))
 
     f = system.f
     if f is None:
@@ -553,12 +502,8 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
     xs, us, blow = kernels.sampled_fixed(
         x0, f.xs, f.vs, f.L, f.ext_mode, spec.c, spec.h, spec.substeps,
         kappa, T, GUARD, use_ctl)
-    end = blow + 1 if blow >= 0 else T + 1
-    traj = Trajectory(kind="sampled", states=xs[:end], inputs=us[:end - 1],
-                      noises=np.zeros(end), system=system, seed=seed,
-                      realized_f=f, blow_step=blow if blow >= 0 else None,
-                      controller=controller)
-    return traj, _verdict(xs[:end], np.zeros(end), blow, T)
+    return _episode("sampled", system, controller, seed, T, xs, us,
+                    np.zeros(T + 1), blow, realized_f=f)
 
 
 def _run_mjls(system: MjlsSystem, controller, T: int, seed: int):
@@ -588,16 +533,11 @@ def _run_mjls(system: MjlsSystem, controller, T: int, seed: int):
     X, U, modes, est, blow = kernels.mjls_episode(
         spec.A, spec.B, Kg, spec.chain.P, x0, mode0 - 1, munif, W, GUARD,
         use_ctl)
-    end = blow + 1 if blow >= 0 else T + 1
-    noises = np.zeros((end, spec.n_states))
-    noises[1:] = W[:end - 1]
-    est_pub = np.where(est[:end] >= 0, est[:end] + 1, 0)
-    traj = Trajectory(kind="mjls", states=X[:end], inputs=U[:end - 1],
-                      noises=noises, system=system, seed=seed,
-                      modes=modes[:end] + 1, mode_estimates=est_pub,
-                      blow_step=blow if blow >= 0 else None,
-                      controller=controller)
-    return traj, _verdict(X[:end], noises, blow, T)
+    noises = np.zeros((T + 1, spec.n_states))
+    noises[1:] = W
+    return _episode("mjls", system, controller, seed, T, X, U, noises, blow,
+                    modes=modes + 1,
+                    mode_estimates=np.where(est >= 0, est + 1, 0))
 
 
 def run_episode(system: SystemSpec, controller=ZeroControl(),
@@ -612,21 +552,18 @@ def run_episode(system: SystemSpec, controller=ZeroControl(),
     # blowup episodes legitimately touch inf on their final transition;
     # the guard logic classifies those, so the fp warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(system, ParametricSystem):
-            if adversary is not None:
-                raise ConfigurationError("parametric episodes take no adversary")
-            return _run_parametric(system, controller, T, seed)
-        if isinstance(system, PolynomialSystem):
-            if adversary is not None:
-                raise ConfigurationError("polynomial episodes take no adversary")
-            return _run_polynomial(system, controller, T, seed)
         if isinstance(system, NonparametricSystem):
             return _run_nonparametric(system, controller, adversary, T, seed)
         if isinstance(system, SampledSystem):
             return _run_sampled(system, controller, adversary, T, seed)
+        if adversary is not None:
+            raise ConfigurationError(
+                f"{type(system).__name__} episodes take no adversary")
+        if isinstance(system, ParametricSystem):
+            return _run_parametric(system, controller, T, seed)
+        if isinstance(system, PolynomialSystem):
+            return _run_polynomial(system, controller, T, seed)
         if isinstance(system, MjlsSystem):
-            if adversary is not None:
-                raise ConfigurationError("jump-linear episodes take no adversary")
             return _run_mjls(system, controller, T, seed)
     raise ConfigurationError(f"unknown system type {type(system).__name__}")
 
@@ -641,14 +578,9 @@ def _episode_summary(cfg: McConfig, index: int):
                                 cfg.T, seed)
     regret_at = ()
     if cfg.checkpoints:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = traj.states - traj.noises
-            terms = d[1:] ** 2 if d.ndim == 1 else np.sum(d[1:] ** 2, axis=1)
-        terms = np.where(np.isfinite(terms), terms, 0.0)
-        csum = np.cumsum(terms)
-        regret_at = tuple(
-            float(csum[min(tc, csum.shape[0]) - 1]) if csum.shape[0] else 0.0
-            for tc in cfg.checkpoints)
+        csum = np.cumsum(_regret_terms(traj.states, traj.noises))
+        regret_at = tuple(float(csum[min(tc, csum.shape[0]) - 1])
+                          for tc in cfg.checkpoints)
     curve = None
     if cfg.collect_curve and verdict.outcome is Outcome.BOUNDED:
         a = _abs_states(traj.states)
@@ -662,14 +594,13 @@ def _episode_summary(cfg: McConfig, index: int):
 
 def _aggregate(cfg: McConfig, n_seeds: int, summaries, curves) -> McReport:
     summaries = sorted(summaries, key=lambda s: s.index)
-    n_blow = sum(1 for s in summaries if s.outcome is Outcome.BLOWUP)
-    n_bounded = sum(1 for s in summaries if s.outcome is Outcome.BOUNDED)
-    frac = n_blow / n_seeds
+    good = [s for s in summaries if s.outcome is Outcome.BOUNDED]
+    n_bounded = len(good)
+    frac = (len(summaries) - n_bounded) / n_seeds
     half = 1.96 * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_seeds)
     regret_rows: list[tuple[int, float]] = []
     regret_half: list[float] = []
     if cfg.checkpoints:
-        good = [s for s in summaries if s.outcome is Outcome.BOUNDED]
         for k, tc in enumerate(cfg.checkpoints):
             if good:
                 vals = np.array([s.regret_at[k] for s in good])
@@ -759,14 +690,9 @@ def growth_rate_audit(traj: Trajectory) -> GrowthAudit:
         return GrowthAudit(np.empty(0), np.empty(0))
     a = _abs_states(traj.states)
     a = a[np.isfinite(a)]
-    ratios = []
-    for k in range(a.shape[0] - 1):
-        if a[k] > 1.0 and a[k + 1] > 1.0:
-            ratios.append(math.log(a[k + 1]) / math.log(a[k]))
-    mults = []
-    for k in range(a.shape[0] - 1):
-        if a[k] > 0.0:
-            mults.append(a[k + 1] / a[k])
+    pairs = list(zip(a[:-1], a[1:]))
+    ratios = [math.log(y) / math.log(x) for x, y in pairs if x > 1.0 and y > 1.0]
+    mults = [y / x for x, y in pairs if x > 0.0]
     return GrowthAudit(np.array(ratios), np.array(mults))
 
 

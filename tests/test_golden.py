@@ -6,11 +6,10 @@ A change that moves a pin on purpose updates it and states the cause in
 CHANGES.md.  No pinned byte may depend on the linear-algebra build.  The
 parametric horizons stay below five regret checkpoints, so the
 least-squares regret fit (LAPACK) reads NaN.  ``mjls-run`` runs a
-one-state, one-input spec: its episode kernel and Riccati solve sum in
-scalar loops, and the gains ``pseudoinverse(S_bb) @ S_ab.T`` are
-products of 1 x 1 matrices, where BLAS has no sum to reorder and the
-SVD of [x] is |x|.  ``mjls-solve`` with more than one input stays out:
-its pseudo-inverse takes LAPACK's SVD of a larger matrix.
+one-state and a two-state spec, each with one input: the episode
+kernel, the Riccati solve and its gains all sum in scalar loops, and at
+one input the pseudo-inverse is 1/x in closed form.  ``mjls-solve`` with
+more than one input stays out: its pseudo-inverse takes LAPACK's SVD.
 """
 
 import hashlib
@@ -21,10 +20,16 @@ import yaml
 from feedback_lab import cli
 
 SEED = "11"
-SPEC = "<spec>"
-# two scalar modes, one contracting and one expanding, both actuated
-MJLS_SPEC = {"P": [[0.7, 0.3], [0.4, 0.6]], "A": [[[0.5]], [[1.8]]],
-             "B": [[[1.0]], [[0.6]]]}
+SPECS = {
+    # two scalar modes, one contracting and one expanding, both actuated
+    "<spec>": {"P": [[0.7, 0.3], [0.4, 0.6]], "A": [[[0.5]], [[1.8]]],
+               "B": [[[1.0]], [[0.6]]]},
+    # two modes of two states driven through one input; the second mode
+    # is unstable open loop
+    "<spec2>": {"P": [[0.7, 0.3], [0.4, 0.6]],
+                "A": [[[0.6, 0.3], [0.0, 0.9]], [[1.1, 0.0], [0.2, 0.7]]],
+                "B": [[[1.0], [0.5]], [[0.0], [1.0]]]},
+}
 
 RUNS = {
     "parametric-sweep": (
@@ -61,19 +66,25 @@ RUNS = {
          "sampled_sweep_trajectory.csv":
          "c039a082faa9760d25fef6ac9de27be604fc380635aa81fa1cc41d42382b361f"}),
     "mjls-run": (
-        ["mjls-run", "--spec", SPEC, "--T", "200", "--seeds", "6"],
+        ["mjls-run", "--spec", "<spec>", "--T", "200", "--seeds", "6"],
         {"mjls_run.csv":
          "7f5f0edd2aba221051a1b5c23411ec5f74cf8c8a4cce90fe4ca03679820135f0"}),
+    "mjls-run-two-states": (
+        ["mjls-run", "--spec", "<spec2>", "--T", "200", "--seeds", "6"],
+        {"mjls_run.csv":
+         "17f38b6fc362ee1f240dbe28e41809d5d72e5ace9f6df04efc97180dc428c824"}),
 }
 
 
 @pytest.mark.parametrize("name", RUNS)
 def test_csv_bytes_match_the_pins(name, tmp_path):
     argv, pins = RUNS[name]
-    spec = tmp_path / "spec.yaml"
-    spec.write_text(yaml.safe_dump(MJLS_SPEC))
+    paths = {}
+    for key, spec in SPECS.items():
+        paths[key] = tmp_path / f"spec{len(paths)}.yaml"
+        paths[key].write_text(yaml.safe_dump(spec))
     out = tmp_path / "out"
-    argv = [str(spec) if a == SPEC else a for a in argv]
+    argv = [str(paths.get(a, a)) for a in argv]
     code = cli.main(argv + ["--seed", SEED, "--out", str(out),
                             "--no-timestamp"])
     assert code == cli.EXIT_OK

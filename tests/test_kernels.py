@@ -5,8 +5,9 @@ scans written here for the neighbour-only envelope and interval,
 linear-scan controllers (``recompute_input``) for the sorted-history
 nearest-neighbour choice, the model step operations (replay) for the
 states, the reference adversary for the duel's committed values,
-``riccati_rhs`` for the fixed-point iterates, and the matrix-product
-route it replaced for the jump-linear episode.
+``riccati_rhs`` for the fixed-point iterates and the matrix-product
+gains for the solver's gains, and the matrix-product route it replaced
+for the jump-linear episode.
 """
 
 import math
@@ -24,11 +25,38 @@ from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
                           check_replay, controllers, kernels, models,
                           recompute_input, riccati_rhs, run_episode,
                           solve_coupled_riccati)
-from feedback_lab.riccati import SVD_RTOL
+from feedback_lab.riccati import (DEFAULT_MAX_ITER, DEFAULT_TOL,
+                                   DIVERGENCE_GUARD, SVD_RTOL, _mode_sums,
+                                   pseudoinverse)
 from feedback_lab.sim import (RandomEnvelopeMember, RandomMember,
                               random_envelope_member, random_lipschitz_member)
 
 GUARD = 1e150
+
+# Riccati specs beyond one state: (P, A, B, status, iterations)
+VECTOR_SPECS = [
+    # two states, one input
+    ([[0.7, 0.3], [0.4, 0.6]],
+     [[[0.6, 0.3], [0.0, 0.9]], [[1.1, 0.0], [0.2, 0.7]]],
+     [[[1.0], [0.5]], [[0.0], [1.0]]], 0, 80),
+    # the benchmark's jump-linear shape: three modes, three states, full
+    # actuation
+    ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+     [[[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]],
+      [[1.2 * 0.7648, -1.2 * 0.6442, 0.0],
+       [1.2 * 0.6442, 1.2 * 0.7648, 0.0], [0.0, 0.0, 0.9]],
+      [[1.5, 0.2, 0.0], [0.0, 0.3, 0.1], [0.0, 0.0, -0.8]]],
+     [np.eye(3).tolist()] * 3, 0, 19),
+]
+VECTOR_SPEC_IDS = ["n2_m1", "n3_m3"]
+
+
+def numpy_gains(Ms, spec):
+    """The gains as the numpy route forms them: S_bb^+ S_ab' from matrix
+    products and the SVD pseudo-inverse."""
+    return np.array([pseudoinverse(S_bb) @ S_ab.T
+                     for _, S_ab, S_bb in (_mode_sums(Ms, spec, i)
+                                           for i in range(spec.n_modes))])
 
 
 def anchors(seed=0, n=12, L=2.0, span=8.0):
@@ -514,20 +542,8 @@ class TestEpisodeKernelsAgree:
                     compared += 1
         assert compared == 600
 
-    @pytest.mark.parametrize("P, A, B, status, iters", [
-        # two states, one input
-        ([[0.7, 0.3], [0.4, 0.6]],
-         [[[0.6, 0.3], [0.0, 0.9]], [[1.1, 0.0], [0.2, 0.7]]],
-         [[[1.0], [0.5]], [[0.0], [1.0]]], 0, 80),
-        # the benchmark's jump-linear shape: three modes, three states,
-        # full actuation
-        ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
-         [[[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]],
-          [[1.2 * 0.7648, -1.2 * 0.6442, 0.0],
-           [1.2 * 0.6442, 1.2 * 0.7648, 0.0], [0.0, 0.0, 0.9]],
-          [[1.5, 0.2, 0.0], [0.0, 0.3, 0.1], [0.0, 0.0, -0.8]]],
-         [np.eye(3).tolist()] * 3, 0, 19),
-    ], ids=["n2_m1", "n3_m3"])
+    @pytest.mark.parametrize("P, A, B, status, iters", VECTOR_SPECS,
+                             ids=VECTOR_SPEC_IDS)
     def test_riccati_vector_states(self, P, A, B, status, iters):
         # from n = 2 on, the scalar loops and the reference's BLAS products
         # round differently, so the iterates agree to rounding only
@@ -545,11 +561,47 @@ class TestEpisodeKernelsAgree:
 
     def test_riccati_overflowing_iterate_diverges(self):
         # inf - inf makes the first iterate NaN, which no norm exceeds
-        Ms, status, iters, delta = kernels.riccati_solve(
+        Ms, status, iters, delta, Ks = kernels.riccati_solve(
             np.array([[[1e200]]]), np.ones((1, 1, 1)), np.ones((1, 1)),
             1e-10, 10000, 1e12, 1e-10)
-        assert (status, iters) == (1, 1)
+        assert (status, iters, Ks) == (1, 1, None)
         assert math.isnan(Ms[0, 0, 0])
+
+    def test_riccati_gains_on_criterion_6_grid(self):
+        # scalar systems: the gains are the bits of the numpy route's
+        # S_bb^+ S_ab' at the converged iterate; unsolved points have none
+        solved = 0
+        for delta in np.linspace(0.0, 3.0, 20):
+            for k in range(20):
+                p12 = (k + 0.5) / 20.0
+                chain = MarkovChain(np.array([[1 - p12, p12], [p12, 1 - p12]]))
+                spec = MjlsSpec(chain=chain, A=np.array([[[0.0]], [[delta]]]),
+                                B=np.ones((2, 1, 1)),
+                                noise=MartingaleDiffVector(1.0, 1.0, 1))
+                Ms, status, _, _, Ks = kernels.riccati_solve(
+                    spec.A, spec.B, spec.chain.P, DEFAULT_TOL,
+                    DEFAULT_MAX_ITER, DIVERGENCE_GUARD, SVD_RTOL)
+                if status != 0:
+                    assert Ks is None
+                    continue
+                assert Ks.tobytes() == numpy_gains(Ms, spec).tobytes()
+                solved += 1
+        assert 100 < solved < 400
+
+    @pytest.mark.parametrize("P, A, B, status, iters", VECTOR_SPECS,
+                             ids=VECTOR_SPEC_IDS)
+    def test_riccati_gains_vector_states(self, P, A, B, status, iters):
+        # from n = 2 on the scalar loops and BLAS round differently
+        P, A, B = np.array(P), np.array(A), np.array(B)
+        n = A.shape[1]
+        spec = MjlsSpec(chain=MarkovChain(P), A=A, B=B,
+                        noise=MartingaleDiffVector(1.0, float(n), n))
+        Ms, status, _, _, Ks = kernels.riccati_solve(
+            A, B, P, DEFAULT_TOL, DEFAULT_MAX_ITER, DIVERGENCE_GUARD,
+            SVD_RTOL)
+        assert status == 0 and Ks.shape == B.transpose(0, 2, 1).shape
+        np.testing.assert_allclose(Ks, numpy_gains(Ms, spec), rtol=1e-10,
+                                   atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from feedback_lab import (GreedyAdversary, MarkovChain, MartingaleDiffVector,
                           MvRlsControl, NonparametricSystem, Outcome,
                           ParametricSystem, PolynomialSystem, PolyRegressors,
                           PowerGrowthFn, RandomEnvelopeMember, RandomMember,
+                          RealizedPiecewiseLinear,
                           SampledCeControl, SampledGreedyAdversary,
                           SampledSpec, SampledSystem, SwitchingControl,
                           Trajectory, ZeroControl, check_replay,
@@ -48,6 +49,20 @@ ALL_EPISODES = [
     ("sampled-duel", lambda: (SampledSystem(spec=SampledSpec(1.0, 1.0, 8.0)),
                               SampledCeControl(), SampledGreedyAdversary(), 20)),
     ("mjls", lambda: (*mjls_pieces(), None, 300)[0:2] + (None, 300)),
+]
+
+
+# (name, make, seed, blows up): every runner at a bounded seed, and a
+# blow-up of the parametric, nonparametric duel and sampled duel runners
+EPILOGUE_CASES = [(name, make, 0, False) for name, make in ALL_EPISODES] + [
+    ("parametric-blowup", lambda: (param_system(5.0), MvRlsControl(), None,
+                                   200), 12, True),
+    ("nonparam-duel-blowup", lambda: (NonparametricSystem(L=6.0, y0_std=1.0),
+                                      SwitchingControl(), GreedyAdversary(),
+                                      500), 0, True),
+    ("sampled-duel-blowup", lambda: (SampledSystem(
+        spec=SampledSpec(1.0, 1.0, 8.0)), SampledCeControl(),
+        SampledGreedyAdversary(), 48), 0, True),
 ]
 
 
@@ -120,6 +135,31 @@ class TestDeterminism:
         assert not np.array_equal(t1.states, t2.states)
 
 
+class TestEpisodeEpilogue:
+    """Every runner ends in one epilogue that cuts the kernel's buffers at
+    the blow step: the record lines up and the verdict's horizon is the
+    blow step or T."""
+
+    @pytest.mark.parametrize("name,make,seed,blows", EPILOGUE_CASES,
+                             ids=[case[0] for case in EPILOGUE_CASES])
+    def test_record_lines_up(self, name, make, seed, blows):
+        system, controller, adversary, T = make()
+        traj, verdict = run_episode(system, controller, adversary, T, seed)
+        assert (traj.blow_step is not None) == blows
+        assert verdict.blow_step == traj.blow_step
+        assert verdict.horizon == (traj.blow_step if blows else T)
+        n = len(traj.states)
+        assert n == verdict.horizon + 1
+        assert len(traj.inputs) == n - 1
+        assert len(traj.noises) == n
+        if adversary is None:
+            assert traj.committed is None
+        else:
+            assert len(traj.committed) == len(traj.inputs)
+        if traj.kind == "mjls":
+            assert len(traj.modes) == len(traj.mode_estimates) == n
+
+
 class TestConfigurationErrors:
     def test_controller_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -158,8 +198,13 @@ class TestConfigurationErrors:
         ("y0_std", {"L": 1.0, "y0_std": math.inf}),
         ("L", {"L": math.inf}),
         ("L", {"L": 1e308}),
+        ("f", {"L": 1.0, "f": lambda y: 0.5 * y}),
+        ("f", {"L": 1.0, "f": PiecewiseLinearFn(L=1.0)}),
+        ("f.L", {"L": 1.0, "f": RealizedPiecewiseLinear(
+            np.array([0.0, 1.0]), np.array([0.0, 0.5]), 10.0)}),
     ], ids=["L_zero", "L_negative", "w_bar", "y0", "y0_std", "L_inf",
-            "L_span_overflows"])
+            "L_span_overflows", "f_callable", "f_unrealized",
+            "f_L_beyond"])
     def test_nonparametric_system_rejected_when_built(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             NonparametricSystem(**kwargs)
@@ -185,11 +230,16 @@ class TestConfigurationErrors:
         with pytest.raises(ValueError, match=field):
             make()
 
-    @pytest.mark.parametrize("field", ["x0", "x0_std"])
-    def test_sampled_system_start_must_be_finite(self, field):
+    @pytest.mark.parametrize("field, kwargs", [
+        ("x0", {"x0": math.nan}),
+        ("x0_std", {"x0_std": math.nan}),
+        ("f", {"f": PiecewiseLinearFn(L=1.0)}),
+        ("f.L", {"f": RealizedPiecewiseLinear(
+            np.array([0.0, 1.0]), np.array([0.0, 1.5]), 1.5)}),
+    ], ids=["x0", "x0_std", "f_unrealized", "f_L_beyond"])
+    def test_sampled_system_rejected_when_built(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
-            SampledSystem(spec=SampledSpec(1.0, 1.0, 1.0),
-                          **{field: math.nan})
+            SampledSystem(spec=SampledSpec(1.0, 1.0, 1.0), **kwargs)
 
 
 class TestCausality:
@@ -385,19 +435,6 @@ class TestMjlsClosedLoop:
         if rep.blowup_fraction == 0.0:
             assert float(np.mean(rep.mean_sq_curve[-100:])) > \
                 4.0 * float(np.mean(with_ctl.mean_sq_curve[-100:]))
-
-
-class TestInconclusive:
-    def test_callable_nan_is_inconclusive(self):
-        calls = {"n": 0}
-
-        def bad(_):
-            calls["n"] += 1
-            return float("nan") if calls["n"] > 3 else 0.0
-
-        system = NonparametricSystem(L=1.0, f=bad)
-        traj, verdict = run_episode(system, SwitchingControl(), None, 50, 0)
-        assert verdict.outcome is Outcome.INCONCLUSIVE
 
 
 class TestRandomMembers:
