@@ -9,10 +9,8 @@ stabilizability through coupled fixed-point equations.
 """
 
 from ._accel import backend_name
-from .adversary import (Extension, HighOrderAnchors, LinearFn,
-                        PiecewiseLinearFn, RealizedPiecewiseLinear,
-                        adversary_choose, feasible_interval,
-                        highorder_feasible_interval, realize,
+from .adversary import (Extension, PiecewiseLinearFn, RealizedPiecewiseLinear,
+                        adversary_choose, feasible_interval, realize,
                         SampledAdversaryState, sampled_adversary_choose)
 from .analysis import (CharPoly, CRITICAL_EXPONENT, CRITICAL_RADIUS, Regime,
                        RegimeVerdict, SAMPLED_IMPOSSIBLE_LH,
@@ -27,9 +25,8 @@ from .controllers import (MjlsControllerState, NnHistory, RlsState,
 from .models import (GUARD, ConfigurationError, GaussianIID, MarkovChain,
                      MartingaleDiffVector, MjlsSpec, Overflow,
                      PolyRegressors, PowerGrowthFn, SampledSpec, eval_power,
-                     integrate_sampled, markov_next, step_highorder,
-                     step_mjls, step_nonparametric, step_parametric,
-                     step_polynomial)
+                     integrate_sampled, markov_next, step_mjls,
+                     step_nonparametric, step_parametric, step_polynomial)
 from .riccati import (RiccatiSolution, SolveResult, SolveStatus,
                       pseudoinverse, riccati_residual, riccati_rhs,
                       solve_coupled_riccati)

@@ -39,19 +39,6 @@ class InconsistentAnchors(ValueError):
     """A committed value violates the Lipschitz budget against the store."""
 
 
-def slopes_exceed(xs: np.ndarray, vs: np.ndarray, L: float) -> bool:
-    """Whether an adjacent difference quotient of sorted anchors exceeds L.
-
-    The tolerance scales with the values' magnitude, so realizations of
-    far-escaped runs are not rejected on last-bit rounding.
-    """
-    if xs.shape[0] < 2:
-        return False
-    dv = np.abs(np.diff(vs))
-    scale = np.maximum(1.0, np.maximum(np.abs(vs[:-1]), np.abs(vs[1:])))
-    return bool(np.any(dv > L * np.diff(xs) + 1e-9 * scale))
-
-
 @dataclass(frozen=True)
 class RealizedPiecewiseLinear:
     """Immutable total function built from an anchor snapshot.
@@ -78,7 +65,10 @@ class RealizedPiecewiseLinear:
             raise ValueError("anchors must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("abscissas must be sorted and distinct")
-        if slopes_exceed(xs, vs, self.L):
+        # the tolerance scales with the values' magnitude, so realizations
+        # of far-escaped runs are not rejected on last-bit rounding
+        scale = np.maximum(1.0, np.maximum(np.abs(vs[:-1]), np.abs(vs[1:])))
+        if np.any(np.abs(np.diff(vs)) > self.L * np.diff(xs) + 1e-9 * scale):
             raise ValueError(
                 f"anchor difference quotients exceed the slope budget {self.L}")
         object.__setattr__(self, "xs", xs)
@@ -99,24 +89,6 @@ class RealizedPiecewiseLinear:
         if self.extension == Extension.MCSHANE_MAX:
             return self.L, -self.L
         return 0.0, 0.0
-
-    @property
-    def anchors(self) -> list[tuple[float, float]]:
-        return list(zip(self.xs.tolist(), self.vs.tolist()))
-
-
-@dataclass(frozen=True)
-class LinearFn:
-    """Globally affine function a*x + b, tails of slope a on both sides."""
-
-    a: float
-    b: float = 0.0
-
-    def __call__(self, x: float) -> float:
-        return self.a * x + self.b
-
-    def tail_slopes(self) -> tuple[float, float]:
-        return self.a, self.a
 
 
 class PiecewiseLinearFn:
@@ -261,72 +233,3 @@ def sampled_adversary_choose(state: SampledAdversaryState, x: float,
     v = hi if abs(hi + u) >= abs(lo + u) else lo
     fn.commit(x, v)
     return v
-
-
-class HighOrderAnchors:
-    """Anchor store over R^p under the l1 metric ||x|| = sum_i |x_i|."""
-
-    def __init__(self, p: int, L: float):
-        if p < 1:
-            raise ValueError("order p must be at least 1")
-        if not L > 0:
-            raise ValueError("slope budget L must be positive")
-        self.p = int(p)
-        self.L = float(L)
-        self._points: list[np.ndarray] = []
-        self._values: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def commit(self, point, value: float) -> None:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.p,):
-            raise ValueError(f"anchor point must have shape ({self.p},)")
-        for q, v in zip(self._points, self._values):
-            if np.array_equal(q, point):
-                if v != value:
-                    raise InconsistentAnchors("conflicting value at a point")
-                return
-            tol = CONSISTENCY_TOL * max(1.0, abs(value), abs(v))
-            if abs(value - v) > self.L * np.sum(np.abs(point - q)) + tol:
-                raise InconsistentAnchors("value violates the l1 slope budget")
-        self._points.append(point)
-        self._values.append(float(value))
-
-    def realize(self):
-        """Minimum of the upward l1 cones, exact on committed points."""
-        points = [q.copy() for q in self._points]
-        values = list(self._values)
-        L = self.L
-        if not points:
-            raise ValueError("cannot realize an empty anchor store")
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            best = np.inf
-            for q, v in zip(points, values):
-                if np.array_equal(q, x):
-                    return v
-            for q, v in zip(points, values):
-                c = v + L * np.sum(np.abs(x - q))
-                if c < best:
-                    best = c
-            return best
-
-        return f
-
-
-def highorder_feasible_interval(anchors: HighOrderAnchors,
-                                x) -> tuple[float, float]:
-    """Cone-intersection interval with |.| replaced by the l1 distance."""
-    x = np.asarray(x, dtype=float)
-    if len(anchors) == 0:
-        return -np.inf, np.inf
-    lo = -np.inf
-    hi = np.inf
-    for q, v in zip(anchors._points, anchors._values):
-        d = float(np.sum(np.abs(x - q)))
-        lo = max(lo, v - anchors.L * d)
-        hi = min(hi, v + anchors.L * d)
-    return lo, hi

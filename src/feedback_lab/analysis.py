@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from .adversary import PiecewiseLinearFn
 from .models import MjlsSpec
 
 #: Growth exponent above which no feedback stabilizes the scalar
@@ -66,10 +65,6 @@ class CharPoly:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         if self.coeffs[0] != 1.0:
             raise ValueError("characteristic polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
 
     def __call__(self, z):
         return np.polyval(self.coeffs, z)
@@ -236,10 +231,6 @@ def quasi_norm(f) -> float:
     variation washes out and cross-tail pairs are dominated by the
     steeper tail.
     """
-    if isinstance(f, PiecewiseLinearFn):
-        if len(f) == 0:
-            raise ValueError("function must be realized: no anchors committed")
-        f = f.realize()
     tails = f.tail_slopes()
     return max(abs(tails[0]), abs(tails[1]))
 

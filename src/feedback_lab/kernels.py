@@ -561,11 +561,13 @@ def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
         x = [p + wk for p, wk in zip(preds[th], Wl[t])]
         xs.extend(x)
         us.extend(u)
+        # the mode of step t + 1 is drawn before the guard, so a blow-up
+        # records the mode it ends in, not the zero padding
+        th = bisect_right(cum[th], ul[t])
+        modes.append(th)
         if not all(abs(v) <= guard for v in x):
             blow = t + 1
             break
-        th = bisect_right(cum[th], ul[t])
-        modes.append(th)
     est += [-1] * (T + 1 - len(est))
     return (_padded(xs, (T + 1) * n).reshape(T + 1, n),
             _padded(us, T * m).reshape(T, m),

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .adversary import (PiecewiseLinearFn, RealizedPiecewiseLinear,
-                        slopes_exceed)
+from .adversary import RealizedPiecewiseLinear
 
 #: Divergence guard on state magnitude.  Large enough to witness any
 #: faster-than-exponential escape.  One more power step from inside the
@@ -168,6 +167,8 @@ class MarkovChain:
         P = np.asarray(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
+        if not np.isfinite(P).all():
+            raise ValueError("transition probabilities must be finite")
         if (P < 0).any():
             raise ValueError("transition probabilities must be nonnegative")
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
@@ -289,34 +290,35 @@ def step_nonparametric(y: float, f, u: float, w: float) -> float:
     return _guarded(fy + u + w)
 
 
-def step_highorder(window, f, u: float, w: float) -> float:
-    """One step of y' = f(y_t, ..., y_{t-p+1}) + u + w."""
-    window = np.asarray(window, dtype=float)
-    return _guarded(f(window) + u + w)
+def require_sampled_member(f, spec: SampledSpec) -> None:
+    """Reject an ``f`` outside the sampled class |f(x)| <= L|x| + c.
+
+    A realization's slopes are at most ``f.L``, so once ``f.L <= L`` the
+    bound holds at every x exactly when |f(0)| <= c does.
+    """
+    if not isinstance(f, RealizedPiecewiseLinear):
+        raise ValueError(
+            f"f must be a RealizedPiecewiseLinear, got {type(f).__name__}")
+    if not f.L <= spec.L:
+        raise ValueError(f"f.L = {f.L} exceeds the class's L = {spec.L}")
+    f0 = f(0.0)
+    if not abs(f0) <= spec.c + 1e-9 * max(1.0, spec.c):
+        raise ValueError(
+            f"|f(0)| = {abs(f0)} exceeds the class's offset c = {spec.c}")
 
 
-def integrate_sampled(x0: float, f: PiecewiseLinearFn | RealizedPiecewiseLinear,
-                      u_const: float, spec: SampledSpec) -> float:
+def integrate_sampled(x0: float, f: RealizedPiecewiseLinear, u_const: float,
+                      spec: SampledSpec) -> float:
     """State after one sampling period of dx/dt = f(x) + u, zero-order hold.
 
     Classical fourth-order Runge-Kutta with ``spec.substeps`` uniform
-    steps.  ``f`` must be realized and inside the declared class: anchor
-    difference quotients within the slope bound and anchor values within
-    |v| <= L|x| + c.
+    steps.  ``f`` must be realized and inside the declared class
+    (:func:`require_sampled_member`).
     """
-    if isinstance(f, PiecewiseLinearFn):
-        realized = f.realize()
-    else:
-        realized = f
-    xs, vs = realized.xs, realized.vs
-    if slopes_exceed(xs, vs, spec.L):
-        raise ValueError("anchor difference quotients exceed the slope bound")
-    box = spec.L * np.abs(xs) + spec.c
-    if np.any(np.abs(vs) > box + 1e-9 * np.maximum(1.0, box)):
-        raise ValueError("anchor values leave the declared envelope |v| <= L|x| + c")
-    out = kernels.rk4_mcshane(xs, vs, xs.shape[0], realized.L,
-                              realized.ext_mode, float(x0), float(u_const),
-                              spec.h, spec.substeps, GUARD)
+    require_sampled_member(f, spec)
+    out = kernels.rk4_mcshane(f.xs, f.vs, f.xs.shape[0], f.L, f.ext_mode,
+                              float(x0), float(u_const), spec.h, spec.substeps,
+                              GUARD)
     return _guarded(out)
 
 

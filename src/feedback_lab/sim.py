@@ -131,7 +131,8 @@ class SampledSystem:
 
     def __post_init__(self):
         _require_finite(self, "x0", "x0_std")
-        _require_member(self.f, self.spec.L)
+        if self.f is not None:
+            models.require_sampled_member(self.f, self.spec)
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,6 @@ class McReport:
     checkpoints: tuple[int, ...]
     regret_vs_logT: list[tuple[int, float]]
     mean_sq_curve: np.ndarray | None
-    regret_ci_halfwidths: list[float] = field(default_factory=list)
     episodes: list[EpisodeSummary] = field(default_factory=list)
 
 
@@ -598,18 +598,10 @@ def _aggregate(cfg: McConfig, n_seeds: int, summaries, curves) -> McReport:
     n_bounded = len(good)
     frac = (len(summaries) - n_bounded) / n_seeds
     half = 1.96 * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_seeds)
-    regret_rows: list[tuple[int, float]] = []
-    regret_half: list[float] = []
-    if cfg.checkpoints:
-        for k, tc in enumerate(cfg.checkpoints):
-            if good:
-                vals = np.array([s.regret_at[k] for s in good])
-                regret_rows.append((tc, float(np.mean(vals))))
-                regret_half.append(
-                    1.96 * float(np.std(vals)) / math.sqrt(len(good)))
-            else:
-                regret_rows.append((tc, float("nan")))
-                regret_half.append(float("nan"))
+    regret_rows = [
+        (tc, float(np.mean([s.regret_at[k] for s in good])) if good
+         else float("nan"))
+        for k, tc in enumerate(cfg.checkpoints)]
     curve = None
     if cfg.collect_curve and n_bounded > 0:
         acc = None
@@ -621,7 +613,7 @@ def _aggregate(cfg: McConfig, n_seeds: int, summaries, curves) -> McReport:
                     blowup_fraction=frac, blowup_ci_halfwidth=half,
                     n_bounded=n_bounded, checkpoints=tuple(cfg.checkpoints),
                     regret_vs_logT=regret_rows, mean_sq_curve=curve,
-                    regret_ci_halfwidths=regret_half, episodes=summaries)
+                    episodes=summaries)
 
 
 def monte_carlo(cfg: McConfig, n_seeds: int) -> McReport:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from feedback_lab import (Extension, HighOrderAnchors, PiecewiseLinearFn,
-                          RealizedPiecewiseLinear, adversary_choose, feasible_interval,
-                          highorder_feasible_interval, quasi_norm, realize,
+from feedback_lab import (Extension, PiecewiseLinearFn,
+                          RealizedPiecewiseLinear, adversary_choose,
+                          feasible_interval, quasi_norm, realize,
                           SampledAdversaryState, sampled_adversary_choose)
 from feedback_lab.adversary import InconsistentAnchors
 
@@ -129,11 +129,6 @@ class TestRealize:
         f.commit(1.0, v + 1.0 + 1e-7)
         with pytest.raises(InconsistentAnchors):
             f.commit(-1.0, v + 1.0 + 1e-5)
-        anchors = HighOrderAnchors(p=2, L=1.0)
-        anchors.commit([0.0, 0.0], v)
-        anchors.commit([1.0, 1.0], v + 2.0 + 1e-7)
-        with pytest.raises(InconsistentAnchors):
-            anchors.commit([-1.0, 0.0], v + 1.0 + 1e-5)
         SampledAdversaryState(
             fn=PiecewiseLinearFn(L=1.0, anchors=[(v, v + 1.0 + 1e-7)]), c=1.0)
         with pytest.raises(InconsistentAnchors):
@@ -206,40 +201,3 @@ class TestSampledAdversary:
         fn = PiecewiseLinearFn(L=1.0, anchors=[(0.0, 5.0)])
         with pytest.raises(InconsistentAnchors):
             SampledAdversaryState(fn=fn, c=2.0)
-
-
-class TestHighOrderInterval:
-    def test_single_anchor_l1_cone(self):
-        anchors = HighOrderAnchors(p=2, L=1.0)
-        anchors.commit([0.0, 0.0], 0.0)
-        assert highorder_feasible_interval(anchors, [1.0, -2.0]) == (-3.0, 3.0)
-
-    def test_reduces_to_scalar_interval(self):
-        rng = np.random.default_rng(9)
-        hi_anchors = HighOrderAnchors(p=1, L=2.0)
-        fn = PiecewiseLinearFn(L=2.0)
-        for _ in range(10):
-            x = float(rng.uniform(-4, 4))
-            lo, hi = feasible_interval(fn, x)
-            if not np.isfinite(lo):
-                lo, hi = -1.0, 1.0
-            if fn.value_at(x) is None:
-                v = float(rng.uniform(lo, hi))
-                fn.commit(x, v)
-                hi_anchors.commit([x], v)
-        for x in np.linspace(-5, 5, 21):
-            a = feasible_interval(fn, x)
-            b = highorder_feasible_interval(hi_anchors, [x])
-            assert a == pytest.approx(b, abs=1e-12)
-
-    def test_forced_point_when_l1_tight(self):
-        anchors = HighOrderAnchors(p=2, L=1.0)
-        anchors.commit([0.0, 0.0], 0.0)
-        anchors.commit([1.0, 1.0], 2.0)
-        lo, hi = highorder_feasible_interval(anchors, [1.0, 0.0])
-        assert lo == hi == 1.0
-
-    def test_empty_unbounded(self):
-        anchors = HighOrderAnchors(p=3, L=1.0)
-        assert highorder_feasible_interval(anchors, [0, 0, 0]) == \
-            (-np.inf, np.inf)

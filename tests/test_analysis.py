@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from feedback_lab import (CRITICAL_RADIUS, LinearFn, MarkovChain,
+from feedback_lab import (CRITICAL_RADIUS, Extension, MarkovChain,
                           MartingaleDiffVector, MjlsSpec, PiecewiseLinearFn,
-                          Regime, characteristic_poly, highorder_impossible,
+                          RealizedPiecewiseLinear, Regime,
+                          characteristic_poly, highorder_impossible,
                           parametric_regime, poly_impossible, quasi_norm,
                           sampled_regime, scalar_mjls_stabilizable, verify_h2)
 from feedback_lab.analysis import poly_min_on_interval
@@ -131,10 +132,17 @@ class TestHighorderImpossible:
 
 class TestQuasiNorm:
     def test_constant(self):
-        assert quasi_norm(LinearFn(0.0, 3.7)) == 0.0
+        # flat tails: the midpoint extension of one anchor
+        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([3.7]), 1.0,
+                                    Extension.MIDPOINT)
+        assert quasi_norm(f) == 0.0
 
     def test_global_line(self):
-        assert quasi_norm(LinearFn(-2.5, 1.0)) == 2.5
+        # the McShane maximum of a line of slope -2.5 is that line
+        f = RealizedPiecewiseLinear(np.array([-1.0, 1.0]),
+                                    np.array([3.5, -1.5]), 2.5,
+                                    Extension.MCSHANE_MAX)
+        assert quasi_norm(f) == 2.5
 
     def test_mcshane_realization_bounded_by_budget(self):
         rng = np.random.default_rng(5)
@@ -147,11 +155,7 @@ class TestQuasiNorm:
                 if i > 0:
                     v += float(rng.uniform(-L, L)) * (xs[i] - xs[i - 1])
                 fn.commit(float(x), v)
-            assert quasi_norm(fn) <= L + 1e-12
-
-    def test_unrealized_rejected(self):
-        with pytest.raises(ValueError):
-            quasi_norm(PiecewiseLinearFn(L=1.0))
+            assert quasi_norm(fn.realize()) <= L + 1e-12
 
 
 class TestSampledRegime:

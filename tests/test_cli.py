@@ -214,12 +214,14 @@ class TestMjlsSolve:
             capsys.readouterr().out)
 
     @pytest.mark.parametrize("command", ["mjls-solve", "mjls-run"])
-    @pytest.mark.parametrize("A, B", [([[[2.0]]], [[[]]]),
-                                      ([[[float("nan")]]], [[[1.0]]])],
-                             ids=["zero_inputs", "nan_A"])
-    def test_invalid_spec_exits_2(self, command, A, B, capsys, tmp_path):
+    @pytest.mark.parametrize("P, A, B", [
+        ([[1.0]], [[[2.0]]], [[[]]]),
+        ([[1.0]], [[[float("nan")]]], [[[1.0]]]),
+        ([[float("nan"), 1.0], [0.5, 0.5]], [[[2.0]], [[1.0]]],
+         [[[1.0]], [[1.0]]])], ids=["zero_inputs", "nan_A", "nan_P"])
+    def test_invalid_spec_exits_2(self, command, P, A, B, capsys, tmp_path):
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump({"P": [[1.0]], "A": A, "B": B}))
+        path.write_text(yaml.safe_dump({"P": P, "A": A, "B": B}))
         assert run_cli([command, "--spec", str(path)]) == cli.EXIT_CONFIG
         assert "invalid jump-linear spec" in capsys.readouterr().err
 

@@ -636,11 +636,11 @@ def numpy_mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard,
             U[t] = -(Kg[ihat] @ X[t])
         th = modes[t]
         X[t + 1] = A[th] @ X[t] + B[th] @ U[t] + W[t]
+        modes[t + 1] = min(np.searchsorted(cum[th], munif[t], side="right"),
+                           N - 1)
         if not np.max(np.abs(X[t + 1])) <= guard:
             blow = t + 1
             break
-        modes[t + 1] = min(np.searchsorted(cum[th], munif[t], side="right"),
-                           N - 1)
     return X, U, modes, est, blow
 
 
@@ -735,6 +735,26 @@ class TestMjlsScalarKernel:
         traj, _ = run_episode(MjlsSystem(spec=spec, x0=(1.0, 1.0)),
                               T=1000, seed=3)
         assert traj.blow_step is not None and check_replay(traj)
+
+    def test_blow_step_records_the_drawn_mode(self):
+        # the mode at the blow step is the chain's draw from the step
+        # before, not the zero padding (which would read as mode 1)
+        chain = MarkovChain(np.array([[0.1, 0.9], [0.9, 0.1]]))
+        spec = MjlsSpec(chain=chain, A=np.array([[[3.0]], [[4.0]]]),
+                        B=np.ones((2, 1, 1)),
+                        noise=MartingaleDiffVector(1.0, 1.0, 1))
+        T = 1000
+        for seed in range(40):
+            traj, _ = run_episode(MjlsSystem(spec=spec, x0=(1.0,)), T=T,
+                                  seed=seed)
+            blow = traj.blow_step
+            assert blow is not None and traj.modes.shape == (blow + 1,)
+            # _run_mjls draws the initial mode, then the T mode uniforms
+            rng = np.random.Generator(np.random.PCG64(seed))
+            rng.integers(1, 3)
+            munif = rng.random(T)
+            assert traj.modes[blow] == models.markov_next(
+                int(traj.modes[blow - 1]), chain, Uniforms([munif[blow - 1]]))
 
     def test_nan_state_trips_the_guard(self):
         # the first state's products overflow to +inf and -inf: their sum

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from feedback_lab import (Extension, GaussianIID, LinearFn,
-                          MarkovChain, MartingaleDiffVector, MjlsSpec,
-                          Overflow, PiecewiseLinearFn, PolyRegressors,
-                          PowerGrowthFn, RealizedPiecewiseLinear, SampledSpec,
-                          eval_power, integrate_sampled, markov_next,
-                          step_highorder, step_mjls, step_nonparametric,
-                          step_parametric, step_polynomial)
-from feedback_lab.adversary import HighOrderAnchors
+from feedback_lab import (Extension, GaussianIID, MarkovChain,
+                          MartingaleDiffVector, MjlsSpec, Overflow,
+                          PiecewiseLinearFn, PolyRegressors, PowerGrowthFn,
+                          RealizedPiecewiseLinear, SampledSpec, eval_power,
+                          integrate_sampled, markov_next, step_mjls,
+                          step_nonparametric, step_parametric,
+                          step_polynomial)
 from feedback_lab.models import ConfigurationError
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -96,44 +95,28 @@ class TestStepPolynomial:
             PolyRegressors(exponents=(2.0, -1.0), theta_mean=(0.0, 0.0))
 
 
-class TestStepNonparametric:
-    def test_zero_map(self):
-        assert step_nonparametric(17.3, LinearFn(0.0), 1.0, -1.0) == 0.0
-
-    def test_linear_map(self):
-        assert step_nonparametric(3.0, LinearFn(2.0), -6.0, 0.0) == 0.0
-
-    def test_single_anchor_extension(self):
-        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0)
-        assert step_nonparametric(5.0, f, 0.0, 0.0) == 5.0
-
-
-class TestStepHighorder:
-    def test_reduces_to_first_order(self):
-        f1 = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0)
-
-        def fp(window):
-            return f1(window[0])
-
-        assert step_highorder([5.0], fp, 0.2, -0.1) == \
-            step_nonparametric(5.0, f1, 0.2, -0.1)
-
-    def test_constant_map(self):
-        assert step_highorder([1.0, 2.0], lambda w: 4.0, 1.0, 0.5) == 5.5
-
-    def test_l1_extension_value(self):
-        anchors = HighOrderAnchors(p=2, L=1.0)
-        anchors.commit([0.0, 0.0], 0.0)
-        f = anchors.realize()
-        # l1 distance of (1, -2) from the origin is 3
-        assert step_highorder([1.0, -2.0], f, 0.0, 0.0) == 3.0
-
-
 def _line(slope, span=6.0):
+    # exact on [-span, span]: the McShane minimum of two anchors on a line
+    # of slope +-L is that line between them
     xs = np.array([-span, span])
     vs = slope * xs
     return RealizedPiecewiseLinear(xs, vs, abs(slope) if slope else 1.0,
                                    Extension.MCSHANE_MIN)
+
+
+class TestStepNonparametric:
+    def test_zero_map(self):
+        # the midpoint of the cones |x| and -|x| is zero everywhere
+        zero = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0,
+                                       Extension.MIDPOINT)
+        assert step_nonparametric(17.3, zero, 1.0, -1.0) == 0.0
+
+    def test_linear_map(self):
+        assert step_nonparametric(3.0, _line(2.0), -6.0, 0.0) == 0.0
+
+    def test_single_anchor_extension(self):
+        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0)
+        assert step_nonparametric(5.0, f, 0.0, 0.0) == 5.0
 
 
 class TestIntegrateSampled:
@@ -167,10 +150,16 @@ class TestIntegrateSampled:
             assert a / b >= 10.0
 
     def test_membership_precondition(self):
-        bad = RealizedPiecewiseLinear(np.array([0.0]), np.array([50.0]), 1.0)
+        # the anchor (5, 6) sits on the envelope |x| + 1, but the upper
+        # extension has f(0) = 11; the lower one has f(0) = 1 = c
         spec = SampledSpec(L=1.0, c=1.0, h=0.5)
-        with pytest.raises(ValueError):
-            integrate_sampled(0.0, bad, 0.0, spec)
+        for x, v in ((0.0, 50.0), (5.0, 6.0)):
+            bad = RealizedPiecewiseLinear(np.array([x]), np.array([v]), 1.0)
+            with pytest.raises(ValueError, match="offset c"):
+                integrate_sampled(0.0, bad, 0.0, spec)
+        f = RealizedPiecewiseLinear(np.array([5.0]), np.array([6.0]), 1.0,
+                                    Extension.MCSHANE_MAX)
+        assert math.isfinite(integrate_sampled(0.0, f, 0.0, spec))
 
     def test_slope_precondition(self):
         fn = PiecewiseLinearFn(L=3.0)
@@ -178,6 +167,12 @@ class TestIntegrateSampled:
         fn.commit(1.0, 2.5)
         spec = SampledSpec(L=1.0, c=1.0, h=0.5)  # declared class is tighter
         with pytest.raises(ValueError):
+            integrate_sampled(0.0, fn.realize(), 0.0, spec)
+
+    def test_unrealized_rejected(self):
+        fn = PiecewiseLinearFn(L=1.0, anchors=[(0.0, 0.0)])
+        spec = SampledSpec(L=1.0, c=1.0, h=0.5)
+        with pytest.raises(ValueError, match="RealizedPiecewiseLinear"):
             integrate_sampled(0.0, fn, 0.0, spec)
 
 
@@ -219,6 +214,9 @@ class TestMarkovChain:
             MarkovChain(np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             MarkovChain(np.array([[1.2, -0.2], [0.5, 0.5]]))
+        # NaN fails neither the sign test nor the row-sum test
+        with pytest.raises(ValueError, match="finite"):
+            MarkovChain(np.array([[math.nan, 1.0], [0.5, 0.5]]))
 
     def test_identity_is_reducible(self):
         chain = MarkovChain(np.eye(2))

@@ -236,7 +236,13 @@ class TestConfigurationErrors:
         ("f", {"f": PiecewiseLinearFn(L=1.0)}),
         ("f.L", {"f": RealizedPiecewiseLinear(
             np.array([0.0, 1.0]), np.array([0.0, 1.5]), 1.5)}),
-    ], ids=["x0", "x0_std", "f_unrealized", "f_L_beyond"])
+        # f(0) = 100 and f(0) = 6 + 5 against c = 1
+        ("offset c", {"f": RealizedPiecewiseLinear(
+            np.array([0.0]), np.array([100.0]), 1.0)}),
+        ("offset c", {"f": RealizedPiecewiseLinear(
+            np.array([5.0]), np.array([6.0]), 1.0)}),
+    ], ids=["x0", "x0_std", "f_unrealized", "f_L_beyond", "f_offset_beyond",
+            "f_anchor_beyond"])
     def test_sampled_system_rejected_when_built(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             SampledSystem(spec=SampledSpec(1.0, 1.0, 1.0), **kwargs)
