@@ -23,17 +23,16 @@ from .controllers import (MjlsControllerState, NnHistory, RlsState,
                           mjls_estimate_mode, nn_estimate, rls_update,
                           sampled_control, switching_control)
 from .models import (GUARD, ConfigurationError, GaussianIID, MarkovChain,
-                     MartingaleDiffVector, MjlsSpec, Overflow,
-                     PolyRegressors, PowerGrowthFn, SampledSpec, eval_power,
-                     integrate_sampled, markov_next, step_mjls,
-                     step_nonparametric, step_parametric, step_polynomial)
+                     MartingaleDiffVector, MjlsSpec, PowerGrowthFn,
+                     SampledSpec, eval_power, integrate_sampled, markov_next,
+                     step_mjls, step_nonparametric, step_parametric)
 from .riccati import (RiccatiSolution, SolveResult, SolveStatus,
                       pseudoinverse, riccati_residual, riccati_rhs,
                       solve_coupled_riccati)
 from .sim import (EpisodeVerdict, GreedyAdversary, GrowthAudit, McConfig,
                   McReport, MjlsGainControl, MjlsSystem, MvRlsControl,
                   NonparametricSystem, Outcome, ParametricSystem,
-                  PolynomialSystem, RandomEnvelopeMember, RandomMember,
+                  RandomEnvelopeMember, RandomMember,
                   SampledCeControl, SampledGreedyAdversary, SampledSystem,
                   SwitchingControl, Trajectory, ZeroControl,
                   check_replay, default_checkpoints, episode_seed,

@@ -1,9 +1,9 @@
 """System classes and exact one-step dynamics.
 
 Every step operation is a pure function of its arguments; randomness
-enters only through caller-owned generators.  States that leave the
-divergence guard raise :class:`Overflow`, which episode runners convert
-into a blowup verdict.
+enters only through caller-owned generators.  A step returns the state
+it computes, also one beyond the divergence guard, inf or NaN: the
+kernels classify such a state as a blow-up, and replay stores it as is.
 """
 
 from __future__ import annotations
@@ -23,18 +23,6 @@ from .adversary import RealizedPiecewiseLinear
 #: then reads inf (``kernels.power_eval``) and the guard classifies the
 #: inf or NaN state that follows.
 GUARD = 1e150
-
-
-class Overflow(ArithmeticError):
-    """State magnitude crossed the divergence guard.
-
-    Carries the offending value so a replay can verify the final
-    transition of a blowup trajectory.
-    """
-
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"state magnitude beyond guard: {value!r}")
 
 
 class ConfigurationError(ValueError):
@@ -57,33 +45,6 @@ class PowerGrowthFn:
             raise ValueError("asymptotic gain M must be positive and finite")
         if not 0 <= self.b < math.inf:
             raise ValueError("growth exponent b must be nonnegative and finite")
-
-
-@dataclass(frozen=True)
-class PolyRegressors:
-    """Power regressors with strictly decreasing exponents b_1 > ... > b_p > 0.
-
-    ``theta_mean`` is the mean of the unknown coefficient vector; each
-    episode samples the coefficients around it with identity covariance.
-    """
-
-    exponents: tuple[float, ...]
-    theta_mean: tuple[float, ...]
-
-    def __post_init__(self):
-        bs = self.exponents
-        if len(bs) < 1:
-            raise ValueError("at least one regressor is required")
-        if any(b <= 0 for b in bs):
-            raise ValueError("exponents must be positive")
-        if any(bs[i] <= bs[i + 1] for i in range(len(bs) - 1)):
-            raise ValueError("exponents must be strictly decreasing")
-        if len(self.theta_mean) != len(bs):
-            raise ValueError("theta_mean length must match exponent count")
-
-    @property
-    def p(self) -> int:
-        return len(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -259,35 +220,17 @@ def eval_power(f: PowerGrowthFn, x: float) -> float:
     return kernels.power_eval(f.M, f.b, float(x))
 
 
-def _guarded(value: float) -> float:
-    if value != value or value > GUARD or value < -GUARD:
-        raise Overflow(value)
-    return value
-
-
 def step_parametric(y: float, theta: float, u: float, w: float,
                     f: PowerGrowthFn) -> float:
     """One step of y' = theta*f(y) + u + w."""
     phi = kernels.power_eval(f.M, f.b, float(y))
-    return _guarded(theta * phi + u + w)
-
-
-def step_polynomial(y: float, theta, u: float, w: float,
-                    regs: PolyRegressors) -> float:
-    """One step of y' = sum_i theta_i*sign(y)|y|^{b_i} + u + w."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (regs.p,):
-        raise ValueError("theta must have one entry per regressor")
-    acc = 0.0
-    for i in range(regs.p):
-        acc = acc + theta[i] * kernels.power_eval(1.0, regs.exponents[i], float(y))
-    return _guarded(acc + u + w)
+    return theta * phi + u + w
 
 
 def step_nonparametric(y: float, f, u: float, w: float) -> float:
     """One step of y' = f(y) + u + w for a realized or provider-backed f."""
     fy = f(float(y))
-    return _guarded(fy + u + w)
+    return fy + u + w
 
 
 def require_sampled_member(f, spec: SampledSpec) -> None:
@@ -316,10 +259,9 @@ def integrate_sampled(x0: float, f: RealizedPiecewiseLinear, u_const: float,
     (:func:`require_sampled_member`).
     """
     require_sampled_member(f, spec)
-    out = kernels.rk4_mcshane(f.xs, f.vs, f.xs.shape[0], f.L, f.ext_mode,
-                              float(x0), float(u_const), spec.h, spec.substeps,
-                              GUARD)
-    return _guarded(out)
+    return kernels.rk4_mcshane(f.xs, f.vs, f.xs.shape[0], f.L, f.ext_mode,
+                               float(x0), float(u_const), spec.h, spec.substeps,
+                               GUARD)
 
 
 def step_mjls(x, mode: int, u, w, spec: MjlsSpec):
@@ -332,10 +274,7 @@ def step_mjls(x, mode: int, u, w, spec: MjlsSpec):
     if x.shape != (spec.n_states,) or u.shape != (spec.n_inputs,) \
             or w.shape != (spec.n_states,):
         raise ConfigurationError("state, input or noise dimension mismatch")
-    out = kernels.mjls_step(spec.A[mode - 1], spec.B[mode - 1], x, u, w)
-    if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > GUARD:
-        raise Overflow(out)
-    return out
+    return kernels.mjls_step(spec.A[mode - 1], spec.B[mode - 1], x, u, w)
 
 
 def markov_next(mode: int, chain: MarkovChain, rng: np.random.Generator) -> int:

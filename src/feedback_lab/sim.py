@@ -20,7 +20,7 @@ from . import controllers as ctl
 from . import kernels, models
 from .adversary import Extension, RealizedPiecewiseLinear
 from .models import (GUARD, ConfigurationError, GaussianIID, MjlsSpec,
-                     Overflow, PolyRegressors, PowerGrowthFn, SampledSpec)
+                     PowerGrowthFn, SampledSpec)
 from .riccati import RiccatiSolution
 
 _MASK = (1 << 64) - 1
@@ -75,13 +75,6 @@ class ParametricSystem:
     noise: GaussianIID = GaussianIID(1.0)
     theta_mean: float = 1.0
     theta_std: float = 1.0
-    y0: float = 0.0
-
-
-@dataclass(frozen=True)
-class PolynomialSystem:
-    regs: PolyRegressors
-    noise: GaussianIID = GaussianIID(1.0)
     y0: float = 0.0
 
 
@@ -142,8 +135,8 @@ class MjlsSystem:
     init_mode: int | None = None  # None draws uniformly over 1..N
 
 
-SystemSpec = (ParametricSystem | PolynomialSystem | NonparametricSystem
-              | SampledSystem | MjlsSystem)
+SystemSpec = (ParametricSystem | NonparametricSystem | SampledSystem
+              | MjlsSystem)
 
 
 # controller and adversary selectors
@@ -266,7 +259,6 @@ class McReport:
     seeds: int
     master_seed: int
     blowup_fraction: float
-    blowup_ci_halfwidth: float
     n_bounded: int
     checkpoints: tuple[int, ...]
     regret_vs_logT: list[tuple[int, float]]
@@ -372,56 +364,19 @@ def random_envelope_member(L: float, c: float, member: RandomEnvelopeMember,
                                    L, Extension.MCSHANE_MIN)
 
 
-def _uncontrolled(step, law, y0, theta, w, T: int):
-    # the ZeroControl loop of a scalar system through its model step
-    # operation; an overflow ends it, with the overflowing value as the
-    # final state
-    ys = np.zeros(T + 1)
-    ys[0] = y0
-    blow = -1
-    y = y0
-    for t in range(T):
-        try:
-            y = step(y, theta, 0.0, w[t + 1], law)
-        except Overflow as exc:
-            ys[t + 1] = exc.value
-            blow = t + 1
-            break
-        ys[t + 1] = y
-    return ys, np.zeros(T), blow
-
-
 def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
+    if not isinstance(controller, MvRlsControl):
+        raise ConfigurationError(
+            f"{type(controller).__name__} cannot drive a parametric system")
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = system.theta_mean + system.theta_std * rng.standard_normal()
     w = math.sqrt(system.noise.variance) * rng.standard_normal(T + 1)
     w[0] = 0.0
-    if isinstance(controller, MvRlsControl):
-        theta0 = system.theta_mean if controller.theta0 is None else controller.theta0
-        ys, us, _ths, blow = kernels.parametric_episode(
-            system.y0, theta, w, system.f.M, system.f.b,
-            controller.s0, theta0, GUARD)
-    elif isinstance(controller, ZeroControl):
-        ys, us, blow = _uncontrolled(models.step_parametric, system.f,
-                                     system.y0, theta, w, T)
-    else:
-        raise ConfigurationError(
-            f"{type(controller).__name__} cannot drive a parametric system")
+    theta0 = system.theta_mean if controller.theta0 is None else controller.theta0
+    ys, us, _ths, blow = kernels.parametric_episode(
+        system.y0, theta, w, system.f.M, system.f.b,
+        controller.s0, theta0, GUARD)
     return _episode("parametric", system, controller, seed, T, ys, us, w,
-                    blow, theta=theta)
-
-
-def _run_polynomial(system: PolynomialSystem, controller, T: int, seed: int):
-    if not isinstance(controller, ZeroControl):
-        raise ConfigurationError(
-            f"{type(controller).__name__} cannot drive a polynomial system")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    theta = np.asarray(system.regs.theta_mean) + rng.standard_normal(system.regs.p)
-    w = math.sqrt(system.noise.variance) * rng.standard_normal(T + 1)
-    w[0] = 0.0
-    ys, us, blow = _uncontrolled(models.step_polynomial, system.regs,
-                                 system.y0, theta, w, T)
-    return _episode("polynomial", system, controller, seed, T, ys, us, w,
                     blow, theta=theta)
 
 
@@ -485,6 +440,10 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
             raise ConfigurationError("sampled episodes take the sampled greedy adversary")
         if system.f is not None or system.member is not None:
             raise ConfigurationError("adversarial episodes leave f unspecified")
+        # from x0 != 0 the realized store can leave |f(x)| <= L|x| + c
+        if system.x0 != 0.0 or system.x0_std != 0.0:
+            raise ConfigurationError(
+                "sampled duels start at 0: x0 and x0_std must be 0")
         x0 = system.x0 + system.x0_std * rng.standard_normal()
         xs, us, vsc, axs, avs, _, blow = kernels.sampled_duel(
             x0, spec.L, spec.c, spec.h, spec.substeps, kappa, T, GUARD,
@@ -561,8 +520,6 @@ def run_episode(system: SystemSpec, controller=ZeroControl(),
                 f"{type(system).__name__} episodes take no adversary")
         if isinstance(system, ParametricSystem):
             return _run_parametric(system, controller, T, seed)
-        if isinstance(system, PolynomialSystem):
-            return _run_polynomial(system, controller, T, seed)
         if isinstance(system, MjlsSystem):
             return _run_mjls(system, controller, T, seed)
     raise ConfigurationError(f"unknown system type {type(system).__name__}")
@@ -597,7 +554,6 @@ def _aggregate(cfg: McConfig, n_seeds: int, summaries, curves) -> McReport:
     good = [s for s in summaries if s.outcome is Outcome.BOUNDED]
     n_bounded = len(good)
     frac = (len(summaries) - n_bounded) / n_seeds
-    half = 1.96 * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_seeds)
     regret_rows = [
         (tc, float(np.mean([s.regret_at[k] for s in good])) if good
          else float("nan"))
@@ -610,8 +566,7 @@ def _aggregate(cfg: McConfig, n_seeds: int, summaries, curves) -> McReport:
             acc = c.copy() if acc is None else acc + c
         curve = acc / n_bounded
     return McReport(seeds=n_seeds, master_seed=cfg.master_seed,
-                    blowup_fraction=frac, blowup_ci_halfwidth=half,
-                    n_bounded=n_bounded, checkpoints=tuple(cfg.checkpoints),
+                    blowup_fraction=frac, n_bounded=n_bounded, checkpoints=tuple(cfg.checkpoints),
                     regret_vs_logT=regret_rows, mean_sq_curve=curve,
                     episodes=summaries)
 
@@ -692,9 +647,9 @@ def replay_states(traj: Trajectory) -> np.ndarray:
     """Recompute every stored transition through the model step ops.
 
     Returns the recomputed state array; bit-equality with
-    ``traj.states`` is the trajectory integrity invariant.  The final
-    transition of a blowup trajectory is recovered from the overflow
-    signal the step op raises.
+    ``traj.states`` is the trajectory integrity invariant.  The step ops
+    return a state beyond the guard as it is, so the final transition of
+    a blowup trajectory replays like every other.
     """
     system = traj.system
     out = np.array(traj.states, copy=True)
@@ -704,9 +659,6 @@ def replay_states(traj: Trajectory) -> np.ndarray:
         if traj.kind == "parametric":
             return models.step_parametric(out[t], traj.theta, traj.inputs[t],
                                           traj.noises[t + 1], system.f)
-        if traj.kind == "polynomial":
-            return models.step_polynomial(out[t], traj.theta, traj.inputs[t],
-                                          traj.noises[t + 1], system.regs)
         if traj.kind == "nonparametric":
             return models.step_nonparametric(out[t], traj.realized_f,
                                              traj.inputs[t], traj.noises[t + 1])
@@ -720,10 +672,7 @@ def replay_states(traj: Trajectory) -> np.ndarray:
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n_steps):
-            try:
-                out[t + 1] = step(t)
-            except Overflow as exc:
-                out[t + 1] = exc.value
+            out[t + 1] = step(t)
     return out
 
 

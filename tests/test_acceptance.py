@@ -69,7 +69,6 @@ def test_criterion_2_logarithmic_regret():
     half = [row for row in rep.regret_vs_logT if row[0] <= 2**12]
     rep_half = type(rep)(seeds=rep.seeds, master_seed=rep.master_seed,
                          blowup_fraction=rep.blowup_fraction,
-                         blowup_ci_halfwidth=rep.blowup_ci_halfwidth,
                          n_bounded=rep.n_bounded,
                          checkpoints=tuple(t for t, _ in half),
                          regret_vs_logT=half, mean_sq_curve=None)

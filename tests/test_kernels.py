@@ -359,10 +359,7 @@ def _assert_parametric_steps(theta, w, b):
         for t in range(end):
             phi = models.eval_power(f, ys[t])
             assert us[t] == controllers.adaptive_mv_control(state, phi)
-            try:
-                y1 = models.step_parametric(ys[t], theta, us[t], w[t + 1], f)
-            except models.Overflow as exc:
-                y1 = exc.value
+            y1 = models.step_parametric(ys[t], theta, us[t], w[t + 1], f)
             assert _bits(y1) == _bits(ys[t + 1]), t
             state = controllers.rls_update(state, phi, ys[t + 1] - us[t])
             if t + 1 < end:

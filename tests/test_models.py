@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from feedback_lab import (Extension, GaussianIID, MarkovChain,
-                          MartingaleDiffVector, MjlsSpec, Overflow,
-                          PiecewiseLinearFn, PolyRegressors, PowerGrowthFn,
-                          RealizedPiecewiseLinear, SampledSpec, eval_power,
-                          integrate_sampled, markov_next, step_mjls,
-                          step_nonparametric, step_parametric,
-                          step_polynomial)
+from feedback_lab import (GUARD, Extension, GaussianIID, MarkovChain,
+                          MartingaleDiffVector, MjlsSpec, PiecewiseLinearFn,
+                          PowerGrowthFn, RealizedPiecewiseLinear, SampledSpec,
+                          eval_power, integrate_sampled, markov_next,
+                          step_mjls, step_nonparametric, step_parametric)
 from feedback_lab.models import ConfigurationError
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -65,34 +63,14 @@ class TestStepParametric:
     def test_direct_power(self):
         assert step_parametric(10, 1, 0, 0, PowerGrowthFn(1, 4)) == 10000.0
 
-    def test_overflow_signal(self):
-        with pytest.raises(Overflow):
-            step_parametric(1e40, 1.0, 0.0, 0.0, PowerGrowthFn(1, 4))
-
-
-class TestStepPolynomial:
-    def test_hand_value(self):
-        regs = PolyRegressors(exponents=(2.0, 1.0), theta_mean=(0.0, 0.0))
-        assert step_polynomial(1.0, [1.0, 1.0], 0.0, 0.0, regs) == 2.0
-
-    def test_regressors_vanish_at_zero(self):
-        regs = PolyRegressors(exponents=(2.0, 1.0), theta_mean=(0.0, 0.0))
-        assert step_polynomial(0.0, [7.0, -3.0], 3.0, -1.0, regs) == 2.0
-
-    @given(y=finite_floats, th=st.floats(min_value=-3, max_value=3),
-           u=finite_floats, w=finite_floats,
-           b=st.floats(min_value=0.1, max_value=5))
-    def test_reduces_to_parametric(self, y, th, u, w, b):
-        regs = PolyRegressors(exponents=(b,), theta_mean=(0.0,))
-        lhs = step_polynomial(y, [th], u, w, regs)
-        rhs = step_parametric(y, th, u, w, PowerGrowthFn(1.0, b))
-        assert lhs == rhs
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            PolyRegressors(exponents=(1.0, 2.0), theta_mean=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            PolyRegressors(exponents=(2.0, -1.0), theta_mean=(0.0, 0.0))
+    def test_state_beyond_guard_returned_unraised(self):
+        # the kernels classify a blow-up; the step returns its state as is
+        assert step_parametric(1e40, 1.0, 0.0, 0.0, PowerGrowthFn(1, 4)) \
+            == 1e40 ** 4 > GUARD
+        assert step_parametric(1e100, 1.0, 0.0, 0.0,
+                               PowerGrowthFn(1, 4)) == math.inf
+        assert math.isnan(step_parametric(1e100, 1.0, -math.inf, 0.0,
+                                          PowerGrowthFn(1, 4)))
 
 
 def _line(slope, span=6.0):
@@ -199,6 +177,15 @@ class TestStepMjls:
         spec = _two_mode_spec(a1=0.5)
         out = step_mjls([2.0], 1, [1.0], [0.1], spec)
         assert out[0] == pytest.approx(2.1, abs=1e-15)
+
+    def test_overflow_returned_unraised(self):
+        spec = _two_mode_spec(a1=1e10)
+        assert step_mjls([1e145], 1, [0.0], [0.0], spec)[0] \
+            == 1e145 * 1e10 > GUARD
+        assert step_mjls([1e300], 1, [0.0], [0.0], spec)[0] == math.inf
+        # inf + -inf in the product A x + B u
+        out = step_mjls([1e300], 1, [-math.inf], [0.0], spec)
+        assert math.isnan(out[0])
 
     def test_dimension_mismatch(self):
         spec = _two_mode_spec()
