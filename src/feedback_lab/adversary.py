@@ -20,6 +20,10 @@ from . import kernels
 
 CONSISTENCY_TOL = 1e-12
 
+#: The greedy opponent's working budget on an empty store is
+#: |v| <= L|x| + OFFSET_BUDGET * w_bar.
+OFFSET_BUDGET = 10.0
+
 
 class Extension(IntEnum):
     """Rule extending committed anchors to a total function.
@@ -167,21 +171,21 @@ def feasible_interval(f: PiecewiseLinearFn, x: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def adversary_choose(f: PiecewiseLinearFn, x: float, u: float, w_bar: float,
-                     budget_mult: float = 10.0) -> tuple[float, float]:
+def adversary_choose(f: PiecewiseLinearFn, x: float, u: float,
+                     w_bar: float) -> tuple[float, float]:
     """Greedy choice of the function value and noise at the current state.
 
     Picks the feasible-interval endpoint maximizing |v + u| (ties to the
     upper endpoint), commits it, and points the noise away from the
     origin: w = w_bar * sign(v + u) with sign(0) taken as +1.  An empty
     store leaves the interval unbounded, so it is clipped to the working
-    budget |v| <= L|x| + budget_mult*w_bar.
+    budget |v| <= L|x| + OFFSET_BUDGET * w_bar.
     """
     x = float(x)
     u = float(u)
     lo, hi = feasible_interval(f, x)
     if not np.isfinite(lo) or not np.isfinite(hi):
-        cap = f.L * abs(x) + budget_mult * w_bar
+        cap = f.L * abs(x) + OFFSET_BUDGET * w_bar
         lo, hi = -cap, cap
     v = hi if abs(hi + u) >= abs(lo + u) else lo
     w = w_bar if (v + u) >= 0.0 else -w_bar

@@ -346,6 +346,8 @@ def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
     w_bar = cfg.get("w_bar", 1.0)
     mode = cfg.get("mode", "adversary")
     escape = cfg.get("escape", 1e6)
+    if not 0 < escape < math.inf:
+        raise CliError(f"escape must be finite and positive, got {escape}")
     rows = []
     extras = []
     for L in Ls:

@@ -9,9 +9,9 @@ import numpy as np
 
 from .models import MjlsSpec, SampledSpec
 
-#: Regularization floor for the frequentist least-squares variant.  The
-#: prior-matched variant uses s0 = 1 with theta0 at the prior mean.
-RLS_S0_DEFAULT = 1e-6
+#: Information start of the least-squares estimate: the prior-matched
+#: variant, s0 = 1 with theta0 at the prior mean.
+RLS_S0 = 1.0
 
 #: Input cap multiplier for the sampled-data certainty-equivalence law.
 SAMPLED_CLIP_KAPPA = 4.0
@@ -30,7 +30,9 @@ class RlsState:
             raise ValueError("information s must stay positive")
 
 
-def make_rls(s0: float = RLS_S0_DEFAULT, theta0: float = 0.0) -> RlsState:
+def make_rls(theta0: float, s0: float = RLS_S0) -> RlsState:
+    if not 0 < s0 < np.inf:
+        raise ValueError("information start s0 must be finite and positive")
     return RlsState(theta_hat=float(theta0), s=float(s0), t=0)
 
 
@@ -96,14 +98,13 @@ def nn_estimate(hist: NnHistory, y: float) -> tuple[float, float]:
     return hist.ynexts[bi] - hist.us[bi], best
 
 
-def switching_control(hist: NnHistory, y: float, eps: float,
-                      y_star_next: float = 0.0) -> float:
+def switching_control(hist: NnHistory, y: float, eps: float) -> float:
     """Switch between range-centering and tracking on the neighbor gap.
 
     Far from every recorded output (gap > eps) the input cancels the
     estimate and steers to the midpoint of the observed range; close to
-    a recorded output it tracks the reference instead.  An empty history
-    is the bootstrap step and returns zero.
+    a recorded output it tracks the reference 0 instead.  An empty
+    history is the bootstrap step and returns zero.
     """
     if eps <= 0:
         raise ValueError("switching threshold eps must be positive")
@@ -113,17 +114,17 @@ def switching_control(hist: NnHistory, y: float, eps: float,
     bmin, bmax = hist.bounds_including(y)
     if gap > eps:
         return -fhat + 0.5 * (bmin + bmax)
-    return -fhat + y_star_next
+    return 0.0 - fhat
 
 
-def sampled_control(samples, x: float, spec: SampledSpec,
-                    kappa: float = SAMPLED_CLIP_KAPPA) -> float:
+def sampled_control(samples, x: float, spec: SampledSpec) -> float:
     """Certainty-equivalence law for the sampled loop.
 
     Estimates the drift at x by nearest neighbor over past sample points
     through the discrete surrogate (x_{k+1} - x_k)/h - u_k, commands
-    u = -estimate - x/h, and clips to |u| <= kappa (L|x| + c).  Empty
-    sample list is the bootstrap and returns zero.
+    u = -estimate - x/h, and clips to |u| <= kappa (L|x| + c) with
+    kappa = ``SAMPLED_CLIP_KAPPA``.  Empty sample list is the bootstrap
+    and returns zero.
     """
     samples = list(samples)
     if not samples:
@@ -138,7 +139,7 @@ def sampled_control(samples, x: float, spec: SampledSpec,
     xk, uk, xk1 = samples[bi]
     ftilde = (xk1 - xk) / spec.h - uk
     u = -ftilde - x / spec.h
-    cap = kappa * (spec.L * abs(x) + spec.c)
+    cap = SAMPLED_CLIP_KAPPA * (spec.L * abs(x) + spec.c)
     if u > cap:
         return cap
     if u < -cap:

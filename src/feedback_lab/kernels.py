@@ -214,17 +214,18 @@ def _visit(keys, steps, n, x, t):
     return k, best, _insert(keys, steps, n, j, x, t)
 
 
-def _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar, bmin, bmax):
+def _switching_input(ys, us, hy, hk, nh, t, y, eps, bmin, bmax):
     # nearest-neighbour estimate fhat = y_{k+1} - u_k, then range-centring
-    # far from every past output and tracking close to one; returns the
-    # input and the history count once y is recorded
+    # far from every past output and tracking 0 close to one (0.0 - fhat,
+    # which is +0.0 where -fhat is -0.0); returns the input and the
+    # history count once y is recorded
     k, gap, nh = _visit(hy, hk, nh, y, t)
     if k < 0:
         return 0.0, nh
     fhat = ys[k + 1] - us[k]
     if gap > eps:
         return -fhat + 0.5 * (bmin + bmax), nh
-    return -fhat + ystar, nh
+    return 0.0 - fhat, nh
 
 
 def _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa):
@@ -286,8 +287,8 @@ def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
 # ---------------------------------------------------------------------------
 # nonparametric episode, fixed realized f + switching NN controller
 
-def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
-                   guard, use_controller):
+def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, guard,
+                   use_controller):
     T = ws.shape[0] - 1
     nf = fxs.shape[0]
     fxs = fxs.tolist()
@@ -310,8 +311,8 @@ def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
             bmax = y
         u = 0.0
         if use_controller != 0:
-            u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar,
-                                     bmin, bmax)
+            u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, bmin,
+                                     bmax)
         fy, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, y, j)
         y1 = fy + u + w_bar * ws[t + 1]
         us.append(u)
@@ -326,8 +327,7 @@ def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, ystar,
 # ---------------------------------------------------------------------------
 # nonparametric duel: greedy anchor-committing opponent vs the controller
 
-def nonparam_duel(y0, L, w_bar, budget_c, eps, ystar, guard, T,
-                  use_controller):
+def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T, use_controller):
     y = float(y0)
     ys = [y]
     us = []
@@ -349,8 +349,8 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, ystar, guard, T,
             bmax = y
         u = 0.0
         if use_controller != 0:
-            u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, ystar,
-                                     bmin, bmax)
+            u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, bmin,
+                                     bmax)
         j = _bisect(axs, na, y)
         if na == 0:
             hi = L * abs(y) + budget_c
@@ -670,11 +670,12 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     for i in range(N):
         for a in range(n):
             Ms[i * nn + a * n + a] = 1.0
-    hist = [0.0] * max_iter
     status = 2
     iters = max_iter
     delta = np.inf
+    rises = 0  # consecutive iterations whose step delta grew
     for k in range(max_iter):
+        prev = delta
         Mnew = [0.0] * (N * nn)
         for i in range(N):
             S_aa, S_ab, S_bb = _mode_sums(Af, Bf, Pf, Ms, i, N, n, m)
@@ -713,7 +714,7 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
             if v > nrm:
                 nrm = v
         Ms = Mnew
-        hist[k] = nrm
+        rises = rises + 1 if delta > prev else 0
         if nrm > div_guard:
             status = 1
             iters = k + 1
@@ -722,15 +723,10 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
             status = 0
             iters = k + 1
             break
-    if status == 2:
-        lookback = min(100, max_iter - 1)
-        growing = lookback > 0
-        for k in range(max_iter - lookback, max_iter):
-            if hist[k] <= hist[k - 1]:
-                growing = False
-                break
-        if growing:
-            status = 1
+    if status == 2 and 0 < min(100, max_iter - 1) <= rises:
+        # the step grew over each of the last min(100, max_iter - 1)
+        # iterations: the iterate is moving away, not settling
+        status = 1
     Ks = None
     if status == 0:
         # the gains K_i = S_bb^+ S_ab' of the final iterate

@@ -52,8 +52,9 @@ class GaussianIID:
     variance: float = 1.0
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(
+                f"variance must be finite and positive, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,8 @@ class SampledSpec:
     def __post_init__(self):
         if not (self.L > 0 and self.c > 0 and self.h > 0):
             raise ValueError("L, c and h must be positive")
+        if not math.isfinite(self.h):
+            raise ValueError(f"h must be finite, got {self.h}")
         # members draw slopes on [-L, L] and offsets on [-c, c]
         for name in ("L", "c"):
             value = getattr(self, name)

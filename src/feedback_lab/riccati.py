@@ -104,13 +104,15 @@ def solve_coupled_riccati(spec: MjlsSpec, tol: float = DEFAULT_TOL,
 
     Convergence (max elementwise change below ``tol``) yields a solution
     with gains K_i = (sum_j B_j' p_ij M_j B_j)^+ (sum_j B_j' p_ij M_j A_j).
-    Iterate norms beyond 1e12, an iterate that overflows to NaN, or a
-    norm still strictly growing over the last 100 of ``max_iter`` steps,
-    yield NO_SOLUTION.  Anything else at the iteration cap is reported
-    INDETERMINATE, never silently mapped to NO_SOLUTION.
+    Iterate norms beyond 1e12 or an iterate that overflows to NaN yield
+    NO_SOLUTION.  At the iteration cap, so does a step (the max
+    elementwise change) that grew on each of the last min(100,
+    ``max_iter`` - 1) > 0 iterations; anything else there, such as a slow
+    but shrinking step, is reported INDETERMINATE, never silently mapped
+    to NO_SOLUTION.  The solve keeps no per-iteration history.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tolerance must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     Ms, status_code, iters, delta, Ks = kernels.riccati_solve(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import controllers as ctl
 from . import kernels, models
-from .adversary import Extension, RealizedPiecewiseLinear
+from .adversary import OFFSET_BUDGET, Extension, RealizedPiecewiseLinear
 from .models import (GUARD, ConfigurationError, GaussianIID, MjlsSpec,
                      PowerGrowthFn, SampledSpec)
 from .riccati import RiccatiSolution
@@ -46,12 +46,10 @@ def episode_seed(master_seed: int, index: int) -> int:
 @dataclass(frozen=True)
 class RandomMember:
     """Recipe for a random Lipschitz-L member: anchor abscissas uniform on
-    [-x_span, x_span], values by a random walk with slopes uniform in
-    [-L, L] from a start value uniform in [-v0_span, v0_span]."""
+    [-10, 10], values by a random walk with slopes uniform in [-L, L]
+    from a start value uniform in [-2, 2]."""
 
     n_anchors: int = 16
-    x_span: float = 10.0
-    v0_span: float = 2.0
 
     def __post_init__(self):
         if self.n_anchors < 1:
@@ -62,20 +60,20 @@ class RandomMember:
 @dataclass(frozen=True)
 class RandomEnvelopeMember:
     """Recipe for a random member of the class |f(x)| <= L|x| + c: a
-    slope-bounded walk outward from an anchor at the origin, clipped
-    into the envelope."""
-
-    n_each_side: int = 8
-    x_span: float = 20.0
+    slope-bounded walk outward from an anchor at the origin through 8
+    abscissas uniform on [0, 20] each side, clipped into the envelope."""
 
 
 @dataclass(frozen=True)
 class ParametricSystem:
+    """Starts at y0 = 0, with theta drawn from N(theta_mean, 1)."""
+
     f: PowerGrowthFn
     noise: GaussianIID = GaussianIID(1.0)
     theta_mean: float = 1.0
-    theta_std: float = 1.0
-    y0: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "theta_mean")
 
 
 def _require_finite(spec, *names):
@@ -96,11 +94,12 @@ def _require_member(f, L: float):
 
 @dataclass(frozen=True)
 class NonparametricSystem:
+    """Starts at y0 drawn from N(0, y0_std^2)."""
+
     L: float
     w_bar: float = 1.0
     f: RealizedPiecewiseLinear | None = None
     member: RandomMember | None = None
-    y0: float = 0.0
     y0_std: float = 0.0
 
     def __post_init__(self):
@@ -108,31 +107,34 @@ class NonparametricSystem:
             raise ValueError(f"L must be positive, got {self.L}")
         if not math.isfinite(2.0 * self.L):  # members draw slopes on [-L, L]
             raise ValueError(f"L must have a finite span 2L, got {self.L}")
-        if not self.w_bar > 0:
-            raise ValueError(f"w_bar must be positive, got {self.w_bar}")
-        _require_finite(self, "y0", "y0_std")
+        if not 0 < self.w_bar < math.inf:
+            raise ValueError(
+                f"w_bar must be finite and positive, got {self.w_bar}")
+        _require_finite(self, "y0_std")
         _require_member(self.f, self.L)
 
 
 @dataclass(frozen=True)
 class SampledSystem:
+    """Starts at x0 drawn from N(0, x0_std^2)."""
+
     spec: SampledSpec
     f: RealizedPiecewiseLinear | None = None
     member: RandomEnvelopeMember | None = None
-    x0: float = 0.0
     x0_std: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "x0", "x0_std")
+        _require_finite(self, "x0_std")
         if self.f is not None:
             models.require_sampled_member(self.f, self.spec)
 
 
 @dataclass(frozen=True)
 class MjlsSystem:
+    """Starts at x0, in a mode drawn uniformly over 1..N."""
+
     spec: MjlsSpec
     x0: tuple[float, ...] = ()
-    init_mode: int | None = None  # None draws uniformly over 1..N
 
 
 SystemSpec = (ParametricSystem | NonparametricSystem | SampledSystem
@@ -149,23 +151,16 @@ class ZeroControl:
 
 @dataclass(frozen=True)
 class MvRlsControl:
-    """Least-squares based minimum-variance law u = -theta_hat f(y).
-
-    ``theta0=None`` starts the estimate at the system's coefficient mean
-    (the prior-matched variant); ``s0`` is the information start."""
-
-    s0: float = 1.0
-    theta0: float | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s0) and self.s0 > 0):
-            raise ValueError("information start s0 must be finite and positive")
+    """Least-squares based minimum-variance law u = -theta_hat f(y), the
+    prior-matched variant: the estimate starts at the system's
+    coefficient mean with information ``controllers.RLS_S0``."""
 
 
 @dataclass(frozen=True)
 class SwitchingControl:
+    """Switching nearest-neighbour law tracking the reference 0."""
+
     eps: float | None = None  # None means 0.1 * w_bar
-    y_star: float = 0.0
 
     def __post_init__(self):
         if self.eps is not None and not 0 < self.eps < math.inf:
@@ -174,7 +169,7 @@ class SwitchingControl:
 
 @dataclass(frozen=True)
 class SampledCeControl:
-    kappa: float = ctl.SAMPLED_CLIP_KAPPA
+    """Certainty-equivalence law clipped at ``SAMPLED_CLIP_KAPPA``."""
 
 
 @dataclass(frozen=True)
@@ -184,7 +179,8 @@ class MjlsGainControl:
 
 @dataclass(frozen=True)
 class GreedyAdversary:
-    budget_mult: float = 10.0
+    """Greedy opponent; its first value is clipped to the working budget
+    |v| <= L|y| + ``adversary.OFFSET_BUDGET`` * w_bar."""
 
 
 @dataclass(frozen=True)
@@ -277,9 +273,9 @@ class McConfig:
     collect_curve: bool = False
 
 
-def default_checkpoints(T: int, first_exp: int = 7) -> tuple[int, ...]:
-    """Powers of two from 2**first_exp up to T, with T appended."""
-    cps = [2**k for k in range(first_exp, 64) if 2**k <= T]
+def default_checkpoints(T: int) -> tuple[int, ...]:
+    """Powers of two from 2**7 up to T, with T appended."""
+    cps = [2**k for k in range(7, 64) if 2**k <= T]
     if not cps or cps[-1] != T:
         cps.append(T)
     return tuple(cps)
@@ -334,19 +330,18 @@ def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
 
 def random_lipschitz_member(L: float, member: RandomMember,
                             rng: np.random.Generator) -> RealizedPiecewiseLinear:
-    xs = np.sort(rng.uniform(-member.x_span, member.x_span, member.n_anchors))
+    xs = np.sort(rng.uniform(-10.0, 10.0, member.n_anchors))
     vs = np.empty_like(xs)
-    vs[0] = rng.uniform(-member.v0_span, member.v0_span)
+    vs[0] = rng.uniform(-2.0, 2.0)
     for i in range(1, xs.shape[0]):
         vs[i] = vs[i - 1] + rng.uniform(-L, L) * (xs[i] - xs[i - 1])
     return RealizedPiecewiseLinear(xs, vs, L, Extension.MCSHANE_MIN)
 
 
-def random_envelope_member(L: float, c: float, member: RandomEnvelopeMember,
+def random_envelope_member(L: float, c: float,
                            rng: np.random.Generator) -> RealizedPiecewiseLinear:
-    k = member.n_each_side
-    xs_pos = np.sort(rng.uniform(0.0, member.x_span, k))
-    xs_neg = -np.sort(rng.uniform(0.0, member.x_span, k))
+    xs_pos = np.sort(rng.uniform(0.0, 20.0, 8))
+    xs_neg = -np.sort(rng.uniform(0.0, 20.0, 8))
     v0 = rng.uniform(-c, c)
     xs = [0.0]
     vs = [v0]
@@ -369,13 +364,12 @@ def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a parametric system")
     rng = np.random.Generator(np.random.PCG64(seed))
-    theta = system.theta_mean + system.theta_std * rng.standard_normal()
+    theta = system.theta_mean + rng.standard_normal()
     w = math.sqrt(system.noise.variance) * rng.standard_normal(T + 1)
     w[0] = 0.0
-    theta0 = system.theta_mean if controller.theta0 is None else controller.theta0
     ys, us, _ths, blow = kernels.parametric_episode(
-        system.y0, theta, w, system.f.M, system.f.b,
-        controller.s0, theta0, GUARD)
+        0.0, theta, w, system.f.M, system.f.b, ctl.RLS_S0, system.theta_mean,
+        GUARD)
     return _episode("parametric", system, controller, seed, T, ys, us, w,
                     blow, theta=theta)
 
@@ -385,10 +379,9 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
     rng = np.random.Generator(np.random.PCG64(seed))
     if isinstance(controller, SwitchingControl):
         eps = 0.1 * system.w_bar if controller.eps is None else controller.eps
-        ystar = controller.y_star
         use_ctl = 1
     elif isinstance(controller, ZeroControl):
-        eps, ystar, use_ctl = 1.0, 0.0, 0
+        eps, use_ctl = 1.0, 0
     else:
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a nonparametric system")
@@ -398,10 +391,11 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
             raise ConfigurationError("nonparametric episodes take the greedy adversary")
         if system.f is not None or system.member is not None:
             raise ConfigurationError("adversarial episodes leave f unspecified")
-        y0 = system.y0 + system.y0_std * rng.standard_normal()
-        budget_c = adversary.budget_mult * system.w_bar
+        # 0.0 + turns a -0.0 draw at y0_std 0 into the start 0.0
+        y0 = 0.0 + system.y0_std * rng.standard_normal()
         ys, us, ws, vsc, axs, avs, _, blow = kernels.nonparam_duel(
-            y0, system.L, system.w_bar, budget_c, eps, ystar, GUARD, T, use_ctl)
+            y0, system.L, system.w_bar, OFFSET_BUDGET * system.w_bar, eps,
+            GUARD, T, use_ctl)
         return _episode("nonparametric", system, controller, seed, T, ys, us,
                         ws, blow, committed=vsc,
                         realized_f=RealizedPiecewiseLinear(axs, avs, system.L))
@@ -413,12 +407,12 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
         if system.member is None:
             raise ConfigurationError("either f, a member recipe, or an adversary is required")
         f = random_lipschitz_member(system.L, system.member, rng)
-    y0 = system.y0 + system.y0_std * rng.standard_normal()
+    y0 = 0.0 + system.y0_std * rng.standard_normal()
     raw = rng.uniform(-1.0, 1.0, T + 1)
     raw[0] = 0.0
     ys, us, blow = kernels.nonparam_fixed(
-        y0, f.xs, f.vs, f.L, f.ext_mode, raw, system.w_bar, eps, ystar,
-        GUARD, use_ctl)
+        y0, f.xs, f.vs, f.L, f.ext_mode, raw, system.w_bar, eps, GUARD,
+        use_ctl)
     return _episode("nonparametric", system, controller, seed, T, ys, us,
                     system.w_bar * raw, blow, realized_f=f)
 
@@ -427,10 +421,11 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
                  seed: int):
     spec = system.spec
     rng = np.random.Generator(np.random.PCG64(seed))
+    kappa = ctl.SAMPLED_CLIP_KAPPA
     if isinstance(controller, SampledCeControl):
-        use_ctl, kappa = 1, controller.kappa
+        use_ctl = 1
     elif isinstance(controller, ZeroControl):
-        use_ctl, kappa = 0, ctl.SAMPLED_CLIP_KAPPA
+        use_ctl = 0
     else:
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a sampled-data system")
@@ -441,12 +436,11 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
         if system.f is not None or system.member is not None:
             raise ConfigurationError("adversarial episodes leave f unspecified")
         # from x0 != 0 the realized store can leave |f(x)| <= L|x| + c
-        if system.x0 != 0.0 or system.x0_std != 0.0:
+        if system.x0_std != 0.0:
             raise ConfigurationError(
-                "sampled duels start at 0: x0 and x0_std must be 0")
-        x0 = system.x0 + system.x0_std * rng.standard_normal()
+                "sampled duels start at 0: x0_std must be 0")
         xs, us, vsc, axs, avs, _, blow = kernels.sampled_duel(
-            x0, spec.L, spec.c, spec.h, spec.substeps, kappa, T, GUARD,
+            0.0, spec.L, spec.c, spec.h, spec.substeps, kappa, T, GUARD,
             use_ctl)
         return _episode("sampled", system, controller, seed, T, xs, us,
                         np.zeros(T + 1), blow, committed=vsc,
@@ -456,8 +450,8 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
     if f is None:
         if system.member is None:
             raise ConfigurationError("either f, a member recipe, or an adversary is required")
-        f = random_envelope_member(spec.L, spec.c, system.member, rng)
-    x0 = system.x0 + system.x0_std * rng.standard_normal()
+        f = random_envelope_member(spec.L, spec.c, rng)
+    x0 = 0.0 + system.x0_std * rng.standard_normal()
     xs, us, blow = kernels.sampled_fixed(
         x0, f.xs, f.vs, f.L, f.ext_mode, spec.c, spec.h, spec.substeps,
         kappa, T, GUARD, use_ctl)
@@ -469,12 +463,7 @@ def _run_mjls(system: MjlsSystem, controller, T: int, seed: int):
     spec = system.spec
     rng = np.random.Generator(np.random.PCG64(seed))
     N = spec.n_modes
-    if system.init_mode is None:
-        mode0 = int(rng.integers(1, N + 1))
-    else:
-        mode0 = system.init_mode
-        if not 1 <= mode0 <= N:
-            raise ConfigurationError(f"init_mode {mode0} outside 1..{N}")
+    mode0 = int(rng.integers(1, N + 1))
     munif = rng.random(T)
     W = math.sqrt(spec.noise.sigma_lo) * rng.standard_normal((T, spec.n_states))
     if isinstance(controller, MjlsGainControl):
@@ -696,9 +685,7 @@ def recompute_input(traj: Trajectory, t: int):
     if isinstance(controller, ZeroControl):
         return 0.0 if traj.states.ndim == 1 else np.zeros_like(traj.inputs[0])
     if traj.kind == "parametric":
-        theta0 = (system.theta_mean if controller.theta0 is None
-                  else controller.theta0)
-        state = ctl.make_rls(s0=controller.s0, theta0=theta0)
+        state = ctl.make_rls(system.theta_mean)
         for i in range(t):
             phi = models.eval_power(system.f, traj.states[i])
             z = traj.states[i + 1] - traj.inputs[i]
@@ -710,13 +697,11 @@ def recompute_input(traj: Trajectory, t: int):
         hist = ctl.NnHistory()
         for i in range(t):
             hist.append(traj.states[i], traj.inputs[i], traj.states[i + 1])
-        return ctl.switching_control(hist, traj.states[t], eps,
-                                     controller.y_star)
+        return ctl.switching_control(hist, traj.states[t], eps)
     if traj.kind == "sampled":
         samples = [(traj.states[i], traj.inputs[i], traj.states[i + 1])
                    for i in range(t)]
-        return ctl.sampled_control(samples, traj.states[t], system.spec,
-                                   controller.kappa)
+        return ctl.sampled_control(samples, traj.states[t], system.spec)
     if traj.kind == "mjls":
         state = ctl.MjlsControllerState(Ks=controller.solution.Ks)
         if t >= 1:

@@ -170,12 +170,34 @@ class TestExitCodes:
          "growth exponent must be nonnegative and finite"),
         (["highorder-check", "--L", "inf"],
          "slope budget L must be positive and finite"),
+        (["parametric-sweep", "--b", "2", "--noise-var", "inf"] + SHORT,
+         "variance must be finite and positive"),
+        (["parametric-sweep", "--b", "2", "--theta-mean", "inf"] + SHORT,
+         "theta_mean must be finite"),
+        (["parametric-sweep", "--b", "2", "--theta-mean", "nan"] + SHORT,
+         "theta_mean must be finite"),
+        (["nonparam-duel", "--mode", "random", "--w-bar", "inf"] + SHORT,
+         "w_bar must be finite and positive"),
+        (SAMPLED + ["--L", "1", "--h", "inf"], "h must be finite"),
+        (["nonparam-duel", "--escape", "nan"] + SHORT,
+         "escape must be finite and positive"),
+        (["nonparam-duel", "--escape", "-5"] + SHORT,
+         "escape must be finite and positive"),
+        (["nonparam-duel", "--escape", "inf"] + SHORT,
+         "escape must be finite and positive"),
+        (["mjls-solve", "--spec", "<spec>", "--tol", "inf"],
+         "tolerance must be finite and positive"),
     ], ids=["n_anchors_zero", "member_L_inf", "sampled_L_inf",
             "sampled_c_inf", "sampled_span_overflows", "eps_negative",
             "eps_zero", "eps_nan", "every_zero", "every_negative",
             "empty_L", "empty_b", "empty_range", "range_nan",
-            "range_inf", "range_too_many_points", "b_nan", "highorder_L_inf"])
-    def test_malformed_input_exits_2(self, argv, message, capsys):
+            "range_inf", "range_too_many_points", "b_nan", "highorder_L_inf",
+            "noise_var_inf", "theta_mean_inf", "theta_mean_nan", "w_bar_inf",
+            "sampled_h_inf", "escape_nan", "escape_negative", "escape_inf",
+            "tol_inf"])
+    def test_malformed_input_exits_2(self, argv, message, mjls_spec_file,
+                                     capsys):
+        argv = [mjls_spec_file if a == "<spec>" else a for a in argv]
         assert run_cli(argv) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 

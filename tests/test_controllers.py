@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from feedback_lab import (MarkovChain, MartingaleDiffVector, MjlsSpec,
                           MjlsControllerState, NnHistory, SampledSpec,
@@ -25,6 +27,8 @@ class TestRls:
 
     @given(theta=st.floats(-5, 5), phi=st.floats(0.5, 50),
            theta0=st.floats(-2, 2))
+    # the error stays at the subnormal 5e-324 while the bound underflows
+    @example(theta=0.0, phi=1.0, theta0=5e-324)
     def test_noise_free_error_contracts(self, theta, phi, theta0):
         s = make_rls(s0=1.0, theta0=theta0)
         err = abs(theta - s.theta_hat)
@@ -33,7 +37,8 @@ class TestRls:
             new_err = abs(theta - s.theta_hat)
             assert new_err <= err + 1e-12
             err = new_err
-        assert err <= abs(theta - theta0) * 1.0 / (1.0 + 8 * phi * phi * 0.99)
+        assert err <= (abs(theta - theta0) / (1.0 + 8 * phi * phi * 0.99)
+                       + 1e-12)
 
     def test_mv_control_values(self):
         s = make_rls(s0=1.0, theta0=2.0)
@@ -114,8 +119,11 @@ class TestSwitchingControl:
     def test_tracking_branch_with_huge_eps(self):
         h = NnHistory()
         h.append(0.0, 0.0, 3.0)
-        u = switching_control(h, 100.0, eps=np.inf, y_star_next=0.7)
-        assert u == -3.0 + 0.7
+        u = switching_control(h, 100.0, eps=np.inf)
+        assert u == -3.0
+        # tracking 0 gives +0.0 where the estimate is +0.0
+        h.append(100.0, 0.0, 0.0)
+        assert math.copysign(1.0, switching_control(h, 100.0, eps=0.1)) == 1.0
 
     def test_revisit_tracks_exactly(self):
         # noise-free revisit: the tracking branch cancels f exactly
@@ -126,7 +134,7 @@ class TestSwitchingControl:
         y0 = 1.5
         y1 = f(y0) + 0.0
         h.append(y0, 0.0, y1)
-        u = switching_control(h, y0, eps=0.1, y_star_next=0.0)
+        u = switching_control(h, y0, eps=0.1)
         assert f(y0) + u == 0.0
 
     def test_eps_validation(self):

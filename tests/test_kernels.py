@@ -28,8 +28,8 @@ from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
 from feedback_lab.riccati import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                    DIVERGENCE_GUARD, SVD_RTOL, _mode_sums,
                                    pseudoinverse)
-from feedback_lab.sim import (RandomEnvelopeMember, RandomMember,
-                              random_envelope_member, random_lipschitz_member)
+from feedback_lab.sim import (RandomMember, random_envelope_member,
+                              random_lipschitz_member)
 
 GUARD = 1e150
 
@@ -90,7 +90,7 @@ def members():
     rng = np.random.default_rng(1)
     for _ in range(40):
         yield random_lipschitz_member(2.0, RandomMember(), rng), 12.0
-        yield random_envelope_member(1.5, 1.0, RandomEnvelopeMember(), rng), 25.0
+        yield random_envelope_member(1.5, 1.0, rng), 25.0
 
 
 def queries(f, span, rng):
@@ -209,8 +209,8 @@ class TestScalarHelpersAgree:
         # full scan may round apart by a few ulps, never more
         rng = np.random.default_rng(4)
         for L in (2.0, 6.0):
-            out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, 0.0, GUARD,
-                                        200, 1)
+            out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, GUARD, 200,
+                                        1)
             xs, vs = out[4][:out[6]], out[5][:out[6]]
             for x in rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 300):
                 for mode in (0, 1):
@@ -277,7 +277,7 @@ class TestLocatedIndex:
 
         monkeypatch.setattr(kernels, "_bisect", counted)
         rng = np.random.default_rng(12)
-        f = random_envelope_member(1.0, 1.0, RandomEnvelopeMember(), rng)
+        f = random_envelope_member(1.0, 1.0, rng)
         _, _, blow = kernels.sampled_fixed(0.7, f.xs, f.vs, f.L, f.ext_mode,
                                            1.0, 0.5, 64, 4.0, 200, GUARD, 1)
         assert blow == -1
@@ -391,7 +391,7 @@ class TestEpisodeKernelsAgree:
         raw[0] = 0.0
         system = NonparametricSystem(L=2.0, f=f)
         ys, us, blow = kernels.nonparam_fixed(0.3, xs, vs, 2.0, 0, raw, 1.0,
-                                              0.1, 0.0, GUARD, 1)
+                                              0.1, GUARD, 1)
         traj = _trajectory("nonparametric", ys, us, raw, system,
                            SwitchingControl())
         _assert_inputs_recomputable(traj)
@@ -407,7 +407,7 @@ class TestEpisodeKernelsAgree:
         raw[0] = 0.0
         system = NonparametricSystem(L=1.0, f=f)
         ys, us, blow = kernels.nonparam_fixed(0.0, f.xs, f.vs, 1.0, 2, raw,
-                                              1.0, 0.1, 0.0, GUARD, 1)
+                                              1.0, 0.1, GUARD, 1)
         assert blow == -1
         ties = repeats = 0
         for t in range(1, 400):

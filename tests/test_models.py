@@ -289,3 +289,6 @@ class TestNoiseModels:
     def test_variance_positive(self):
         with pytest.raises(ValueError):
             GaussianIID(variance=0.0)
+        for v in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianIID(variance=v)

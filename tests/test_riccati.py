@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,15 @@ def scalar_two_mode(a1, a2, p12, b1=1.0, b2=1.0):
     return MjlsSpec(chain=chain,
                     A=np.array([[[a1]], [[a2]]], dtype=float),
                     B=np.array([[[b1]], [[b2]]], dtype=float),
+                    noise=MartingaleDiffVector(1.0, 1.0, 1))
+
+
+def golden_spec():
+    # the one-state spec of tests/test_golden.py; the solve settles in 90
+    # iterations
+    chain = MarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]))
+    return MjlsSpec(chain=chain, A=np.array([[[0.5]], [[1.8]]]),
+                    B=np.array([[[1.0]], [[0.6]]]),
                     noise=MartingaleDiffVector(1.0, 1.0, 1))
 
 
@@ -128,8 +140,40 @@ class TestSolver:
                 else:
                     assert res.status is SolveStatus.NO_SOLUTION, (delta, p12)
 
+    def test_memory_does_not_grow_with_the_cap(self):
+        tracemalloc.start()
+        try:
+            res = solve_coupled_riccati(golden_spec(), max_iter=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status is SolveStatus.SOLVED and res.iterations == 90
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 50])
+    def test_cap_before_convergence_is_indeterminate(self, max_iter):
+        # the iterate's norm rises from M = I while its step shrinks
+        res = solve_coupled_riccati(golden_spec(), max_iter=max_iter)
+        assert res.status is SolveStatus.INDETERMINATE
+        assert res.iterations == max_iter
+
+    @pytest.mark.parametrize("cp, status", [
+        (0.999, SolveStatus.INDETERMINATE),
+        (1.001, SolveStatus.NO_SOLUTION),
+    ])
+    def test_cap_verdict_near_the_boundary(self, cp, status):
+        # delta^2 (1 - p) p = cp at p = 1/2: stabilizable below 1, and the
+        # iterate is still moving at the default cap on both sides
+        delta = 2.0 * math.sqrt(cp)
+        res = solve_coupled_riccati(scalar_two_mode(0.0, delta, 0.5))
+        assert res.iterations == 10000
+        assert res.status is status
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             solve_coupled_riccati(single_mode(1.0), tol=0.0)
+        for tol in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                solve_coupled_riccati(single_mode(1.0), tol=tol)
         with pytest.raises(ValueError):
             solve_coupled_riccati(single_mode(1.0), max_iter=0)

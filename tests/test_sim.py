@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
+from feedback_lab import (Extension, GaussianIID, GreedyAdversary,
+                          MarkovChain,
                           MartingaleDiffVector, PiecewiseLinearFn,
                           adversary_choose, kernels,
                           McConfig, MjlsGainControl, MjlsSpec, MjlsSystem,
@@ -15,7 +16,8 @@ from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
                           SampledSpec, SampledSystem, SwitchingControl,
                           Trajectory, ZeroControl, check_replay,
                           default_checkpoints, episode_seed,
-                          growth_rate_audit, monte_carlo, recompute_input,
+                          growth_rate_audit, make_rls, monte_carlo,
+                          recompute_input,
                           regret_logfit, run_episode,
                           solve_coupled_riccati, splitmix64)
 from feedback_lab.models import ConfigurationError
@@ -175,8 +177,7 @@ class TestConfigurationErrors:
                         None, 10, 0)
 
     @pytest.mark.parametrize("h", [1.0, 2.0, 8.0])
-    @pytest.mark.parametrize("start", [{"x0": 0.1}, {"x0_std": 1.0}],
-                             ids=["x0", "x0_std"])
+    @pytest.mark.parametrize("start", [{"x0_std": 1.0}], ids=["x0_std"])
     def test_sampled_duel_from_nonzero_start_rejected(self, h, start):
         # from x0 != 0 the realized store can leave |f(x)| <= L|x| + c
         system = SampledSystem(spec=SampledSpec(1.0, 1.0, h), **start)
@@ -186,14 +187,15 @@ class TestConfigurationErrors:
 
     @pytest.mark.parametrize("s0", [0.0, -1.0, math.nan, math.inf])
     def test_rls_information_start_must_be_finite_and_positive(self, s0):
-        with pytest.raises(ValueError):
-            MvRlsControl(s0=s0)
+        # the runs start at controllers.RLS_S0; the reference takes any s0
+        with pytest.raises(ValueError, match="s0"):
+            make_rls(1.0, s0=s0)
 
     @pytest.mark.parametrize("field, kwargs", [
         ("L", {"L": 0.0}),
         ("L", {"L": -1.0}),
         ("w_bar", {"L": 1.0, "w_bar": 0.0}),
-        ("y0", {"L": 1.0, "y0": math.nan}),
+        ("w_bar", {"L": 1.0, "w_bar": math.inf}),
         ("y0_std", {"L": 1.0, "y0_std": math.inf}),
         ("L", {"L": math.inf}),
         ("L", {"L": 1e308}),
@@ -201,7 +203,7 @@ class TestConfigurationErrors:
         ("f", {"L": 1.0, "f": PiecewiseLinearFn(L=1.0)}),
         ("f.L", {"L": 1.0, "f": RealizedPiecewiseLinear(
             np.array([0.0, 1.0]), np.array([0.0, 0.5]), 10.0)}),
-    ], ids=["L_zero", "L_negative", "w_bar", "y0", "y0_std", "L_inf",
+    ], ids=["L_zero", "L_negative", "w_bar", "w_bar_inf", "y0_std", "L_inf",
             "L_span_overflows", "f_callable", "f_unrealized",
             "f_L_beyond"])
     def test_nonparametric_system_rejected_when_built(self, field, kwargs):
@@ -221,16 +223,29 @@ class TestConfigurationErrors:
         ("eps", lambda: SwitchingControl(eps=0.0)),
         ("eps", lambda: SwitchingControl(eps=math.nan)),
         ("eps", lambda: SwitchingControl(eps=math.inf)),
+        ("h", lambda: SampledSpec(1.0, 1.0, math.inf)),
     ], ids=["n_anchors", "sampled_L_inf", "sampled_c_inf",
             "sampled_L_span_overflows", "sampled_c_span_overflows",
-            "eps_negative", "eps_zero", "eps_nan", "eps_inf"])
+            "eps_negative", "eps_zero", "eps_nan", "eps_inf", "sampled_h_inf"])
     def test_member_recipe_and_controller_rejected_when_built(self, field,
                                                                make):
         with pytest.raises(ValueError, match=field):
             make()
 
+    @pytest.mark.parametrize("field, make", [
+        ("variance", lambda: GaussianIID(math.inf)),
+        ("variance", lambda: GaussianIID(math.nan)),
+        ("theta_mean", lambda: ParametricSystem(PowerGrowthFn(1.0, 2.0),
+                                                theta_mean=math.inf)),
+        ("theta_mean", lambda: ParametricSystem(PowerGrowthFn(1.0, 2.0),
+                                                theta_mean=math.nan)),
+    ], ids=["noise_variance_inf", "noise_variance_nan", "theta_mean_inf",
+            "theta_mean_nan"])
+    def test_parametric_system_rejected_when_built(self, field, make):
+        with pytest.raises(ValueError, match=field):
+            make()
+
     @pytest.mark.parametrize("field, kwargs", [
-        ("x0", {"x0": math.nan}),
         ("x0_std", {"x0_std": math.nan}),
         ("f", {"f": PiecewiseLinearFn(L=1.0)}),
         ("f.L", {"f": RealizedPiecewiseLinear(
@@ -240,7 +255,7 @@ class TestConfigurationErrors:
             np.array([0.0]), np.array([100.0]), 1.0)}),
         ("offset c", {"f": RealizedPiecewiseLinear(
             np.array([5.0]), np.array([6.0]), 1.0)}),
-    ], ids=["x0", "x0_std", "f_unrealized", "f_L_beyond", "f_offset_beyond",
+    ], ids=["x0_std", "f_unrealized", "f_L_beyond", "f_offset_beyond",
             "f_anchor_beyond"])
     def test_sampled_system_rejected_when_built(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
@@ -456,7 +471,7 @@ class TestRandomMembers:
         rng = np.random.default_rng(1)
         from feedback_lab.sim import random_envelope_member
         for _ in range(10):
-            g = random_envelope_member(1.5, 1.0, RandomEnvelopeMember(), rng)
+            g = random_envelope_member(1.5, 1.0, rng)
             grid = np.linspace(-25, 25, 2001)
             vals = np.array([g(x) for x in grid])
             assert np.all(np.abs(vals) <= 1.5 * np.abs(grid) + 1.0 + 1e-9)
