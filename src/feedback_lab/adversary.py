@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -78,13 +79,21 @@ class RealizedPiecewiseLinear:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
 
+    @cached_property
+    def store(self) -> tuple[list[float], dict[float, float]]:
+        """The anchors in the kernels' store form, built at the first
+        evaluation, so a realization that is only written out, as most
+        duels' are, builds none."""
+        return kernels.anchor_store(self.xs, self.vs)
+
     @property
     def ext_mode(self) -> int:
         return int(self.extension)
 
     def __call__(self, x: float) -> float:
-        return kernels.mcshane_eval(self.xs, self.vs, self.xs.shape[0],
-                                    self.L, self.ext_mode, float(x))
+        keys, vals = self.store
+        return kernels.mcshane_eval(keys, vals, self.L, self.ext_mode,
+                                    float(x))
 
     def tail_slopes(self) -> tuple[float, float]:
         """Signed slopes of the left and right unbounded pieces."""
@@ -98,7 +107,8 @@ class RealizedPiecewiseLinear:
 class PiecewiseLinearFn:
     """Anchor store with slope budget L and an extension rule.
 
-    Anchors are kept sorted by x with distinct abscissas; every commit is
+    Anchors are kept in the kernels' store form, a sorted list of
+    distinct abscissas and a dict from each to its value; every commit is
     checked against the whole store within ``CONSISTENCY_TOL`` times the
     larger of 1 and the two values' magnitudes, so far-escaped stores are
     not rejected on last-bit rounding of slope-L cones.
@@ -111,7 +121,7 @@ class PiecewiseLinearFn:
         self.L = float(L)
         self.extension = Extension(extension)
         self._xs: list[float] = []
-        self._vs: list[float] = []
+        self._vs: dict[float, float] = {}
         for x, v in anchors:
             self.commit(x, v)
 
@@ -120,20 +130,18 @@ class PiecewiseLinearFn:
 
     @property
     def anchors(self) -> list[tuple[float, float]]:
-        return list(zip(self._xs, self._vs))
+        return [(x, self._vs[x]) for x in self._xs]
 
     def anchor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self._xs, dtype=float), np.array(self._vs, dtype=float)
+        return (np.array(self._xs, dtype=float),
+                np.array([self._vs[x] for x in self._xs], dtype=float))
 
     def value_at(self, x: float) -> float | None:
         """Committed value at x, or None when x carries no anchor."""
-        i = bisect.bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            return self._vs[i]
-        return None
+        return self._vs.get(x)
 
     def check_consistent(self, x: float, v: float) -> bool:
-        for xi, vi in zip(self._xs, self._vs):
+        for xi, vi in self._vs.items():
             tol = CONSISTENCY_TOL * max(1.0, abs(v), abs(vi))
             if abs(v - vi) > self.L * abs(x - xi) + tol:
                 return False
@@ -142,17 +150,16 @@ class PiecewiseLinearFn:
     def commit(self, x: float, v: float) -> None:
         x = float(x)
         v = float(v)
-        i = bisect.bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            if self._vs[i] != v:
+        if x in self._vs:
+            if self._vs[x] != v:
                 raise InconsistentAnchors(
                     f"anchor at x={x} already committed with a different value")
             return
         if not self.check_consistent(x, v):
             raise InconsistentAnchors(
                 f"value {v} at x={x} violates the slope budget {self.L}")
-        self._xs.insert(i, x)
-        self._vs.insert(i, v)
+        bisect.insort(self._xs, x)
+        self._vs[x] = v
 
     def realize(self) -> RealizedPiecewiseLinear:
         xs, vs = self.anchor_arrays()
@@ -166,8 +173,7 @@ def feasible_interval(f: PiecewiseLinearFn, x: float) -> tuple[float, float]:
     value; consistency of the store guarantees a nonempty intersection of
     the cones, which the two anchors either side of x fix.
     """
-    xs, vs = f.anchor_arrays()
-    lo, hi = kernels.interval(xs, vs, xs.shape[0], f.L, float(x))
+    lo, hi = kernels.interval(f._xs, f._vs, f.L, float(x))
     return float(lo), float(hi)
 
 

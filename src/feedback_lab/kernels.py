@@ -2,12 +2,13 @@
 
 Every episode loop and the coupled fixed-point solver live here as plain
 Python functions.  The episode kernels read their input arrays once as
-lists (``.tolist()``), keep states, anchor stores and nearest-neighbour
-histories in Python lists of Python floats, and build their numpy return
-arrays once, when they return.  A list read costs about a third of a
-numpy-scalar read, and both follow IEEE double arithmetic, so results
-are the same bits.  The one difference is overflow: ``x ** b`` raises
-``OverflowError`` on Python floats where float64 gives inf.
+lists (``.tolist()``), keep states in Python lists of Python floats and
+anchor stores and nearest-neighbour histories in sorted lists and dicts
+of them (see below), and build their numpy return arrays once, when they
+return.  A list read costs about a third of a numpy-scalar read, and
+both follow IEEE double arithmetic, so results are the same bits.  The
+one difference is overflow: ``x ** b`` raises ``OverflowError`` on
+Python floats where float64 gives inf.
 ``power_eval`` is the one place a state is raised to a power, in the
 RLS kernel and in the model step operations that replay it; it never
 raises, and returns what float64 arithmetic gives.
@@ -37,35 +38,45 @@ Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
 index at which the guard tripped (-1 means the horizon was reached).
 
-Piecewise-linear functions are passed as anchor sequences ``(xs, vs)``
-(lists in the kernels, arrays from other callers) holding ``n`` sorted,
-distinct abscissas with slope budget L; extension mode 0 evaluates the
-upper envelope ``min_i(v_i + L|x - x_i|)``, mode 1 the lower envelope
-``max_i(v_i - L|x - x_i|)``, mode 2 their midpoint.
-For L-consistent anchors both envelopes at x are fixed by the two
-anchors either side of x (McShane 1934), so evaluation reads only those
-two.  An exact anchor hit returns the stored value, so replaying a
+Piecewise-linear functions are passed as anchor stores ``(keys, vals)``
+with slope budget L: ``keys`` lists the sorted, distinct abscissas as
+Python floats and ``vals`` maps each to its value (``anchor_store``
+builds the pair from arrays, once per kernel call or realization).
+Extension mode 0 evaluates the upper envelope ``min_i(v_i + L|x - x_i|)``,
+mode 1 the lower envelope ``max_i(v_i - L|x - x_i|)``, mode 2 their
+midpoint.  For L-consistent anchors both envelopes at x are fixed by the
+two anchors either side of x (McShane 1934), so evaluation reads only
+those two.  An exact anchor hit returns the stored value, so replaying a
 stored trajectory through the same anchors is reproducible to the last
 bit.
 
-Anchor stores (``_insert``) and nearest-neighbour histories (``_visit``)
-are lists that grow by sorted insertion (``list.insert``).  A history
-keeps each distinct past state once, with the step of its first visit:
-among equal computed distances the smallest step wins, and a repeat of
-a state can never beat its first visit.
+Every store, fixed or growing, is one sorted key list plus a dict keyed
+by the float: an anchor store maps each key to its anchor value, and a
+nearest-neighbour history (``_visit``) each distinct past state to the
+step of its first visit.  An access locates x once, reads its
+neighbours' values with two dict lookups and commits with one
+``list.insert`` and one dict store (``_insert``), so each access moves
+one tail, not two.  A commit at a key already stored keeps the first
+value: among equal computed distances the smallest step wins, and a
+repeat of a state can never beat its first visit.  Keys compare as
+floats, so a +0.0 visit finds a stored -0.0 and keeps it and its value.
+A NaN key equals no key and sorts after every key, so a NaN commit
+appends; the dict finds it by identity, so reads through the key list
+get its value back.
 
 Every store access finds x's index once and uses it for both the lookup
-and the insertion: the index j of the first key >= x (n if none, and n
-for NaN), which is what ``np.searchsorted(xs[:n], x)`` returns.  It is
-the one j with ``(j == 0 or xs[j-1] < x) and (j == n or xs[j] >= x)``
-(the bracket invariant).  Successive RK4 stages, and successive steps
-over a fixed function, mostly land in the bracket of the access before,
-so ``_locate`` checks that guess and its right neighbour before falling
-back to a bisection (``_bisect``); histories, fed random
-states, bisect at once.  The invariant fixes the index whatever the
-guess, and the cone arithmetic at it (``_cone``) is the same as without
-a guess, so trajectories, stores and reports do not depend on how the
-index was found.
+and the insertion: the index j of the first key >= x (``len(keys)`` if
+none, and for NaN), which is what ``np.searchsorted(keys, x)`` returns.
+It is the one j with ``(j == 0 or keys[j-1] < x) and (j == n or
+keys[j] >= x)`` for n keys (the bracket invariant).  Successive RK4
+stages, and successive steps over a fixed function, mostly land in the
+bracket of the access before, so ``_locate`` checks that guess and its
+right neighbour before falling back to a bisection (``_bisect``);
+histories, fed random states, bisect at once.  The invariant fixes the
+index whatever the guess, and the cone arithmetic at it (``_cone``) is
+the same as without a guess, so trajectories, stores and reports do not
+depend on how the index was found.  The duel kernels return their store
+as sorted key and value arrays and its size.
 """
 
 from array import array
@@ -77,6 +88,9 @@ import numpy as np
 EXT_UPPER = 0
 EXT_LOWER = 1
 EXT_MIDPOINT = 2
+
+_INF = float("inf")
+_NEG_INF = -_INF
 
 
 # ---------------------------------------------------------------------------
@@ -102,43 +116,53 @@ def power_eval(M, b, y):
     return v if y > 0.0 else -v
 
 
-def _bisect(xs, n, x):
-    """The index ``np.searchsorted(xs[:n], x)`` returns: the first i < n
-    with xs[i] >= x, else n.  NaN sorts after every key, where
+def _bisect(keys, x):
+    """The index ``np.searchsorted(keys, x)`` returns: the first i with
+    keys[i] >= x, else len(keys).  NaN sorts after every key, where
     ``bisect_left`` would return 0."""
     if x != x:
-        return n
-    return bisect_left(xs, x, 0, n)
+        return len(keys)
+    return bisect_left(keys, x)
 
 
-def _locate(xs, n, x, j):
-    """``_bisect(xs, n, x)``, trying the guess j and then j + 1 first.
+def _locate(keys, x, j):
+    """``_bisect(keys, x)``, trying the guess j and then j + 1 first.
 
     A guess is taken only where it brackets x, which fixes the index
     uniquely, so the result does not depend on the guess.
     """
-    if 0 <= j <= n and (j == 0 or xs[j - 1] < x) and (j == n or xs[j] >= x):
+    n = len(keys)
+    if (0 <= j <= n and (j == 0 or keys[j - 1] < x)
+            and (j == n or keys[j] >= x)):
         return j
     j += 1
-    if 0 <= j <= n and (j == 0 or xs[j - 1] < x) and (j == n or xs[j] >= x):
+    if (0 <= j <= n and (j == 0 or keys[j - 1] < x)
+            and (j == n or keys[j] >= x)):
         return j
-    return _bisect(xs, n, x)
+    return _bisect(keys, x)
 
 
-def _cone(xs, vs, n, L, x, j):
+def _cone(keys, vals, L, x, j):
     # the interval at x from the anchors either side of its index j
-    if j < n and xs[j] == x:
-        return vs[j], vs[j]
-    lo = -np.inf
-    hi = np.inf
-    if j > 0:
-        d = x - xs[j - 1]
-        lo = vs[j - 1] - L * d
-        hi = vs[j - 1] + L * d
+    n = len(keys)
     if j < n:
-        d = xs[j] - x
-        a = vs[j] - L * d
-        c = vs[j] + L * d
+        right = keys[j]
+        if right == x:
+            v = vals[right]
+            return v, v
+    lo = _NEG_INF
+    hi = _INF
+    if j > 0:
+        left = keys[j - 1]
+        v = vals[left]
+        d = x - left
+        lo = v - L * d
+        hi = v + L * d
+    if j < n:
+        v = vals[right]
+        d = right - x
+        a = v - L * d
+        c = v + L * d
         if a > lo:
             lo = a
         if c < hi:
@@ -146,55 +170,57 @@ def _cone(xs, vs, n, L, x, j):
     return lo, hi
 
 
-def _extend(lo, hi, mode):
-    # the extension rule's pick from the interval
-    if mode == 0:
-        return hi
-    if mode == 1:
-        return lo
-    return 0.5 * (lo + hi)
+def anchor_store(xs, vs):
+    """The store form of the anchor arrays ``(xs, vs)``: the sorted keys
+    as a list of Python floats and a dict from each key to its value."""
+    keys = xs.tolist()
+    return keys, dict(zip(keys, vs.tolist()))
 
 
-def interval(xs, vs, n, L, x):
-    """Values at x consistent with the first n anchors: the single stored
+def interval(keys, vals, L, x):
+    """Values at x consistent with the stored anchors: the single stored
     value on an anchor, else the intersection of the neighbours' cones."""
-    return _cone(xs, vs, n, L, x, _bisect(xs, n, x))
+    return _cone(keys, vals, L, x, _bisect(keys, x))
 
 
-def mcshane_eval(xs, vs, n, L, mode, x):
+def mcshane_eval(keys, vals, L, mode, x):
     """Extension-rule value at x: upper envelope (mode 0), lower (1) or
     their midpoint (2)."""
-    lo, hi = interval(xs, vs, n, L, x)
-    return _extend(lo, hi, mode)
+    return _mcshane_from(keys, vals, L, mode, x, _bisect(keys, x))[0]
 
 
-def _mcshane_from(xs, vs, n, L, mode, x, j):
-    # mcshane_eval located from the guess j; returns the value and index
-    j = _locate(xs, n, x, j)
-    lo, hi = _cone(xs, vs, n, L, x, j)
-    return _extend(lo, hi, mode), j
+def _mcshane_from(keys, vals, L, mode, x, j):
+    # the extension rule's pick from the interval at x, located from the
+    # guess j; returns the value and the index
+    j = _locate(keys, x, j)
+    lo, hi = _cone(keys, vals, L, x, j)
+    if mode == 0:
+        return hi, j
+    if mode == 1:
+        return lo, j
+    return 0.5 * (lo + hi), j
 
 
-def _insert(keys, vals, n, j, key, val):
-    """Insert (key, val) at key's located index j in the sorted store of n
-    entries unless key is already there; returns the new count."""
-    if j < n and keys[j] == key:
-        return n
+def _insert(keys, vals, j, key, val):
+    """Insert key at its located index j in the sorted keys and map it to
+    val, unless key is already there: a store keeps its first value."""
+    if j < len(keys) and keys[j] == key:
+        return
     keys.insert(j, key)
-    vals.insert(j, val)
-    return n + 1
+    vals[key] = val
 
 
-def _visit(keys, steps, n, x, t):
+def _visit(keys, steps, x, t):
     """Look up the stored state nearest to x, then record x at step t.
 
-    Returns the step k of the nearest state (-1 for an empty history),
-    its distance, and the new count.  Computed distances grow
-    monotonically away from the insertion point on either side, so the
-    entries tied at the minimum form one run on each side of it; the
-    smallest step among them wins.
+    ``steps`` maps each stored state to the step of its first visit.
+    Returns the step k of the nearest state (-1 for an empty history) and
+    its distance.  Computed distances grow monotonically away from the
+    insertion point on either side, so the entries tied at the minimum
+    form one run on each side of it; the smallest step among them wins.
     """
-    j = _bisect(keys, n, x)
+    j = _bisect(keys, x)
+    n = len(keys)
     best = np.inf
     if j > 0:
         best = x - keys[j - 1]
@@ -203,38 +229,39 @@ def _visit(keys, steps, n, x, t):
     k = -1
     i = j - 1
     while i >= 0 and x - keys[i] == best:
-        if k < 0 or steps[i] < k:
-            k = steps[i]
+        s = steps[keys[i]]
+        if k < 0 or s < k:
+            k = s
         i -= 1
     i = j
     while i < n and keys[i] - x == best:
-        if k < 0 or steps[i] < k:
-            k = steps[i]
+        s = steps[keys[i]]
+        if k < 0 or s < k:
+            k = s
         i += 1
-    return k, best, _insert(keys, steps, n, j, x, t)
+    _insert(keys, steps, j, x, t)
+    return k, best
 
 
-def _switching_input(ys, us, hy, hk, nh, t, y, eps, bmin, bmax):
+def _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax):
     # nearest-neighbour estimate fhat = y_{k+1} - u_k, then range-centring
     # far from every past output and tracking 0 close to one (0.0 - fhat,
-    # which is +0.0 where -fhat is -0.0); returns the input and the
-    # history count once y is recorded
-    k, gap, nh = _visit(hy, hk, nh, y, t)
+    # which is +0.0 where -fhat is -0.0); y is recorded in the history
+    k, gap = _visit(hy, hk, y, t)
     if k < 0:
-        return 0.0, nh
+        return 0.0
     fhat = ys[k + 1] - us[k]
     if gap > eps:
-        return -fhat + 0.5 * (bmin + bmax), nh
-    return 0.0 - fhat, nh
+        return -fhat + 0.5 * (bmin + bmax)
+    return 0.0 - fhat
 
 
-def _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa):
+def _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa):
     # certainty equivalence on the nearest past sample, clipped to
-    # |u| <= kappa (L|x| + c); returns the input and the history count
-    # once x is recorded
-    i, _, ns = _visit(sx, sk, ns, x, k)
+    # |u| <= kappa (L|x| + c); x is recorded in the history
+    i, _ = _visit(sx, sk, x, k)
     if i < 0:
-        return 0.0, ns
+        return 0.0
     ftilde = (xs[i + 1] - xs[i]) / h - us[i]
     u = -ftilde - x / h
     cap = kappa * (L * abs(x) + c)
@@ -242,7 +269,12 @@ def _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa):
         u = cap
     if u < -cap:
         u = -cap
-    return u, ns
+    return u
+
+
+def _arrays(keys, vals):
+    # a store's keys and values as float64 arrays in sorted order
+    return np.array(keys), np.array([vals[k] for k in keys])
 
 
 def _padded(values, size):
@@ -290,16 +322,13 @@ def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
 def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, guard,
                    use_controller):
     T = ws.shape[0] - 1
-    nf = fxs.shape[0]
-    fxs = fxs.tolist()
-    fvs = fvs.tolist()
+    fkeys, fvals = anchor_store(fxs, fvs)
     ws = ws.tolist()
     y = float(y0)
     ys = [y]
     us = []
     hy = []
-    hk = []
-    nh = 0
+    hk = {}
     bmin = y
     bmax = y
     blow = -1
@@ -311,9 +340,8 @@ def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, guard,
             bmax = y
         u = 0.0
         if use_controller != 0:
-            u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, bmin,
-                                     bmax)
-        fy, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, y, j)
+            u = _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax)
+        fy, j = _mcshane_from(fkeys, fvals, L, ext_mode, y, j)
         y1 = fy + u + w_bar * ws[t + 1]
         us.append(u)
         ys.append(y1)
@@ -334,11 +362,9 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T, use_controller):
     ws = [0.0]
     vsc = []
     axs = []
-    avs = []
-    na = 0
+    avs = {}
     hy = []
-    hk = []
-    nh = 0
+    hk = {}
     bmin = y
     bmax = y
     blow = -1
@@ -349,17 +375,16 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T, use_controller):
             bmax = y
         u = 0.0
         if use_controller != 0:
-            u, nh = _switching_input(ys, us, hy, hk, nh, t, y, eps, bmin,
-                                     bmax)
-        j = _bisect(axs, na, y)
-        if na == 0:
+            u = _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax)
+        j = _bisect(axs, y)
+        if not axs:
             hi = L * abs(y) + budget_c
             lo = -hi
         else:
-            lo, hi = _cone(axs, avs, na, L, y, j)
+            lo, hi = _cone(axs, avs, L, y, j)
         v = hi if abs(hi + u) >= abs(lo + u) else lo
         w = w_bar if (v + u) >= 0.0 else -w_bar
-        na = _insert(axs, avs, na, j, y, v)
+        _insert(axs, avs, j, y, v)
         y1 = v + u + w
         us.append(u)
         ws.append(w)
@@ -370,26 +395,28 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T, use_controller):
             break
         y = y1
     return (_padded(ys, T + 1), _padded(us, T), _padded(ws, T + 1),
-            _padded(vsc, T), np.array(axs), np.array(avs), na, blow)
+            _padded(vsc, T), *_arrays(axs, avs), len(axs), blow)
 
 
 # ---------------------------------------------------------------------------
 # zero-order-hold integration of dx/dt = f(x) + u over one sampling period
 
-def rk4_mcshane(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
+def rk4_mcshane(fkeys, fvals, L, ext_mode, x0, u, h, substeps, guard):
     # the stages of one step and the steps of one period stay close, so
     # each evaluation is located from the index of the one before
     dt = h / substeps
     xx = x0
-    j = _bisect(fxs, nf, x0)
+    j = _bisect(fkeys, x0)
     for _ in range(substeps):
-        f1, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, xx, j)
+        f1, j = _mcshane_from(fkeys, fvals, L, ext_mode, xx, j)
         k1 = f1 + u
-        f2, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k1, j)
+        f2, j = _mcshane_from(fkeys, fvals, L, ext_mode, xx + 0.5 * dt * k1,
+                              j)
         k2 = f2 + u
-        f3, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, xx + 0.5 * dt * k2, j)
+        f3, j = _mcshane_from(fkeys, fvals, L, ext_mode, xx + 0.5 * dt * k2,
+                              j)
         k3 = f3 + u
-        f4, j = _mcshane_from(fxs, fvs, nf, L, ext_mode, xx + dt * k3, j)
+        f4, j = _mcshane_from(fkeys, fvals, L, ext_mode, xx + dt * k3, j)
         k4 = f4 + u
         xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if xx != xx or xx > guard or xx < -guard:
@@ -402,21 +429,18 @@ def rk4_mcshane(fxs, fvs, nf, L, ext_mode, x0, u, h, substeps, guard):
 
 def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
                   n_samples, guard, use_controller):
-    nf = fxs.shape[0]
-    fxs = fxs.tolist()
-    fvs = fvs.tolist()
+    fkeys, fvals = anchor_store(fxs, fvs)
     x = float(x0)
     xs = [x]
     us = []
     sx = []
-    sk = []
-    ns = 0
+    sk = {}
     blow = -1
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
-            u, ns = _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa)
-        x1 = rk4_mcshane(fxs, fvs, nf, L, ext_mode, x, u, h, substeps, guard)
+            u = _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa)
+        x1 = rk4_mcshane(fkeys, fvals, L, ext_mode, x, u, h, substeps, guard)
         us.append(u)
         xs.append(x1)
         if x1 != x1 or x1 > guard or x1 < -guard:
@@ -431,11 +455,12 @@ def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
 # and at every integrator evaluation, and drives each period with the
 # envelope (upper or lower) that continues the current push direction
 
-def _env_commit(axs, avs, na, L, mode, x, j):
+def _env_commit(axs, avs, L, mode, x, j):
     # evaluate the envelope at x and commit it there, both at the index
-    # located from the guess j; returns the value, the count and the index
-    v, j = _mcshane_from(axs, avs, na, L, mode, x, j)
-    return v, _insert(axs, avs, na, j, x, v), j
+    # located from the guess j; returns the value and the index
+    v, j = _mcshane_from(axs, avs, L, mode, x, j)
+    _insert(axs, avs, j, x, v)
+    return v, j
 
 
 def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
@@ -445,11 +470,9 @@ def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
     us = []
     vsc = []
     axs = []
-    avs = []
-    na = 0
+    avs = {}
     sx = []
-    sk = []
-    ns = 0
+    sk = {}
     blow = -1
     dt = h / substeps
     # index of the last store access; the next one lands next to it
@@ -457,28 +480,26 @@ def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
-            u, ns = _ce_input(xs, us, sx, sk, ns, k, x, L, c, h, kappa)
+            u = _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa)
         box = L * abs(x) + c
-        j = _locate(axs, na, x, j)
-        lo, hi = _cone(axs, avs, na, L, x, j)
+        j = _locate(axs, x, j)
+        lo, hi = _cone(axs, avs, L, x, j)
         if lo < -box:
             lo = -box
         if hi > box:
             hi = box
         v = hi if abs(hi + u) >= abs(lo + u) else lo
-        na = _insert(axs, avs, na, j, x, v)
+        _insert(axs, avs, j, x, v)
         mode = 0 if (v + u) >= 0.0 else 1
         xx = x
         for _ in range(substeps):
-            f1, na, j = _env_commit(axs, avs, na, L, mode, xx, j)
+            f1, j = _env_commit(axs, avs, L, mode, xx, j)
             k1 = f1 + u
-            f2, na, j = _env_commit(axs, avs, na, L, mode, xx + 0.5 * dt * k1,
-                                    j)
+            f2, j = _env_commit(axs, avs, L, mode, xx + 0.5 * dt * k1, j)
             k2 = f2 + u
-            f3, na, j = _env_commit(axs, avs, na, L, mode, xx + 0.5 * dt * k2,
-                                    j)
+            f3, j = _env_commit(axs, avs, L, mode, xx + 0.5 * dt * k2, j)
             k3 = f3 + u
-            f4, na, j = _env_commit(axs, avs, na, L, mode, xx + dt * k3, j)
+            f4, j = _env_commit(axs, avs, L, mode, xx + dt * k3, j)
             k4 = f4 + u
             xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if xx != xx or xx > guard or xx < -guard:
@@ -492,7 +513,7 @@ def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
             break
         x = x1
     return (_padded(xs, n_samples + 1), _padded(us, n_samples),
-            _padded(vsc, n_samples), np.array(axs), np.array(avs), na, blow)
+            _padded(vsc, n_samples), *_arrays(axs, avs), len(axs), blow)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ from .adversary import RealizedPiecewiseLinear
 #: inf or NaN state that follows.
 GUARD = 1e150
 
+#: The largest noise scale a system takes, a factor 1e50 below GUARD: a
+#: noise step sqrt(variance), and the greedy opponent's first-step budget
+#: ``adversary.OFFSET_BUDGET * w_bar``, stay at or under it, so a blow-up
+#: verdict reads the loop's growth and not one noise draw.
+NOISE_CAP = 1e100
+
 
 class ConfigurationError(ValueError):
     """System, controller and adversary pieces do not fit together."""
@@ -55,6 +61,10 @@ class GaussianIID:
         if not 0 < self.variance < math.inf:
             raise ValueError(
                 f"variance must be finite and positive, got {self.variance}")
+        if not math.sqrt(self.variance) <= NOISE_CAP:
+            raise ConfigurationError(
+                f"variance must keep the noise step sqrt(variance) at most "
+                f"{NOISE_CAP:g}, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -262,9 +272,9 @@ def integrate_sampled(x0: float, f: RealizedPiecewiseLinear, u_const: float,
     (:func:`require_sampled_member`).
     """
     require_sampled_member(f, spec)
-    return kernels.rk4_mcshane(f.xs, f.vs, f.xs.shape[0], f.L, f.ext_mode,
-                               float(x0), float(u_const), spec.h, spec.substeps,
-                               GUARD)
+    keys, vals = f.store
+    return kernels.rk4_mcshane(keys, vals, f.L, f.ext_mode, float(x0),
+                               float(u_const), spec.h, spec.substeps, GUARD)
 
 
 def step_mjls(x, mode: int, u, w, spec: MjlsSpec):

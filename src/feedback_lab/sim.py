@@ -11,7 +11,7 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from . import controllers as ctl
 from . import kernels, models
 from .adversary import OFFSET_BUDGET, Extension, RealizedPiecewiseLinear
-from .models import (GUARD, ConfigurationError, GaussianIID, MjlsSpec,
-                     PowerGrowthFn, SampledSpec)
+from .models import (GUARD, NOISE_CAP, ConfigurationError, GaussianIID,
+                     MjlsSpec, PowerGrowthFn, SampledSpec)
 from .riccati import RiccatiSolution
 
 _MASK = (1 << 64) - 1
@@ -110,6 +110,10 @@ class NonparametricSystem:
         if not 0 < self.w_bar < math.inf:
             raise ValueError(
                 f"w_bar must be finite and positive, got {self.w_bar}")
+        if not OFFSET_BUDGET * self.w_bar <= NOISE_CAP:
+            raise ConfigurationError(
+                f"w_bar must keep the opponent's budget {OFFSET_BUDGET:g} * "
+                f"w_bar at most {NOISE_CAP:g}, got {self.w_bar}")
         _require_finite(self, "y0_std")
         _require_member(self.f, self.L)
 
@@ -643,16 +647,21 @@ def replay_states(traj: Trajectory) -> np.ndarray:
     system = traj.system
     out = np.array(traj.states, copy=True)
     n_steps = traj.inputs.shape[0]
+    # a copy of the realization: the anchor store its first evaluation
+    # builds goes with the replay instead of staying with the trajectory
+    f = traj.realized_f
+    if f is not None:
+        f = replace(f)
 
     def step(t):
         if traj.kind == "parametric":
             return models.step_parametric(out[t], traj.theta, traj.inputs[t],
                                           traj.noises[t + 1], system.f)
         if traj.kind == "nonparametric":
-            return models.step_nonparametric(out[t], traj.realized_f,
+            return models.step_nonparametric(out[t], f,
                                              traj.inputs[t], traj.noises[t + 1])
         if traj.kind == "sampled":
-            return models.integrate_sampled(out[t], traj.realized_f,
+            return models.integrate_sampled(out[t], f,
                                             traj.inputs[t], system.spec)
         if traj.kind == "mjls":
             return models.step_mjls(out[t], int(traj.modes[t]), traj.inputs[t],

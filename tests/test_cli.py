@@ -187,6 +187,14 @@ class TestExitCodes:
          "escape must be finite and positive"),
         (["mjls-solve", "--spec", "<spec>", "--tol", "inf"],
          "tolerance must be finite and positive"),
+        (["nonparam-duel", "--L", "1", "--w-bar", "1e300"] + SHORT,
+         "w_bar must keep the opponent's budget"),
+        (["nonparam-duel", "--mode", "random", "--L", "1", "--w-bar",
+          "1e300"] + SHORT, "w_bar must keep the opponent's budget"),
+        (["nonparam-duel", "--L", "1", "--w-bar", "1e308"] + SHORT,
+         "w_bar must keep the opponent's budget"),
+        (["parametric-sweep", "--b", "2", "--noise-var", "1e300"] + SHORT,
+         "variance must keep the noise step"),
     ], ids=["n_anchors_zero", "member_L_inf", "sampled_L_inf",
             "sampled_c_inf", "sampled_span_overflows", "eps_negative",
             "eps_zero", "eps_nan", "every_zero", "every_negative",
@@ -194,7 +202,8 @@ class TestExitCodes:
             "range_inf", "range_too_many_points", "b_nan", "highorder_L_inf",
             "noise_var_inf", "theta_mean_inf", "theta_mean_nan", "w_bar_inf",
             "sampled_h_inf", "escape_nan", "escape_negative", "escape_inf",
-            "tol_inf"])
+            "tol_inf", "w_bar_beyond_guard", "w_bar_beyond_guard_random",
+            "w_bar_overflows_budget", "noise_var_beyond_guard"])
     def test_malformed_input_exits_2(self, argv, message, mjls_spec_file,
                                      capsys):
         argv = [mjls_spec_file if a == "<spec>" else a for a in argv]

@@ -20,7 +20,7 @@ from feedback_lab import (Extension, GaussianIID, GreedyAdversary,
                           recompute_input,
                           regret_logfit, run_episode,
                           solve_coupled_riccati, splitmix64)
-from feedback_lab.models import ConfigurationError
+from feedback_lab.models import NOISE_CAP, ConfigurationError
 from feedback_lab.sim import McReport, _aggregate, _episode_summary
 
 
@@ -196,6 +196,8 @@ class TestConfigurationErrors:
         ("L", {"L": -1.0}),
         ("w_bar", {"L": 1.0, "w_bar": 0.0}),
         ("w_bar", {"L": 1.0, "w_bar": math.inf}),
+        ("w_bar", {"L": 1.0, "w_bar": 1e300}),
+        ("w_bar", {"L": 1.0, "w_bar": 1e308}),
         ("y0_std", {"L": 1.0, "y0_std": math.inf}),
         ("L", {"L": math.inf}),
         ("L", {"L": 1e308}),
@@ -203,7 +205,8 @@ class TestConfigurationErrors:
         ("f", {"L": 1.0, "f": PiecewiseLinearFn(L=1.0)}),
         ("f.L", {"L": 1.0, "f": RealizedPiecewiseLinear(
             np.array([0.0, 1.0]), np.array([0.0, 0.5]), 10.0)}),
-    ], ids=["L_zero", "L_negative", "w_bar", "w_bar_inf", "y0_std", "L_inf",
+    ], ids=["L_zero", "L_negative", "w_bar", "w_bar_inf",
+            "w_bar_beyond_guard", "w_bar_overflows_budget", "y0_std", "L_inf",
             "L_span_overflows", "f_callable", "f_unrealized",
             "f_L_beyond"])
     def test_nonparametric_system_rejected_when_built(self, field, kwargs):
@@ -235,15 +238,26 @@ class TestConfigurationErrors:
     @pytest.mark.parametrize("field, make", [
         ("variance", lambda: GaussianIID(math.inf)),
         ("variance", lambda: GaussianIID(math.nan)),
+        ("variance", lambda: GaussianIID(1e300)),
         ("theta_mean", lambda: ParametricSystem(PowerGrowthFn(1.0, 2.0),
                                                 theta_mean=math.inf)),
         ("theta_mean", lambda: ParametricSystem(PowerGrowthFn(1.0, 2.0),
                                                 theta_mean=math.nan)),
-    ], ids=["noise_variance_inf", "noise_variance_nan", "theta_mean_inf",
+    ], ids=["noise_variance_inf", "noise_variance_nan",
+            "noise_variance_beyond_guard", "theta_mean_inf",
             "theta_mean_nan"])
     def test_parametric_system_rejected_when_built(self, field, make):
         with pytest.raises(ValueError, match=field):
             make()
+
+    def test_noise_scale_cap(self):
+        # a noise scale beyond NOISE_CAP is a configuration error naming
+        # its field; up to the cap the system is built
+        for make in (lambda s: NonparametricSystem(L=1.0, w_bar=s / 10.0),
+                     lambda s: GaussianIID(s * s)):
+            make(NOISE_CAP / 2.0)
+            with pytest.raises(ConfigurationError, match="w_bar|variance"):
+                make(NOISE_CAP * 2.0)
 
     @pytest.mark.parametrize("field, kwargs", [
         ("x0_std", {"x0_std": math.nan}),
