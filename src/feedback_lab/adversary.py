@@ -53,13 +53,17 @@ class RealizedPiecewiseLinear:
     otherwise.  Evaluation returns the stored value exactly on anchor
     points and the extension-rule value elsewhere, so replaying a
     trajectory through a realization reproduces every recorded function
-    value bit for bit.
+    value bit for bit.  ``modes`` holds one extension mode per interval
+    between adjacent anchors and per tail, the left tail first; a
+    sampled duel's swept intervals each keep the envelope that swept
+    them.  Left out, it is ``extension`` everywhere.
     """
 
     xs: np.ndarray
     vs: np.ndarray
     L: float
     extension: Extension = Extension.MCSHANE_MIN
+    modes: np.ndarray | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -78,6 +82,15 @@ class RealizedPiecewiseLinear:
                 f"anchor difference quotients exceed the slope budget {self.L}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
+        if self.modes is None:
+            modes = np.full(xs.shape[0] + 1, self.ext_mode)
+        else:
+            modes = np.asarray(self.modes, dtype=np.int64)
+            if modes.shape != (xs.shape[0] + 1,) or modes.min() < 0 \
+                    or modes.max() > 2:
+                raise ValueError("modes must hold one extension mode per "
+                                 "interval, the two tails included")
+        object.__setattr__(self, "modes", modes)
 
     @cached_property
     def store(self) -> tuple[list[float], dict[float, float]]:
@@ -90,18 +103,20 @@ class RealizedPiecewiseLinear:
     def ext_mode(self) -> int:
         return int(self.extension)
 
+    @cached_property
+    def mode_table(self) -> dict[float, int]:
+        """``modes`` in the kernels' form (``kernels.mode_table``)."""
+        return kernels.mode_table(self.store[0], self.modes.tolist())
+
     def __call__(self, x: float) -> float:
         keys, vals = self.store
-        return kernels.mcshane_eval(keys, vals, self.L, self.ext_mode,
+        return kernels.mcshane_eval(keys, vals, self.L, self.mode_table,
                                     float(x))
 
     def tail_slopes(self) -> tuple[float, float]:
         """Signed slopes of the left and right unbounded pieces."""
-        if self.extension == Extension.MCSHANE_MIN:
-            return -self.L, self.L
-        if self.extension == Extension.MCSHANE_MAX:
-            return self.L, -self.L
-        return 0.0, 0.0
+        right = (self.L, -self.L, 0.0)  # the right tail's, by mode
+        return -right[self.modes[0]], right[self.modes[-1]]
 
 
 class PiecewiseLinearFn:

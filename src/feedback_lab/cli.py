@@ -315,12 +315,14 @@ def run_highorder_check(cfg: dict, seed: int) -> list[dict]:
              "rows": [[L, p, label, verdict.boundary, verdict.witness]]}]
 
 
-def _anchor_table(name: str, label: float, traj) -> dict:
+def _anchor_table(name: str, label: float, traj, modes=False) -> dict:
+    # with modes, each anchor's row also names the extension mode of the
+    # interval to its right (the last row's: the right tail's)
     f = traj.realized_f
-    rows = [[label, traj.seed, float(x), float(v)]
-            for x, v in zip(f.xs, f.vs)]
+    rows = [[label, traj.seed, float(x), float(v)] + ([m] if modes else [])
+            for x, v, m in zip(f.xs, f.vs, f.modes[1:].tolist())]
     return {"name": f"{name}_anchors",
-            "columns": ["L", "seed", "x", "v"],
+            "columns": ["L", "seed", "x", "v"] + (["mode"] if modes else []),
             "rows": rows}
 
 
@@ -345,8 +347,12 @@ def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
     seeds = cfg.get("seeds", 100)
     w_bar = cfg.get("w_bar", 1.0)
     mode = cfg.get("mode", "adversary")
-    escape = cfg.get("escape", 1e6)
-    if not 0 < escape < math.inf:
+    # None means 1e6 * w_bar, so the verdict reads the same at every noise
+    # scale; an explicit --escape is absolute
+    escape = cfg.get("escape")
+    if escape is None:
+        escape = 1e6 * w_bar
+    elif not 0 < escape < math.inf:
         raise CliError(f"escape must be finite and positive, got {escape}")
     rows = []
     extras = []
@@ -388,13 +394,12 @@ def run_sampled_sweep(cfg: dict, seed: int) -> list[dict]:
     h = cfg.get("h", 1.0)
     c = cfg.get("c", 1.0)
     samples = cfg.get("samples", 1000)
-    substeps = cfg.get("substeps", 64)
     seeds = cfg.get("seeds", 50)
     mode = cfg.get("mode", "random")
     rows = []
     extras = []
     for L in Ls:
-        spec = SampledSpec(L=L, c=c, h=h, substeps=substeps)
+        spec = SampledSpec(L=L, c=c, h=h)
         verdict = analysis.sampled_regime(L, h)
         if mode == "adversary":
             system = sim.SampledSystem(spec=spec)
@@ -408,7 +413,7 @@ def run_sampled_sweep(cfg: dict, seed: int) -> list[dict]:
                          1.0 if ep.outcome is sim.Outcome.BLOWUP else 0.0,
                          ep.sup_abs_state, min_mult])
             if not extras:
-                extras = [_anchor_table("sampled_sweep", L, traj),
+                extras = [_anchor_table("sampled_sweep", L, traj, True),
                           _trajectory_table("sampled_sweep", L, traj)]
         else:
             system = sim.SampledSystem(spec=spec,
@@ -556,7 +561,7 @@ SUBCOMMANDS = {
          Option("w_bar", float),
          Option("eps", float),
          Option("mode", str, choices=_MODES),
-         Option("escape", float),
+         Option("escape", float, "sup |y| threshold; default 1e6 * w_bar"),
          Option("n_anchors", int))),
     "sampled-sweep": Subcommand(
         run_sampled_sweep,
@@ -567,7 +572,7 @@ SUBCOMMANDS = {
          Option("h", float),
          Option("c", float),
          Option("samples", int),
-         Option("substeps", int),
+         Option("substeps", int, "accepted and unread: the flow is exact"),
          Option("seeds", int),
          Option("mode", str, choices=_MODES))),
     "mjls-solve": Subcommand(

@@ -48,7 +48,11 @@ midpoint.  For L-consistent anchors both envelopes at x are fixed by the
 two anchors either side of x (McShane 1934), so evaluation reads only
 those two.  An exact anchor hit returns the stored value, so replaying a
 stored trajectory through the same anchors is reproducible to the last
-bit.
+bit.  A function may also take its mode per interval: a mode table
+(``mode_table``) maps each interval between adjacent keys, and each
+tail, to one.  The sampled kernels and replay read such a table and
+integrate over it in closed form, one linear piece at a time
+(``zoh_flow``).
 
 Every store, fixed or growing, is one sorted key list plus a dict keyed
 by the float: an anchor store maps each key to its anchor value, and a
@@ -68,17 +72,18 @@ Every store access finds x's index once and uses it for both the lookup
 and the insertion: the index j of the first key >= x (``len(keys)`` if
 none, and for NaN), which is what ``np.searchsorted(keys, x)`` returns.
 It is the one j with ``(j == 0 or keys[j-1] < x) and (j == n or
-keys[j] >= x)`` for n keys (the bracket invariant).  Successive RK4
-stages, and successive steps over a fixed function, mostly land in the
-bracket of the access before, so ``_locate`` checks that guess and its
-right neighbour before falling back to a bisection (``_bisect``);
-histories, fed random states, bisect at once.  The invariant fixes the
+keys[j] >= x)`` for n keys (the bracket invariant).  Successive steps
+over a fixed function mostly land in the bracket of the access before,
+so ``_locate`` checks that guess and its right neighbour before falling
+back to a bisection (``_bisect``); histories, fed random states, and the
+sampled flow, once per period, bisect at once.  The invariant fixes the
 index whatever the guess, and the cone arithmetic at it (``_cone``) is
 the same as without a guess, so trajectories, stores and reports do not
 depend on how the index was found.  The duel kernels return their store
 as sorted key and value arrays and its size.
 """
 
+import math
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
@@ -185,8 +190,11 @@ def interval(keys, vals, L, x):
 
 def mcshane_eval(keys, vals, L, mode, x):
     """Extension-rule value at x: upper envelope (mode 0), lower (1) or
-    their midpoint (2)."""
-    return _mcshane_from(keys, vals, L, mode, x, _bisect(keys, x))[0]
+    their midpoint (2); ``mode`` is one of them or a mode table."""
+    j = _bisect(keys, x)
+    if isinstance(mode, dict):
+        mode = mode[keys[j] if j < len(keys) else _INF]
+    return _mcshane_from(keys, vals, L, mode, x, j)[0]
 
 
 def _mcshane_from(keys, vals, L, mode, x, j):
@@ -399,37 +407,152 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T, use_controller):
 
 
 # ---------------------------------------------------------------------------
-# zero-order-hold integration of dx/dt = f(x) + u over one sampling period
+# exact zero-order-hold flow of dx/dt = f(x) + u over one sampling period
 
-def rk4_mcshane(fkeys, fvals, L, ext_mode, x0, u, h, substeps, guard):
-    # the stages of one step and the steps of one period stay close, so
-    # each evaluation is located from the index of the one before
-    dt = h / substeps
-    xx = x0
-    j = _bisect(fkeys, x0)
-    for _ in range(substeps):
-        f1, j = _mcshane_from(fkeys, fvals, L, ext_mode, xx, j)
-        k1 = f1 + u
-        f2, j = _mcshane_from(fkeys, fvals, L, ext_mode, xx + 0.5 * dt * k1,
-                              j)
-        k2 = f2 + u
-        f3, j = _mcshane_from(fkeys, fvals, L, ext_mode, xx + 0.5 * dt * k2,
-                              j)
-        k3 = f3 + u
-        f4, j = _mcshane_from(fkeys, fvals, L, ext_mode, xx + dt * k3, j)
-        k4 = f4 + u
-        xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if xx != xx or xx > guard or xx < -guard:
-            return xx
-    return xx
+def _exp(a):
+    # e^a, inf where it overflows (math.exp raises there)
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return _INF
+
+
+def mode_table(keys, modes):
+    """Each interval's extension mode keyed by the interval's right key,
+    inf for the right tail, from ``modes`` listed left tail first."""
+    return dict(zip(keys + [_INF], modes))
+
+
+def zoh_flow(keys, vals, modes, L, x, u, h):
+    """State after one period h of dx/dt = f(x) + u from x, u held.
+
+    f takes on each interval between adjacent keys, and on each tail,
+    the envelope ``modes`` maps it to (``mode_table``), which is linear
+    between kinks with slope a in {-L, 0, L}.  On a piece the flow is
+    x* + (x - x*) e^{a t}, x* its equilibrium, or x + (f + u) t where
+    flat; it moves one way, the sign of f(x) + u, and never crosses an
+    equilibrium.  A piece's endpoint (one ``exp``) stands where each
+    line in use is still the active one there, by the two lines' values
+    compared at the endpoint, and the anchor ahead is not passed; else
+    the flow crosses the nearest kink or anchor (one ``log``) and goes on.
+
+    An interval missing from ``modes`` is one no period swept, where the
+    sampled duel's f is still free: the flow takes the envelope that
+    pushes it on, the upper moving right and the lower moving left, and
+    records it for every later period.  On a free tail it commits the
+    endpoint with the active line's value, the expression a later flow
+    compares there, so a replay through the final store gets the same
+    bits.
+    """
+    n = len(keys)
+    j = _bisect(keys, x)
+    lo, hi = _cone(keys, vals, L, x, j)
+    m = modes.get(keys[j] if j < n else _INF)
+    g = (hi if m == 0 else lo if m == 1 else 0.5 * (lo + hi)) + u
+    if not (g > 0.0 or g < 0.0):
+        return x  # at rest, or NaN
+    s = 1.0 if g > 0.0 else -1.0
+    if s > 0.0 and j < n and keys[j] == x:
+        j += 1
+    tau = h
+    enter = True
+    while True:
+        if enter:
+            # interval j: its anchor behind the motion (p0, q0) and the
+            # one ahead (p1, q1); a tail lacks one
+            i0, i1 = (j - 1, j) if s > 0.0 else (j, j - 1)
+            has0, has1 = 0 <= i0 < n, 0 <= i1 < n
+            p0 = keys[i0] if has0 else 0.0
+            p1 = keys[i1] if has1 else 0.0
+            q0 = vals[p0] if has0 else 0.0
+            q1 = vals[p1] if has1 else 0.0
+            key = keys[j] if j < n else _INF
+            m = modes.get(key)
+            free = m is None
+            if free:
+                m = 0 if s > 0.0 else 1
+                if has0 and has1:
+                    modes[key] = m
+            # whether the upper (up) and lower (dn) envelopes run on the
+            # line through the anchor behind; at a tie, on the one ahead
+            up = dn = has0
+            if has0 and has1:
+                db = (x - p0) * s
+                da = (p1 - x) * s
+                up = q0 + L * db < q1 + L * da
+                dn = q0 - L * db > q1 - L * da
+            enter = False
+        # the piece: the line through (p, q) of slope beta
+        if m == 0:
+            p, q, beta = (p0, q0, s * L) if up else (p1, q1, -s * L)
+        elif m == 1:
+            p, q, beta = (p0, q0, -s * L) if dn else (p1, q1, s * L)
+        elif up == dn:
+            p, q, beta = (p0, q0, 0.0) if up else (p1, q1, 0.0)
+        else:
+            p, q = 0.5 * (p0 + p1), 0.5 * (q0 + q1)
+            beta = s * L if up else -s * L
+        if beta == 0.0:
+            rate = q + u
+            x_end = x + rate * tau
+        else:
+            xs = p - (q + u) / beta
+            d = x - xs
+            x_end = xs + d * _exp(beta * tau) if d else x
+        ok = not has1 or (x_end - p1) * s <= 0.0
+        if ok and has0 and has1:
+            db = (x_end - p0) * s
+            da = (p1 - x_end) * s
+            if up and m != 1:
+                ok = q0 + L * db <= q1 + L * da
+            if ok and dn and m != 0:
+                ok = q0 - L * db >= q1 - L * da
+        if ok:
+            break
+        # the nearest event ahead: a kink where an envelope leaves the
+        # line behind, else the anchor ahead
+        y = p1
+        kink = 0
+        if up and m != 1:
+            k = 0.5 * (p0 + p1) + s * (q1 - q0) / (2.0 * L)
+            if (k - y) * s < 0.0:
+                y, kink = k, 1
+        if dn and m != 0:
+            k = 0.5 * (p0 + p1) - s * (q1 - q0) / (2.0 * L)
+            if (k - y) * s < 0.0:
+                y, kink = k, 2
+        if (y - x) * s < 0.0:
+            y = x
+        if beta == 0.0:
+            ty = (y - x) / rate if rate else _INF
+        else:
+            r = (y - xs) / d if d else -1.0
+            ty = math.log(r) / beta if r > 0.0 else _INF
+        if not 0.0 <= ty < tau:
+            break  # rounding put the event at or past the period's end
+        tau -= ty
+        x = y
+        if kink == 1:
+            up = False
+        elif kink == 2:
+            dn = False
+        else:
+            j += 1 if s > 0.0 else -1
+            enter = True
+    if free and not has1 and 0.0 < (x_end - p0) * s < _INF:
+        db = (x_end - p0) * s
+        _insert(keys, vals, j, x_end, q0 + L * db if s > 0.0 else q0 - L * db)
+        modes[x_end if s > 0.0 else p0] = m
+    return x_end
 
 
 # ---------------------------------------------------------------------------
 # sampled-data episode, fixed f + certainty-equivalence controller
 
-def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
-                  n_samples, guard, use_controller):
+def sampled_fixed(x0, fxs, fvs, fmodes, L, c, h, kappa, n_samples, guard,
+                  use_controller):
     fkeys, fvals = anchor_store(fxs, fvs)
+    fm = mode_table(fkeys, fmodes.tolist())
     x = float(x0)
     xs = [x]
     us = []
@@ -440,7 +563,7 @@ def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
         u = 0.0
         if use_controller != 0:
             u = _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa)
-        x1 = rk4_mcshane(fkeys, fvals, L, ext_mode, x, u, h, substeps, guard)
+        x1 = zoh_flow(fkeys, fvals, fm, L, x, u, h)
         us.append(u)
         xs.append(x1)
         if x1 != x1 or x1 > guard or x1 < -guard:
@@ -451,60 +574,50 @@ def sampled_fixed(x0, fxs, fvs, L, ext_mode, c, h, substeps, kappa,
 
 
 # ---------------------------------------------------------------------------
-# sampled-data duel: the opponent commits an anchor at every sample point
-# and at every integrator evaluation, and drives each period with the
-# envelope (upper or lower) that continues the current push direction
+# sampled-data duel: the opponent commits where f is still free, at a
+# sample point inside an interval no period swept and at the end of a
+# sweep along a tail, and each period's flow closes the intervals it
+# sweeps with the envelope (upper or lower) that pushed it
 
-def _env_commit(axs, avs, L, mode, x, j):
-    # evaluate the envelope at x and commit it there, both at the index
-    # located from the guess j; returns the value and the index
-    v, j = _mcshane_from(axs, avs, L, mode, x, j)
-    _insert(axs, avs, j, x, v)
-    return v, j
-
-
-def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
-                 use_controller):
+def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
     x = float(x0)
     xs = [x]
     us = []
     vsc = []
     axs = []
     avs = {}
+    modes = {}
     sx = []
     sk = {}
     blow = -1
-    dt = h / substeps
-    # index of the last store access; the next one lands next to it
-    j = 0
+    if x != 0.0:
+        # an anchor at 0 inside [-c, c] keeps every envelope value inside
+        # |f(x)| <= L|x| + c; it leans the way the start lies
+        axs.append(0.0)
+        avs[0.0] = c if x > 0.0 else -c
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
             u = _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa)
-        box = L * abs(x) + c
-        j = _locate(axs, x, j)
+        j = _bisect(axs, x)
         lo, hi = _cone(axs, avs, L, x, j)
-        if lo < -box:
-            lo = -box
-        if hi > box:
-            hi = box
-        v = hi if abs(hi + u) >= abs(lo + u) else lo
-        _insert(axs, avs, j, x, v)
-        mode = 0 if (v + u) >= 0.0 else 1
-        xx = x
-        for _ in range(substeps):
-            f1, j = _env_commit(axs, avs, L, mode, xx, j)
-            k1 = f1 + u
-            f2, j = _env_commit(axs, avs, L, mode, xx + 0.5 * dt * k1, j)
-            k2 = f2 + u
-            f3, j = _env_commit(axs, avs, L, mode, xx + 0.5 * dt * k2, j)
-            k3 = f3 + u
-            f4, j = _env_commit(axs, avs, L, mode, xx + dt * k3, j)
-            k4 = f4 + u
-            xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if xx != xx or xx > guard or xx < -guard:
-                break
-        x1 = xx
+        m = modes.get(axs[j] if j < len(axs) else _INF)
+        if j < len(axs) and axs[j] == x or m is not None:
+            # an anchor, or a swept interval: f is fixed there
+            v = lo if m == 1 else hi
+        else:
+            box = L * abs(x) + c
+            if lo < -box:
+                lo = -box
+            if hi > box:
+                hi = box
+            if lo > hi:
+                # a pinch one rounding step outside the box collapses
+                # into it, as adversary.sampled_adversary_choose does
+                lo = hi = min(max(0.5 * (lo + hi), -box), box)
+            v = hi if abs(hi + u) >= abs(lo + u) else lo
+            _insert(axs, avs, j, x, v)
+        x1 = zoh_flow(axs, avs, modes, L, x, u, h)
         us.append(u)
         vsc.append(v)
         xs.append(x1)
@@ -512,8 +625,14 @@ def sampled_duel(x0, L, c, h, substeps, kappa, n_samples, guard,
             blow = k + 1
             break
         x = x1
+    # intervals no period swept: a tail realizes as the envelope a sweep
+    # out along it takes (the lower on the left, the upper on the right),
+    # and the others as the upper one
+    amodes = [modes.get(key, 0) for key in axs] + [0]
+    amodes[0] = modes.get(axs[0], 1)
     return (_padded(xs, n_samples + 1), _padded(us, n_samples),
-            _padded(vsc, n_samples), *_arrays(axs, avs), len(axs), blow)
+            _padded(vsc, n_samples), *_arrays(axs, avs), np.array(amodes),
+            len(axs), blow)
 
 
 # ---------------------------------------------------------------------------

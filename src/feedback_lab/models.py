@@ -201,13 +201,12 @@ class MjlsSpec:
 
 @dataclass(frozen=True)
 class SampledSpec:
-    """Sampling period, integrator resolution and the uncertainty class
-    parameters (slope bound L, offset c) for the continuous-time loop."""
+    """Sampling period and the uncertainty class parameters (slope bound
+    L, offset c) for the continuous-time loop."""
 
     L: float
     c: float
     h: float
-    substeps: int = 64
 
     def __post_init__(self):
         if not (self.L > 0 and self.c > 0 and self.h > 0):
@@ -220,8 +219,6 @@ class SampledSpec:
             if not math.isfinite(2.0 * value):
                 raise ValueError(
                     f"{name} must have a finite span 2{name}, got {value}")
-        if self.substeps < 1:
-            raise ValueError("substeps must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +264,18 @@ def integrate_sampled(x0: float, f: RealizedPiecewiseLinear, u_const: float,
                       spec: SampledSpec) -> float:
     """State after one sampling period of dx/dt = f(x) + u, zero-order hold.
 
-    Classical fourth-order Runge-Kutta with ``spec.substeps`` uniform
-    steps.  ``f`` must be realized and inside the declared class
+    The exact flow, in closed form on each linear piece of f
+    (``kernels.zoh_flow``, the one the sampled kernels take), through
+    each interval's extension mode (``f.modes``): x* + (x - x*) e^{a t}
+    on a piece of slope a = +-L with equilibrium x*, x + (f + u) t on a
+    flat one.  A state beyond double precision reads +-inf.  ``f`` must
+    be realized and inside the declared class
     (:func:`require_sampled_member`).
     """
     require_sampled_member(f, spec)
     keys, vals = f.store
-    return kernels.rk4_mcshane(keys, vals, f.L, f.ext_mode, float(x0),
-                               float(u_const), spec.h, spec.substeps, GUARD)
+    return kernels.zoh_flow(keys, vals, f.mode_table, f.L, float(x0),
+                            float(u_const), spec.h)
 
 
 def step_mjls(x, mode: int, u, w, spec: MjlsSpec):

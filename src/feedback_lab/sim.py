@@ -90,6 +90,9 @@ def _require_member(f, L: float):
             f"f must be a RealizedPiecewiseLinear, got {type(f).__name__}")
     if f is not None and not f.L <= L:
         raise ValueError(f"f.L = {f.L} exceeds the system's L = {L}")
+    if f is not None and np.any(f.modes != f.ext_mode):
+        raise ValueError("f must extend by f.extension everywhere, the "
+                         "rule the nonparametric kernel reads")
 
 
 @dataclass(frozen=True)
@@ -439,16 +442,13 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
             raise ConfigurationError("sampled episodes take the sampled greedy adversary")
         if system.f is not None or system.member is not None:
             raise ConfigurationError("adversarial episodes leave f unspecified")
-        # from x0 != 0 the realized store can leave |f(x)| <= L|x| + c
-        if system.x0_std != 0.0:
-            raise ConfigurationError(
-                "sampled duels start at 0: x0_std must be 0")
-        xs, us, vsc, axs, avs, _, blow = kernels.sampled_duel(
-            0.0, spec.L, spec.c, spec.h, spec.substeps, kappa, T, GUARD,
-            use_ctl)
+        x0 = 0.0 + system.x0_std * rng.standard_normal()
+        xs, us, vsc, axs, avs, amodes, _, blow = kernels.sampled_duel(
+            x0, spec.L, spec.c, spec.h, kappa, T, GUARD, use_ctl)
         return _episode("sampled", system, controller, seed, T, xs, us,
                         np.zeros(T + 1), blow, committed=vsc,
-                        realized_f=RealizedPiecewiseLinear(axs, avs, spec.L))
+                        realized_f=RealizedPiecewiseLinear(
+                            axs, avs, spec.L, modes=amodes))
 
     f = system.f
     if f is None:
@@ -457,8 +457,8 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
         f = random_envelope_member(spec.L, spec.c, rng)
     x0 = 0.0 + system.x0_std * rng.standard_normal()
     xs, us, blow = kernels.sampled_fixed(
-        x0, f.xs, f.vs, f.L, f.ext_mode, spec.c, spec.h, spec.substeps,
-        kappa, T, GUARD, use_ctl)
+        x0, f.xs, f.vs, f.modes, f.L, spec.c, spec.h, kappa, T,
+        GUARD, use_ctl)
     return _episode("sampled", system, controller, seed, T, xs, us,
                     np.zeros(T + 1), blow, realized_f=f)
 

@@ -164,6 +164,24 @@ class TestRealizedValidation:
             RealizedPiecewiseLinear(np.array([0.0, 1.0]),
                                     np.array([0.0, 1.5]), 1.0)
 
+    @pytest.mark.parametrize("modes", [[0], [0, 1, 2], [0, 3], [-1, 0]])
+    def test_modes_need_one_extension_per_interval(self, modes):
+        with pytest.raises(ValueError, match="modes"):
+            RealizedPiecewiseLinear(np.array([0.0]), np.zeros(1), 1.0,
+                                    modes=modes)
+
+    def test_each_interval_extends_by_its_mode(self):
+        # anchors (0, 0), (4, 0) with slope 1: the upper envelope peaks at
+        # 2 in the middle, the lower one dips to -2, the midpoint is flat
+        xs, vs = np.array([0.0, 4.0]), np.zeros(2)
+        for m, mid in ((0, 2.0), (1, -2.0), (2, 0.0)):
+            g = RealizedPiecewiseLinear(xs, vs, 1.0, modes=[1, m, 0])
+            assert g(2.0) == mid
+            assert (g(-3.0), g(7.0)) == (-3.0, 3.0)
+            assert g.tail_slopes() == (1.0, 1.0)
+        g = RealizedPiecewiseLinear(xs, vs, 1.0, Extension.MCSHANE_MAX)
+        assert g.modes.tolist() == [1, 1, 1] and g(2.0) == -2.0
+
     def test_rounding_within_scaled_tolerance_accepted(self):
         v = 1e6
         g = RealizedPiecewiseLinear(np.array([0.0, 1.0]),

@@ -4,12 +4,14 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedback_lab import cli, riccati
+from feedback_lab import (RealizedPiecewiseLinear, SampledSpec, cli,
+                          integrate_sampled, riccati)
 
 
 def run_cli(args, capsys=None):
@@ -356,6 +358,59 @@ class TestSampledSweep:
         out = capsys.readouterr().out
         assert "stabilizable" in out
 
+    def test_adversary_export_replays(self, tmp_path):
+        # the anchor table with each interval's mode (the left tail's is
+        # the lower envelope) is the realized function: the trajectory
+        # table's states replay through it bit for bit
+        out = str(tmp_path)
+        assert run_cli(["--out", out, "--no-timestamp", "sampled-sweep",
+                        "--L", "1", "--h", "2", "--mode", "adversary",
+                        "--samples", "30"]) == 0
+        lines = open(os.path.join(out, "sampled_sweep_anchors.csv")
+                     ).read().splitlines()
+        assert lines[0] == "L,seed,x,v,mode"
+        rows = [line.split(",") for line in lines[1:]]
+        f = RealizedPiecewiseLinear(
+            np.array([float(r[2]) for r in rows]),
+            np.array([float(r[3]) for r in rows]), 1.0,
+            modes=[1] + [int(r[4]) for r in rows])
+        traj = [line.split(",") for line in open(os.path.join(
+            out, "sampled_sweep_trajectory.csv")).read().splitlines()[1:]]
+        spec = SampledSpec(L=1.0, c=1.0, h=2.0)
+        for now, nxt in zip(traj, traj[1:]):
+            assert integrate_sampled(float(now[3]), f, float(now[4]),
+                                     spec) == float(nxt[3])
+
+    @pytest.mark.parametrize("mode", ["adversary", "random"])
+    def test_substeps_accepted_and_unread(self, mode):
+        # the flow is exact, so the integrator resolution is gone
+        tables = [cli.run_sampled_sweep(cli.load_config(
+            None, "sampled-sweep", {"L": "1", "h": 2.0, "samples": 30,
+                                    "seeds": 2, "mode": mode, **extra}), 3)
+            for extra in ({}, {"substeps": 1}, {"substeps": 4096})]
+        # (repr, as the rows hold NaN)
+        assert repr(tables[0]) == repr(tables[1]) == repr(tables[2])
+
+
+class TestNonparamDuelEscape:
+    def run(self, **overrides):
+        cfg = cli.load_config(None, "nonparam-duel",
+                              {"L": "1", "T": 200, "seeds": 4, **overrides})
+        table = cli.run_nonparam_duel(cfg, 0)[0]
+        return dict(zip(table["columns"], table["rows"][0]))
+
+    def test_default_threshold_scales_with_w_bar(self):
+        # inside the radius the duel stays bounded at every noise scale;
+        # the default threshold 1e6 * w_bar reads that at w_bar 1e5 too
+        row = self.run(w_bar=1e5)
+        assert row["escape_fraction"] == 0.0
+        assert row["blowup_fraction"] == 0.0
+        assert row["max_sup"] > 1e6
+
+    def test_explicit_threshold_is_absolute(self):
+        assert self.run(w_bar=1e5, escape=1e6)["escape_fraction"] == 1.0
+        assert self.run(escape=1e6) == self.run()
+
 
 # (option_strings, dest, type name, choices, help) of every parser
 # action; the option table must declare exactly these
@@ -427,7 +482,8 @@ SUBCOMMAND_ACTIONS = {
         (("--w-bar",), "w_bar", "float", None, None),
         (("--eps",), "eps", "float", None, None),
         (("--mode",), "mode", None, MODES, None),
-        (("--escape",), "escape", "float", None, None),
+        (("--escape",), "escape", "float", None,
+         "sup |y| threshold; default 1e6 * w_bar"),
         (("--n-anchors",), "n_anchors", "int", None, None),
     ],
     "sampled-sweep": [
@@ -435,7 +491,8 @@ SUBCOMMAND_ACTIONS = {
         (("--h",), "h", "float", None, None),
         (("--c",), "c", "float", None, None),
         (("--samples",), "samples", "int", None, None),
-        (("--substeps",), "substeps", "int", None, None),
+        (("--substeps",), "substeps", "int", None,
+         "accepted and unread: the flow is exact"),
         (("--seeds",), "seeds", "int", None, None),
         (("--mode",), "mode", None, MODES, None),
     ],

@@ -55,16 +55,16 @@ RUNS = {
         ["sampled-sweep", "--mode", "random", "--L", "0.5,2", "--h", "1",
          "--samples", "100", "--substeps", "16", "--seeds", "4"],
         {"sampled_sweep.csv":
-         "485848953f04088d4ea47d4a9e67b0848760e6a48bf41b13c1d372329dc2f87d"}),
+         "293b00ebb926ec9121b91fa02c84ef7c321c4ec0db9a584a1518dfc41a00982b"}),
     "sampled-sweep-adversary": (
         ["sampled-sweep", "--mode", "adversary", "--L", "1,8", "--h", "1",
          "--samples", "40", "--substeps", "16"],
         {"sampled_sweep.csv":
-         "86cc268f5d50f2499c9b56416b68a3b6702418b25442d28a73b7141e8d0adadf",
+         "a4f6c750c47b742d7e2e0ce5783073cf05b1da095956424b96b6a6d86e99368c",
          "sampled_sweep_anchors.csv":
-         "6c7f7c5b4e6e715ffba87337fd308e581b3c395893f3dded5e826bd75d8bb700",
+         "d69e257e6711e44160fd0dd4a8ca1574838797f459e8bb8d8e9af9da7d12ff2f",
          "sampled_sweep_trajectory.csv":
-         "c039a082faa9760d25fef6ac9de27be604fc380635aa81fa1cc41d42382b361f"}),
+         "f6c5cb2cf8cc9b029e0663cae5f0138415f4dbb19580360504e626a0aa5635a2"}),
     "mjls-run": (
         ["mjls-run", "--spec", "<spec>", "--T", "200", "--seeds", "6"],
         {"mjls_run.csv":

@@ -265,24 +265,6 @@ class TestLocatedIndex:
                     assert _same(v, kernels.mcshane_eval(keys, vals, 1.5,
                                                          mode, x))
 
-    def test_rk4_stages_mostly_skip_bisection(self, monkeypatch):
-        # RK4 stages land in the bracket of the evaluation before, so the
-        # guess serves nearly all of 200 periods x 64 substeps x 4 stages
-        calls = [0]
-        bisect = kernels._bisect
-
-        def counted(keys, x):
-            calls[0] += 1
-            return bisect(keys, x)
-
-        monkeypatch.setattr(kernels, "_bisect", counted)
-        rng = np.random.default_rng(12)
-        f = random_envelope_member(1.0, 1.0, rng)
-        _, _, blow = kernels.sampled_fixed(0.7, f.xs, f.vs, f.L, f.ext_mode,
-                                           1.0, 0.5, 64, 4.0, 200, GUARD, 1)
-        assert blow == -1
-        assert calls[0] <= 0.02 * 200 * 64 * 4
-
 
 class TestSortedStores:
     """A store is a sorted key list and a dict from each key to its value
@@ -475,27 +457,13 @@ class TestEpisodeKernelsAgree:
             if L == 6.0:
                 assert traj.blow_step is not None
 
-    def test_rk4(self):
-        xs, vs = anchors(seed=7, L=1.0)
-        for u in (-1.0, 0.0, 2.0):
-            dt = 0.7 / 32
-            xx = 0.5
-            for _ in range(32):
-                k1 = full_mcshane(xs, vs, 1.0, 0, xx) + u
-                k2 = full_mcshane(xs, vs, 1.0, 0, xx + 0.5 * dt * k1) + u
-                k3 = full_mcshane(xs, vs, 1.0, 0, xx + 0.5 * dt * k2) + u
-                k4 = full_mcshane(xs, vs, 1.0, 0, xx + dt * k3) + u
-                xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            assert kernels.rk4_mcshane(*kernels.anchor_store(xs, vs), 1.0, 0,
-                                       0.5, u, 0.7, 32, GUARD) == xx
-
     def test_sampled_fixed(self):
         xs, vs = anchors(seed=8, L=1.0)
-        spec = SampledSpec(L=1.0, c=1.0, h=0.5, substeps=32)
+        spec = SampledSpec(L=1.0, c=1.0, h=0.5)
         f = RealizedPiecewiseLinear(xs, vs, 1.0)
         system = SampledSystem(spec=spec, f=f)
-        out, us, blow = kernels.sampled_fixed(0.7, xs, vs, 1.0, 0, 1.0, 0.5,
-                                              32, 4.0, 50, GUARD, 1)
+        out, us, blow = kernels.sampled_fixed(0.7, xs, vs, f.modes,
+                                              1.0, 1.0, 0.5, 4.0, 50, GUARD, 1)
         traj = _trajectory("sampled", out, us, np.zeros(51), system,
                            SampledCeControl())
         _assert_inputs_recomputable(traj)
@@ -517,69 +485,94 @@ class TestEpisodeKernelsAgree:
             assert u == controllers.sampled_control(samples, xs[k], spec)
 
     def test_sampled_duel(self):
-        system = SampledSystem(spec=SampledSpec(1.0, 1.0, 8.0, substeps=16))
+        system = SampledSystem(spec=SampledSpec(1.0, 1.0, 8.0))
         traj, _ = run_episode(system, SampledCeControl(),
                               SampledGreedyAdversary(), 20, seed=0)
         assert check_replay(traj)
         _assert_inputs_recomputable(traj)
 
-    # where the neighbours' cone is pinched to one value a rounding ulp
-    # above the box L|x| + c, clipping inverts it; sampled_duel then
-    # commits the cone's value, one ulp outside the box, where the
-    # reference collapses the inverted interval into the box
-    BOX_PINCH = pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="sampled_duel commits an endpoint of a box-inverted "
-        "interval, one ulp outside the box (ROADMAP item 7)")
-
     @pytest.mark.parametrize("L, c, controller", [
         (1.0, 1.0, SampledCeControl()),
-        pytest.param(1.0, 1.0, ZeroControl(), marks=BOX_PINCH),
-        pytest.param(1.5, 0.5, SampledCeControl(), marks=BOX_PINCH),
+        (1.0, 1.0, ZeroControl()),
+        (1.5, 0.5, SampledCeControl()),
     ], ids=["ce", "zero", "ce_L1.5_c0.5"])
     def test_sampled_duel_store_is_the_reference_adversarys(self, L, c,
                                                             controller):
-        # the reference commits each sample point's value through
-        # sampled_adversary_choose and each RK4 stage's through the
-        # envelope (an endpoint of feasible_interval) on a
-        # PiecewiseLinearFn, which checks every commit against the whole
-        # store; the kernel's store must be the same, anchor for anchor
-        spec = SampledSpec(L=L, c=c, h=1.0, substeps=16)
+        # the reference commits where f is still free, on a
+        # PiecewiseLinearFn that checks every commit against the whole
+        # store: a sample point inside an interval no earlier period
+        # swept through sampled_adversary_choose (which collapses a
+        # box-inverted pinch into the box), and a sweep's endpoint beyond
+        # every anchor through the envelope there (feasible_interval's
+        # endpoint); the kernel's store must be the same, anchor for anchor
+        spec = SampledSpec(L=L, c=c, h=1.0)
         system = SampledSystem(spec=spec)
-        # a sampled duel starts at 0 and draws no noise, so its seeds
-        # give one run
+        # a sampled duel from 0 draws no noise, so its seeds give one run
         runs = [run_episode(system, controller, SampledGreedyAdversary(), 10,
                             seed)[0] for seed in range(3)]
         traj = runs[0]
         assert traj.blow_step is None
         state = SampledAdversaryState(PiecewiseLinearFn(L=L), c)
         fn = state.fn
-        dt = spec.h / spec.substeps
+        swept = []
+        tail_commits = 0
         for k in range(traj.inputs.shape[0]):
             x, u = float(traj.states[k]), float(traj.inputs[k])
-            v = sampled_adversary_choose(state, x, u)
-            assert v == traj.committed[k], k
-            upper = v + u >= 0.0
-
-            def env(z):
-                lo, hi = feasible_interval(fn, z)
-                fz = hi if upper else lo
-                fn.commit(z, fz)
-                return fz + u
-
-            xx = x
-            for _ in range(spec.substeps):
-                k1 = env(xx)
-                k2 = env(xx + 0.5 * dt * k1)
-                k3 = env(xx + 0.5 * dt * k2)
-                k4 = env(xx + dt * k3)
-                xx = xx + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            assert _bits(xx) == _bits(traj.states[k + 1]), k
+            x1 = float(traj.states[k + 1])
+            keys = fn.anchor_arrays()[0]
+            # x's interval between the anchors either side of it
+            a = keys[keys < x].max(initial=-math.inf)
+            b = keys[keys > x].min(initial=math.inf)
+            if fn.value_at(x) is None and not any(
+                    max(a, lo) < min(b, hi) for lo, hi in swept):
+                v = sampled_adversary_choose(state, x, u)
+            else:
+                v = traj.realized_f(x)
+            assert _bits(v) == _bits(traj.committed[k]), k
+            keys = fn.anchor_arrays()[0]
+            if x1 > keys[-1] or x1 < keys[0]:
+                lo, hi = feasible_interval(fn, x1)
+                fn.commit(x1, hi if x1 > x else lo)
+                tail_commits += 1
+            swept.append((min(x, x1), max(x, x1)))
+        assert tail_commits >= 1 and len(fn) > tail_commits
         xs, vs = fn.anchor_arrays()
-        assert len(fn) > 10 * spec.substeps
         for run in runs:
             assert run.realized_f.xs.tobytes() == xs.tobytes()
             assert run.realized_f.vs.tobytes() == vs.tobytes()
+
+    @pytest.mark.parametrize("L, c, h", [(1.0, 1.0, 1.3), (1.5, 0.5, 1.0)])
+    def test_sampled_duel_never_commits_inside_a_swept_interval(self, L, c,
+                                                                h):
+        # from 0 every anchor is a state of the run; when a state first
+        # appears, no earlier period swept across it
+        system = SampledSystem(spec=SampledSpec(L, c, h))
+        traj, verdict = run_episode(system, SampledCeControl(),
+                                    SampledGreedyAdversary(), 2000, 0)
+        assert verdict.blow_step is None
+        x = traj.states
+        first = {}
+        for t, a in enumerate(x.tolist()):
+            first.setdefault(a, t)
+        lo = np.minimum(x[:-1], x[1:])
+        hi = np.maximum(x[:-1], x[1:])
+        anchors = traj.realized_f.xs.tolist()
+        assert len(anchors) >= 20
+        for a in anchors:
+            t = first[a]
+            assert not np.any((lo[:t] < a) & (a < hi[:t])), a
+        assert check_replay(traj)
+
+    def test_sampled_duel_from_zero_commits_nothing_extra(self):
+        # from 0 the first sample commits the anchor at 0 itself
+        system = SampledSystem(spec=SampledSpec(1.0, 1.0, 1.0))
+        traj, _ = run_episode(system, ZeroControl(),
+                              SampledGreedyAdversary(), 5, 0)
+        assert traj.realized_f.xs[0] == 0.0
+        assert traj.realized_f.vs[0] == traj.committed[0] == 1.0
+        # each zero-control period sweeps the right tail and commits its
+        # endpoint, the next sample point
+        assert traj.realized_f.xs.tolist() == traj.states.tolist()
 
     def test_mjls(self):
         rng = np.random.default_rng(9)

@@ -10,6 +10,9 @@ from feedback_lab import (GUARD, Extension, GaussianIID, MarkovChain,
                           eval_power, integrate_sampled, markov_next,
                           step_mjls, step_nonparametric, step_parametric)
 from feedback_lab.models import ConfigurationError
+from feedback_lab.sim import (Outcome, SampledSystem, ZeroControl,
+                              check_replay, random_envelope_member,
+                              run_episode)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -73,6 +76,33 @@ class TestStepParametric:
                                           PowerGrowthFn(1, 4)))
 
 
+def rk4_reference(xs, vs, modes, L, x0, u, h, substeps):
+    """Classical fourth-order Runge-Kutta over one period for each row:
+    anchors ``xs``, ``vs``, per-interval ``modes`` (the left tail first),
+    start ``x0`` and input ``u``.  Each envelope is scanned over every
+    anchor (McShane), and x's interval picks the mode."""
+    upper = not modes.any()
+
+    def f(x):
+        d = L * np.abs(x[:, None] - xs)
+        hi = np.min(vs + d, axis=1)
+        if upper:
+            return hi
+        lo = np.max(vs - d, axis=1)
+        m = modes[np.arange(x.shape[0]), (xs < x[:, None]).sum(axis=1)]
+        return np.where(m == 0, hi, np.where(m == 1, lo, 0.5 * (lo + hi)))
+
+    dt = h / substeps
+    x = np.array(x0, dtype=float)
+    for _ in range(substeps):
+        k1 = f(x) + u
+        k2 = f(x + 0.5 * dt * k1) + u
+        k3 = f(x + 0.5 * dt * k2) + u
+        k4 = f(x + dt * k3) + u
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
 def _line(slope, span=6.0):
     # exact on [-span, span]: the McShane minimum of two anchors on a line
     # of slope +-L is that line between them
@@ -115,17 +145,95 @@ class TestIntegrateSampled:
         out = integrate_sampled(4.0, _line(-1.0), 0.0, spec)
         assert out == pytest.approx(2.0, abs=1e-6)
 
-    def test_fourth_order_convergence(self):
-        # halving the step shrinks the error by >= 10x until the floor
-        errors = []
-        for sub in (4, 8, 16, 32, 64):
-            spec = SampledSpec(L=1.0, c=1.0, h=1.0, substeps=sub)
-            out = integrate_sampled(1.0, _line(1.0), 0.0, spec)
-            errors.append(abs(out - math.e) / math.e)
-        for a, b in zip(errors, errors[1:]):
-            if a < 1e-12:
-                break
-            assert a / b >= 10.0
+    @pytest.mark.parametrize("L", [1.0, 2.0])
+    def test_signed_lines_are_the_closed_form(self, L):
+        # one anchor (0, 0.5): the upper extension's right tail is the line
+        # 0.5 + Lx, the lower one's 0.5 - Lx; the flow along such a line
+        # of slope +-L is x* + (x0 - x*) e^{+-Lh}, bit for bit, away from
+        # its equilibrium x* or towards it
+        spec = SampledSpec(L=L, c=1.0, h=0.7)
+        x0, u, h = 1.0, 0.25, spec.h
+        upper = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.5]), L)
+        xs = 0.0 - (0.5 + u) / L
+        assert integrate_sampled(x0, upper, u, spec) == \
+            xs + (x0 - xs) * math.exp(L * h)
+        lower = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.5]), L,
+                                        Extension.MCSHANE_MAX)
+        xs = 0.0 + (0.5 + u) / L
+        assert integrate_sampled(x0, lower, u, spec) == \
+            xs + (x0 - xs) * math.exp(-L * h)
+        # the left tail of the upper extension, 0.5 - Lx, driven left
+        xs = 0.0 - (0.5 - 3.0) / -L
+        assert integrate_sampled(-1.0, upper, -3.0, spec) == \
+            xs + (-1.0 - xs) * math.exp(-L * h)
+
+    @pytest.mark.parametrize("x0, u", [(3.0, 0.5), (-3.0, -0.5), (0.0, 2.0)])
+    def test_flat_midpoint_tail_drifts_with_the_input(self, x0, u):
+        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0,
+                                    Extension.MIDPOINT)
+        spec = SampledSpec(L=1.0, c=1.0, h=0.5)
+        assert integrate_sampled(x0, f, u, spec) == x0 + u * spec.h
+
+    def test_equilibrium_is_approached_never_crossed(self):
+        # f(x) = -x on [-4, 4] and u = 1 put the one equilibrium at x = 1,
+        # inside a piece, reached from either side only in the limit
+        f = _line(-1.0, span=4.0)
+        for x0 in (-2.0, 3.0):
+            prev = x0
+            for h in (0.5, 1.0, 4.0, 16.0, 64.0, 1000.0):
+                out = integrate_sampled(x0, f, 1.0, SampledSpec(1.0, 1.0, h))
+                assert (out - 1.0) * (x0 - 1.0) >= 0.0, (x0, h)
+                assert abs(out - 1.0) <= abs(prev - 1.0)
+                prev = out
+            assert out == 1.0
+        # at the equilibrium the state rests
+        assert integrate_sampled(1.0, f, 1.0, SampledSpec(1.0, 1.0, 5.0)) \
+            == 1.0
+
+    def test_guard_overflow_reports_a_blowup(self):
+        # e^{Lh} past double precision reads inf; the kernel classifies the
+        # period as a blow-up, and replay reaches the same inf
+        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([1.0]), 1.0)
+        spec = SampledSpec(L=1.0, c=1.0, h=800.0)
+        assert integrate_sampled(0.0, f, 0.0, spec) == math.inf
+        lower = RealizedPiecewiseLinear(np.array([0.0]), np.array([-1.0]),
+                                        1.0, Extension.MCSHANE_MAX)
+        assert integrate_sampled(-1.5, lower, 0.0, spec) == -math.inf
+        system = SampledSystem(spec=spec, f=f)
+        traj, verdict = run_episode(system, ZeroControl(), None, 5, 0)
+        assert verdict.outcome is Outcome.BLOWUP and traj.blow_step == 1
+        assert check_replay(traj)
+        # one finite step past the guard blows up too
+        spec = SampledSpec(L=1.0, c=1.0, h=350.0)
+        traj, verdict = run_episode(SampledSystem(spec=spec, f=f),
+                                    ZeroControl(), None, 5, 0)
+        assert GUARD < traj.states[1] < math.inf
+        assert verdict.outcome is Outcome.BLOWUP and check_replay(traj)
+
+    def test_agrees_with_rk4_reference(self):
+        # classical RK4 at 4 096 substeps over full anchor scans, one
+        # period per random envelope member, against the exact flow: 1 000
+        # members with their own upper envelope, and 100 more with a
+        # random mode per interval
+        rng = np.random.default_rng(31)
+        L, c, h = 1.0, 1.0, 0.5
+        spec = SampledSpec(L=L, c=c, h=h)
+        for n, random_modes in ((1000, False), (100, True)):
+            members = [random_envelope_member(L, c, rng) for _ in range(n)]
+            x0 = rng.uniform(-25.0, 25.0, n)
+            u = rng.uniform(-4.0, 4.0, n)
+            xs = np.array([f.xs for f in members])
+            vs = np.array([f.vs for f in members])
+            modes = rng.integers(0, 3 if random_modes else 1,
+                                 (n, xs.shape[1] + 1))
+            ref = rk4_reference(xs, vs, modes, L, x0, u, h, 4096)
+            out = np.array([integrate_sampled(
+                x0[i], RealizedPiecewiseLinear(f.xs, f.vs, L,
+                                               modes=modes[i]), u[i], spec)
+                for i, f in enumerate(members)])
+            err = np.abs(out - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() <= 1e-7, err.max()
+            assert np.abs(out - x0).min() > 0.0
 
     def test_membership_precondition(self):
         # the anchor (5, 6) sits on the envelope |x| + 1, but the upper

@@ -102,6 +102,21 @@ class TestReplayInvariant:
                 assert check_replay(traj), f"seed {seed}"
         assert blowups > 0, "no blowup found to exercise the final transition"
 
+    @pytest.mark.parametrize("h", [1.0, 2.0, 8.0])
+    def test_sampled_duel_from_nonzero_start_replays(self, h):
+        # an anchor at 0 inside [-c, c], committed before the first sample,
+        # keeps the realized store inside |f(x)| <= L|x| + c
+        system = SampledSystem(spec=SampledSpec(1.0, 1.0, h), x0_std=1.0)
+        for seed in range(20):
+            traj, _ = run_episode(system, SampledCeControl(),
+                                  SampledGreedyAdversary(), 20, seed)
+            f = traj.realized_f
+            assert traj.states[0] != 0.0
+            assert f(0.0) == (1.0 if traj.states[0] > 0.0 else -1.0)
+            assert np.all(np.abs(f.vs) <= np.abs(f.xs) + 1.0
+                          + 1e-12 * np.maximum(1.0, np.abs(f.vs)))
+            assert check_replay(traj), seed
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name,make", ALL_EPISODES)
@@ -176,15 +191,6 @@ class TestConfigurationErrors:
             run_episode(NonparametricSystem(L=1.0), SwitchingControl(),
                         None, 10, 0)
 
-    @pytest.mark.parametrize("h", [1.0, 2.0, 8.0])
-    @pytest.mark.parametrize("start", [{"x0_std": 1.0}], ids=["x0_std"])
-    def test_sampled_duel_from_nonzero_start_rejected(self, h, start):
-        # from x0 != 0 the realized store can leave |f(x)| <= L|x| + c
-        system = SampledSystem(spec=SampledSpec(1.0, 1.0, h), **start)
-        with pytest.raises(ConfigurationError):
-            run_episode(system, SampledCeControl(), SampledGreedyAdversary(),
-                        20, 0)
-
     @pytest.mark.parametrize("s0", [0.0, -1.0, math.nan, math.inf])
     def test_rls_information_start_must_be_finite_and_positive(self, s0):
         # the runs start at controllers.RLS_S0; the reference takes any s0
@@ -205,10 +211,13 @@ class TestConfigurationErrors:
         ("f", {"L": 1.0, "f": PiecewiseLinearFn(L=1.0)}),
         ("f.L", {"L": 1.0, "f": RealizedPiecewiseLinear(
             np.array([0.0, 1.0]), np.array([0.0, 0.5]), 10.0)}),
+        # the nonparametric kernel extends by one rule everywhere
+        ("f.extension", {"L": 1.0, "f": RealizedPiecewiseLinear(
+            np.array([0.0]), np.array([0.0]), 1.0, modes=[1, 0])}),
     ], ids=["L_zero", "L_negative", "w_bar", "w_bar_inf",
             "w_bar_beyond_guard", "w_bar_overflows_budget", "y0_std", "L_inf",
             "L_span_overflows", "f_callable", "f_unrealized",
-            "f_L_beyond"])
+            "f_L_beyond", "f_modes_mixed"])
     def test_nonparametric_system_rejected_when_built(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             NonparametricSystem(**kwargs)
