@@ -83,7 +83,7 @@ class RealizedPiecewiseLinear:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
         if self.modes is None:
-            modes = np.full(xs.shape[0] + 1, self.ext_mode)
+            modes = np.full(xs.shape[0] + 1, int(self.extension))
         else:
             modes = np.asarray(self.modes, dtype=np.int64)
             if modes.shape != (xs.shape[0] + 1,) or modes.min() < 0 \
@@ -98,10 +98,6 @@ class RealizedPiecewiseLinear:
         evaluation, so a realization that is only written out, as most
         duels' are, builds none."""
         return kernels.anchor_store(self.xs, self.vs)
-
-    @property
-    def ext_mode(self) -> int:
-        return int(self.extension)
 
     @cached_property
     def mode_table(self) -> dict[float, int]:

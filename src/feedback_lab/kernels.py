@@ -41,18 +41,18 @@ index at which the guard tripped (-1 means the horizon was reached).
 Piecewise-linear functions are passed as anchor stores ``(keys, vals)``
 with slope budget L: ``keys`` lists the sorted, distinct abscissas as
 Python floats and ``vals`` maps each to its value (``anchor_store``
-builds the pair from arrays, once per kernel call or realization).
-Extension mode 0 evaluates the upper envelope ``min_i(v_i + L|x - x_i|)``,
-mode 1 the lower envelope ``max_i(v_i - L|x - x_i|)``, mode 2 their
-midpoint.  For L-consistent anchors both envelopes at x are fixed by the
-two anchors either side of x (McShane 1934), so evaluation reads only
-those two.  An exact anchor hit returns the stored value, so replaying a
-stored trajectory through the same anchors is reproducible to the last
-bit.  A function may also take its mode per interval: a mode table
-(``mode_table``) maps each interval between adjacent keys, and each
-tail, to one.  The sampled kernels and replay read such a table and
-integrate over it in closed form, one linear piece at a time
-(``zoh_flow``).
+builds the pair from arrays, once per realization).  Extension mode 0
+evaluates the upper envelope ``min_i(v_i + L|x - x_i|)``, mode 1 the
+lower envelope ``max_i(v_i - L|x - x_i|)``, mode 2 their midpoint.  For
+L-consistent anchors both envelopes at x are fixed by the two anchors
+either side of x (McShane 1934), so evaluation reads only those two.  An
+exact anchor hit returns the stored value, so replaying a stored
+trajectory through the same anchors is reproducible to the last bit.  A
+function takes its mode per interval from a mode table (``mode_table``),
+which maps each interval between adjacent keys, and each tail, to one.
+``mcshane_eval`` reads it once per evaluation, in ``nonparam_fixed`` and
+in replay; the sampled kernels and replay integrate over it in closed
+form, one linear piece at a time (``zoh_flow``).
 
 Every store, fixed or growing, is one sorted key list plus a dict keyed
 by the float: an anchor store maps each key to its anchor value, and a
@@ -68,18 +68,16 @@ A NaN key equals no key and sorts after every key, so a NaN commit
 appends; the dict finds it by identity, so reads through the key list
 get its value back.
 
-Every store access finds x's index once and uses it for both the lookup
-and the insertion: the index j of the first key >= x (``len(keys)`` if
-none, and for NaN), which is what ``np.searchsorted(keys, x)`` returns.
-It is the one j with ``(j == 0 or keys[j-1] < x) and (j == n or
-keys[j] >= x)`` for n keys (the bracket invariant).  Successive steps
-over a fixed function mostly land in the bracket of the access before,
-so ``_locate`` checks that guess and its right neighbour before falling
-back to a bisection (``_bisect``); histories, fed random states, and the
-sampled flow, once per period, bisect at once.  The invariant fixes the
-index whatever the guess, and the cone arithmetic at it (``_cone``) is
-the same as without a guess, so trajectories, stores and reports do not
-depend on how the index was found.  The duel kernels return their store
+Every store access finds x's index once, by bisection (``_bisect``), and
+uses it for both the lookup and the insertion: the index j of the first
+key >= x (``len(keys)`` if none, and for NaN), which is what
+``np.searchsorted(keys, x)`` returns.  The cone arithmetic at it
+(``_cone``) gives the interval of values consistent with the store.
+
+The episode kernels return arrays of the entries their episode produced:
+T + 1 states and T inputs, or blow + 1 and blow where the guard tripped
+at step blow; ``mjls_episode``'s mode estimates, one per state, start
+and end in -1 (no estimate).  The duel kernels also return their store
 as sorted key and value arrays and its size.
 """
 
@@ -130,23 +128,6 @@ def _bisect(keys, x):
     return bisect_left(keys, x)
 
 
-def _locate(keys, x, j):
-    """``_bisect(keys, x)``, trying the guess j and then j + 1 first.
-
-    A guess is taken only where it brackets x, which fixes the index
-    uniquely, so the result does not depend on the guess.
-    """
-    n = len(keys)
-    if (0 <= j <= n and (j == 0 or keys[j - 1] < x)
-            and (j == n or keys[j] >= x)):
-        return j
-    j += 1
-    if (0 <= j <= n and (j == 0 or keys[j - 1] < x)
-            and (j == n or keys[j] >= x)):
-        return j
-    return _bisect(keys, x)
-
-
 def _cone(keys, vals, L, x, j):
     # the interval at x from the anchors either side of its index j
     n = len(keys)
@@ -188,25 +169,18 @@ def interval(keys, vals, L, x):
     return _cone(keys, vals, L, x, _bisect(keys, x))
 
 
-def mcshane_eval(keys, vals, L, mode, x):
-    """Extension-rule value at x: upper envelope (mode 0), lower (1) or
-    their midpoint (2); ``mode`` is one of them or a mode table."""
+def mcshane_eval(keys, vals, L, modes, x):
+    """Extension-rule value at x: the upper envelope (mode 0), the lower
+    (1) or their midpoint (2), as the mode table ``modes`` gives for x's
+    interval."""
     j = _bisect(keys, x)
-    if isinstance(mode, dict):
-        mode = mode[keys[j] if j < len(keys) else _INF]
-    return _mcshane_from(keys, vals, L, mode, x, j)[0]
-
-
-def _mcshane_from(keys, vals, L, mode, x, j):
-    # the extension rule's pick from the interval at x, located from the
-    # guess j; returns the value and the index
-    j = _locate(keys, x, j)
     lo, hi = _cone(keys, vals, L, x, j)
-    if mode == 0:
-        return hi, j
-    if mode == 1:
-        return lo, j
-    return 0.5 * (lo + hi), j
+    m = modes[keys[j] if j < len(keys) else _INF]
+    if m == 0:
+        return hi
+    if m == 1:
+        return lo
+    return 0.5 * (lo + hi)
 
 
 def _insert(keys, vals, j, key, val):
@@ -285,13 +259,6 @@ def _arrays(keys, vals):
     return np.array(keys), np.array([vals[k] for k in keys])
 
 
-def _padded(values, size):
-    # a float64 array of the given size holding values, zero past them
-    out = np.zeros(size)
-    out[:len(values)] = values
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parametric episode: recursive least squares + minimum variance input
 
@@ -321,16 +288,14 @@ def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
         th = th + phi * ((y1 - u) - th * phi) / s
         ths.append(th)
         y = y1
-    return _padded(ys, T + 1), _padded(us, T), _padded(ths, T + 1), blow
+    return np.array(ys), np.array(us), np.array(ths), blow
 
 
 # ---------------------------------------------------------------------------
 # nonparametric episode, fixed realized f + switching NN controller
 
-def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, guard,
-                   use_controller):
+def nonparam_fixed(y0, fkeys, fvals, fmodes, L, ws, w_bar, eps, guard):
     T = ws.shape[0] - 1
-    fkeys, fvals = anchor_store(fxs, fvs)
     ws = ws.tolist()
     y = float(y0)
     ys = [y]
@@ -340,30 +305,26 @@ def nonparam_fixed(y0, fxs, fvs, L, ext_mode, ws, w_bar, eps, guard,
     bmin = y
     bmax = y
     blow = -1
-    j = 0
     for t in range(T):
         if y < bmin:
             bmin = y
         if y > bmax:
             bmax = y
-        u = 0.0
-        if use_controller != 0:
-            u = _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax)
-        fy, j = _mcshane_from(fkeys, fvals, L, ext_mode, y, j)
-        y1 = fy + u + w_bar * ws[t + 1]
+        u = _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax)
+        y1 = mcshane_eval(fkeys, fvals, L, fmodes, y) + u + w_bar * ws[t + 1]
         us.append(u)
         ys.append(y1)
         if y1 != y1 or y1 > guard or y1 < -guard:
             blow = t + 1
             break
         y = y1
-    return _padded(ys, T + 1), _padded(us, T), blow
+    return np.array(ys), np.array(us), blow
 
 
 # ---------------------------------------------------------------------------
 # nonparametric duel: greedy anchor-committing opponent vs the controller
 
-def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T, use_controller):
+def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
     y = float(y0)
     ys = [y]
     us = []
@@ -381,9 +342,7 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T, use_controller):
             bmin = y
         if y > bmax:
             bmax = y
-        u = 0.0
-        if use_controller != 0:
-            u = _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax)
+        u = _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax)
         j = _bisect(axs, y)
         if not axs:
             hi = L * abs(y) + budget_c
@@ -402,8 +361,8 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T, use_controller):
             blow = t + 1
             break
         y = y1
-    return (_padded(ys, T + 1), _padded(us, T), _padded(ws, T + 1),
-            _padded(vsc, T), *_arrays(axs, avs), len(axs), blow)
+    return (np.array(ys), np.array(us), np.array(ws), np.array(vsc),
+            *_arrays(axs, avs), len(axs), blow)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +508,10 @@ def zoh_flow(keys, vals, modes, L, x, u, h):
 # ---------------------------------------------------------------------------
 # sampled-data episode, fixed f + certainty-equivalence controller
 
-def sampled_fixed(x0, fxs, fvs, fmodes, L, c, h, kappa, n_samples, guard,
+def sampled_fixed(x0, fkeys, fvals, fmodes, L, c, h, kappa, n_samples, guard,
                   use_controller):
-    fkeys, fvals = anchor_store(fxs, fvs)
-    fm = mode_table(fkeys, fmodes.tolist())
+    # fmodes maps every interval (a realization's ``mode_table`` does), so
+    # the flow finds no free interval and commits nothing to the store
     x = float(x0)
     xs = [x]
     us = []
@@ -563,14 +522,14 @@ def sampled_fixed(x0, fxs, fvs, fmodes, L, c, h, kappa, n_samples, guard,
         u = 0.0
         if use_controller != 0:
             u = _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa)
-        x1 = zoh_flow(fkeys, fvals, fm, L, x, u, h)
+        x1 = zoh_flow(fkeys, fvals, fmodes, L, x, u, h)
         us.append(u)
         xs.append(x1)
         if x1 != x1 or x1 > guard or x1 < -guard:
             blow = k + 1
             break
         x = x1
-    return _padded(xs, n_samples + 1), _padded(us, n_samples), blow
+    return np.array(xs), np.array(us), blow
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +589,8 @@ def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
     # and the others as the upper one
     amodes = [modes.get(key, 0) for key in axs] + [0]
     amodes[0] = modes.get(axs[0], 1)
-    return (_padded(xs, n_samples + 1), _padded(us, n_samples),
-            _padded(vsc, n_samples), *_arrays(axs, avs), np.array(amodes),
-            len(axs), blow)
+    return (np.array(xs), np.array(us), np.array(vsc), *_arrays(axs, avs),
+            np.array(amodes), len(axs), blow)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +614,7 @@ def mjls_step(Ai, Bi, x, u, w):
     return np.array([p + wk for p, wk in zip(pred, w.tolist())])
 
 
-def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
+def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard):
     T = W.shape[0]
     n = A.shape[1]
     m = B.shape[2]
@@ -672,7 +630,6 @@ def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
     succ = [row.index(max(row)) for row in P.tolist()]
     cum = [list(accumulate(row[:-1])) + [np.inf] for row in P.tolist()]
     x = x0.tolist()
-    u = [0.0] * m
     th = mode0
     xs = array("d", x)
     us = array("d")
@@ -695,23 +652,21 @@ def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard, use_controller):
                     bi = i
             est.append(bi)
             ihat = succ[bi]
-        if use_controller != 0:
-            u = [-v for v in _predict(Kl[ihat], x)]
+        u = [-v for v in _predict(Kl[ihat], x)]
         preds = [_predict(mode, x + u) for mode in rows]
         x = [p + wk for p, wk in zip(preds[th], Wl[t])]
         xs.extend(x)
         us.extend(u)
         # the mode of step t + 1 is drawn before the guard, so a blow-up
-        # records the mode it ends in, not the zero padding
+        # records the mode it ends in
         th = bisect_right(cum[th], ul[t])
         modes.append(th)
         if not all(abs(v) <= guard for v in x):
             blow = t + 1
             break
-    est += [-1] * (T + 1 - len(est))
-    return (_padded(xs, (T + 1) * n).reshape(T + 1, n),
-            _padded(us, T * m).reshape(T, m),
-            _padded(modes, T + 1).astype(np.int64), np.array(est), blow)
+    est.append(-1)
+    return (np.array(xs).reshape(-1, n), np.array(us).reshape(-1, m),
+            np.array(modes, dtype=np.int64), np.array(est), blow)
 
 
 # ---------------------------------------------------------------------------

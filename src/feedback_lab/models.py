@@ -238,7 +238,8 @@ def step_parametric(y: float, theta: float, u: float, w: float,
 
 
 def step_nonparametric(y: float, f, u: float, w: float) -> float:
-    """One step of y' = f(y) + u + w for a realized or provider-backed f."""
+    """One step of y' = f(y) + u + w for a realized f, evaluated as
+    ``kernels.nonparam_fixed`` evaluates it (``kernels.mcshane_eval``)."""
     fy = f(float(y))
     return fy + u + w
 

@@ -83,6 +83,13 @@ def _require_finite(spec, *names):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_f_or_member(system):
+    # a given f is what the system runs on, so a member recipe beside it
+    # would go unread
+    if system.f is not None and system.member is not None:
+        raise ValueError("member must be None when f is given")
+
+
 def _require_member(f, L: float):
     # a given f is an anchor table the kernels read, within the budget L
     if f is not None and not isinstance(f, RealizedPiecewiseLinear):
@@ -90,9 +97,6 @@ def _require_member(f, L: float):
             f"f must be a RealizedPiecewiseLinear, got {type(f).__name__}")
     if f is not None and not f.L <= L:
         raise ValueError(f"f.L = {f.L} exceeds the system's L = {L}")
-    if f is not None and np.any(f.modes != f.ext_mode):
-        raise ValueError("f must extend by f.extension everywhere, the "
-                         "rule the nonparametric kernel reads")
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,7 @@ class NonparametricSystem:
                 f"w_bar must keep the opponent's budget {OFFSET_BUDGET:g} * "
                 f"w_bar at most {NOISE_CAP:g}, got {self.w_bar}")
         _require_finite(self, "y0_std")
+        _require_f_or_member(self)
         _require_member(self.f, self.L)
 
 
@@ -132,6 +137,7 @@ class SampledSystem:
 
     def __post_init__(self):
         _require_finite(self, "x0_std")
+        _require_f_or_member(self)
         if self.f is not None:
             models.require_sampled_member(self.f, self.spec)
 
@@ -310,21 +316,20 @@ def _regret_terms(states: np.ndarray, noises: np.ndarray) -> np.ndarray:
 def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
              blow: int, committed=None, modes=None, mode_estimates=None,
              **fields):
-    """The epilogue of every runner: cut the kernel's buffers at the blow
-    step, record them and judge the episode.
+    """The epilogue of every runner: record the kernel's returns and judge
+    the episode.
 
-    ``states``, ``noises``, ``modes`` and ``mode_estimates`` hold T + 1
-    entries, ``inputs`` and ``committed`` T; ``fields`` go to the
-    trajectory as they are.
+    ``states``, ``modes`` and ``mode_estimates`` hold one entry per step
+    the episode reached, the start included, and ``inputs`` and
+    ``committed`` one fewer: T + 1 and T, or blow + 1 and blow after a
+    blow-up.  ``noises``, drawn for T + 1 steps, is cut to the states;
+    ``fields`` go to the trajectory as they are.
     """
-    end = blow + 1 if blow >= 0 else T + 1
-    states, noises = states[:end], noises[:end]
-    if modes is not None:
-        modes, mode_estimates = modes[:end], mode_estimates[:end]
-    traj = Trajectory(kind=kind, states=states, inputs=inputs[:end - 1],
+    noises = noises[:len(states)]
+    traj = Trajectory(kind=kind, states=states, inputs=inputs,
                       noises=noises, system=system, seed=seed,
                       modes=modes, mode_estimates=mode_estimates,
-                      committed=None if committed is None else committed[:end - 1],
+                      committed=committed,
                       blow_step=blow if blow >= 0 else None,
                       controller=controller, **fields)
     a = _abs_states(states)
@@ -384,14 +389,10 @@ def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
 def _run_nonparametric(system: NonparametricSystem, controller, adversary,
                        T: int, seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
-    if isinstance(controller, SwitchingControl):
-        eps = 0.1 * system.w_bar if controller.eps is None else controller.eps
-        use_ctl = 1
-    elif isinstance(controller, ZeroControl):
-        eps, use_ctl = 1.0, 0
-    else:
+    if not isinstance(controller, SwitchingControl):
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a nonparametric system")
+    eps = 0.1 * system.w_bar if controller.eps is None else controller.eps
 
     if adversary is not None:
         if not isinstance(adversary, GreedyAdversary):
@@ -402,7 +403,7 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
         y0 = 0.0 + system.y0_std * rng.standard_normal()
         ys, us, ws, vsc, axs, avs, _, blow = kernels.nonparam_duel(
             y0, system.L, system.w_bar, OFFSET_BUDGET * system.w_bar, eps,
-            GUARD, T, use_ctl)
+            GUARD, T)
         return _episode("nonparametric", system, controller, seed, T, ys, us,
                         ws, blow, committed=vsc,
                         realized_f=RealizedPiecewiseLinear(axs, avs, system.L))
@@ -418,8 +419,7 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
     raw = rng.uniform(-1.0, 1.0, T + 1)
     raw[0] = 0.0
     ys, us, blow = kernels.nonparam_fixed(
-        y0, f.xs, f.vs, f.L, f.ext_mode, raw, system.w_bar, eps, GUARD,
-        use_ctl)
+        y0, *f.store, f.mode_table, f.L, raw, system.w_bar, eps, GUARD)
     return _episode("nonparametric", system, controller, seed, T, ys, us,
                     system.w_bar * raw, blow, realized_f=f)
 
@@ -457,8 +457,8 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
         f = random_envelope_member(spec.L, spec.c, rng)
     x0 = 0.0 + system.x0_std * rng.standard_normal()
     xs, us, blow = kernels.sampled_fixed(
-        x0, f.xs, f.vs, f.modes, f.L, spec.c, spec.h, kappa, T,
-        GUARD, use_ctl)
+        x0, *f.store, f.mode_table, f.L, spec.c, spec.h, kappa, T, GUARD,
+        use_ctl)
     return _episode("sampled", system, controller, seed, T, xs, us,
                     np.zeros(T + 1), blow, realized_f=f)
 
@@ -472,10 +472,8 @@ def _run_mjls(system: MjlsSystem, controller, T: int, seed: int):
     W = math.sqrt(spec.noise.sigma_lo) * rng.standard_normal((T, spec.n_states))
     if isinstance(controller, MjlsGainControl):
         Kg = controller.solution.Ks
-        use_ctl = 1
     elif isinstance(controller, ZeroControl):
         Kg = np.zeros((N, spec.n_inputs, spec.n_states))
-        use_ctl = 0
     else:
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a jump-linear system")
@@ -483,8 +481,7 @@ def _run_mjls(system: MjlsSystem, controller, T: int, seed: int):
     if x0.shape != (spec.n_states,):
         raise ConfigurationError("x0 dimension mismatch")
     X, U, modes, est, blow = kernels.mjls_episode(
-        spec.A, spec.B, Kg, spec.chain.P, x0, mode0 - 1, munif, W, GUARD,
-        use_ctl)
+        spec.A, spec.B, Kg, spec.chain.P, x0, mode0 - 1, munif, W, GUARD)
     noises = np.zeros((T + 1, spec.n_states))
     noises[1:] = W
     return _episode("mjls", system, controller, seed, T, X, U, noises, blow,

@@ -103,6 +103,11 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
+def uniform(keys, mode):
+    """The mode table extending by one mode everywhere."""
+    return kernels.mode_table(keys, [mode] * (len(keys) + 1))
+
+
 class TestScalarHelpersAgree:
     def test_power_eval(self):
         rng = np.random.default_rng(0)
@@ -180,10 +185,11 @@ class TestScalarHelpersAgree:
         # neighbour-only evaluation equals the full-cone scan bit for bit
         rng = np.random.default_rng(2)
         for f, span in members():
+            tables = [uniform(f.store[0], mode) for mode in (0, 1, 2)]
             for x in queries(f, span, rng):
                 for mode in (0, 1, 2):
                     assert kernels.mcshane_eval(
-                        *f.store, f.L, mode, float(x)) == \
+                        *f.store, f.L, tables[mode], float(x)) == \
                         full_mcshane(f.xs, f.vs, f.L, mode, float(x))
 
     def test_exact_anchor_hit_returns_stored_value(self):
@@ -192,7 +198,8 @@ class TestScalarHelpersAgree:
         for i in range(xs.shape[0]):
             assert kernels.interval(keys, vals, 2.0, xs[i]) == (vs[i], vs[i])
             for mode in (0, 1, 2):
-                assert kernels.mcshane_eval(keys, vals, 2.0, mode,
+                assert kernels.mcshane_eval(keys, vals, 2.0,
+                                            uniform(keys, mode),
                                             xs[i]) == vs[i]
 
     def test_interval(self):
@@ -209,14 +216,14 @@ class TestScalarHelpersAgree:
         # full scan may round apart by a few ulps, never more
         rng = np.random.default_rng(4)
         for L in (2.0, 6.0):
-            out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, GUARD, 200,
-                                        1)
+            out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, GUARD, 200)
             xs, vs = out[4], out[5]
             assert xs.shape[0] == out[6]
             keys, vals = kernels.anchor_store(xs, vs)
             for x in rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 300):
                 for mode in (0, 1):
-                    a = kernels.mcshane_eval(keys, vals, L, mode, x)
+                    a = kernels.mcshane_eval(keys, vals, L,
+                                             uniform(keys, mode), x)
                     b = full_mcshane(xs, vs, L, mode, x)
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -237,8 +244,8 @@ def probes(keys):
 
 
 class TestLocatedIndex:
-    """The located index is np.searchsorted's (left side), from any guess,
-    and the cone at it is the interval."""
+    """The located index is np.searchsorted's (left side), and the cone
+    at it is the interval."""
 
     @given(keys=st.lists(st.floats(allow_nan=False, allow_infinity=False,
                                    min_value=-1e300, max_value=1e300),
@@ -247,7 +254,7 @@ class TestLocatedIndex:
     @example(keys=[], extra=1.0)
     @example(keys=[2.0], extra=3.0)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_bisect_and_locate_equal_searchsorted(self, keys, extra):
+    def test_bisect_and_cone_equal_searchsorted(self, keys, extra):
         n = len(keys)
         xs = np.array(keys, dtype=float)
         keys, vals = kernels.anchor_store(xs, np.cos(np.arange(float(n))))
@@ -257,13 +264,6 @@ class TestLocatedIndex:
             lo, hi = kernels.interval(keys, vals, 1.5, x)
             cone = kernels._cone(keys, vals, 1.5, x, ref)
             assert _same(cone[0], lo) and _same(cone[1], hi), x
-            for j in range(-1, n + 2):
-                assert kernels._locate(keys, x, j) == ref, (x, j)
-                for mode in (0, 1, 2):
-                    v, i = kernels._mcshane_from(keys, vals, 1.5, mode, x, j)
-                    assert i == ref
-                    assert _same(v, kernels.mcshane_eval(keys, vals, 1.5,
-                                                         mode, x))
 
 
 class TestSortedStores:
@@ -403,8 +403,8 @@ class TestEpisodeKernelsAgree:
         raw = rng.uniform(-1, 1, 401)
         raw[0] = 0.0
         system = NonparametricSystem(L=2.0, f=f)
-        ys, us, blow = kernels.nonparam_fixed(0.3, xs, vs, 2.0, 0, raw, 1.0,
-                                              0.1, GUARD, 1)
+        ys, us, blow = kernels.nonparam_fixed(0.3, *f.store, f.mode_table,
+                                              2.0, raw, 1.0, 0.1, GUARD)
         traj = _trajectory("nonparametric", ys, us, raw, system,
                            SwitchingControl())
         _assert_inputs_recomputable(traj)
@@ -419,8 +419,8 @@ class TestEpisodeKernelsAgree:
         raw = rng.integers(-64, 65, 401) / 64.0
         raw[0] = 0.0
         system = NonparametricSystem(L=1.0, f=f)
-        ys, us, blow = kernels.nonparam_fixed(0.0, f.xs, f.vs, 1.0, 2, raw,
-                                              1.0, 0.1, GUARD, 1)
+        ys, us, blow = kernels.nonparam_fixed(0.0, *f.store, f.mode_table,
+                                              1.0, raw, 1.0, 0.1, GUARD)
         assert blow == -1
         ties = repeats = 0
         for t in range(1, 400):
@@ -462,7 +462,7 @@ class TestEpisodeKernelsAgree:
         spec = SampledSpec(L=1.0, c=1.0, h=0.5)
         f = RealizedPiecewiseLinear(xs, vs, 1.0)
         system = SampledSystem(spec=spec, f=f)
-        out, us, blow = kernels.sampled_fixed(0.7, xs, vs, f.modes,
+        out, us, blow = kernels.sampled_fixed(0.7, *f.store, f.mode_table,
                                               1.0, 1.0, 0.5, 4.0, 50, GUARD, 1)
         traj = _trajectory("sampled", out, us, np.zeros(51), system,
                            SampledCeControl())
@@ -593,7 +593,7 @@ class TestEpisodeKernelsAgree:
         munif = rng.random(300)
         out = kernels.mjls_episode(spec.A, spec.B, controller.solution.Ks,
                                    spec.chain.P, np.zeros(2), 0, munif,
-                                   rng.standard_normal((300, 2)), GUARD, 1)
+                                   rng.standard_normal((300, 2)), GUARD)
         uniforms = Uniforms(munif)
         for t in range(300):
             assert models.markov_next(int(out[2][t]) + 1, chain,
@@ -685,11 +685,11 @@ class TestEpisodeKernelsAgree:
 # ---------------------------------------------------------------------------
 # the jump-linear kernel against the numpy route it replaced
 
-def numpy_mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard,
-                       use_controller):
+def numpy_mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard):
     """``mjls_episode`` as matrix products: every mode's prediction
     recomputed from the previous state and input, the estimate an argmin
-    over squared residuals, the mode draw a ``searchsorted``."""
+    over squared residuals, the mode draw a ``searchsorted``; the arrays
+    are cut after the blow step, as the kernel's are."""
     T = W.shape[0]
     N, n = A.shape[:2]
     m = B.shape[2]
@@ -710,8 +710,7 @@ def numpy_mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard,
             bi = np.argmin(np.sum((X[t] - preds) ** 2, axis=1))
             est[t] = bi
             ihat = succ[bi]
-        if use_controller != 0:
-            U[t] = -(Kg[ihat] @ X[t])
+        U[t] = -(Kg[ihat] @ X[t])
         th = modes[t]
         X[t + 1] = A[th] @ X[t] + B[th] @ U[t] + W[t]
         modes[t + 1] = min(np.searchsorted(cum[th], munif[t], side="right"),
@@ -719,7 +718,8 @@ def numpy_mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard,
         if not np.max(np.abs(X[t + 1])) <= guard:
             blow = t + 1
             break
-    return X, U, modes, est, blow
+    end = blow + 1 if blow >= 0 else T + 1
+    return X[:end], U[:end - 1], modes[:end], est[:end], blow
 
 
 def mjls_specs():
@@ -750,11 +750,11 @@ def mjls_specs():
     }
 
 
-def _mjls_args(spec, Kg, x0, seed, T, use_controller):
+def _mjls_args(spec, Kg, x0, seed, T):
     rng = np.random.default_rng(seed)
     return (spec.A, spec.B, Kg, spec.chain.P, np.asarray(x0, dtype=float),
             int(rng.integers(spec.n_modes)), rng.random(T),
-            rng.standard_normal((T, spec.n_states)), GUARD, use_controller)
+            rng.standard_normal((T, spec.n_states)), GUARD)
 
 
 def _assert_same_episode(args):
@@ -781,7 +781,7 @@ class TestMjlsScalarKernel:
         for seed in range(8):
             out = _assert_same_episode(
                 _mjls_args(spec, Kg, np.full(spec.n_states, 0.5), seed,
-                           500, 1))
+                           500))
             assert out[4] == -1
 
     def test_replays_on_benchmark_spec(self):
@@ -806,7 +806,7 @@ class TestMjlsScalarKernel:
         Kg = np.zeros((2, 1, 2))
         for seed in range(4):
             out = _assert_same_episode(
-                _mjls_args(spec, Kg, (1.0, 1.0), seed, 1000, 0))
+                _mjls_args(spec, Kg, (1.0, 1.0), seed, 1000))
             assert 200 < out[4] < 1000
             assert not np.max(np.abs(out[0][out[4]])) <= GUARD
             assert not out[1].any()
@@ -816,7 +816,7 @@ class TestMjlsScalarKernel:
 
     def test_blow_step_records_the_drawn_mode(self):
         # the mode at the blow step is the chain's draw from the step
-        # before, not the zero padding (which would read as mode 1)
+        # before, the last of the blow + 1 modes the kernel returns
         chain = MarkovChain(np.array([[0.1, 0.9], [0.9, 0.1]]))
         spec = MjlsSpec(chain=chain, A=np.array([[[3.0]], [[4.0]]]),
                         B=np.ones((2, 1, 1)),
@@ -843,7 +843,7 @@ class TestMjlsScalarKernel:
                         A=np.array([[[1e300, -1e300], [0.0, 1.0]]]),
                         B=np.ones((1, 2, 1)),
                         noise=MartingaleDiffVector(1.0, 2.0, 2))
-        args = _mjls_args(spec, np.zeros((1, 1, 2)), (1e10, 1e10), 0, 20, 0)
+        args = _mjls_args(spec, np.zeros((1, 1, 2)), (1e10, 1e10), 0, 20)
         with np.errstate(over="ignore", invalid="ignore"):
             want = numpy_mjls_episode(*args)
         got = kernels.mjls_episode(*args)

@@ -28,6 +28,15 @@ def param_system(b=2.0):
     return ParametricSystem(f=PowerGrowthFn(1.0, b))
 
 
+def mjls_expanding():
+    """Two expanding scalar modes: every open-loop run blows up."""
+    chain = MarkovChain(np.array([[0.1, 0.9], [0.9, 0.1]]))
+    spec = MjlsSpec(chain=chain, A=np.array([[[3.0]], [[4.0]]]),
+                    B=np.ones((2, 1, 1)),
+                    noise=MartingaleDiffVector(1.0, 1.0, 1))
+    return MjlsSystem(spec=spec, x0=(1.0,))
+
+
 def mjls_pieces(a2=1.9):
     chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
     spec = MjlsSpec(chain=chain, A=np.array([[[0.0]], [[a2]]]),
@@ -53,16 +62,25 @@ ALL_EPISODES = [
 
 
 # (name, make, seed, blows up): every runner at a bounded seed, and a
-# blow-up of the parametric, nonparametric duel and sampled duel runners
+# blow-up of every runner
 EPILOGUE_CASES = [(name, make, 0, False) for name, make in ALL_EPISODES] + [
     ("parametric-blowup", lambda: (param_system(5.0), MvRlsControl(), None,
                                    200), 12, True),
+    ("nonparam-member-blowup", lambda: (NonparametricSystem(
+        L=20.0, member=RandomMember(), y0_std=1.0), SwitchingControl(), None,
+        200), 0, True),
     ("nonparam-duel-blowup", lambda: (NonparametricSystem(L=6.0, y0_std=1.0),
                                       SwitchingControl(), GreedyAdversary(),
                                       500), 0, True),
     ("sampled-duel-blowup", lambda: (SampledSystem(
         spec=SampledSpec(1.0, 1.0, 8.0)), SampledCeControl(),
         SampledGreedyAdversary(), 48), 0, True),
+    # f = 1 + |x| at L h = 8, past the sampled boundary 7.53
+    ("sampled-fixed-blowup", lambda: (SampledSystem(
+        spec=SampledSpec(1.0, 1.0, 8.0), f=RealizedPiecewiseLinear(
+            [0.0], [1.0], 1.0)), SampledCeControl(), None, 60), 0, True),
+    ("mjls-blowup", lambda: (mjls_expanding(), ZeroControl(), None, 400), 0,
+     True),
 ]
 
 
@@ -117,6 +135,24 @@ class TestReplayInvariant:
                           + 1e-12 * np.maximum(1.0, np.abs(f.vs)))
             assert check_replay(traj), seed
 
+    def test_mixed_mode_realization_drives_a_nonparametric_loop(self):
+        # a sampled duel's realized f keeps the envelope that swept each
+        # interval, lower on the left and upper on the right here; the
+        # nonparametric kernel and replay read the same mode table
+        duel, _ = run_episode(SampledSystem(spec=SampledSpec(1.0, 1.0, 1.0)),
+                              SampledCeControl(), SampledGreedyAdversary(),
+                              100, 0)
+        f = duel.realized_f
+        assert set(f.modes.tolist()) == {0, 1}
+        system = NonparametricSystem(L=1.0, f=f)
+        traj, verdict = run_episode(system, SwitchingControl(), None, 400, 0)
+        assert verdict.outcome is Outcome.BOUNDED
+        assert set(f.modes[np.searchsorted(f.xs, traj.states)].tolist()) \
+            == {0, 1}
+        assert check_replay(traj)
+        for t in range(traj.inputs.shape[0]):
+            assert recompute_input(traj, t) == traj.inputs[t], t
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name,make", ALL_EPISODES)
@@ -139,9 +175,9 @@ class TestDeterminism:
 
 
 class TestEpisodeEpilogue:
-    """Every runner ends in one epilogue that cuts the kernel's buffers at
-    the blow step: the record lines up and the verdict's horizon is the
-    blow step or T."""
+    """Every runner ends in one epilogue that records the kernel's
+    exact-length returns and cuts the noises to them: the record lines up
+    and the verdict's horizon is the blow step or T."""
 
     @pytest.mark.parametrize("name,make,seed,blows", EPILOGUE_CASES,
                              ids=[case[0] for case in EPILOGUE_CASES])
@@ -173,6 +209,11 @@ class TestConfigurationErrors:
         with pytest.raises(ConfigurationError):
             run_episode(NonparametricSystem(L=1.0, member=RandomMember()),
                         MvRlsControl(), None, 10, 0)
+        # the nonparametric verdicts are about the switching law; no open
+        # loop either
+        with pytest.raises(ConfigurationError):
+            run_episode(NonparametricSystem(L=1.0, member=RandomMember()),
+                        ZeroControl(), None, 10, 0)
 
     def test_adversary_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -211,13 +252,13 @@ class TestConfigurationErrors:
         ("f", {"L": 1.0, "f": PiecewiseLinearFn(L=1.0)}),
         ("f.L", {"L": 1.0, "f": RealizedPiecewiseLinear(
             np.array([0.0, 1.0]), np.array([0.0, 0.5]), 10.0)}),
-        # the nonparametric kernel extends by one rule everywhere
-        ("f.extension", {"L": 1.0, "f": RealizedPiecewiseLinear(
-            np.array([0.0]), np.array([0.0]), 1.0, modes=[1, 0])}),
+        # a system runs on its f, so a member recipe beside it goes unread
+        ("member", {"L": 1.0, "f": RealizedPiecewiseLinear(
+            np.array([0.0]), np.array([0.0]), 1.0), "member": RandomMember()}),
     ], ids=["L_zero", "L_negative", "w_bar", "w_bar_inf",
             "w_bar_beyond_guard", "w_bar_overflows_budget", "y0_std", "L_inf",
             "L_span_overflows", "f_callable", "f_unrealized",
-            "f_L_beyond", "f_modes_mixed"])
+            "f_L_beyond", "f_and_member"])
     def test_nonparametric_system_rejected_when_built(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             NonparametricSystem(**kwargs)
@@ -278,8 +319,11 @@ class TestConfigurationErrors:
             np.array([0.0]), np.array([100.0]), 1.0)}),
         ("offset c", {"f": RealizedPiecewiseLinear(
             np.array([5.0]), np.array([6.0]), 1.0)}),
+        ("member", {"f": RealizedPiecewiseLinear(np.array([0.0]),
+                                                 np.array([0.0]), 1.0),
+                    "member": RandomEnvelopeMember()}),
     ], ids=["x0_std", "f_unrealized", "f_L_beyond", "f_offset_beyond",
-            "f_anchor_beyond"])
+            "f_anchor_beyond", "f_and_member"])
     def test_sampled_system_rejected_when_built(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             SampledSystem(spec=SampledSpec(1.0, 1.0, 1.0), **kwargs)
@@ -339,9 +383,9 @@ class TestRegret:
         assert verdict.regret == pytest.approx(manual, rel=1e-9)
 
     def test_regret_zero_for_perfect_tracking(self):
-        # zero map with zero control: y_t = w_t exactly
+        # zero map with zero control from 0, and no noise: x_t = w_t = 0
         zero = RealizedPiecewiseLinear([0.0], [0.0], 1.0, Extension.MIDPOINT)
-        system = NonparametricSystem(L=1.0, f=zero)
+        system = SampledSystem(spec=SampledSpec(1.0, 1.0, 0.5), f=zero)
         traj, verdict = run_episode(system, ZeroControl(), None, 50, seed=0)
         assert verdict.regret == 0.0
         assert verdict.outcome is Outcome.BOUNDED
@@ -591,3 +635,28 @@ class TestKernelTraceContract:
         for name in ("nonparam_duel", "sampled_duel"):
             assert int(outputs[name][0][-2]) >= 1
         assert int(outputs["riccati_solve"][0][2]) >= 1
+
+    @pytest.mark.parametrize("name,make,seed,blows", EPILOGUE_CASES,
+                             ids=[case[0] for case in EPILOGUE_CASES])
+    def test_steps_read_from_the_return_equal_the_horizon(
+            self, monkeypatch, name, make, seed, blows):
+        # a tracer counts an episode's steps as the blow step, or the
+        # state rows less one; every episode kernel, bounded and blown up
+        outputs = []
+
+        def recording(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                outputs.append(out)
+                return out
+            return wrapper
+
+        for kernel in self.TRACED[:-1]:
+            monkeypatch.setattr(kernels, kernel,
+                                recording(getattr(kernels, kernel)))
+        system, controller, adversary, T = make()
+        _, verdict = run_episode(system, controller, adversary, T, seed)
+        (out,) = outputs
+        blow = int(out[-1])
+        assert (blow >= 0) == blows
+        assert (blow if blow >= 0 else len(out[0]) - 1) == verdict.horizon
