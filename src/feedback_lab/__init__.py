@@ -17,7 +17,7 @@ from .analysis import (CharPoly, CRITICAL_EXPONENT, CRITICAL_RADIUS, Regime,
                        SAMPLED_STABILIZABLE_LH, characteristic_poly,
                        highorder_impossible, parametric_regime,
                        poly_impossible, quasi_norm, sampled_regime,
-                       scalar_mjls_stabilizable, verify_h2)
+                       scalar_mjls_stabilizable)
 from .controllers import (MjlsControllerState, NnHistory, RlsState,
                           adaptive_mv_control, make_rls, mjls_control,
                           mjls_estimate_mode, nn_estimate, rls_update,

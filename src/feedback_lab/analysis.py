@@ -16,8 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from .models import MjlsSpec
-
 #: Growth exponent above which no feedback stabilizes the scalar
 #: parametric loop.
 CRITICAL_EXPONENT = 4.0
@@ -266,33 +264,3 @@ def scalar_mjls_stabilizable(A1: float, A2: float, p12: float) -> RegimeVerdict:
     if cp < 1.0:
         return RegimeVerdict(Regime.STABILIZABLE, boundary, witness=cp)
     return RegimeVerdict(Regime.IMPOSSIBLE, boundary, witness=cp)
-
-
-def verify_h2(spec: MjlsSpec, trials: int, rng: np.random.Generator,
-              det_tol: float = 1e-9):
-    """Search for a gain K making every mode pair distinguishable.
-
-    Samples ``trials`` gains with entries uniform on [-1, 1] and returns
-    the first K with |det[(A_i - A_j) - (B_i - B_j) K]| above ``det_tol``
-    for every pair i != j, or None when all trials fail.  A single-mode
-    system is vacuously fine and gets the zero gain.
-    """
-    N = spec.n_modes
-    m = spec.n_inputs
-    n = spec.n_states
-    if N == 1:
-        return np.zeros((m, n))
-    for _ in range(trials):
-        K = rng.uniform(-1.0, 1.0, size=(m, n))
-        ok = True
-        for i in range(N):
-            for j in range(i + 1, N):
-                D = (spec.A[i] - spec.A[j]) - (spec.B[i] - spec.B[j]) @ K
-                if abs(np.linalg.det(D)) <= det_tol:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return K
-    return None

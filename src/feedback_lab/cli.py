@@ -131,12 +131,6 @@ def serialize_config(experiment: str, cfg: dict) -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
-def parse_config_text(text: str, experiment: str) -> dict:
-    raw = yaml.safe_load(text) or {}
-    raw.pop("experiment", None)
-    return load_config(None, experiment, raw)
-
-
 def parse_value_list(spec: str) -> list[float]:
     """Parse 'lo:hi:step' (inclusive within 1e-9) or 'a,b,c' floats."""
     spec = spec.strip()

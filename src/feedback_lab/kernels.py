@@ -9,9 +9,10 @@ return.  A list read costs about a third of a numpy-scalar read, and
 both follow IEEE double arithmetic, so results are the same bits.  The
 one difference is overflow: ``x ** b`` raises ``OverflowError`` on
 Python floats where float64 gives inf.
-``power_eval`` is the one place a state is raised to a power, in the
-RLS kernel and in the model step operations that replay it; it never
-raises, and returns what float64 arithmetic gives.
+``power_eval`` defines how a state is raised to a power: it never
+raises, and returns what float64 arithmetic gives.  The RLS kernel
+inlines it branch for branch (the call would cost about a sixth of a
+step), and the model step operations that replay the kernel call it.
 
 The small-matrix kernels, ``riccati_solve`` and ``mjls_episode``, read
 their matrices once into lists of Python floats and work in scalar
@@ -25,14 +26,19 @@ in the last bits but do not depend on the CPU's BLAS dispatch.
 ``(A_j' (p M_j)) A_j`` summed over j in order (``_mode_sums``); at
 m = 1 its pseudo-inverse is 1/x in closed form, so 1 x 1 iterates are
 the bits of the numpy route (``riccati.riccati_rhs``), and for m > 1 it
-goes through LAPACK's SVD.  On convergence it returns, as a fifth
-element, the gains K_i = S_bb^+ S_ab' of the final iterate, from the
-same sums and pseudo-inverse (None otherwise).  ``mjls_episode``
-computes each mode's prediction ``A_i x + B_i u`` once per step, one
-dot over the row ``[A_i | B_i]`` and ``(x, u)``; the true step adds the
-noise to the current mode's, the next step's mode estimate reads the
-same predictions, and ``mjls_step`` (replay) takes the same dot.
-States and inputs go into flat ``array('d')`` buffers.
+goes through LAPACK's SVD.  At n = m = 1 each iterate is a few lines of
+scalar arithmetic with the same products in the same order
+(``_scalar_riccati_map``), a ninth of the generic loops' time at two
+modes; every other shape runs the loops (``_riccati_map``), and one
+iteration loop around either tracks the step, the norm and the verdict.
+On convergence it returns, as a fifth element, the gains
+K_i = S_bb^+ S_ab' of the final iterate, from the same sums and
+pseudo-inverse (None otherwise).  ``mjls_episode`` computes each mode's
+prediction ``A_i x + B_i u`` once per step, one dot over the row
+``[A_i | B_i]`` and ``(x, u)``; the true step adds the noise to the
+current mode's, the next step's mode estimate reads the same
+predictions, and ``mjls_step`` (replay) takes the same dot.  States and
+inputs go into flat ``array('d')`` buffers.
 
 Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
@@ -263,8 +269,6 @@ def _arrays(keys, vals):
 # parametric episode: recursive least squares + minimum variance input
 
 def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
-    T = w.shape[0] - 1
-    ws = w.tolist()
     theta = float(theta)
     M = float(M)
     b = float(b)
@@ -273,22 +277,37 @@ def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
     y = float(y0)
     ys = [y]
     us = []
-    ths = [th]
     blow = -1
-    for t in range(T):
-        phi = power_eval(M, b, y)
+    for wt in w[1:].tolist():
+        # power_eval(M, b, y) inlined, branch for branch: the call alone
+        # would cost about a sixth of the step
+        if y > 0.0:
+            a = y
+        elif y < 0.0:
+            a = -y
+        else:
+            a = None  # 0 and NaN
+        if a is None:
+            phi = 0.0
+        else:
+            try:
+                phi = M * a**b
+            except OverflowError:
+                phi = M * _INF
+            if y < 0.0:
+                phi = -phi
         u = -th * phi
-        y1 = theta * phi + u + ws[t + 1]
+        y1 = theta * phi + u + wt
         us.append(u)
         ys.append(y1)
-        if y1 != y1 or y1 > guard or y1 < -guard:
-            blow = t + 1
+        if not -guard <= y1 <= guard:
+            # also true for NaN
+            blow = len(us)
             break
         s = s + phi * phi
         th = th + phi * ((y1 - u) - th * phi) / s
-        ths.append(th)
         y = y1
-    return np.array(ys), np.array(us), np.array(ths), blow
+    return np.array(ys), np.array(us), blow
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +768,61 @@ def _mode_sums(Af, Bf, Pf, Ms, i, N, n, m):
     return S_aa, S_ab, S_bb
 
 
+def _riccati_map(Af, Bf, Pf, Ms, N, n, m, rtol):
+    # one iterate M_i <- S_aa - (S_ab S_bb^+) S_ab' + I, symmetrized, for
+    # every mode; every product and sum keeps the order of the matrix
+    # expression
+    nn = n * n
+    nm = n * m
+    Mnew = [0.0] * (N * nn)
+    for i in range(N):
+        S_aa, S_ab, S_bb = _mode_sums(Af, Bf, Pf, Ms, i, N, n, m)
+        pinv = _pinv(S_bb, m, rtol)
+        G = [0.0] * nm
+        for a in range(n):
+            for q in range(m):
+                s = 0.0
+                for r in range(m):
+                    s += S_ab[a * m + r] * pinv[r * m + q]
+                G[a * m + q] = s
+        X = [0.0] * nn
+        for a in range(n):
+            for b in range(n):
+                s = 0.0
+                for q in range(m):
+                    s += G[a * m + q] * S_ab[b * m + q]
+                X[a * n + b] = S_aa[a * n + b] - s
+            X[a * n + a] += 1.0
+        o = i * nn
+        for a in range(n):
+            for b in range(n):
+                Mnew[o + a * n + b] = 0.5 * (X[a * n + b] + X[b * n + a])
+    return Mnew
+
+
+def _scalar_riccati_map(Af, Bf, Pf, Ms, N, rtol):
+    # _riccati_map at n = m = 1: the same products in the same order.  Its
+    # one-term dots add x to 0.0, which changes x only at -0.0, and each
+    # such term then goes into a sum that began at +0.0 and so is never
+    # -0.0; adding or subtracting a zero of either sign leaves such a sum
+    # as it is, so without the 0.0 + every bit stays the same
+    Mnew = []
+    for i in range(N):
+        S_aa = S_ab = S_bb = 0.0
+        for p, M, A, B in zip(Pf[i * N:i * N + N], Ms, Af, Bf):
+            pm = p * M
+            row = A * pm
+            S_aa += row * A
+            S_ab += row * B
+            S_bb += B * pm * B
+        pinv = _pinv([S_bb], 1, rtol)[0]
+        X = S_aa - S_ab * pinv * S_ab + 1.0
+        Mnew.append(0.5 * (X + X))
+    return Mnew
+
+
 def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
-    # flat row-major lists of Python floats (see the module docstring);
-    # every product and sum keeps the order of the matrix expression
-    # M_i <- S_aa - (S_ab S_bb^+) S_ab' + I, symmetrized
+    # flat row-major lists of Python floats (see the module docstring)
     N = A.shape[0]
     n = A.shape[1]
     m = B.shape[2]
@@ -771,29 +841,10 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     rises = 0  # consecutive iterations whose step delta grew
     for k in range(max_iter):
         prev = delta
-        Mnew = [0.0] * (N * nn)
-        for i in range(N):
-            S_aa, S_ab, S_bb = _mode_sums(Af, Bf, Pf, Ms, i, N, n, m)
-            pinv = _pinv(S_bb, m, svd_rtol)
-            G = [0.0] * nm
-            for a in range(n):
-                for q in range(m):
-                    s = 0.0
-                    for r in range(m):
-                        s += S_ab[a * m + r] * pinv[r * m + q]
-                    G[a * m + q] = s
-            X = [0.0] * nn
-            for a in range(n):
-                for b in range(n):
-                    s = 0.0
-                    for q in range(m):
-                        s += G[a * m + q] * S_ab[b * m + q]
-                    X[a * n + b] = S_aa[a * n + b] - s
-                X[a * n + a] += 1.0
-            o = i * nn
-            for a in range(n):
-                for b in range(n):
-                    Mnew[o + a * n + b] = 0.5 * (X[a * n + b] + X[b * n + a])
+        if n == m == 1:
+            Mnew = _scalar_riccati_map(Af, Bf, Pf, Ms, N, svd_rtol)
+        else:
+            Mnew = _riccati_map(Af, Bf, Pf, Ms, N, n, m, svd_rtol)
         delta = 0.0
         nrm = 0.0
         for e in range(N * nn):

@@ -9,7 +9,8 @@ A solution is N positive-definite matrices M_i satisfying, for each mode,
 with (.)^+ the Moore-Penrose inverse.  The solver iterates the
 fixed-point map from M_i = I; the loop lives in ``kernels``, on Python
 floats in scalar loops, with the pseudo-inverse in closed form at one
-input and by SVD beyond.  The kernel also returns the feedback gains
+input and by SVD beyond, and the whole map in closed scalar form at one
+state and one input.  The kernel also returns the feedback gains
 K_i = S_bb^+ S_ab' of the converged iterate, formed in the same loops,
 so from two states on the gains do not go through BLAS products.
 ``riccati_rhs`` and ``riccati_residual`` re-evaluate the map with numpy

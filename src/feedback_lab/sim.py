@@ -379,7 +379,7 @@ def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
     theta = system.theta_mean + rng.standard_normal()
     w = math.sqrt(system.noise.variance) * rng.standard_normal(T + 1)
     w[0] = 0.0
-    ys, us, _ths, blow = kernels.parametric_episode(
+    ys, us, blow = kernels.parametric_episode(
         0.0, theta, w, system.f.M, system.f.b, ctl.RLS_S0, system.theta_mean,
         GUARD)
     return _episode("parametric", system, controller, seed, T, ys, us, w,

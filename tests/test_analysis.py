@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from feedback_lab import (CRITICAL_RADIUS, Extension, MarkovChain,
-                          MartingaleDiffVector, MjlsSpec, PiecewiseLinearFn,
+from feedback_lab import (CRITICAL_RADIUS, Extension, PiecewiseLinearFn,
                           RealizedPiecewiseLinear, Regime,
                           characteristic_poly, highorder_impossible,
                           parametric_regime, poly_impossible, quasi_norm,
-                          sampled_regime, scalar_mjls_stabilizable, verify_h2)
+                          sampled_regime, scalar_mjls_stabilizable)
 from feedback_lab.analysis import poly_min_on_interval
 
 
@@ -213,31 +212,3 @@ class TestScalarMjls:
             scalar_mjls_stabilizable(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             scalar_mjls_stabilizable(0.0, 1.0, 1.0)
-
-
-def _spec(A_list, B_list):
-    N = len(A_list)
-    chain = MarkovChain(np.full((N, N), 1.0 / N))
-    n = np.asarray(A_list[0]).shape[0]
-    return MjlsSpec(chain=chain, A=np.asarray(A_list, dtype=float),
-                    B=np.asarray(B_list, dtype=float),
-                    noise=MartingaleDiffVector(1.0, float(n), n))
-
-
-class TestVerifyH2:
-    def test_distinct_modes_equal_inputs(self):
-        spec = _spec([[[0.0]], [[1.0]]], [[[1.0]], [[1.0]]])
-        K = verify_h2(spec, trials=5, rng=np.random.default_rng(0))
-        assert K is not None and K.shape == (1, 1)
-
-    def test_single_mode_vacuous(self):
-        chain = MarkovChain(np.array([[1.0]]))
-        spec = MjlsSpec(chain=chain, A=np.zeros((1, 1, 1)),
-                        B=np.ones((1, 1, 1)),
-                        noise=MartingaleDiffVector(1.0, 1.0, 1))
-        K = verify_h2(spec, trials=3, rng=np.random.default_rng(0))
-        assert np.array_equal(K, np.zeros((1, 1)))
-
-    def test_identical_modes_fail(self):
-        spec = _spec([[[1.0]], [[1.0]]], [[[1.0]], [[1.0]]])
-        assert verify_h2(spec, trials=20, rng=np.random.default_rng(0)) is None

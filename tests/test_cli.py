@@ -73,7 +73,9 @@ class TestConfigHandling:
         cfg = cli.load_config(None, "nonparam-duel",
                               {"T": 10, "L": "6", "seeds": 3})
         text = cli.serialize_config("nonparam-duel", cfg)
-        cfg2 = cli.parse_config_text(text, "nonparam-duel")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        cfg2 = cli.load_config(str(path), "nonparam-duel", {})
         assert cfg2 == cfg
         text2 = cli.serialize_config("nonparam-duel", cfg2)
         assert text2 == text

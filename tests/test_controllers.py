@@ -8,8 +8,7 @@ from feedback_lab import (MarkovChain, MartingaleDiffVector, MjlsSpec,
                           MjlsControllerState, NnHistory, SampledSpec,
                           adaptive_mv_control, make_rls, mjls_control,
                           mjls_estimate_mode, nn_estimate, rls_update,
-                          sampled_control, step_mjls, switching_control,
-                          verify_h2)
+                          sampled_control, step_mjls, switching_control)
 
 
 class TestRls:
@@ -185,7 +184,8 @@ class TestMjlsController:
         rng = np.random.default_rng(21)
         for _ in range(25):
             spec = _spec(list(rng.uniform(-2, 2, 2)), [1.0, 1.0])
-            if verify_h2(spec, 10, rng) is None:
+            # with equal B the modes are told apart iff A_1 != A_2
+            if abs(spec.A[0, 0, 0] - spec.A[1, 0, 0]) <= 1e-9:
                 continue
             state = MjlsControllerState(Ks=np.zeros((2, 1, 1)))
             x = np.array([rng.standard_normal() + 2.0])

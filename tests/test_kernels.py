@@ -165,22 +165,6 @@ class TestScalarHelpersAgree:
             with pytest.raises(np.linalg.LinAlgError):
                 pinv([math.nan], 1, SVD_RTOL)
 
-    def test_parametric_episode_powers_python_floats(self, monkeypatch):
-        # a numpy scalar state would double the cost per step
-        seen = []
-        power = kernels.power_eval
-
-        def recorded(M, b, y):
-            seen.append(type(y))
-            return power(M, b, y)
-
-        monkeypatch.setattr(kernels, "power_eval", recorded)
-        w = np.random.default_rng(3).standard_normal(501)
-        for b in (2.0, 6.0):
-            kernels.parametric_episode(0.3, 1.3, w, 1.0, b, 1.0, 1.0, GUARD)
-        assert len(seen) > 500
-        assert set(seen) == {float}
-
     def test_mcshane_eval(self):
         # neighbour-only evaluation equals the full-cone scan bit for bit
         rng = np.random.default_rng(2)
@@ -359,42 +343,47 @@ def _assert_inputs_recomputable(traj):
         assert recompute_input(traj, t) == traj.inputs[t], t
 
 
-def _assert_parametric_steps(theta, w, b):
+def _assert_parametric_steps(theta, w, M, b):
     """Check a parametric_episode run step by step against the model and
     controller step operations, every state byte for byte (a final NaN or
-    inf too); returns the final state."""
-    f = models.PowerGrowthFn(1.0, b)
-    ys, us, ths, blow = kernels.parametric_episode(
-        0.0, theta, w, 1.0, b, 1.0, 1.0, GUARD)
+    inf too) and every input exactly; returns the final state."""
+    f = models.PowerGrowthFn(M, b)
+    ys, us, blow = kernels.parametric_episode(
+        0.0, theta, w, M, b, 1.0, 1.0, GUARD)
     state = controllers.make_rls(s0=1.0, theta0=1.0)
     end = blow if blow >= 0 else w.shape[0] - 1
+    assert (ys.shape[0], us.shape[0]) == (end + 1, end)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(end):
             phi = models.eval_power(f, ys[t])
-            assert us[t] == controllers.adaptive_mv_control(state, phi)
+            assert us[t] == controllers.adaptive_mv_control(state, phi), t
             y1 = models.step_parametric(ys[t], theta, us[t], w[t + 1], f)
             assert _bits(y1) == _bits(ys[t + 1]), t
             state = controllers.rls_update(state, phi, ys[t + 1] - us[t])
-            if t + 1 < end:
-                assert ths[t + 1] == state.theta_hat
     return ys[end]
 
 
 class TestEpisodeKernelsAgree:
     def test_parametric(self):
+        # the kernel inlines power_eval; replay calls it.  b = 0 makes the
+        # power 1 off the origin, b < 1 steepens it near 0, and M scales it
         rng = np.random.default_rng(4)
         w = rng.standard_normal(2001)
-        for b in (1.5, 2.0, 3.5, 5.0):
-            assert math.isfinite(_assert_parametric_steps(1.3, w, b))
+        for M in (0.5, 1.0, 3.0):
+            for b in (0.0, 0.5, 1.0, 1.5, 2.0, 3.5, 5.0):
+                final = _assert_parametric_steps(1.3, w, M, b)
+                if M == 1.0 and b >= 1.5:
+                    assert math.isfinite(final), b
         # blow-ups whose last power overflows double precision end in NaN
-        for b in (4.5, 6.0):
-            finals = []
-            for seed in range(40):
-                rng = np.random.default_rng(seed)
-                w = rng.standard_normal(201)
-                finals.append(_assert_parametric_steps(
-                    1.0 + rng.standard_normal(), w, b))
-            assert any(math.isnan(y) for y in finals), b
+        for M in (0.5, 1.0, 3.0):
+            for b in (4.5, 6.0):
+                finals = []
+                for seed in range(40):
+                    rng = np.random.default_rng(seed)
+                    w = rng.standard_normal(201)
+                    finals.append(_assert_parametric_steps(
+                        1.0 + rng.standard_normal(), w, M, b))
+                assert any(math.isnan(y) for y in finals), (M, b)
 
     def test_nonparam_fixed(self):
         xs, vs = anchors(seed=5)
@@ -619,6 +608,30 @@ class TestEpisodeKernelsAgree:
                     assert out[0].tobytes() == Ms.tobytes()
                     compared += 1
         assert compared == 600
+
+    def test_riccati_three_scalar_modes(self):
+        # the scalar body beyond criterion 6's grid: three modes, one of
+        # them unactuated and one with a negative input gain; every
+        # iterate up to convergence and the gains are the numpy route's
+        # bits.  No input gain is a power of two, so a product out of order
+        # rounds differently
+        P = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+        spec = MjlsSpec(chain=MarkovChain(P),
+                        A=np.array([0.5, 1.3, -0.9]).reshape(3, 1, 1),
+                        B=np.array([0.9, 0.0, -1.7]).reshape(3, 1, 1),
+                        noise=MartingaleDiffVector(1.0, 1.0, 1))
+        Ms, status, iters, _, Ks = kernels.riccati_solve(
+            spec.A, spec.B, P, DEFAULT_TOL, DEFAULT_MAX_ITER,
+            DIVERGENCE_GUARD, SVD_RTOL)
+        assert (status, iters) == (0, 137)
+        assert Ks.tobytes() == numpy_gains(Ms, spec).tobytes()
+        ref = np.array([np.eye(1)] * 3)
+        for k in range(1, iters + 1):
+            ref = np.array([riccati_rhs(ref, spec, i + 1) for i in range(3)])
+            out = kernels.riccati_solve(spec.A, spec.B, P, 0.0, k, 1e12,
+                                        1e-10)
+            assert out[0].tobytes() == ref.tobytes(), k
+        assert ref.tobytes() == Ms.tobytes()
 
     @pytest.mark.parametrize("P, A, B, status, iters", VECTOR_SPECS,
                              ids=VECTOR_SPEC_IDS)
