@@ -52,6 +52,11 @@ VECTOR_SPECS = [
 ]
 VECTOR_SPEC_IDS = ["n2_m1", "n3_m3"]
 
+# first states of an RLS episode that reach each branch of the power
+PARAMETRIC_EDGE_STATES = [0.0, -0.0, math.nan, 5e-324, -5e-324, 1e60, -1e60]
+PARAMETRIC_EDGE_IDS = ["zero", "neg_zero", "nan", "subnormal",
+                       "neg_subnormal", "overflow", "neg_overflow"]
+
 
 def numpy_gains(Ms, spec):
     """The gains as the numpy route forms them: S_bb^+ S_ab' from matrix
@@ -164,6 +169,34 @@ class TestScalarHelpersAgree:
         for pinv in (kernels._pinv, kernels._svd_pinv):
             with pytest.raises(np.linalg.LinAlgError):
                 pinv([math.nan], 1, SVD_RTOL)
+
+    def test_scalar_riccati_map_is_the_generic_loops(self):
+        # the n = m = 1 body drops the loops' 0.0 + terms; on entries drawn
+        # from signed zeros, infinities, extremes and subnormals it gives
+        # the generic body's bits (NaN too) or raises where it raises
+        rng = np.random.default_rng(8)
+        pool = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-200, -1e-200, 1e200,
+                -1e200, math.inf, -math.inf, 3e-320]
+
+        def draw(k):
+            return [pool[j] if j < len(pool) else float(rng.normal(0, 2))
+                    for j in rng.integers(0, 2 * len(pool), k)]
+
+        raised = 0
+        with np.errstate(all="ignore"):
+            for _ in range(3000):
+                N = int(rng.integers(1, 4))
+                args = (draw(N), draw(N), draw(N * N), draw(N))
+                try:
+                    want = kernels._riccati_map(*args, N, 1, 1, SVD_RTOL)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        kernels._scalar_riccati_map(*args, N, SVD_RTOL)
+                    raised += 1
+                    continue
+                got = kernels._scalar_riccati_map(*args, N, SVD_RTOL)
+                assert [_bits(x) for x in got] == [_bits(x) for x in want]
+        assert 0 < raised < 3000
 
     def test_mcshane_eval(self):
         # neighbour-only evaluation equals the full-cone scan bit for bit
@@ -343,20 +376,21 @@ def _assert_inputs_recomputable(traj):
         assert recompute_input(traj, t) == traj.inputs[t], t
 
 
-def _assert_parametric_steps(theta, w, M, b):
+def _assert_parametric_steps(theta, w, M, b, y0=0.0):
     """Check a parametric_episode run step by step against the model and
-    controller step operations, every state byte for byte (a final NaN or
-    inf too) and every input exactly; returns the final state."""
+    controller step operations, every state and input byte for byte (a
+    final NaN or inf too); returns the final state."""
     f = models.PowerGrowthFn(M, b)
     ys, us, blow = kernels.parametric_episode(
-        0.0, theta, w, M, b, 1.0, 1.0, GUARD)
+        y0, theta, w, M, b, 1.0, 1.0, GUARD)
     state = controllers.make_rls(s0=1.0, theta0=1.0)
     end = blow if blow >= 0 else w.shape[0] - 1
     assert (ys.shape[0], us.shape[0]) == (end + 1, end)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(end):
             phi = models.eval_power(f, ys[t])
-            assert us[t] == controllers.adaptive_mv_control(state, phi), t
+            assert _bits(us[t]) == _bits(
+                controllers.adaptive_mv_control(state, phi)), t
             y1 = models.step_parametric(ys[t], theta, us[t], w[t + 1], f)
             assert _bits(y1) == _bits(ys[t + 1]), t
             state = controllers.rls_update(state, phi, ys[t + 1] - us[t])
@@ -384,6 +418,19 @@ class TestEpisodeKernelsAgree:
                     finals.append(_assert_parametric_steps(
                         1.0 + rng.standard_normal(), w, M, b))
                 assert any(math.isnan(y) for y in finals), (M, b)
+
+    @pytest.mark.parametrize("y0", PARAMETRIC_EDGE_STATES,
+                             ids=PARAMETRIC_EDGE_IDS)
+    def test_parametric_from_edge_states(self, y0):
+        # each branch of the inlined power at the first step: both zeros
+        # and NaN give power 0, subnormals underflow or stay tiny, and
+        # 1e60 overflows from b 6 on (the next state is NaN, a blow-up)
+        w = np.random.default_rng(6).standard_normal(51)
+        for M in (0.5, 3.0):
+            for b in (0.0, 0.5, 2.0, 6.0):
+                final = _assert_parametric_steps(1.3, w, M, b, y0)
+                if abs(y0) == 1e60 and b == 6.0:
+                    assert math.isnan(final), (M, b)
 
     def test_nonparam_fixed(self):
         xs, vs = anchors(seed=5)
