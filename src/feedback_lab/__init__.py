@@ -9,7 +9,7 @@ stabilizability through coupled fixed-point equations.
 """
 
 from ._accel import backend_name
-from .adversary import (Extension, PiecewiseLinearFn, RealizedPiecewiseLinear,
+from .adversary import (PiecewiseLinearFn, RealizedPiecewiseLinear,
                         adversary_choose, feasible_interval, realize,
                         SampledAdversaryState, sampled_adversary_choose)
 from .analysis import (CharPoly, CRITICAL_EXPONENT, CRITICAL_RADIUS, Regime,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
@@ -26,20 +25,6 @@ CONSISTENCY_TOL = 1e-12
 OFFSET_BUDGET = 10.0
 
 
-class Extension(IntEnum):
-    """Rule extending committed anchors to a total function.
-
-    ``MCSHANE_MIN`` takes the pointwise minimum of the upward cones
-    v_i + L|x - x_i| (the largest Lipschitz-L interpolant), ``MCSHANE_MAX``
-    the maximum of the downward cones v_i - L|x - x_i| (the smallest),
-    and ``MIDPOINT`` their average, whose tails are flat.
-    """
-
-    MCSHANE_MIN = kernels.EXT_UPPER
-    MCSHANE_MAX = kernels.EXT_LOWER
-    MIDPOINT = kernels.EXT_MIDPOINT
-
-
 class InconsistentAnchors(ValueError):
     """A committed value violates the Lipschitz budget against the store."""
 
@@ -50,22 +35,25 @@ class RealizedPiecewiseLinear:
 
     The abscissas are finite, sorted and distinct, and adjacent anchors
     respect the slope budget L; construction raises ``ValueError``
-    otherwise.  Evaluation returns the stored value exactly on anchor
-    points and the extension-rule value elsewhere, so replaying a
-    trajectory through a realization reproduces every recorded function
-    value bit for bit.  ``modes`` holds one extension mode per interval
-    between adjacent anchors and per tail, the left tail first; a
-    sampled duel's swept intervals each keep the envelope that swept
-    them.  Left out, it is ``extension`` everywhere.
+    otherwise.  Each interval between adjacent anchors, and each tail,
+    takes one of McShane's envelopes (McShane 1934), as ``modes`` lists
+    them, the left tail first: 0 the upper, min_i(v_i + L|x - x_i|), the
+    largest Lipschitz-L interpolant, and 1 the lower,
+    max_i(v_i - L|x - x_i|), the smallest.  Left out, every interval
+    takes the upper; a sampled duel's swept intervals each keep the
+    envelope that swept them.  Evaluation returns the stored value
+    exactly on anchor points, so replaying a trajectory through a
+    realization reproduces every recorded function value bit for bit.
     """
 
     xs: np.ndarray
     vs: np.ndarray
     L: float
-    extension: Extension = Extension.MCSHANE_MIN
     modes: np.ndarray | None = None
 
     def __post_init__(self):
+        if not self.L > 0:
+            raise ValueError("slope budget L must be positive")
         xs = np.asarray(self.xs, dtype=float)
         vs = np.asarray(self.vs, dtype=float)
         if xs.ndim != 1 or xs.shape != vs.shape or xs.shape[0] == 0:
@@ -83,13 +71,14 @@ class RealizedPiecewiseLinear:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
         if self.modes is None:
-            modes = np.full(xs.shape[0] + 1, int(self.extension))
+            modes = np.zeros(xs.shape[0] + 1, dtype=np.int64)
         else:
-            modes = np.asarray(self.modes, dtype=np.int64)
-            if modes.shape != (xs.shape[0] + 1,) or modes.min() < 0 \
-                    or modes.max() > 2:
-                raise ValueError("modes must hold one extension mode per "
+            modes = np.asarray(self.modes)
+            if modes.shape != (xs.shape[0] + 1,) \
+                    or not np.isin(modes, (0, 1)).all():
+                raise ValueError("modes must hold one envelope, 0 or 1, per "
                                  "interval, the two tails included")
+            modes = modes.astype(np.int64)
         object.__setattr__(self, "modes", modes)
 
     @cached_property
@@ -111,26 +100,25 @@ class RealizedPiecewiseLinear:
 
     def tail_slopes(self) -> tuple[float, float]:
         """Signed slopes of the left and right unbounded pieces."""
-        right = (self.L, -self.L, 0.0)  # the right tail's, by mode
+        right = (self.L, -self.L)  # the right tail's, by mode
         return -right[self.modes[0]], right[self.modes[-1]]
 
 
 class PiecewiseLinearFn:
-    """Anchor store with slope budget L and an extension rule.
+    """Anchor store with slope budget L, realized as the upper envelope.
 
     Anchors are kept in the kernels' store form, a sorted list of
     distinct abscissas and a dict from each to its value; every commit is
     checked against the whole store within ``CONSISTENCY_TOL`` times the
     larger of 1 and the two values' magnitudes, so far-escaped stores are
-    not rejected on last-bit rounding of slope-L cones.
+    not rejected on last-bit rounding of slope-L cones.  ``realize``
+    extends the store by the upper envelope on every interval.
     """
 
-    def __init__(self, L: float, extension: Extension = Extension.MCSHANE_MIN,
-                 anchors=()):
+    def __init__(self, L: float, anchors=()):
         if not L > 0:
             raise ValueError("slope budget L must be positive")
         self.L = float(L)
-        self.extension = Extension(extension)
         self._xs: list[float] = []
         self._vs: dict[float, float] = {}
         for x, v in anchors:
@@ -174,7 +162,7 @@ class PiecewiseLinearFn:
 
     def realize(self) -> RealizedPiecewiseLinear:
         xs, vs = self.anchor_arrays()
-        return RealizedPiecewiseLinear(xs, vs, self.L, self.extension)
+        return RealizedPiecewiseLinear(xs, vs, self.L)
 
 
 def feasible_interval(f: PiecewiseLinearFn, x: float) -> tuple[float, float]:

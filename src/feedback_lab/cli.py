@@ -310,7 +310,7 @@ def run_highorder_check(cfg: dict, seed: int) -> list[dict]:
 
 
 def _anchor_table(name: str, label: float, traj, modes=False) -> dict:
-    # with modes, each anchor's row also names the extension mode of the
+    # with modes, each anchor's row also names the envelope (mode) of the
     # interval to its right (the last row's: the right tail's)
     f = traj.realized_f
     rows = [[label, traj.seed, float(x), float(v)] + ([m] if modes else [])

@@ -47,15 +47,15 @@ index at which the guard tripped (-1 means the horizon was reached).
 Piecewise-linear functions are passed as anchor stores ``(keys, vals)``
 with slope budget L: ``keys`` lists the sorted, distinct abscissas as
 Python floats and ``vals`` maps each to its value (``anchor_store``
-builds the pair from arrays, once per realization).  Extension mode 0
-evaluates the upper envelope ``min_i(v_i + L|x - x_i|)``, mode 1 the
-lower envelope ``max_i(v_i - L|x - x_i|)``, mode 2 their midpoint.  For
-L-consistent anchors both envelopes at x are fixed by the two anchors
-either side of x (McShane 1934), so evaluation reads only those two.  An
-exact anchor hit returns the stored value, so replaying a stored
-trajectory through the same anchors is reproducible to the last bit.  A
-function takes its mode per interval from a mode table (``mode_table``),
-which maps each interval between adjacent keys, and each tail, to one.
+builds the pair from arrays, once per realization).  Mode 0 evaluates
+the upper envelope ``min_i(v_i + L|x - x_i|)``, mode 1 the lower
+envelope ``max_i(v_i - L|x - x_i|)``.  For L-consistent anchors both
+envelopes at x are fixed by the two anchors either side of x (McShane
+1934), so evaluation reads only those two.  An exact anchor hit returns
+the stored value, so replaying a stored trajectory through the same
+anchors is reproducible to the last bit.  A function takes its envelope
+per interval from a mode table (``mode_table``), which maps each
+interval between adjacent keys, and each tail, to 0 or 1.
 ``mcshane_eval`` reads it once per evaluation, in ``nonparam_fixed`` and
 in replay; the sampled kernels and replay integrate over it in closed
 form, one linear piece at a time (``zoh_flow``).
@@ -93,10 +93,6 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 import numpy as np
-
-EXT_UPPER = 0
-EXT_LOWER = 1
-EXT_MIDPOINT = 2
 
 _INF = float("inf")
 _NEG_INF = -_INF
@@ -176,17 +172,11 @@ def interval(keys, vals, L, x):
 
 
 def mcshane_eval(keys, vals, L, modes, x):
-    """Extension-rule value at x: the upper envelope (mode 0), the lower
-    (1) or their midpoint (2), as the mode table ``modes`` gives for x's
-    interval."""
+    """Envelope value at x: the upper envelope (mode 0) or the lower (1),
+    as the mode table ``modes`` gives for x's interval."""
     j = _bisect(keys, x)
     lo, hi = _cone(keys, vals, L, x, j)
-    m = modes[keys[j] if j < len(keys) else _INF]
-    if m == 0:
-        return hi
-    if m == 1:
-        return lo
-    return 0.5 * (lo + hi)
+    return lo if modes[keys[j] if j < len(keys) else _INF] == 1 else hi
 
 
 def _insert(keys, vals, j, key, val):
@@ -396,7 +386,7 @@ def _exp(a):
 
 
 def mode_table(keys, modes):
-    """Each interval's extension mode keyed by the interval's right key,
+    """Each interval's envelope mode keyed by the interval's right key,
     inf for the right tail, from ``modes`` listed left tail first."""
     return dict(zip(keys + [_INF], modes))
 
@@ -405,28 +395,34 @@ def zoh_flow(keys, vals, modes, L, x, u, h):
     """State after one period h of dx/dt = f(x) + u from x, u held.
 
     f takes on each interval between adjacent keys, and on each tail,
-    the envelope ``modes`` maps it to (``mode_table``), which is linear
-    between kinks with slope a in {-L, 0, L}.  On a piece the flow is
-    x* + (x - x*) e^{a t}, x* its equilibrium, or x + (f + u) t where
-    flat; it moves one way, the sign of f(x) + u, and never crosses an
-    equilibrium.  A piece's endpoint (one ``exp``) stands where each
-    line in use is still the active one there, by the two lines' values
-    compared at the endpoint, and the anchor ahead is not passed; else
-    the flow crosses the nearest kink or anchor (one ``log``) and goes on.
+    the envelope ``modes`` maps it to (``mode_table``): the upper, a
+    minimum of upward cones, or the lower, a maximum of downward ones,
+    each linear between kinks with slope +-L.  On a piece of slope a the
+    flow is x* + (x - x*) e^{a t}, x* its equilibrium; it moves one way,
+    the sign of f(x) + u, and never crosses an equilibrium.  Across an
+    interval the envelope runs on the line through the anchor behind the
+    motion, then from a kink on, on the line through the anchor ahead.
+    A piece's endpoint (one ``exp``) stands where the line in use is
+    still the active one there, by the two lines' values compared at the
+    endpoint, and the anchor ahead is not passed; else the flow crosses
+    the kink or the anchor (one ``log``) and goes on.  The envelope's
+    sign rides in its slope, ``eL`` = L for the upper and -L for the
+    lower, so one expression serves both: negating a product or a
+    divisor is exact.
 
     An interval missing from ``modes`` is one no period swept, where the
     sampled duel's f is still free: the flow takes the envelope that
     pushes it on, the upper moving right and the lower moving left, and
-    records it for every later period.  On a free tail it commits the
-    endpoint with the active line's value, the expression a later flow
-    compares there, so a replay through the final store gets the same
-    bits.
+    records it for every later period.  The duel enters such an interval
+    only at an anchor, where both envelopes take the stored value.  On a
+    free tail it commits the endpoint with the active line's value, the
+    expression a later flow compares there, so a replay through the
+    final store gets the same bits.
     """
     n = len(keys)
     j = _bisect(keys, x)
     lo, hi = _cone(keys, vals, L, x, j)
-    m = modes.get(keys[j] if j < n else _INF)
-    g = (hi if m == 0 else lo if m == 1 else 0.5 * (lo + hi)) + u
+    g = (lo if modes.get(keys[j] if j < n else _INF) == 1 else hi) + u
     if not (g > 0.0 or g < 0.0):
         return x  # at rest, or NaN
     s = 1.0 if g > 0.0 else -1.0
@@ -451,75 +447,50 @@ def zoh_flow(keys, vals, modes, L, x, u, h):
                 m = 0 if s > 0.0 else 1
                 if has0 and has1:
                     modes[key] = m
-            # whether the upper (up) and lower (dn) envelopes run on the
-            # line through the anchor behind; at a tie, on the one ahead
-            up = dn = has0
+            eL = L if m == 0 else -L
+            # whether the envelope runs on the line through the anchor
+            # behind; at a tie, on the one ahead
+            on = has0
             if has0 and has1:
-                db = (x - p0) * s
-                da = (p1 - x) * s
-                up = q0 + L * db < q1 + L * da
-                dn = q0 - L * db > q1 - L * da
+                a = q0 + eL * ((x - p0) * s)
+                b = q1 + eL * ((p1 - x) * s)
+                on = a < b if m == 0 else a > b
             enter = False
         # the piece: the line through (p, q) of slope beta
-        if m == 0:
-            p, q, beta = (p0, q0, s * L) if up else (p1, q1, -s * L)
-        elif m == 1:
-            p, q, beta = (p0, q0, -s * L) if dn else (p1, q1, s * L)
-        elif up == dn:
-            p, q, beta = (p0, q0, 0.0) if up else (p1, q1, 0.0)
-        else:
-            p, q = 0.5 * (p0 + p1), 0.5 * (q0 + q1)
-            beta = s * L if up else -s * L
-        if beta == 0.0:
-            rate = q + u
-            x_end = x + rate * tau
-        else:
-            xs = p - (q + u) / beta
-            d = x - xs
-            x_end = xs + d * _exp(beta * tau) if d else x
+        p, q, beta = (p0, q0, s * eL) if on else (p1, q1, -s * eL)
+        xs = p - (q + u) / beta
+        d = x - xs
+        x_end = xs + d * _exp(beta * tau) if d else x
         ok = not has1 or (x_end - p1) * s <= 0.0
-        if ok and has0 and has1:
-            db = (x_end - p0) * s
-            da = (p1 - x_end) * s
-            if up and m != 1:
-                ok = q0 + L * db <= q1 + L * da
-            if ok and dn and m != 0:
-                ok = q0 - L * db >= q1 - L * da
+        if ok and on and has1:
+            a = q0 + eL * ((x_end - p0) * s)
+            b = q1 + eL * ((p1 - x_end) * s)
+            ok = a <= b if m == 0 else a >= b
         if ok:
             break
-        # the nearest event ahead: a kink where an envelope leaves the
+        # the nearest event ahead: the kink where the envelope leaves the
         # line behind, else the anchor ahead
         y = p1
-        kink = 0
-        if up and m != 1:
-            k = 0.5 * (p0 + p1) + s * (q1 - q0) / (2.0 * L)
+        kink = False
+        if on:
+            k = 0.5 * (p0 + p1) + s * (q1 - q0) / (2.0 * eL)
             if (k - y) * s < 0.0:
-                y, kink = k, 1
-        if dn and m != 0:
-            k = 0.5 * (p0 + p1) - s * (q1 - q0) / (2.0 * L)
-            if (k - y) * s < 0.0:
-                y, kink = k, 2
+                y, kink = k, True
         if (y - x) * s < 0.0:
             y = x
-        if beta == 0.0:
-            ty = (y - x) / rate if rate else _INF
-        else:
-            r = (y - xs) / d if d else -1.0
-            ty = math.log(r) / beta if r > 0.0 else _INF
+        r = (y - xs) / d if d else -1.0
+        ty = math.log(r) / beta if r > 0.0 else _INF
         if not 0.0 <= ty < tau:
             break  # rounding put the event at or past the period's end
         tau -= ty
         x = y
-        if kink == 1:
-            up = False
-        elif kink == 2:
-            dn = False
+        if kink:
+            on = False
         else:
             j += 1 if s > 0.0 else -1
             enter = True
     if free and not has1 and 0.0 < (x_end - p0) * s < _INF:
-        db = (x_end - p0) * s
-        _insert(keys, vals, j, x_end, q0 + L * db if s > 0.0 else q0 - L * db)
+        _insert(keys, vals, j, x_end, q0 + eL * ((x_end - p0) * s))
         modes[x_end if s > 0.0 else p0] = m
     return x_end
 

@@ -267,9 +267,9 @@ def integrate_sampled(x0: float, f: RealizedPiecewiseLinear, u_const: float,
 
     The exact flow, in closed form on each linear piece of f
     (``kernels.zoh_flow``, the one the sampled kernels take), through
-    each interval's extension mode (``f.modes``): x* + (x - x*) e^{a t}
-    on a piece of slope a = +-L with equilibrium x*, x + (f + u) t on a
-    flat one.  A state beyond double precision reads +-inf.  ``f`` must
+    each interval's envelope (``f.modes``, upper or lower):
+    x* + (x - x*) e^{a t} on a piece of slope a = +-L with equilibrium
+    x*.  A state beyond double precision reads +-inf.  ``f`` must
     be realized and inside the declared class
     (:func:`require_sampled_member`).
     """

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import controllers as ctl
 from . import kernels, models
-from .adversary import OFFSET_BUDGET, Extension, RealizedPiecewiseLinear
+from .adversary import OFFSET_BUDGET, RealizedPiecewiseLinear
 from .models import (GUARD, NOISE_CAP, ConfigurationError, GaussianIID,
                      MjlsSpec, PowerGrowthFn, SampledSpec)
 from .riccati import RiccatiSolution
@@ -347,7 +347,7 @@ def random_lipschitz_member(L: float, member: RandomMember,
     vs[0] = rng.uniform(-2.0, 2.0)
     for i in range(1, xs.shape[0]):
         vs[i] = vs[i - 1] + rng.uniform(-L, L) * (xs[i] - xs[i - 1])
-    return RealizedPiecewiseLinear(xs, vs, L, Extension.MCSHANE_MIN)
+    return RealizedPiecewiseLinear(xs, vs, L)
 
 
 def random_envelope_member(L: float, c: float,
@@ -367,8 +367,8 @@ def random_envelope_member(L: float, c: float,
             vs.append(v)
             xp = xi
     order = np.argsort(xs)
-    return RealizedPiecewiseLinear(np.asarray(xs)[order], np.asarray(vs)[order],
-                                   L, Extension.MCSHANE_MIN)
+    return RealizedPiecewiseLinear(np.asarray(xs)[order],
+                                   np.asarray(vs)[order], L)
 
 
 def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from feedback_lab import (Extension, PiecewiseLinearFn,
+from feedback_lab import (PiecewiseLinearFn,
                           RealizedPiecewiseLinear, adversary_choose,
                           feasible_interval, quasi_norm, realize,
                           SampledAdversaryState, sampled_adversary_choose)
@@ -163,8 +163,13 @@ class TestRealizedValidation:
         with pytest.raises(ValueError, match="slope"):
             RealizedPiecewiseLinear(np.array([0.0, 1.0]),
                                     np.array([0.0, 1.5]), 1.0)
+        # the budget must be positive: the flow has no flat piece
+        for L in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="slope budget"):
+                RealizedPiecewiseLinear(np.array([0.0]), np.zeros(1), L)
 
-    @pytest.mark.parametrize("modes", [[0], [0, 1, 2], [0, 3], [-1, 0]])
+    @pytest.mark.parametrize("modes", [[0], [0, 1, 2], [0, 2], [0, 3],
+                                       [-1, 0], [0.5, 1]])
     def test_modes_need_one_extension_per_interval(self, modes):
         with pytest.raises(ValueError, match="modes"):
             RealizedPiecewiseLinear(np.array([0.0]), np.zeros(1), 1.0,
@@ -172,31 +177,22 @@ class TestRealizedValidation:
 
     def test_each_interval_extends_by_its_mode(self):
         # anchors (0, 0), (4, 0) with slope 1: the upper envelope peaks at
-        # 2 in the middle, the lower one dips to -2, the midpoint is flat
+        # 2 in the middle, the lower one dips to -2
         xs, vs = np.array([0.0, 4.0]), np.zeros(2)
-        for m, mid in ((0, 2.0), (1, -2.0), (2, 0.0)):
+        for m, mid in ((0, 2.0), (1, -2.0)):
             g = RealizedPiecewiseLinear(xs, vs, 1.0, modes=[1, m, 0])
             assert g(2.0) == mid
             assert (g(-3.0), g(7.0)) == (-3.0, 3.0)
             assert g.tail_slopes() == (1.0, 1.0)
-        g = RealizedPiecewiseLinear(xs, vs, 1.0, Extension.MCSHANE_MAX)
-        assert g.modes.tolist() == [1, 1, 1] and g(2.0) == -2.0
+        g = RealizedPiecewiseLinear(xs, vs, 1.0, modes=[1, 1, 1])
+        assert g(2.0) == -2.0 and g.tail_slopes() == (1.0, -1.0)
+        assert RealizedPiecewiseLinear(xs, vs, 1.0).modes.tolist() == [0, 0, 0]
 
     def test_rounding_within_scaled_tolerance_accepted(self):
         v = 1e6
         g = RealizedPiecewiseLinear(np.array([0.0, 1.0]),
                                     np.array([v, v + 1.0 + 1e-4]), 1.0)
         assert g(1.0) == v + 1.0 + 1e-4
-
-
-class TestMidpointExtension:
-    def test_flat_tails(self):
-        f = PiecewiseLinearFn(L=1.0, extension=Extension.MIDPOINT,
-                              anchors=[(-10.0, 0.0), (10.0, 0.0)])
-        g = realize(f)
-        assert g(25.0) == 0.0
-        assert g(-25.0) == 0.0
-        assert quasi_norm(g) == 0.0
 
 
 class TestSampledAdversary:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from feedback_lab import (CRITICAL_RADIUS, Extension, PiecewiseLinearFn,
+from feedback_lab import (CRITICAL_RADIUS, PiecewiseLinearFn,
                           RealizedPiecewiseLinear, Regime,
                           characteristic_poly, highorder_impossible,
                           parametric_regime, poly_impossible, quasi_norm,
@@ -130,17 +130,11 @@ class TestHighorderImpossible:
 
 
 class TestQuasiNorm:
-    def test_constant(self):
-        # flat tails: the midpoint extension of one anchor
-        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([3.7]), 1.0,
-                                    Extension.MIDPOINT)
-        assert quasi_norm(f) == 0.0
-
     def test_global_line(self):
-        # the McShane maximum of a line of slope -2.5 is that line
+        # the lower envelope of a line of slope -2.5 is that line
         f = RealizedPiecewiseLinear(np.array([-1.0, 1.0]),
                                     np.array([3.5, -1.5]), 2.5,
-                                    Extension.MCSHANE_MAX)
+                                    modes=[1, 1, 1])
         assert quasi_norm(f) == 2.5
 
     def test_mcshane_realization_bounded_by_budget(self):

@@ -10,13 +10,14 @@ gains for the solver's gains, and the matrix-product route it replaced
 for the jump-linear episode.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from feedback_lab import (Extension, GreedyAdversary, MarkovChain,
+from feedback_lab import (GreedyAdversary, MarkovChain,
                           MartingaleDiffVector, MjlsGainControl, MjlsSpec,
                           MjlsSystem, NonparametricSystem, PiecewiseLinearFn,
                           RealizedPiecewiseLinear, SampledAdversaryState,
@@ -88,7 +89,7 @@ def full_interval(xs, vs, L, x):
 
 def full_mcshane(xs, vs, L, mode, x):
     lo, hi = full_interval(xs, vs, L, x)
-    return (hi, lo, 0.5 * (lo + hi))[mode]
+    return (hi, lo)[mode]
 
 
 def members():
@@ -202,9 +203,9 @@ class TestScalarHelpersAgree:
         # neighbour-only evaluation equals the full-cone scan bit for bit
         rng = np.random.default_rng(2)
         for f, span in members():
-            tables = [uniform(f.store[0], mode) for mode in (0, 1, 2)]
+            tables = [uniform(f.store[0], mode) for mode in (0, 1)]
             for x in queries(f, span, rng):
-                for mode in (0, 1, 2):
+                for mode in (0, 1):
                     assert kernels.mcshane_eval(
                         *f.store, f.L, tables[mode], float(x)) == \
                         full_mcshane(f.xs, f.vs, f.L, mode, float(x))
@@ -214,7 +215,7 @@ class TestScalarHelpersAgree:
         keys, vals = kernels.anchor_store(xs, vs)
         for i in range(xs.shape[0]):
             assert kernels.interval(keys, vals, 2.0, xs[i]) == (vs[i], vs[i])
-            for mode in (0, 1, 2):
+            for mode in (0, 1):
                 assert kernels.mcshane_eval(keys, vals, 2.0,
                                             uniform(keys, mode),
                                             xs[i]) == vs[i]
@@ -447,10 +448,11 @@ class TestEpisodeKernelsAgree:
         assert check_replay(traj)
 
     def test_nonparam_fixed_tie_rule(self):
-        # f == 0 and dyadic noise keep every state on a dyadic grid: states
-        # repeat and fall exactly midway between two earlier ones
+        # f = -|x|, the lower envelope of the one anchor (0, 0), and dyadic
+        # noise keep every state on a dyadic grid: states repeat and fall
+        # exactly midway between two earlier ones
         f = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0,
-                                    Extension.MIDPOINT)
+                                    modes=[1, 1])
         rng = np.random.default_rng(0)
         raw = rng.integers(-64, 65, 401) / 64.0
         raw[0] = 0.0
@@ -915,3 +917,62 @@ class TestMjlsScalarKernel:
         traj, _ = run_episode(MjlsSystem(spec=spec, x0=(1e10, 1e10)),
                               T=20, seed=0)
         assert traj.blow_step == 1 and check_replay(traj)
+
+
+class TestZohFlowBits:
+    """The flow's bits, pinned by sha256 over random members under random
+    upper/lower mode tables and over sampled duels from nonzero starts;
+    a change to the flow's arithmetic that moves any bit moves a digest."""
+
+    FLOW_DIGEST = ("6fc800f4e7fa5bd9460329adf0bd87bd"
+                   "bc299ba815b3215900b2f17c012fe8ff")
+    DUEL_DIGEST = ("4114ddc3fe6a095eed5e2cafb3556ad5"
+                   "fe7f8a5019d774e99a8da8bdbe8993f8")
+
+    @staticmethod
+    def flows(rng, n_members):
+        # members with random slopes and with runs of slope exactly +-L,
+        # where the line behind and the line ahead tie; starts on anchors,
+        # between them and beyond both ends; periods from 0.01 to 50
+        for _ in range(n_members):
+            L = float(np.exp(rng.uniform(np.log(0.1), np.log(20.0))))
+            n = int(rng.integers(1, 13))
+            xs = np.unique(rng.uniform(-10.0, 10.0, n))
+            vs = np.empty(xs.shape[0])
+            vs[0] = rng.uniform(-3.0, 3.0)
+            for i in range(1, xs.shape[0]):
+                slope = (L, -L, rng.uniform(-L, L))[rng.integers(3)]
+                vs[i] = vs[i - 1] + slope * (xs[i] - xs[i - 1])
+            keys, vals = kernels.anchor_store(xs, vs)
+            modes = rng.integers(0, 2, len(keys) + 1).tolist()
+            table = kernels.mode_table(keys, modes)
+            starts = [float(rng.choice(xs)), rng.uniform(-12.0, 12.0),
+                      xs[0] - rng.uniform(0.0, 5.0),
+                      xs[-1] + rng.uniform(0.0, 5.0)]
+            for x in starts:
+                h = float(np.exp(rng.uniform(np.log(0.01), np.log(50.0))))
+                for u in (0.0, rng.uniform(-3.0, 3.0) * L,
+                          -kernels.mcshane_eval(keys, vals, L, table, x)):
+                    yield keys, vals, table, L, x, u, h
+
+    def test_flows_keep_their_bits(self):
+        rng = np.random.default_rng(17)
+        out = [kernels.zoh_flow(*case)
+               for case in self.flows(rng, 3000)]
+        assert len(out) == 36000
+        digest = hashlib.sha256(np.array(out).tobytes()).hexdigest()
+        assert digest == self.FLOW_DIGEST
+
+    def test_sampled_duels_keep_their_bits(self):
+        h = hashlib.sha256()
+        for L, c, period in [(1.0, 1.0, 0.5), (1.0, 1.0, 1.3),
+                             (1.5, 0.5, 1.0), (1.0, 1.0, 8.0),
+                             (2.0, 0.5, 0.01)]:
+            for x0 in (0.7, -1.3, 5.0, -40.0):
+                for use_controller in (0, 1):
+                    out = kernels.sampled_duel(x0, L, c, period, 4.0, 150,
+                                               GUARD, use_controller)
+                    for a in out[:6]:
+                        h.update(np.asarray(a).tobytes())
+                    h.update(np.array(out[6:], dtype=np.int64).tobytes())
+        assert h.hexdigest() == self.DUEL_DIGEST

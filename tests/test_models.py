@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from feedback_lab import (GUARD, Extension, GaussianIID, MarkovChain,
+from feedback_lab import (GUARD, GaussianIID, MarkovChain,
                           MartingaleDiffVector, MjlsSpec, PiecewiseLinearFn,
                           PowerGrowthFn, RealizedPiecewiseLinear, SampledSpec,
                           eval_power, integrate_sampled, markov_next,
@@ -90,7 +90,7 @@ def rk4_reference(xs, vs, modes, L, x0, u, h, substeps):
             return hi
         lo = np.max(vs - d, axis=1)
         m = modes[np.arange(x.shape[0]), (xs < x[:, None]).sum(axis=1)]
-        return np.where(m == 0, hi, np.where(m == 1, lo, 0.5 * (lo + hi)))
+        return np.where(m == 0, hi, lo)
 
     dt = h / substeps
     x = np.array(x0, dtype=float)
@@ -104,21 +104,14 @@ def rk4_reference(xs, vs, modes, L, x0, u, h, substeps):
 
 
 def _line(slope, span=6.0):
-    # exact on [-span, span]: the McShane minimum of two anchors on a line
+    # exact on [-span, span]: the upper envelope of two anchors on a line
     # of slope +-L is that line between them
     xs = np.array([-span, span])
     vs = slope * xs
-    return RealizedPiecewiseLinear(xs, vs, abs(slope) if slope else 1.0,
-                                   Extension.MCSHANE_MIN)
+    return RealizedPiecewiseLinear(xs, vs, abs(slope))
 
 
 class TestStepNonparametric:
-    def test_zero_map(self):
-        # the midpoint of the cones |x| and -|x| is zero everywhere
-        zero = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0,
-                                       Extension.MIDPOINT)
-        assert step_nonparametric(17.3, zero, 1.0, -1.0) == 0.0
-
     def test_linear_map(self):
         assert step_nonparametric(3.0, _line(2.0), -6.0, 0.0) == 0.0
 
@@ -128,13 +121,6 @@ class TestStepNonparametric:
 
 
 class TestIntegrateSampled:
-    def test_zero_field_drifts_with_input(self):
-        f = RealizedPiecewiseLinear(np.array([-10.0, 10.0]),
-                                    np.array([0.0, 0.0]), 1.0,
-                                    Extension.MIDPOINT)
-        spec = SampledSpec(L=1.0, c=1.0, h=0.5)
-        assert integrate_sampled(1.0, f, 2.0, spec) == pytest.approx(2.0, abs=1e-12)
-
     def test_exponential_growth(self):
         spec = SampledSpec(L=1.0, c=1.0, h=1.0)
         out = integrate_sampled(1.0, _line(1.0), 0.0, spec)
@@ -147,7 +133,7 @@ class TestIntegrateSampled:
 
     @pytest.mark.parametrize("L", [1.0, 2.0])
     def test_signed_lines_are_the_closed_form(self, L):
-        # one anchor (0, 0.5): the upper extension's right tail is the line
+        # one anchor (0, 0.5): the upper envelope's right tail is the line
         # 0.5 + Lx, the lower one's 0.5 - Lx; the flow along such a line
         # of slope +-L is x* + (x0 - x*) e^{+-Lh}, bit for bit, away from
         # its equilibrium x* or towards it
@@ -158,21 +144,14 @@ class TestIntegrateSampled:
         assert integrate_sampled(x0, upper, u, spec) == \
             xs + (x0 - xs) * math.exp(L * h)
         lower = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.5]), L,
-                                        Extension.MCSHANE_MAX)
+                                        modes=[1, 1])
         xs = 0.0 + (0.5 + u) / L
         assert integrate_sampled(x0, lower, u, spec) == \
             xs + (x0 - xs) * math.exp(-L * h)
-        # the left tail of the upper extension, 0.5 - Lx, driven left
+        # the left tail of the upper envelope, 0.5 - Lx, driven left
         xs = 0.0 - (0.5 - 3.0) / -L
         assert integrate_sampled(-1.0, upper, -3.0, spec) == \
             xs + (-1.0 - xs) * math.exp(-L * h)
-
-    @pytest.mark.parametrize("x0, u", [(3.0, 0.5), (-3.0, -0.5), (0.0, 2.0)])
-    def test_flat_midpoint_tail_drifts_with_the_input(self, x0, u):
-        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0,
-                                    Extension.MIDPOINT)
-        spec = SampledSpec(L=1.0, c=1.0, h=0.5)
-        assert integrate_sampled(x0, f, u, spec) == x0 + u * spec.h
 
     def test_equilibrium_is_approached_never_crossed(self):
         # f(x) = -x on [-4, 4] and u = 1 put the one equilibrium at x = 1,
@@ -197,7 +176,7 @@ class TestIntegrateSampled:
         spec = SampledSpec(L=1.0, c=1.0, h=800.0)
         assert integrate_sampled(0.0, f, 0.0, spec) == math.inf
         lower = RealizedPiecewiseLinear(np.array([0.0]), np.array([-1.0]),
-                                        1.0, Extension.MCSHANE_MAX)
+                                        1.0, modes=[1, 1])
         assert integrate_sampled(-1.5, lower, 0.0, spec) == -math.inf
         system = SampledSystem(spec=spec, f=f)
         traj, verdict = run_episode(system, ZeroControl(), None, 5, 0)
@@ -224,7 +203,7 @@ class TestIntegrateSampled:
             u = rng.uniform(-4.0, 4.0, n)
             xs = np.array([f.xs for f in members])
             vs = np.array([f.vs for f in members])
-            modes = rng.integers(0, 3 if random_modes else 1,
+            modes = rng.integers(0, 2 if random_modes else 1,
                                  (n, xs.shape[1] + 1))
             ref = rk4_reference(xs, vs, modes, L, x0, u, h, 4096)
             out = np.array([integrate_sampled(
@@ -237,14 +216,14 @@ class TestIntegrateSampled:
 
     def test_membership_precondition(self):
         # the anchor (5, 6) sits on the envelope |x| + 1, but the upper
-        # extension has f(0) = 11; the lower one has f(0) = 1 = c
+        # McShane envelope has f(0) = 11; the lower one has f(0) = 1 = c
         spec = SampledSpec(L=1.0, c=1.0, h=0.5)
         for x, v in ((0.0, 50.0), (5.0, 6.0)):
             bad = RealizedPiecewiseLinear(np.array([x]), np.array([v]), 1.0)
             with pytest.raises(ValueError, match="offset c"):
                 integrate_sampled(0.0, bad, 0.0, spec)
         f = RealizedPiecewiseLinear(np.array([5.0]), np.array([6.0]), 1.0,
-                                    Extension.MCSHANE_MAX)
+                                    modes=[1, 1])
         assert math.isfinite(integrate_sampled(0.0, f, 0.0, spec))
 
     def test_slope_precondition(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from feedback_lab import (Extension, GaussianIID, GreedyAdversary,
+from feedback_lab import (GaussianIID, GreedyAdversary,
                           MarkovChain,
                           MartingaleDiffVector, PiecewiseLinearFn,
                           adversary_choose, kernels,
@@ -383,9 +383,10 @@ class TestRegret:
         assert verdict.regret == pytest.approx(manual, rel=1e-9)
 
     def test_regret_zero_for_perfect_tracking(self):
-        # zero map with zero control from 0, and no noise: x_t = w_t = 0
-        zero = RealizedPiecewiseLinear([0.0], [0.0], 1.0, Extension.MIDPOINT)
-        system = SampledSystem(spec=SampledSpec(1.0, 1.0, 0.5), f=zero)
+        # f = |x|, the upper envelope of the one anchor (0, 0), with zero
+        # control from 0 and no noise: the state rests at 0, x_t = w_t = 0
+        f = RealizedPiecewiseLinear([0.0], [0.0], 1.0)
+        system = SampledSystem(spec=SampledSpec(1.0, 1.0, 0.5), f=f)
         traj, verdict = run_episode(system, ZeroControl(), None, 50, seed=0)
         assert verdict.regret == 0.0
         assert verdict.outcome is Outcome.BOUNDED
