@@ -150,6 +150,20 @@ class TestQuasiNorm:
                 fn.commit(float(x), v)
             assert quasi_norm(fn.realize()) <= L + 1e-12
 
+    def test_every_realization_reaches_the_budget(self):
+        # each tail is an upper or lower envelope, of slope +-L, so every
+        # realization's quasi-norm is its budget, whatever its modes
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            L = float(rng.uniform(0.5, 4.0))
+            xs = np.sort(rng.uniform(-5, 5, size=int(rng.integers(1, 7))))
+            vs = np.cumsum(np.concatenate(
+                ([rng.uniform(-1, 1)],
+                 rng.uniform(-L, L, xs.shape[0] - 1) * np.diff(xs))))
+            modes = rng.integers(0, 2, xs.shape[0] + 1).tolist()
+            f = RealizedPiecewiseLinear(xs, vs, L, modes=modes)
+            assert quasi_norm(f) == L
+
 
 class TestSampledRegime:
     def test_impossible_side(self):

@@ -153,6 +153,23 @@ class TestIntegrateSampled:
         assert integrate_sampled(-1.0, upper, -3.0, spec) == \
             xs + (-1.0 - xs) * math.exp(-L * h)
 
+    @pytest.mark.parametrize("x0, u", [(3.0, 0.5), (-3.0, -0.5), (0.0, 2.0)])
+    def test_lower_cone_tails_drift_with_the_input(self, x0, u):
+        # f = -|x|, the lower envelope of the one anchor (0, 0): from the
+        # right the flow settles towards x* = u, from the left it runs away
+        # from x* = -u, and from the anchor itself the input pushes the
+        # state onto the right tail; each is the closed form, bit for bit
+        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0,
+                                    modes=[1, 1])
+        spec = SampledSpec(L=1.0, c=1.0, h=0.5)
+        if x0 < 0.0:
+            xs = 0.0 - (0.0 + u) / 1.0
+            expected = xs + (x0 - xs) * math.exp(spec.h)
+        else:
+            xs = 0.0 + (0.0 + u) / 1.0
+            expected = xs + (x0 - xs) * math.exp(-spec.h)
+        assert integrate_sampled(x0, f, u, spec) == expected
+
     def test_equilibrium_is_approached_never_crossed(self):
         # f(x) = -x on [-4, 4] and u = 1 put the one equilibrium at x = 1,
         # inside a piece, reached from either side only in the limit
