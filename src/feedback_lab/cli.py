@@ -79,6 +79,22 @@ class Subcommand:
     options: tuple[Option, ...]
 
 
+def _read_mapping(path: str, kind: str) -> dict:
+    """The mapping a YAML config or spec file holds; {} if it is empty."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {kind} file: {exc}")
+    except yaml.YAMLError as exc:
+        raise CliError(f"malformed {kind} file: {exc}")
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise CliError(f"{kind} file must hold a mapping")
+    return raw
+
+
 def load_config(path: str | None, experiment: str, overrides: dict) -> dict:
     """Merge file config and flag overrides; unknown keys are rejected."""
     options = SUBCOMMANDS[experiment].options
@@ -86,17 +102,7 @@ def load_config(path: str | None, experiment: str, overrides: dict) -> dict:
     schema["seed"] = int
     merged: dict = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read config file: {exc}")
-        except yaml.YAMLError as exc:
-            raise CliError(f"malformed config file: {exc}")
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise CliError("config file must hold a mapping")
+        raw = _read_mapping(path, "config")
         exp = raw.pop("experiment", experiment)
         if exp != experiment:
             raise CliError(
@@ -114,6 +120,9 @@ def load_config(path: str | None, experiment: str, overrides: dict) -> dict:
     for key, value in merged.items():
         want = schema[key]
         try:
+            if want is int and isinstance(value, (bool, float)):
+                # int() would truncate 2.9, overflow at inf and read true
+                raise TypeError
             merged[key] = want(value)
         except (TypeError, ValueError):
             raise CliError(f"config key {key!r} must be {want.__name__}")
@@ -428,30 +437,31 @@ def run_sampled_sweep(cfg: dict, seed: int) -> list[dict]:
     return [table] + extras
 
 
-def load_mjls_spec(path: str) -> MjlsSpec:
+def _spec_value(raw: dict, key: str, convert, what: str, default=None):
+    """``convert`` of the spec file's value at ``key`` (``default`` where it
+    has none), failing with a message that names the key."""
+    if key not in raw and default is None:
+        raise CliError(f"spec file missing key {key!r}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read spec file: {exc}")
-    except yaml.YAMLError as exc:
-        raise CliError(f"malformed spec file: {exc}")
-    if not isinstance(raw, dict):
-        raise CliError("spec file must hold a mapping")
+        return convert(raw.get(key, default))
+    except (TypeError, ValueError):
+        raise CliError(f"spec key {key!r} must be {what}")
+
+
+def load_mjls_spec(path: str) -> MjlsSpec:
+    raw = _read_mapping(path, "spec")
     unknown = set(raw) - {"P", "A", "B", "sigma_lo", "sigma_hi"}
     if unknown:
         raise CliError(f"unknown spec keys: {sorted(unknown)}")
+    P, A, B = (_spec_value(raw, key, lambda v: np.asarray(v, dtype=float),
+                           "an array of numbers") for key in ("P", "A", "B"))
+    if A.ndim != 3:
+        raise CliError("invalid jump-linear spec: A must be (N, n, n)")
+    n = A.shape[1]
+    lo = _spec_value(raw, "sigma_lo", float, "a number", 1.0)
+    hi = _spec_value(raw, "sigma_hi", float, "a number", n * 1.0)
     try:
-        P = np.asarray(raw["P"], dtype=float)
-        A = np.asarray(raw["A"], dtype=float)
-        B = np.asarray(raw["B"], dtype=float)
-    except KeyError as exc:
-        raise CliError(f"spec file missing key {exc}")
-    n = A.shape[1] if A.ndim == 3 else 0
-    noise = MartingaleDiffVector(sigma_lo=float(raw.get("sigma_lo", 1.0)),
-                                 sigma_hi=float(raw.get("sigma_hi", n * 1.0)),
-                                 dim=n)
-    try:
+        noise = MartingaleDiffVector(sigma_lo=lo, sigma_hi=hi, dim=n)
         return MjlsSpec(chain=MarkovChain(P), A=A, B=B, noise=noise)
     except (ValueError, ConfigurationError) as exc:
         raise CliError(f"invalid jump-linear spec: {exc}")

@@ -15,22 +15,27 @@ inlines it branch for branch (the call would cost about a sixth of a
 step), and the model step operations that replay the kernel call it.
 
 The small-matrix kernels, ``riccati_solve`` and ``mjls_episode``, read
-their matrices once into lists of Python floats and work in scalar
-loops, where each numpy call would cost more than the arithmetic.
-Every sum accumulates left to right in an explicit loop: builtin
-``sum()`` over floats is compensated from Python 3.12 on.  From n = 2
+their matrices once into lists of Python floats, where each numpy call
+would cost more than the arithmetic, and form every matrix entry as one
+dot (``_row_dots``): from 0.0, the left factor's row times the right
+factor's column, summed left to right in an explicit loop (builtin
+``sum()`` over floats is compensated from Python 3.12 on).  From n = 2
 on, such a dot rounds differently from BLAS's small-matrix kernels
 (which may fuse multiply-adds), so results differ from the numpy routes
 in the last bits but do not depend on the CPU's BLAS dispatch.
-``riccati_solve`` keeps the order of the matrix expression,
-``(A_j' (p M_j)) A_j`` summed over j in order (``_mode_sums``); at
-m = 1 its pseudo-inverse is 1/x in closed form, so 1 x 1 iterates are
+``riccati_solve`` takes each mode's transposes A_j' and B_j' once per
+solve as nested rows and keeps the order of the matrix expression,
+``(A_j' (p M_j)) A_j`` summed over j in order (``_mode_sums``); it reads
+p M_j's columns as its rows, which gives the same bits because every
+iterate it feeds back is exactly symmetric and finite.  At m = 1 its
+pseudo-inverse is 1/x in closed form (``_pinv1``), so 1 x 1 iterates are
 the bits of the numpy route (``riccati.riccati_rhs``), and for m > 1 it
 goes through LAPACK's SVD.  At n = m = 1 each iterate is a few lines of
-scalar arithmetic with the same products in the same order
-(``_scalar_riccati_map``), a ninth of the generic loops' time at two
-modes; every other shape runs the loops (``_riccati_map``), and one
-iteration loop around either tracks the step, the norm and the verdict.
+scalar arithmetic on flat lists with the same products in the same
+order (``_scalar_riccati_map``), under a tenth of the generic body's
+time at two modes; every other shape runs the dots (``_riccati_map``),
+and one iteration loop around either tracks the step, the norm and the
+verdict.
 On convergence it returns, as a fifth element, the gains
 K_i = S_bb^+ S_ab' of the final iterate, from the same sums and
 pseudo-inverse (None otherwise).  ``mjls_episode`` computes each mode's
@@ -586,12 +591,15 @@ def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
 # ---------------------------------------------------------------------------
 # Markov jump linear episode with residual-matching mode estimation
 
-def _predict(rows, v):
-    # each row's dot with v, summed left to right
+def _row_dots(rows, v):
+    # each row's dot with v: from 0.0, v's entries times the row's, summed
+    # left to right.  v's entry is the left factor, as in the matrix
+    # expressions the callers spell (IEEE products commute, except in
+    # which NaN's payload a product of two NaNs carries)
     out = []
     for row in rows:
         s = 0.0
-        for a, b in zip(row, v):
+        for a, b in zip(v, row):
             s += a * b
         out.append(s)
     return out
@@ -600,7 +608,7 @@ def _predict(rows, v):
 def mjls_step(Ai, Bi, x, u, w):
     """x' = A_i x + B_i u + w, summed in the order ``mjls_episode`` takes."""
     rows = [a + b for a, b in zip(Ai.tolist(), Bi.tolist())]
-    pred = _predict(rows, x.tolist() + u.tolist())
+    pred = _row_dots(rows, x.tolist() + u.tolist())
     return np.array([p + wk for p, wk in zip(pred, w.tolist())])
 
 
@@ -642,8 +650,8 @@ def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard):
                     bi = i
             est.append(bi)
             ihat = succ[bi]
-        u = [-v for v in _predict(Kl[ihat], x)]
-        preds = [_predict(mode, x + u) for mode in rows]
+        u = [-v for v in _row_dots(Kl[ihat], x)]
+        preds = [_row_dots(mode, x + u) for mode in rows]
         x = [p + wk for p, wk in zip(preds[th], Wl[t])]
         xs.extend(x)
         us.extend(u)
@@ -662,175 +670,147 @@ def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard):
 # ---------------------------------------------------------------------------
 # coupled fixed-point solver for the jump-linear stabilizability equations
 
-def _svd_pinv(S, m, rtol):
-    # Moore-Penrose inverse of the m x m matrix held row-major in S, by
-    # SVD, truncating singular values at or below rtol times the largest
-    U, s, Vt = np.linalg.svd(np.array(S).reshape((m, m)))
+def _svd_pinv(S, rtol):
+    # Moore-Penrose inverse of the nested m x m matrix S by SVD,
+    # truncating singular values at or below rtol times the largest
+    m = len(S)
+    U, s, Vt = np.linalg.svd(np.array(S))
     pinv = np.zeros((m, m))
     if s[0] > 0.0:
         cut = rtol * s[0]
         for a in range(m):
             if s[a] > cut:
                 pinv = pinv + (1.0 / s[a]) * np.outer(Vt[a], U[:, a])
-    return pinv.ravel().tolist()
+    return pinv.tolist()
 
 
-def _pinv(S, m, rtol):
-    """``_svd_pinv``, in closed form at m = 1: 1/x, but 0 at +-0 and
-    +-inf (LAPACK's singular value of inf is NaN), and ``LinAlgError`` at
-    NaN, as the SVD raises.  The bits are the SVD route's wherever LAPACK
-    does not rescale (about 6.7e-139 <= |x| <= 1.5e138); beyond, its
-    singular value can be an ulp off |x| and the closed form stays the
-    correctly rounded 1/x."""
-    if m > 1:
-        return _svd_pinv(S, m, rtol)
-    x = S[0]
+def _pinv1(x, rtol):
+    """``_svd_pinv`` of the 1 x 1 matrix x in closed form: 1/x, but 0 at
+    +-0 and +-inf (LAPACK's singular value of inf is NaN), and
+    ``LinAlgError`` at NaN, as the SVD raises.  The bits are the SVD
+    route's wherever LAPACK does not rescale (about 6.7e-139 <= |x| <=
+    1.5e138); beyond, its singular value can be an ulp off |x| and the
+    closed form stays the correctly rounded 1/x."""
     if x != x:
         raise np.linalg.LinAlgError("SVD did not converge")
     s = abs(x)
-    return [1.0 / x if s > 0.0 and s > rtol * s else 0.0]
+    return 1.0 / x if s > 0.0 and s > rtol * s else 0.0
 
 
-def _mode_sums(Af, Bf, Pf, Ms, i, N, n, m):
+def _pinv(S, rtol):
+    # the pseudo-inverse of the nested m x m matrix S, in closed form at
+    # m = 1
+    if len(S) > 1:
+        return _svd_pinv(S, rtol)
+    return [[_pinv1(S[0][0], rtol)]]
+
+
+def _mode_sums(At, Bt, Prow, Ms):
     # S_aa = sum_j A_j' p_ij M_j A_j, S_ab = ... B_j and S_bb = B_j' ... B_j
-    # for mode i, each term in the order (A_j' (p M_j)) A_j and summed
-    # over j in order
-    nn = n * n
-    nm = n * m
-    S_aa = [0.0] * nn
-    S_ab = [0.0] * nm
-    S_bb = [0.0] * (m * m)
-    for j in range(N):
-        p = Pf[i * N + j]
-        oa = j * nn
-        ob = j * nm
-        pm = [p * Ms[oa + e] for e in range(nn)]
-        for a in range(n):
-            # row a of A_j' (p M_j), shared by S_aa and S_ab
-            row = [0.0] * n
-            for c in range(n):
-                s = 0.0
-                for r in range(n):
-                    s += Af[oa + r * n + a] * pm[r * n + c]
-                row[c] = s
-            for b in range(n):
-                s = 0.0
-                for c in range(n):
-                    s += row[c] * Af[oa + c * n + b]
-                S_aa[a * n + b] += s
-            for q in range(m):
-                s = 0.0
-                for c in range(n):
-                    s += row[c] * Bf[ob + c * m + q]
-                S_ab[a * m + q] += s
-        for q in range(m):
-            # row q of B_j' (p M_j)
-            row = [0.0] * n
-            for c in range(n):
-                s = 0.0
-                for r in range(n):
-                    s += Bf[ob + r * m + q] * pm[r * n + c]
-                row[c] = s
-            for q2 in range(m):
-                s = 0.0
-                for c in range(n):
-                    s += row[c] * Bf[ob + c * m + q2]
-                S_bb[q * m + q2] += s
+    # for the mode i whose row of P is Prow, from the transposes A_j' and
+    # B_j'; each term in the order (A_j' (p M_j)) A_j, a row at a time, and
+    # summed over j in order.  A row of A_j' (p M_j) dots a row of A_j'
+    # with p M_j's columns, read here as its rows: that gives the same bits
+    # because every iterate the solve feeds back is exactly symmetric (the
+    # start is I, each iterate is 0.5 * (X_ab + X_ba) and IEEE addition
+    # commutes) and finite (the solve stops at a NaN iterate and at one
+    # beyond its divergence guard)
+    n = len(At[0])
+    m = len(Bt[0])
+    S_aa = [[0.0] * n for _ in range(n)]
+    S_ab = [[0.0] * m for _ in range(n)]
+    S_bb = [[0.0] * m for _ in range(m)]
+    for p, M, Aj, Bj in zip(Prow, Ms, At, Bt):
+        pm = [[p * v for v in row] for row in M]
+        # the rows of A_j' (p M_j) and of B_j' (p M_j)
+        ra = [_row_dots(pm, row) for row in Aj]
+        rb = [_row_dots(pm, row) for row in Bj]
+        for S, rows, right in ((S_aa, ra, Aj), (S_ab, ra, Bj),
+                               (S_bb, rb, Bj)):
+            for Srow, row in zip(S, rows):
+                Srow[:] = [s + d for s, d in zip(Srow, _row_dots(right, row))]
     return S_aa, S_ab, S_bb
 
 
-def _riccati_map(Af, Bf, Pf, Ms, N, n, m, rtol):
+def _riccati_map(At, Bt, P, Ms, rtol):
     # one iterate M_i <- S_aa - (S_ab S_bb^+) S_ab' + I, symmetrized, for
     # every mode; every product and sum keeps the order of the matrix
     # expression
-    nn = n * n
-    nm = n * m
-    Mnew = [0.0] * (N * nn)
-    for i in range(N):
-        S_aa, S_ab, S_bb = _mode_sums(Af, Bf, Pf, Ms, i, N, n, m)
-        pinv = _pinv(S_bb, m, rtol)
-        G = [0.0] * nm
-        for a in range(n):
-            for q in range(m):
-                s = 0.0
-                for r in range(m):
-                    s += S_ab[a * m + r] * pinv[r * m + q]
-                G[a * m + q] = s
-        X = [0.0] * nn
-        for a in range(n):
-            for b in range(n):
-                s = 0.0
-                for q in range(m):
-                    s += G[a * m + q] * S_ab[b * m + q]
-                X[a * n + b] = S_aa[a * n + b] - s
-            X[a * n + a] += 1.0
-        o = i * nn
-        for a in range(n):
-            for b in range(n):
-                Mnew[o + a * n + b] = 0.5 * (X[a * n + b] + X[b * n + a])
+    Mnew = []
+    for Prow in P:
+        S_aa, S_ab, S_bb = _mode_sums(At, Bt, Prow, Ms)
+        cols = list(zip(*_pinv(S_bb, rtol)))  # the columns of S_bb^+
+        G = [_row_dots(cols, row) for row in S_ab]
+        X = [[s - d for s, d in zip(Srow, _row_dots(S_ab, Grow))]
+             for Srow, Grow in zip(S_aa, G)]
+        for a, row in enumerate(X):
+            row[a] += 1.0
+        Mnew.append([[0.5 * (x + y) for x, y in zip(row, col)]
+                     for row, col in zip(X, zip(*X))])
     return Mnew
 
 
-def _scalar_riccati_map(Af, Bf, Pf, Ms, N, rtol):
-    # _riccati_map at n = m = 1: the same products in the same order.  Its
-    # one-term dots add x to 0.0, which changes x only at -0.0, and each
-    # such term then goes into a sum that began at +0.0 and so is never
-    # -0.0; adding or subtracting a zero of either sign leaves such a sum
-    # as it is, so without the 0.0 + every bit stays the same
+def _scalar_riccati_map(A, B, P, Ms, rtol):
+    # _riccati_map at n = m = 1, on flat lists: the same products in the
+    # same order.  Its one-term dots add x to 0.0, which changes x only at
+    # -0.0, and each such term then goes into a sum that began at +0.0 and
+    # so is never -0.0; adding or subtracting a zero of either sign leaves
+    # such a sum as it is, so without the 0.0 + every bit stays the same
     Mnew = []
-    for i in range(N):
+    for Prow in P:
         S_aa = S_ab = S_bb = 0.0
-        for p, M, A, B in zip(Pf[i * N:i * N + N], Ms, Af, Bf):
+        for p, M, a, b in zip(Prow, Ms, A, B):
             pm = p * M
-            row = A * pm
-            S_aa += row * A
-            S_ab += row * B
-            S_bb += B * pm * B
-        pinv = _pinv([S_bb], 1, rtol)[0]
-        X = S_aa - S_ab * pinv * S_ab + 1.0
+            row = a * pm
+            S_aa += row * a
+            S_ab += row * b
+            S_bb += b * pm * b
+        X = S_aa - S_ab * _pinv1(S_bb, rtol) * S_ab + 1.0
         Mnew.append(0.5 * (X + X))
     return Mnew
 
 
 def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
-    # flat row-major lists of Python floats (see the module docstring)
-    N = A.shape[0]
-    n = A.shape[1]
+    # lists of Python floats (see the module docstring): flat at
+    # n = m = 1, else each mode's transposes and iterate as nested rows
+    N, n = A.shape[:2]
     m = B.shape[2]
-    nn = n * n
-    nm = n * m
-    Af = A.ravel().tolist()
-    Bf = B.ravel().tolist()
-    Pf = P.ravel().tolist()
-    Ms = [0.0] * (N * nn)
-    for i in range(N):
-        for a in range(n):
-            Ms[i * nn + a * n + a] = 1.0
+    scalar = n == m == 1
+    P = P.tolist()
+    At = A.transpose(0, 2, 1).tolist()
+    Bt = B.transpose(0, 2, 1).tolist()
+    if scalar:
+        Af = A.ravel().tolist()
+        Bf = B.ravel().tolist()
+        Ms = old = [1.0] * N
+    else:
+        Ms = [np.eye(n).tolist()] * N
+        old = [v for M in Ms for row in M for v in row]
     status = 2
     iters = max_iter
     delta = np.inf
     rises = 0  # consecutive iterations whose step delta grew
     for k in range(max_iter):
         prev = delta
-        if n == m == 1:
-            Mnew = _scalar_riccati_map(Af, Bf, Pf, Ms, N, svd_rtol)
+        if scalar:
+            Ms = new = _scalar_riccati_map(Af, Bf, P, Ms, svd_rtol)
         else:
-            Mnew = _riccati_map(Af, Bf, Pf, Ms, N, n, m, svd_rtol)
+            Ms = _riccati_map(At, Bt, P, Ms, svd_rtol)
+            new = [v for M in Ms for row in M for v in row]
         delta = 0.0
         nrm = 0.0
-        for e in range(N * nn):
-            v = Mnew[e]
+        for v, w in zip(new, old):
             if v != v:
                 # NaN comes from an overflow (inf - inf), and no norm
                 # comparison would see it: count it as infinite
                 v = np.inf
-            d = abs(v - Ms[e])
+            d = abs(v - w)
             if d > delta:
                 delta = d
             v = abs(v)
             if v > nrm:
                 nrm = v
-        Ms = Mnew
+        old = new
         rises = rises + 1 if delta > prev else 0
         if nrm > div_guard:
             status = 1
@@ -844,21 +824,17 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
         # the step grew over each of the last min(100, max_iter - 1)
         # iterations: the iterate is moving away, not settling
         status = 1
+    Ms = np.array(Ms).reshape((N, n, n))
     Ks = None
     if status == 0:
         # the gains K_i = S_bb^+ S_ab' of the final iterate
-        Ks = [0.0] * (N * nm)
-        for i in range(N):
-            _, S_ab, S_bb = _mode_sums(Af, Bf, Pf, Ms, i, N, n, m)
-            pinv = _pinv(S_bb, m, svd_rtol)
-            for q in range(m):
-                for a in range(n):
-                    s = 0.0
-                    for r in range(m):
-                        s += pinv[q * m + r] * S_ab[a * m + r]
-                    Ks[i * nm + q * n + a] = s
-        Ks = np.array(Ks).reshape((N, m, n))
-    return np.array(Ms).reshape((N, n, n)), status, iters, delta, Ks
+        Ml = Ms.tolist()
+        Ks = []
+        for Prow in P:
+            _, S_ab, S_bb = _mode_sums(At, Bt, Prow, Ml)
+            Ks.append([_row_dots(S_ab, row) for row in _pinv(S_bb, svd_rtol)])
+        Ks = np.array(Ks)
+    return Ms, status, iters, delta, Ks
 
 
 def warm_up():

@@ -7,12 +7,16 @@ A solution is N positive-definite matrices M_i satisfying, for each mode,
         (sum_j B_j' p_ij M_j A_j)  - M_i = -I,
 
 with (.)^+ the Moore-Penrose inverse.  The solver iterates the
-fixed-point map from M_i = I; the loop lives in ``kernels``, on Python
-floats in scalar loops, with the pseudo-inverse in closed form at one
-input and by SVD beyond, and the whole map in closed scalar form at one
-state and one input.  The kernel also returns the feedback gains
-K_i = S_bb^+ S_ab' of the converged iterate, formed in the same loops,
-so from two states on the gains do not go through BLAS products.
+fixed-point map from M_i = I; the loop lives in ``kernels``, on nested
+lists of Python floats, each matrix entry one left-to-right dot in the
+order of the expression above.  It reads the columns of p_ij M_j as
+its rows, which keeps the bits because every iterate is exactly
+symmetric (0.5 (X + X') from I, and IEEE addition commutes).  The
+pseudo-inverse is in closed form at one input and by SVD beyond, and
+the whole map is in closed scalar form at one state and one input.  The
+kernel also returns the feedback gains K_i = S_bb^+ S_ab' of the
+converged iterate, formed from the same dots, so from two states on the
+gains do not go through BLAS products.
 ``riccati_rhs`` and ``riccati_residual`` re-evaluate the map with numpy
 matrix products and ``pseudoinverse``, independent of the solve path,
 so a claimed solution can always be checked against a second route: for

@@ -214,6 +214,24 @@ class TestExitCodes:
         assert run_cli(argv) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("nonparam-duel", "T: .inf\n", "T"),
+        ("nonparam-duel", "seed: .inf\n", "seed"),
+        ("parametric-sweep", "seeds: 2.9\n", "seeds"),
+        ("highorder-check", "p: 1.5\n", "p"),
+        ("mjls-solve", "max_iter: -.inf\n", "max_iter"),
+        ("nonparam-duel", "n_anchors: true\n", "n_anchors"),
+    ], ids=["T_inf", "seed_inf", "seeds_fraction", "p_fraction",
+            "max_iter_neg_inf", "n_anchors_bool"])
+    def test_config_integers_are_not_truncated(self, command, text, key,
+                                               tmp_path, capsys):
+        # int() would overflow at inf, truncate 2.9 to 2 and read true as 1
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert run_cli(["--config", str(path), command]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r} must be int\n")
+
     @pytest.mark.parametrize("command", ["nonparam-duel", "sampled-sweep"])
     def test_mode_choices_checked_for_file_values(self, command, tmp_path,
                                                   capsys):
@@ -249,16 +267,32 @@ class TestMjlsSolve:
             capsys.readouterr().out)
 
     @pytest.mark.parametrize("command", ["mjls-solve", "mjls-run"])
-    @pytest.mark.parametrize("P, A, B", [
-        ([[1.0]], [[[2.0]]], [[[]]]),
-        ([[1.0]], [[[float("nan")]]], [[[1.0]]]),
-        ([[float("nan"), 1.0], [0.5, 0.5]], [[[2.0]], [[1.0]]],
-         [[[1.0]], [[1.0]]])], ids=["zero_inputs", "nan_A", "nan_P"])
-    def test_invalid_spec_exits_2(self, command, P, A, B, capsys, tmp_path):
+    @pytest.mark.parametrize("doc, message", [
+        ({"P": [[1.0]], "A": [[[2.0]]], "B": [[[]]]},
+         "invalid jump-linear spec"),
+        ({"P": [[1.0]], "A": [[[float("nan")]]], "B": [[[1.0]]]},
+         "invalid jump-linear spec"),
+        ({"P": [[float("nan"), 1.0], [0.5, 0.5]], "A": [[[2.0]], [[1.0]]],
+          "B": [[[1.0]], [[1.0]]]}, "invalid jump-linear spec"),
+        (dict(MJLS_SPEC, sigma_lo=[1]), "spec key 'sigma_lo' must be a number"),
+        (dict(MJLS_SPEC, sigma_lo=None),
+         "spec key 'sigma_lo' must be a number"),
+        (dict(MJLS_SPEC, sigma_hi="wide"),
+         "spec key 'sigma_hi' must be a number"),
+        (dict(MJLS_SPEC, A={"a": 1}),
+         "spec key 'A' must be an array of numbers"),
+        (dict(MJLS_SPEC, B=[[[1.0]], [[1.0, 2.0]]]),
+         "spec key 'B' must be an array of numbers"),
+        ({"P": [[1.0]], "A": [[0.5]], "B": [[[1.0]]]},
+         "invalid jump-linear spec: A must be (N, n, n)"),
+    ], ids=["zero_inputs", "nan_A", "nan_P", "sigma_lo_list", "sigma_lo_null",
+            "sigma_hi_text", "A_mapping", "B_ragged", "A_2d"])
+    def test_invalid_spec_exits_2(self, command, doc, message, capsys,
+                                  tmp_path):
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump({"P": P, "A": A, "B": B}))
+        path.write_text(yaml.safe_dump(doc))
         assert run_cli([command, "--spec", str(path)]) == cli.EXIT_CONFIG
-        assert "invalid jump-linear spec" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestEmission:

@@ -149,27 +149,28 @@ class TestScalarHelpersAgree:
         assert overflows == 5 * 2 * 2
 
     def test_pinv_closed_form_matches_svd_route(self):
-        # at m = 1 the pseudo-inverse skips the SVD.  Where LAPACK does not
-        # rescale the matrix (about 6.7e-139 <= |x| <= 1.5e138) its
+        # at one input the pseudo-inverse skips the SVD.  Where LAPACK does
+        # not rescale the matrix (about 6.7e-139 <= |x| <= 1.5e138) its
         # singular value is |x|, so both routes give the same bits; at
         # +-inf it is NaN, which the truncation maps to 0
         for x in (0.0, 1e-138, 1e-100, 1.0, 3.0, 1e100, 1e138, math.inf):
             for v in (x, -x):
-                got = kernels._pinv([v], 1, SVD_RTOL)
-                assert _bits(got[0]) == _bits(
-                    kernels._svd_pinv([v], 1, SVD_RTOL)[0])
+                got = kernels._pinv1(v, SVD_RTOL)
+                assert _bits(got) == _bits(
+                    kernels._svd_pinv([[v]], SVD_RTOL)[0][0])
         # beyond that range the rescaled singular value can be an ulp off
         # |x|; the closed form stays the correctly rounded 1/x
         with np.errstate(over="ignore"):
             for x in (5e-324, 1e-300, 1e300):
                 for v in (x, -x):
-                    got = kernels._pinv([v], 1, SVD_RTOL)[0]
-                    want = kernels._svd_pinv([v], 1, SVD_RTOL)[0]
+                    got = kernels._pinv1(v, SVD_RTOL)
+                    want = kernels._svd_pinv([[v]], SVD_RTOL)[0][0]
                     assert _bits(got) == _bits(1.0 / v)
                     assert got == want or abs(got - want) <= 2 * math.ulp(got)
-        for pinv in (kernels._pinv, kernels._svd_pinv):
-            with pytest.raises(np.linalg.LinAlgError):
-                pinv([math.nan], 1, SVD_RTOL)
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels._pinv1(math.nan, SVD_RTOL)
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels._svd_pinv([[math.nan]], SVD_RTOL)
 
     def test_scalar_riccati_map_is_the_generic_loops(self):
         # the n = m = 1 body drops the loops' 0.0 + terms; on entries drawn
@@ -183,20 +184,27 @@ class TestScalarHelpersAgree:
             return [pool[j] if j < len(pool) else float(rng.normal(0, 2))
                     for j in rng.integers(0, 2 * len(pool), k)]
 
+        def nested(xs):
+            # each entry as the 1 x 1 matrix (its own transpose)
+            return [[[x]] for x in xs]
+
         raised = 0
         with np.errstate(all="ignore"):
             for _ in range(3000):
                 N = int(rng.integers(1, 4))
-                args = (draw(N), draw(N), draw(N * N), draw(N))
+                A, B, Pf, Ms = draw(N), draw(N), draw(N * N), draw(N)
+                P = [Pf[i * N:i * N + N] for i in range(N)]
                 try:
-                    want = kernels._riccati_map(*args, N, 1, 1, SVD_RTOL)
+                    want = kernels._riccati_map(nested(A), nested(B), P,
+                                                nested(Ms), SVD_RTOL)
                 except np.linalg.LinAlgError:
                     with pytest.raises(np.linalg.LinAlgError):
-                        kernels._scalar_riccati_map(*args, N, SVD_RTOL)
+                        kernels._scalar_riccati_map(A, B, P, Ms, SVD_RTOL)
                     raised += 1
                     continue
-                got = kernels._scalar_riccati_map(*args, N, SVD_RTOL)
-                assert [_bits(x) for x in got] == [_bits(x) for x in want]
+                got = kernels._scalar_riccati_map(A, B, P, Ms, SVD_RTOL)
+                assert [_bits(x) for x in got] == \
+                    [_bits(M[0][0]) for M in want]
         assert 0 < raised < 3000
 
     def test_mcshane_eval(self):
@@ -976,3 +984,68 @@ class TestZohFlowBits:
                         h.update(np.asarray(a).tobytes())
                     h.update(np.array(out[6:], dtype=np.int64).tobytes())
         assert h.hexdigest() == self.DUEL_DIGEST
+
+
+class TestRiccatiSolveBits:
+    """The solve's bits, pinned by sha256 over every return of random
+    solves at one input (so no LAPACK call is made, as in
+    ``test_golden.py``): one to three modes, one to four states, with
+    edge entries, zeroed input columns and capped iterations, so that
+    overflowing and NaN iterates, the rising-step verdict, convergence
+    with gains and the pseudo-inverse's NaN error all occur."""
+
+    DIGEST = ("9c2fc7230ea8a2ccfcec981a997399c2"
+              "7a344fbbeabe51aa7efb188b4beb4805")
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200,
+             1e-200, -1e-200, 5e-324, -3e-320]
+
+    @classmethod
+    def solves(cls, rng, count):
+        for _ in range(count):
+            N = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 5))
+            scale = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+            A = rng.normal(0.0, scale / np.sqrt(n), (N, n, n))
+            B = rng.normal(0.0, 1.0, (N, n, 1))
+            P = rng.dirichlet(np.ones(N), N)
+            if rng.random() < 0.2:
+                B[rng.integers(N)] = 0.0
+            if rng.random() < 0.3:
+                for M in (A, B, P)[:int(rng.integers(1, 4))]:
+                    M.flat[rng.integers(M.size)] = \
+                        cls.EDGES[rng.integers(len(cls.EDGES))]
+            tol = (0.0, DEFAULT_TOL)[rng.integers(2)]
+            max_iter = int(rng.integers(1, 60))
+            yield A, B, P, tol, max_iter
+
+    def test_solves_keep_their_bits(self):
+        rng = np.random.default_rng(29)
+        h = hashlib.sha256()
+        seen = {"solved": 0, "guard": 0, "nan": 0, "rising": 0,
+                "indeterminate": 0, "raised": 0}
+        for A, B, P, tol, max_iter in self.solves(rng, 1000):
+            try:
+                Ms, status, iters, delta, Ks = kernels.riccati_solve(
+                    A, B, P, tol, max_iter, DIVERGENCE_GUARD, SVD_RTOL)
+            except np.linalg.LinAlgError:
+                h.update(b"LinAlgError")
+                seen["raised"] += 1
+                continue
+            h.update(Ms.tobytes())
+            h.update(np.array([status, iters], dtype=np.int64).tobytes())
+            h.update(np.float64(delta).tobytes())
+            h.update(b"-" if Ks is None else Ks.tobytes())
+            if status == 0:
+                seen["solved"] += 1
+                assert Ks.shape == (A.shape[0], 1, A.shape[1])
+            elif status == 2:
+                seen["indeterminate"] += 1
+            elif np.isnan(Ms).any():
+                seen["nan"] += 1
+            elif np.abs(Ms).max() > DIVERGENCE_GUARD:
+                seen["guard"] += 1
+            else:
+                assert iters == max_iter
+                seen["rising"] += 1
+        assert all(seen.values()), seen
+        assert h.hexdigest() == self.DIGEST
