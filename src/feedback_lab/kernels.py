@@ -3,12 +3,12 @@
 Every episode loop and the coupled fixed-point solver live here as plain
 Python functions.  The episode kernels read their input arrays once as
 lists (``.tolist()``), keep states in Python lists of Python floats and
-anchor stores and nearest-neighbour histories in sorted lists and dicts
-of them (see below), and build their numpy return arrays once, when they
-return.  A list read costs about a third of a numpy-scalar read, and
-both follow IEEE double arithmetic, so results are the same bits.  The
-one difference is overflow: ``x ** b`` raises ``OverflowError`` on
-Python floats where float64 gives inf.
+anchor stores and nearest-neighbour histories in sorted lists (blocked,
+for the histories) and dicts of them (see below), and build their numpy
+return arrays once, when they return.  A list read costs about a third
+of a numpy-scalar read, and both follow IEEE double arithmetic, so
+results are the same bits.  The one difference is overflow: ``x ** b``
+raises ``OverflowError`` on Python floats where float64 gives inf.
 ``power_eval`` defines how a state is raised to a power: it never
 raises, and returns what float64 arithmetic gives.  The RLS kernel
 inlines it branch for branch (the call would cost about a sixth of a
@@ -30,7 +30,8 @@ p M_j's columns as its rows, which gives the same bits because every
 iterate it feeds back is exactly symmetric and finite.  At m = 1 its
 pseudo-inverse is 1/x in closed form (``_pinv1``), so 1 x 1 iterates are
 the bits of the numpy route (``riccati.riccati_rhs``), and for m > 1 it
-goes through LAPACK's SVD.  At n = m = 1 each iterate is a few lines of
+goes through LAPACK's SVD, which never sees a non-finite matrix (it may
+not return on one).  At n = m = 1 each iterate is a few lines of
 scalar arithmetic on flat lists with the same products in the same
 order (``_scalar_riccati_map``), under a tenth of the generic body's
 time at two modes; every other shape runs the dots (``_riccati_map``),
@@ -65,25 +66,32 @@ interval between adjacent keys, and each tail, to 0 or 1.
 in replay; the sampled kernels and replay integrate over it in closed
 form, one linear piece at a time (``zoh_flow``).
 
-Every store, fixed or growing, is one sorted key list plus a dict keyed
-by the float: an anchor store maps each key to its anchor value, and a
-nearest-neighbour history (``_visit``) each distinct past state to the
-step of its first visit.  An access locates x once, reads its
-neighbours' values with two dict lookups and commits with one
-``list.insert`` and one dict store (``_insert``), so each access moves
-one tail, not two.  A commit at a key already stored keeps the first
-value: among equal computed distances the smallest step wins, and a
-repeat of a state can never beat its first visit.  Keys compare as
-floats, so a +0.0 visit finds a stored -0.0 and keeps it and its value.
+Every store keeps sorted keys plus a dict keyed by the float: an anchor
+store maps each key to its anchor value, and a nearest-neighbour history
+(``_visit``) each distinct past state to the step of its first visit.
+An anchor store is one flat key list, since ``zoh_flow`` walks it by
+index and it stays small in every workload.  A history holds its keys in
+sorted blocks of at most 2 * ``_LOAD`` keys with each block's last key
+alongside, so a commit moves the tail of one block, not of a list of
+10^4 keys (criterion 4's episodes).  An access locates x once, reads its
+neighbours' values with dict lookups and commits with one
+``list.insert`` and one dict store (``_insert`` in an anchor store), so
+each access moves one tail, not two.  A commit at a key already stored
+keeps the first value: among equal computed distances the smallest step
+wins, and a repeat of a state can never beat its first visit.  Keys
+compare as floats, so a +0.0 visit finds a stored -0.0 and keeps it and
+its value.
 A NaN key equals no key and sorts after every key, so a NaN commit
-appends; the dict finds it by identity, so reads through the key list
-get its value back.
+appends (to a history's last block); the dict finds it by identity, so
+reads through the key list get its value back.
 
-Every store access finds x's index once, by bisection (``_bisect``), and
-uses it for both the lookup and the insertion: the index j of the first
-key >= x (``len(keys)`` if none, and for NaN), which is what
-``np.searchsorted(keys, x)`` returns.  The cone arithmetic at it
-(``_cone``) gives the interval of values consistent with the store.
+Every anchor-store access finds x's index once, by bisection
+(``_bisect``), and uses it for both the lookup and the insertion: the
+index j of the first key >= x (``len(keys)`` if none, and for NaN), which
+is what ``np.searchsorted(keys, x)`` returns.  The cone arithmetic at it
+(``_cone``) gives the interval of values consistent with the store.  A
+history visit bisects the block maxima, then the one block, which
+locates x at the same place in the joined blocks.
 
 The episode kernels return arrays of the entries their episode produced:
 T + 1 states and T inputs, or blow + 1 and blow where the guard tripped
@@ -101,6 +109,8 @@ import numpy as np
 
 _INF = float("inf")
 _NEG_INF = -_INF
+# a nearest-neighbour history block splits in halves beyond 2 * _LOAD keys
+_LOAD = 128
 
 
 # ---------------------------------------------------------------------------
@@ -193,44 +203,93 @@ def _insert(keys, vals, j, key, val):
     vals[key] = val
 
 
-def _visit(keys, steps, x, t):
+def _visit(hist, steps, x, t):
     """Look up the stored state nearest to x, then record x at step t.
 
-    ``steps`` maps each stored state to the step of its first visit.
+    ``hist`` is ``(blocks, maxes)``: the distinct past states in sorted
+    blocks of at most 2 * ``_LOAD`` keys, in order, and each block's last
+    key.  ``steps`` maps each stored state to the step of its first visit.
     Returns the step k of the nearest state (-1 for an empty history) and
     its distance.  Computed distances grow monotonically away from the
     insertion point on either side, so the entries tied at the minimum
-    form one run on each side of it; the smallest step among them wins.
+    form one run on each side of it, which may cross block edges; the
+    smallest step among them wins.  The joined blocks are the flat
+    sorted list ``_bisect`` and ``_insert`` would keep, NaN last.
     """
-    j = _bisect(keys, x)
-    n = len(keys)
-    best = np.inf
-    if j > 0:
-        best = x - keys[j - 1]
-    if j < n and keys[j] - x < best:
-        best = keys[j] - x
+    blocks, maxes = hist
+    if not blocks:
+        blocks.append([x])
+        maxes.append(x)
+        steps[x] = t
+        return -1, _INF
+    # the first block whose last key is >= x, else the end of the last
+    b = bisect_left(maxes, x) if x == x else len(maxes)
+    if b == len(maxes):
+        b -= 1
+        blk = blocks[b]
+        i = len(blk)
+    else:
+        blk = blocks[b]
+        i = bisect_left(blk, x)
+    n = len(blk)
+    best = _INF
+    if i:
+        best = x - blk[i - 1]
+    elif b:
+        best = x - maxes[b - 1]
+    if i < n and blk[i] - x < best:
+        best = blk[i] - x
+    # the tie runs left of x's index and from it on, across block edges
     k = -1
-    i = j - 1
-    while i >= 0 and x - keys[i] == best:
-        s = steps[keys[i]]
+    c, row, r = b, blk, i
+    while True:
+        if not r:
+            if not c:
+                break
+            c -= 1
+            row = blocks[c]
+            r = len(row)
+        r -= 1
+        key = row[r]
+        if x - key != best:
+            break
+        s = steps[key]
         if k < 0 or s < k:
             k = s
-        i -= 1
-    i = j
-    while i < n and keys[i] - x == best:
-        s = steps[keys[i]]
+    c, row, r = b, blk, i
+    while True:
+        if r == len(row):
+            c += 1
+            if c == len(blocks):
+                break
+            row = blocks[c]
+            r = 0
+        key = row[r]
+        if key - x != best:
+            break
+        s = steps[key]
         if k < 0 or s < k:
             k = s
-        i += 1
-    _insert(keys, steps, j, x, t)
+        r += 1
+    if i < n and blk[i] == x:
+        return k, best  # a revisit keeps the first key and its step
+    blk.insert(i, x)
+    steps[x] = t
+    if i == n:
+        maxes[b] = x
+    if n >= 2 * _LOAD:
+        h = (n + 1) >> 1
+        blocks.insert(b + 1, blk[h:])
+        del blk[h:]
+        maxes.insert(b, blk[-1])
     return k, best
 
 
-def _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax):
+def _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax):
     # nearest-neighbour estimate fhat = y_{k+1} - u_k, then range-centring
     # far from every past output and tracking 0 close to one (0.0 - fhat,
     # which is +0.0 where -fhat is -0.0); y is recorded in the history
-    k, gap = _visit(hy, hk, y, t)
+    k, gap = _visit(hist, hk, y, t)
     if k < 0:
         return 0.0
     fhat = ys[k + 1] - us[k]
@@ -239,10 +298,10 @@ def _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax):
     return 0.0 - fhat
 
 
-def _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa):
+def _ce_input(xs, us, hist, sk, k, x, L, c, h, kappa):
     # certainty equivalence on the nearest past sample, clipped to
     # |u| <= kappa (L|x| + c); x is recorded in the history
-    i, _ = _visit(sx, sk, x, k)
+    i, _ = _visit(hist, sk, x, k)
     if i < 0:
         return 0.0
     ftilde = (xs[i + 1] - xs[i]) / h - us[i]
@@ -314,7 +373,7 @@ def nonparam_fixed(y0, fkeys, fvals, fmodes, L, ws, w_bar, eps, guard):
     y = float(y0)
     ys = [y]
     us = []
-    hy = []
+    hist = ([], [])
     hk = {}
     bmin = y
     bmax = y
@@ -324,7 +383,7 @@ def nonparam_fixed(y0, fkeys, fvals, fmodes, L, ws, w_bar, eps, guard):
             bmin = y
         if y > bmax:
             bmax = y
-        u = _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax)
+        u = _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax)
         y1 = mcshane_eval(fkeys, fvals, L, fmodes, y) + u + w_bar * ws[t + 1]
         us.append(u)
         ys.append(y1)
@@ -346,7 +405,7 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
     vsc = []
     axs = []
     avs = {}
-    hy = []
+    hist = ([], [])
     hk = {}
     bmin = y
     bmax = y
@@ -356,7 +415,7 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
             bmin = y
         if y > bmax:
             bmax = y
-        u = _switching_input(ys, us, hy, hk, t, y, eps, bmin, bmax)
+        u = _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax)
         j = _bisect(axs, y)
         if not axs:
             hi = L * abs(y) + budget_c
@@ -510,13 +569,13 @@ def sampled_fixed(x0, fkeys, fvals, fmodes, L, c, h, kappa, n_samples, guard,
     x = float(x0)
     xs = [x]
     us = []
-    sx = []
+    hist = ([], [])
     sk = {}
     blow = -1
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
-            u = _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa)
+            u = _ce_input(xs, us, hist, sk, k, x, L, c, h, kappa)
         x1 = zoh_flow(fkeys, fvals, fmodes, L, x, u, h)
         us.append(u)
         xs.append(x1)
@@ -541,7 +600,7 @@ def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
     axs = []
     avs = {}
     modes = {}
-    sx = []
+    hist = ([], [])
     sk = {}
     blow = -1
     if x != 0.0:
@@ -552,7 +611,7 @@ def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
-            u = _ce_input(xs, us, sx, sk, k, x, L, c, h, kappa)
+            u = _ce_input(xs, us, hist, sk, k, x, L, c, h, kappa)
         j = _bisect(axs, x)
         lo, hi = _cone(axs, avs, L, x, j)
         m = modes.get(axs[j] if j < len(axs) else _INF)
@@ -672,10 +731,18 @@ def mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard):
 
 def _svd_pinv(S, rtol):
     # Moore-Penrose inverse of the nested m x m matrix S by SVD,
-    # truncating singular values at or below rtol times the largest
+    # truncating singular values at or below rtol times the largest.
+    # LAPACK may never return on a matrix holding inf, so none reaches
+    # it: NaN raises, as the SVD does, and inf without NaN gives 0, what
+    # LAPACK's NaN singular values truncate to where it does return
     m = len(S)
-    U, s, Vt = np.linalg.svd(np.array(S))
+    S = np.array(S)
     pinv = np.zeros((m, m))
+    if not np.isfinite(S).all():
+        if np.isnan(S).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return pinv.tolist()
+    U, s, Vt = np.linalg.svd(S)
     if s[0] > 0.0:
         cut = rtol * s[0]
         for a in range(m):

@@ -65,8 +65,18 @@ class SolveResult:
 
 
 def pseudoinverse(A) -> np.ndarray:
-    """Moore-Penrose inverse by SVD, truncating below 1e-10 * sigma_max."""
+    """Moore-Penrose inverse by SVD, truncating below 1e-10 * sigma_max.
+
+    A matrix holding NaN raises ``LinAlgError``, as the SVD does; one
+    holding inf (and no NaN) gives the zero matrix, as the SVD's NaN
+    singular values truncate to.  Neither reaches LAPACK, which may never
+    return on a non-finite matrix.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    if not np.isfinite(A).all():
+        if np.isnan(A).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return np.zeros((A.shape[1], A.shape[0]))
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((A.shape[1], A.shape[0]))

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +267,42 @@ class TestMjlsSolve:
         assert run_cli(["mjls-solve", "--spec", str(path)]) == 0
         assert "verdict: no-solution after 1 iterations" in (
             capsys.readouterr().out)
+
+    def test_overflowing_input_block_returns(self, tmp_path):
+        # B's 1e200 entries overflow S_bb = sum_j B_j' p M_j B_j to inf, a
+        # matrix on which LAPACK's SVD can run forever; the pseudo-inverse
+        # never hands it one, so the solve ends (in a subprocess with a
+        # timeout, so a hang fails here instead of stalling the suite).
+        # The inf block inverts to 0, so the gains drop every input and
+        # the verdict still reads solved
+        spec = {"P": [[0.0794, 0.9206], [0.8645, 0.1355]],
+                "A": [[[-0.338, 0.239], [0.174, 0.0]],
+                      [[0.0557, -0.0609], [-0.0879, -0.252]]],
+                "B": [[[1e-200, 1.379, -0.122], [-1.273, -0.204, -0.946]],
+                      [[-1.109, -0.0764, -0.730], [-1e200, 1.549, 1.747]]]}
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(spec))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from feedback_lab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "mjls-solve", "--spec", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: solved after 8 iterations" in proc.stdout
+        assert proc.stdout.count("[0. 0.]") == 6  # K_1 and K_2, 3 x 2
+
+    def test_nan_input_block_exits_2(self, capsys, tmp_path):
+        # S_bb's off-diagonal entry is 1e400 - 1e400 = inf - inf = NaN,
+        # which the pseudo-inverse rejects as the SVD does
+        spec = {"P": [[1.0]], "A": [[[0.5, 0.0], [0.0, 0.5]]],
+                "B": [[[1e200, 1e200], [1e200, -1e200]]]}
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(spec))
+        assert run_cli(["mjls-solve", "--spec", str(path)]) == cli.EXIT_CONFIG
+        assert "error: SVD did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["mjls-solve", "mjls-run"])
     @pytest.mark.parametrize("doc, message", [

@@ -32,7 +32,7 @@ from feedback_lab.riccati import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                    DIVERGENCE_GUARD, SVD_RTOL, _mode_sums,
                                    pseudoinverse)
 from feedback_lab.sim import (RandomMember, random_envelope_member,
-                              random_lipschitz_member)
+                              random_lipschitz_member, replay_states)
 
 GUARD = 1e150
 
@@ -292,9 +292,29 @@ class TestLocatedIndex:
             assert _same(cone[0], lo) and _same(cone[1], hi), x
 
 
+def _history_keys(hist):
+    # a blocked history's keys as one sorted list: its blocks joined
+    return [key for block in hist[0] for key in block]
+
+
+def _split_steps(states):
+    """The steps whose visit split a history block, recording ``states``
+    through ``_visit`` as the episode kernels do."""
+    hist = ([], [])
+    steps = {}
+    out = []
+    for t, y in enumerate(states):
+        n = len(hist[0])
+        kernels._visit(hist, steps, y, t)
+        if n and len(hist[0]) > n:
+            out.append(t)
+    return out
+
+
 class TestSortedStores:
-    """A store is a sorted key list and a dict from each key to its value
-    (an anchor value, or a history's first-visit step)."""
+    """A store is a sorted key list, blocked in a history, and a dict from
+    each key to its value (an anchor value, or a history's first-visit
+    step)."""
 
     def test_insert_keeps_first_value_sorted_and_distinct(self):
         rng = np.random.default_rng(5)
@@ -309,12 +329,13 @@ class TestSortedStores:
         assert [vals[k] for k in keys] == first.tolist()
 
     def test_signed_zero_revisit_keeps_first_key_and_step(self):
-        keys = []
+        hist = ([], [])
         steps = {}
-        assert kernels._visit(keys, steps, -0.0, 0) == (-1, np.inf)
-        assert kernels._visit(keys, steps, 1.0, 1) == (0, 1.0)
-        k, gap = kernels._visit(keys, steps, 0.0, 2)
+        assert kernels._visit(hist, steps, -0.0, 0) == (-1, np.inf)
+        assert kernels._visit(hist, steps, 1.0, 1) == (0, 1.0)
+        k, gap = kernels._visit(hist, steps, 0.0, 2)
         assert (k, gap) == (0, 0.0)
+        keys = _history_keys(hist)
         assert keys == [0.0, 1.0] and math.copysign(1.0, keys[0]) == -1.0
         assert steps == {0.0: 0, 1.0: 1}
         assert math.copysign(1.0, next(iter(steps))) == -1.0
@@ -342,14 +363,14 @@ class TestSortedStores:
         # two others, so distance ties are frequent
         rng = np.random.default_rng(6)
         states = rng.integers(-256, 256, 400) / 16.0
-        keys = []
+        store = ([], [])
         steps = {}
         hist = controllers.NnHistory()
         ties = repeats = 0
         for t, y in enumerate(states.tolist()):
-            k, gap = kernels._visit(keys, steps, y, t)
+            k, gap = kernels._visit(store, steps, y, t)
             if t == 0:
-                assert (k, gap, len(keys)) == (-1, np.inf, 1)
+                assert (k, gap, len(_history_keys(store))) == (-1, np.inf, 1)
             else:
                 d = np.abs(y - states[:t])
                 ties += np.unique(states[:t][d == d.min()]).shape[0] > 1
@@ -358,10 +379,103 @@ class TestSortedStores:
                 assert controllers.nn_estimate(hist, y) == \
                     (hist.ynexts[k] - hist.us[k], gap)
             hist.append(y, 0.5 * t, float(t))
+        keys = _history_keys(store)
         assert np.array_equal(keys, np.unique(states))
         assert [steps[y] for y in keys] == \
             np.unique(states, return_index=True)[1].tolist()
         assert ties > 20 and repeats > 20
+
+
+class TestBlockedHistories:
+    """A history holds its keys in sorted blocks of at most 2 * _LOAD keys;
+    lookups and ties cross block edges as over one flat sorted list."""
+
+    def test_visit_matches_linear_scan_across_blocks(self):
+        # dyadic states repeat and sit exactly midway between two others;
+        # after them come the midpoints of every block edge, each tied
+        # between the last key of one block and the first of the next,
+        # and two states so far out that every distance ties
+        rng = np.random.default_rng(11)
+        states = (rng.integers(-1024, 1024, 3000) / 16.0).tolist()
+        states[:0] = [-0.0]
+        states[1500:1500] = [0.0, -0.0]
+        store = ([], [])
+        steps = {}
+        hist = controllers.NnHistory()
+        seen = []
+
+        def visit(y):
+            t = len(seen)
+            k, gap = kernels._visit(store, steps, y, t)
+            if t == 0:
+                assert (k, gap) == (-1, np.inf)
+            else:
+                d = np.abs(y - np.array(seen))
+                assert (k, gap) == (int(np.argmin(d)), d.min()), t
+                assert controllers.nn_estimate(hist, y) == \
+                    (hist.ynexts[k] - hist.us[k], gap), t
+            blocks, maxes = store
+            assert maxes == [block[-1] for block in blocks], t
+            assert all(0 < len(b) <= 2 * kernels._LOAD for b in blocks), t
+            seen.append(y)
+            hist.append(y, 0.5 * t, float(t))
+
+        for y in states:
+            visit(y)
+        blocks, maxes = store
+        assert len(blocks) >= 8
+        edges = [(a, b[0]) for a, b in zip(maxes, blocks[1:])]
+        edge_ties = 0
+        for a, b in edges:
+            y = 0.5 * (a + b)
+            edge_ties += y - a == b - y
+            visit(y)
+        assert edge_ties == len(edges)
+        # far out, every key's computed distance rounds to 2^60: the tied
+        # run spans every block, from either end
+        for y in (-2.0**60, 2.0**60):
+            visit(y)
+        keys = _history_keys(store)
+        assert np.array_equal(keys, np.unique(seen))
+        assert math.copysign(1.0, keys[keys.index(0.0)]) == -1.0
+        assert [steps[y] for y in keys] == \
+            np.unique(seen, return_index=True)[1].tolist()
+
+    def test_nonparam_fixed_replays_across_splits(self):
+        xs, vs = anchors(seed=5)
+        f = RealizedPiecewiseLinear(xs, vs, 2.0)
+        raw = np.random.default_rng(12).uniform(-1, 1, 2001)
+        raw[0] = 0.0
+        system = NonparametricSystem(L=2.0, f=f)
+        ys, us, blow = kernels.nonparam_fixed(0.3, *f.store, f.mode_table,
+                                              2.0, raw, 1.0, 0.1, GUARD)
+        assert blow == -1
+        traj = _trajectory("nonparametric", ys, us, raw, system,
+                           SwitchingControl())
+        assert _bits(replay_states(traj)) == _bits(ys)
+        splits = _split_steps(ys[:-1].tolist())
+        assert len(splits) >= 5
+        for s in splits[:3]:
+            for t in range(s - 1, s + 3):
+                assert recompute_input(traj, t) == us[t], t
+
+    def test_sampled_ce_replays_across_splits(self):
+        xs, vs = anchors(seed=8, L=1.0)
+        spec = SampledSpec(L=1.0, c=1.0, h=1.0)
+        f = RealizedPiecewiseLinear(xs, vs, 1.0)
+        system = SampledSystem(spec=spec, f=f)
+        out, us, blow = kernels.sampled_fixed(0.7, *f.store, f.mode_table,
+                                              1.0, 1.0, 1.0, 4.0, 600, GUARD,
+                                              1)
+        assert blow == -1
+        traj = _trajectory("sampled", out, us, np.zeros(601), system,
+                           SampledCeControl())
+        assert _bits(replay_states(traj)) == _bits(out)
+        splits = _split_steps(out[:-1].tolist())
+        assert len(splits) >= 3
+        for s in splits[:3]:
+            for t in range(s - 1, s + 3):
+                assert recompute_input(traj, t) == us[t], t
 
 
 class Uniforms:
@@ -522,11 +636,11 @@ class TestEpisodeKernelsAgree:
         rng = np.random.default_rng(9)
         xs = rng.integers(-256, 256, 301) / 16.0
         us = rng.uniform(-1, 1, 300)
-        keys = []
+        hist = ([], [])
         steps = {}
         for k in range(300):
             samples = [(xs[i], us[i], xs[i + 1]) for i in range(k)]
-            u = kernels._ce_input(xs, us, keys, steps, k, xs[k], 1.0, 1.0, 0.5,
+            u = kernels._ce_input(xs, us, hist, steps, k, xs[k], 1.0, 1.0, 0.5,
                                   4.0)
             assert u == controllers.sampled_control(samples, xs[k], spec)
 

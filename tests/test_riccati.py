@@ -7,7 +7,9 @@ import pytest
 from feedback_lab import (MarkovChain, MartingaleDiffVector, MjlsSpec,
                           Regime, SolveStatus,
                           pseudoinverse, riccati_residual, riccati_rhs,
-                          scalar_mjls_stabilizable, solve_coupled_riccati)
+                          kernels, scalar_mjls_stabilizable,
+                          solve_coupled_riccati)
+from feedback_lab.riccati import SVD_RTOL
 
 
 def scalar_two_mode(a1, a2, p12, b1=1.0, b2=1.0):
@@ -60,6 +62,25 @@ class TestPseudoinverse:
             assert np.allclose(Ap @ A @ Ap, Ap, atol=1e-8)
             assert np.allclose((A @ Ap).T, A @ Ap, atol=1e-8)
             assert np.allclose((Ap @ A).T, Ap @ A, atol=1e-8)
+
+
+    def test_non_finite_matrices_never_reach_lapack(self):
+        # LAPACK's SVD can run forever on a matrix holding inf: both
+        # routes give 0 for inf without NaN and raise for NaN, as the
+        # one-input closed form does, without calling it
+        for S in ([[np.inf, 1.0], [1.0, 2.0]], [[1.0, 0.0], [0.0, -np.inf]],
+                  [[np.inf, -np.inf], [-np.inf, np.inf]]):
+            assert kernels._svd_pinv(S, SVD_RTOL) == [[0.0, 0.0], [0.0, 0.0]]
+            assert np.array_equal(pseudoinverse(S), np.zeros((2, 2)))
+        assert np.array_equal(pseudoinverse([[1.0, np.inf, 0.0]]),
+                              np.zeros((3, 1)))
+        for S in ([[math.nan, 1.0], [1.0, 2.0]],
+                  [[np.inf, 0.0], [0.0, math.nan]]):
+            with pytest.raises(np.linalg.LinAlgError):
+                kernels._svd_pinv(S, SVD_RTOL)
+            with pytest.raises(np.linalg.LinAlgError):
+                pseudoinverse(S)
+        assert kernels._pinv1(np.inf, SVD_RTOL) == 0.0
 
 
 class TestRiccatiRhs:
