@@ -213,7 +213,10 @@ def highorder_impossible(L: float, p: int) -> RegimeVerdict:
     if p < 1:
         raise ValueError("order p must be at least 1")
     lhs = L + 0.5
-    rhs = (1.0 + 1.0 / p) * (p * L) ** (1.0 / (p + 1))
+    # factored, so p*L cannot overflow; 1 / p divides ints correctly
+    # rounded, so an order beyond float range reads e = 0 and rhs = 1
+    e = 1 / (p + 1)
+    rhs = (1 + 1 / p) * math.exp(math.log(p) * e) * L ** e
     diff = lhs - rhs
     boundary = abs(diff) <= BOUNDARY_TOL
     if diff >= -BOUNDARY_TOL:

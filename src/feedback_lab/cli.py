@@ -207,6 +207,13 @@ def emit_csv(path: str, columns: list[str], rows: list[list],
         writer.writerows(rows)
 
 
+def _json_value(value):
+    # RFC 8259 has no NaN or Infinity: a non-finite number writes as null
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def emit_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -233,8 +240,9 @@ def emit(results: dict, opts: EmitOptions) -> list[str]:
     if opts.fmt in ("json", "both"):
         path = _open_out(opts, f"{name}.json")
         if path:
-            payload = {"name": name,
-                       "rows": [dict(zip(columns, row)) for row in rows]}
+            payload = {"name": name, "rows": [
+                {c: _json_value(v) for c, v in zip(columns, row)}
+                for row in rows]}
             emit_json(path, payload)
             written.append(path)
     return written

@@ -84,42 +84,14 @@ class MartingaleDiffVector:
             raise ValueError("dimension must be at least 1")
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    for mat in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if mat[u, v] and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        if not seen.all():
-            return False
-    return True
-
-
-def _period(adj: np.ndarray) -> int:
-    # gcd of (level[u] + 1 - level[v]) over edges of a strongly
-    # connected digraph, computed from BFS levels out of node 0
-    n = adj.shape[0]
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in range(n):
-            if adj[u, v] and level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-    g = 0
-    for u in range(n):
-        for v in range(n):
-            if adj[u, v]:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 0
+def _power_positive(adj: np.ndarray, k: int) -> bool:
+    """Whether the 0/1 matrix ``adj`` raised to the first power of two at
+    or past ``k`` is positive.  Each square is thresholded back to 0/1, so
+    its entries are integers at most n, exact in any summation order."""
+    m, power = adj.astype(float), 1
+    while power < k:
+        m, power = np.minimum(m @ m, 1.0), 2 * power
+    return bool((m > 0).all())
 
 
 @dataclass(frozen=True)
@@ -127,8 +99,15 @@ class MarkovChain:
     """Finite chain over modes 1..N with row-stochastic transition matrix.
 
     Irreducibility and aperiodicity are established at construction from
-    the positivity pattern of the matrix and recorded as flags; callers
-    that require an ergodic chain check them (``MjlsSpec`` does).
+    the positivity pattern A = (P > 0) and recorded as flags; callers
+    that require an ergodic chain check them (``MjlsSpec`` does).  Both
+    flags are one positivity test on powers of the pattern: the chain is
+    irreducible when (I + A)^(N-1) is positive, and irreducible and
+    aperiodic (primitive) when A^((N-1)^2 + 1) is, Wielandt's bound on
+    the first positive power of a primitive matrix (Horn & Johnson,
+    *Matrix Analysis*, section 8.5).  Since no row of A is zero, a
+    positive power stays positive at every later power, so squaring past
+    the bound decides it.
     """
 
     P: np.ndarray
@@ -146,11 +125,11 @@ class MarkovChain:
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("rows must sum to 1 within 1e-12")
         object.__setattr__(self, "P", P)
-        adj = P > 0
-        irr = _strongly_connected(adj)
+        adj, n = P > 0, P.shape[0]
+        irr = _power_positive(adj | np.eye(n, dtype=bool), n - 1)
         object.__setattr__(self, "is_irreducible", irr)
-        aper = irr and _period(adj) == 1
-        object.__setattr__(self, "is_aperiodic", aper)
+        object.__setattr__(self, "is_aperiodic",
+                           irr and _power_positive(adj, (n - 1) ** 2 + 1))
 
     @property
     def n_states(self) -> int:

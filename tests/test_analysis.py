@@ -121,6 +121,27 @@ class TestHighorderImpossible:
                 lo = mid
         assert abs(hi - CRITICAL_RADIUS) <= 1e-9
 
+    def test_order_one_is_twice_the_root(self):
+        # at p = 1 the right side is exactly 2 * L^(1/2)
+        for L in (0.3, 2.9, CRITICAL_RADIUS, 1e300):
+            rhs = 2.0 * L ** 0.5
+            assert highorder_impossible(L, 1).witness == L + 0.5 - rhs
+
+    def test_overflowing_product_is_impossible(self):
+        # p*L = 2e308 overflows a float; the right side, 1.5 (2e308)^(1/3),
+        # is about 8.8e102, far under the left side
+        v = highorder_impossible(1e308, 2)
+        assert v.regime is Regime.IMPOSSIBLE and not v.boundary
+        assert v.witness == pytest.approx(1e308)
+
+    def test_order_beyond_float_range(self):
+        # 1/p and 1/(p+1) read 0, so the right side is 1: margin L - 1/2
+        p = 10 ** 400
+        v = highorder_impossible(2.0, p)
+        assert v.regime is Regime.IMPOSSIBLE and v.witness == 1.5
+        v = highorder_impossible(0.25, p)
+        assert v.regime is Regime.STABILIZABLE and v.witness == -0.25
+
     def test_domain(self):
         for L in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):

@@ -122,6 +122,21 @@ class TestPolyCheck:
         assert "not triggered" in capsys.readouterr().out
 
 
+class TestHighorderCheck:
+    def test_overflowing_product_reads_impossible(self, capsys):
+        # p*L = 2e308 overflows; the right side is about 8.8e102
+        assert run_cli(["highorder-check", "--L", "1e308", "--p", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "L=1e+308 p=2: impossible, margin=1e+308\n")
+
+    def test_order_beyond_float_range_gets_a_verdict(self, capsys):
+        # the right side reads 1, so the margin is L - 1/2
+        p = "1" + "0" * 400
+        assert run_cli(["highorder-check", "--L", "2", "--p", p]) == 0
+        assert capsys.readouterr().out == (
+            f"L=2.0 p={p}: impossible, margin=1.5\n")
+
+
 class TestExitCodes:
     def test_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "cfg.yaml"
@@ -373,6 +388,39 @@ class TestEmission:
                             {"L": "6", "seeds": 3, "T": 40}), 0)[0]
         expect = dict(zip(table["columns"], table["rows"][0]))
         assert row == expect
+
+    @staticmethod
+    def _reject_constant(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    @pytest.mark.parametrize("argv, nulls", [
+        (["parametric-sweep", "--b", "2", "--T", "200", "--seeds", "2"],
+         {"parametric_sweep.json": ["mean_regret_slope", "regret_fit_r2"]}),
+        (["poly-check", "--exponents", "5"], {}),
+        (["highorder-check", "--L", "1e308", "--p", "2"], {}),
+        (["nonparam-duel", "--L", "6", "--seeds", "2", "--T", "30"], {}),
+        (["sampled-sweep", "--mode", "random", "--L", "1", "--samples", "5",
+          "--seeds", "2"], {"sampled_sweep.json": ["min_audit_multiplier"]}),
+        (["sampled-sweep", "--mode", "adversary", "--L", "8",
+          "--samples", "10"], {}),
+        (["mjls-solve", "--spec", "<spec>"], {}),
+        (["mjls-run", "--spec", "<spec>", "--T", "10", "--seeds", "2"], {}),
+    ], ids=["parametric-sweep", "poly-check", "highorder-check",
+            "nonparam-duel", "sampled-sweep-random",
+            "sampled-sweep-adversary", "mjls-solve", "mjls-run"])
+    def test_json_is_strict(self, argv, nulls, mjls_spec_file, tmp_path,
+                            capsys):
+        # RFC 8259 has no NaN or Infinity; a non-finite value reads null
+        out = tmp_path / "out"
+        argv = [mjls_spec_file if a == "<spec>" else a for a in argv]
+        assert run_cli(["--out", str(out), "--format", "json"] + argv) == 0
+        paths = sorted(out.iterdir())
+        assert paths and all(p.suffix == ".json" for p in paths)
+        for path in paths:
+            payload = json.loads(path.read_text(),
+                                 parse_constant=self._reject_constant)
+            for key in nulls.get(path.name, []):
+                assert all(row[key] is None for row in payload["rows"])
 
     def test_adversary_episode_export(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -630,11 +678,13 @@ class TestParserDeclarations:
 # fuzz: invocations generated from the option table
 
 SPEC, MISSING = "<spec>", "<missing>"
-# kind: (values that run, values that must be rejected).  Counts stay
+# kind: (values that run, hostile values: each must be rejected, or
+# still get a verdict, as an order beyond float range does).  Counts stay
 # at most 4, so every run is small, and value lists have at most three
 # points.
 FUZZ_VALUES = {
     "count": (["1", "4"], ["0", "-3", "x"]),
+    "order": (["1", "4"], ["0", "-3", "x", "1" + "0" * 400]),
     "float": (["0.5", "2", "6"], ["0", "-1", "nan", "inf", "1e308", "x"]),
     "list": (["0.5", "2,6", "0.5:1:0.25"],
              ["", "0.5,inf", "1e308", "nan", "x", "1:0:1", "nan:1:1",
@@ -652,6 +702,8 @@ EVERY = cli.Option("every", int)
 def _kind(opt):
     if opt.key in ("mode", "spec"):
         return opt.key
+    if opt.type is int and opt.key not in FUZZ_WORK:
+        return "order"  # an integer that sizes no work: p and every
     return {int: "count", float: "float", str: "list"}[opt.type]
 
 
@@ -659,7 +711,7 @@ def _kind(opt):
 def _invocations(draw):
     name = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
     options = cli.SUBCOMMANDS[name].options + (EVERY,)
-    # at most one value that must be rejected, so no earlier check masks
+    # at most one hostile value, so no earlier check masks
     # the one under test
     bad = draw(st.sampled_from((None,) + options))
     argv = [name]

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -327,6 +329,50 @@ class TestMarkovChain:
             MjlsSpec(chain=MarkovChain(np.eye(2)),
                      A=np.zeros((2, 1, 1)), B=np.ones((2, 1, 1)),
                      noise=MartingaleDiffVector(1.0, 1.0, 1))
+
+
+class TestChainFlagBits:
+    """The flags (is_irreducible, is_aperiodic), pinned by sha256 over
+    every 0/1 pattern without a zero row on 1 to 3 modes and a fixed-seed
+    sample of 2 000 patterns on 4 to 8 modes, each row normalised into a
+    transition row.  The digest was taken from the breadth-first searches
+    (strong connectivity both ways, the period as a gcd over levels) that
+    the positivity test replaced."""
+
+    DIGEST = ("917063eab31ded8b1667b58a06205b5d"
+              "70261c9d7ce133d20062d635ab566a28")
+    COUNTS = {(False, False): 1286, (True, False): 159, (True, True): 908}
+
+    @staticmethod
+    def patterns():
+        for n in (1, 2, 3):
+            rows = [r for r in itertools.product((0, 1), repeat=n) if any(r)]
+            for pattern in itertools.product(rows, repeat=n):
+                yield np.array(pattern, dtype=bool)
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            n = int(rng.integers(4, 9))
+            # half the sample only steps from class c to class c + 1 mod d,
+            # so an irreducible one has period d
+            d = int(rng.integers(1, n + 1)) if rng.random() < 0.5 else 1
+            cls = rng.permutation(np.arange(n) % d)
+            allowed = cls[None, :] == (cls[:, None] + 1) % d
+            adj = (rng.random((n, n)) < rng.uniform(0.1, 0.9)) & allowed
+            for i in np.flatnonzero(~adj.any(axis=1)):
+                adj[i, rng.integers(n)] = True
+            yield adj
+
+    def test_flags_keep_their_bits(self):
+        flags = []
+        for adj in self.patterns():
+            P = adj / adj.sum(axis=1, keepdims=True)
+            chain = MarkovChain(P)
+            flags.append((chain.is_irreducible, chain.is_aperiodic))
+        assert len(flags) == 1 + 9 + 343 + 2000
+        counts = {key: flags.count(key) for key in self.COUNTS}
+        assert counts == self.COUNTS
+        digest = hashlib.sha256(np.array(flags, dtype=np.uint8).tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestMjlsSpecValidation:
