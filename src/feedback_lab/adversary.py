@@ -93,9 +93,15 @@ class RealizedPiecewiseLinear:
         """``modes`` in the kernels' form (``kernels.mode_table``)."""
         return kernels.mode_table(self.store[0], self.modes.tolist())
 
+    @cached_property
+    def rows(self) -> list[tuple]:
+        """Each interval's anchors, values and envelope in the kernels'
+        row form (``kernels.interval_rows``), one row per located index,
+        built at the first evaluation like ``store``."""
+        return kernels.interval_rows(*self.store, self.modes.tolist())
+
     def __call__(self, x: float) -> float:
-        keys, vals = self.store
-        return kernels.mcshane_eval(keys, vals, self.L, self.mode_table,
+        return kernels.mcshane_eval(self.store[0], self.rows, self.L,
                                     float(x))
 
     def tail_slopes(self) -> tuple[float, float]:

@@ -60,11 +60,16 @@ envelopes at x are fixed by the two anchors either side of x (McShane
 1934), so evaluation reads only those two.  An exact anchor hit returns
 the stored value, so replaying a stored trajectory through the same
 anchors is reproducible to the last bit.  A function takes its envelope
-per interval from a mode table (``mode_table``), which maps each
-interval between adjacent keys, and each tail, to 0 or 1.
-``mcshane_eval`` reads it once per evaluation, in ``nonparam_fixed`` and
-in replay; the sampled kernels and replay integrate over it in closed
-form, one linear piece at a time (``zoh_flow``).
+per interval, between adjacent keys and on each tail, as 0 or 1.  A
+fixed realization lists the interval rows once (``interval_rows``, built
+with its store): for each located index j, the anchors either side of
+interval j, their values and its envelope.  ``mcshane_eval`` reads one
+row per evaluation, in ``nonparam_fixed`` and in replay, and takes only
+its envelope's side of ``_cone``'s arithmetic, in ``_cone``'s order.
+The duels' growing stores take the cone itself (``_cone``).  The sampled
+kernels and replay integrate over a mode table (``mode_table``), which
+maps each interval to its envelope by the interval's right key, in
+closed form, one linear piece at a time (``zoh_flow``).
 
 Every store keeps sorted keys plus a dict keyed by the float: an anchor
 store maps each key to its anchor value, and a nearest-neighbour history
@@ -91,7 +96,13 @@ index j of the first key >= x (``len(keys)`` if none, and for NaN), which
 is what ``np.searchsorted(keys, x)`` returns.  The cone arithmetic at it
 (``_cone``) gives the interval of values consistent with the store.  A
 history visit bisects the block maxima, then the one block, which
-locates x at the same place in the joined blocks.
+locates x at the same place in the joined blocks.  Where one neighbour
+is strictly nearer than the other and the key beyond it lies in x's
+block, or there is none, and is strictly farther, the visit returns that
+neighbour's step directly (x past the last key or before the first
+included); NaN and every tie, and a key beyond in the next block, go
+through the one tie handler, a scan of the tied runs across block edges
+(``_tie_scan``).
 
 The episode kernels return arrays of the entries their episode produced:
 T + 1 states and T inputs, or blow + 1 and blow where the guard tripped
@@ -186,12 +197,42 @@ def interval(keys, vals, L, x):
     return _cone(keys, vals, L, x, _bisect(keys, x))
 
 
-def mcshane_eval(keys, vals, L, modes, x):
-    """Envelope value at x: the upper envelope (mode 0) or the lower (1),
-    as the mode table ``modes`` gives for x's interval."""
-    j = _bisect(keys, x)
-    lo, hi = _cone(keys, vals, L, x, j)
-    return lo if modes[keys[j] if j < len(keys) else _INF] == 1 else hi
+def interval_rows(keys, vals, modes):
+    """One row ``(left, v_left, right, v_right, envelope)`` per located
+    index j of the sorted keys: the anchors either side of interval j
+    (None for a tail's missing one), their values, and the interval's
+    envelope from ``modes``, listed left tail first (0 the upper, 1 the
+    lower)."""
+    ends = [None] + keys + [None]
+    return [(a, vals.get(a), c, vals.get(c), m)
+            for a, c, m in zip(ends, ends[1:], modes)]
+
+
+def mcshane_eval(keys, rows, L, x):
+    """Envelope value at x of the realization whose sorted keys and
+    ``interval_rows`` are given: the upper envelope or the lower, as x's
+    interval takes.  The arithmetic is ``_cone``'s, in its order."""
+    left, vl, right, vr, lower = rows[bisect_left(keys, x) if x == x
+                                      else len(keys)]
+    if right is not None and right == x:
+        return vr
+    if lower:
+        v = _NEG_INF
+        if left is not None:
+            v = vl - L * (x - left)
+        if right is not None:
+            a = vr - L * (right - x)
+            if a > v:
+                v = a
+    else:
+        v = _INF
+        if left is not None:
+            v = vl + L * (x - left)
+        if right is not None:
+            c = vr + L * (right - x)
+            if c < v:
+                v = c
+    return v
 
 
 def _insert(keys, vals, j, key, val):
@@ -213,8 +254,11 @@ def _visit(hist, steps, x, t):
     its distance.  Computed distances grow monotonically away from the
     insertion point on either side, so the entries tied at the minimum
     form one run on each side of it, which may cross block edges; the
-    smallest step among them wins.  The joined blocks are the flat
-    sorted list ``_bisect`` and ``_insert`` would keep, NaN last.
+    smallest step among them wins.  Where one neighbour is strictly
+    nearer and the key beyond it, in x's block or absent, strictly
+    farther, that neighbour is the run (the direct path); NaN and every
+    tie go through the scan (``_tie_scan``).  The joined blocks are the
+    flat sorted list ``_bisect`` and ``_insert`` would keep, NaN last.
     """
     blocks, maxes = hist
     if not blocks:
@@ -232,16 +276,43 @@ def _visit(hist, steps, x, t):
         blk = blocks[b]
         i = bisect_left(blk, x)
     n = len(blk)
-    best = _INF
+    # the neighbours' distances, inf where there is none
+    dr = blk[i] - x if i < n else _INF
     if i:
-        best = x - blk[i - 1]
+        dl = x - blk[i - 1]
     elif b:
-        best = x - maxes[b - 1]
-    if i < n and blk[i] - x < best:
-        best = blk[i] - x
-    # the tie runs left of x's index and from it on, across block edges
+        dl = x - maxes[b - 1]
+    else:
+        dl = _INF
+    if dr < dl and (blk[i + 1] - x > dr if i + 1 < n
+                    else b + 1 == len(blocks)):
+        best = dr
+        k = steps[blk[i]]
+    elif dl < dr and (x - blk[i - 2] > dl if i > 1 else i == 1 and not b):
+        best = dl
+        k = steps[blk[i - 1]]
+    else:
+        best = dr if dr < dl else dl
+        k = _tie_scan(blocks, steps, b, i, x, best)
+    if i < n and blk[i] == x:
+        return k, best  # a revisit keeps the first key and its step
+    blk.insert(i, x)
+    steps[x] = t
+    if i == n:
+        maxes[b] = x
+    if n >= 2 * _LOAD:
+        h = (n + 1) >> 1
+        blocks.insert(b + 1, blk[h:])
+        del blk[h:]
+        maxes.insert(b, blk[-1])
+    return k, best
+
+
+def _tie_scan(blocks, steps, b, i, x, best):
+    # the smallest step over the keys at distance best: the runs left of
+    # x's index i in block b and from it on, across block edges
     k = -1
-    c, row, r = b, blk, i
+    c, row, r = b, blocks[b], i
     while True:
         if not r:
             if not c:
@@ -256,7 +327,7 @@ def _visit(hist, steps, x, t):
         s = steps[key]
         if k < 0 or s < k:
             k = s
-    c, row, r = b, blk, i
+    c, row, r = b, blocks[b], i
     while True:
         if r == len(row):
             c += 1
@@ -271,18 +342,7 @@ def _visit(hist, steps, x, t):
         if k < 0 or s < k:
             k = s
         r += 1
-    if i < n and blk[i] == x:
-        return k, best  # a revisit keeps the first key and its step
-    blk.insert(i, x)
-    steps[x] = t
-    if i == n:
-        maxes[b] = x
-    if n >= 2 * _LOAD:
-        h = (n + 1) >> 1
-        blocks.insert(b + 1, blk[h:])
-        del blk[h:]
-        maxes.insert(b, blk[-1])
-    return k, best
+    return k
 
 
 def _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax):
@@ -367,7 +427,7 @@ def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
 # ---------------------------------------------------------------------------
 # nonparametric episode, fixed realized f + switching NN controller
 
-def nonparam_fixed(y0, fkeys, fvals, fmodes, L, ws, w_bar, eps, guard):
+def nonparam_fixed(y0, fkeys, frows, L, ws, w_bar, eps, guard):
     T = ws.shape[0] - 1
     ws = ws.tolist()
     y = float(y0)
@@ -384,7 +444,7 @@ def nonparam_fixed(y0, fkeys, fvals, fmodes, L, ws, w_bar, eps, guard):
         if y > bmax:
             bmax = y
         u = _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax)
-        y1 = mcshane_eval(fkeys, fvals, L, fmodes, y) + u + w_bar * ws[t + 1]
+        y1 = mcshane_eval(fkeys, frows, L, y) + u + w_bar * ws[t + 1]
         us.append(u)
         ys.append(y1)
         if y1 != y1 or y1 > guard or y1 < -guard:

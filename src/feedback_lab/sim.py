@@ -419,7 +419,7 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
     raw = rng.uniform(-1.0, 1.0, T + 1)
     raw[0] = 0.0
     ys, us, blow = kernels.nonparam_fixed(
-        y0, *f.store, f.mode_table, f.L, raw, system.w_bar, eps, GUARD)
+        y0, f.store[0], f.rows, f.L, raw, system.w_bar, eps, GUARD)
     return _episode("nonparametric", system, controller, seed, T, ys, us,
                     system.w_bar * raw, blow, realized_f=f)
 
@@ -608,15 +608,9 @@ def regret_logfit(report: McReport) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GrowthAudit:
-    """Escape-rate measurements of a blowup trajectory.
+    """Escape-rate measurements of a blowup trajectory: ``multipliers``
+    are the consecutive ratios |x_{k+1}|/|x_k| over nonzero states."""
 
-    ``log_ratios[k]`` is log|x_{k+1}| / log|x_k| where both logs are
-    positive (eventually above 1 exactly for faster-than-exponential
-    escape); ``multipliers`` are the plain consecutive ratios
-    |x_{k+1}|/|x_k| over nonzero states.
-    """
-
-    log_ratios: np.ndarray
     multipliers: np.ndarray
 
 
@@ -624,13 +618,11 @@ def growth_rate_audit(traj: Trajectory) -> GrowthAudit:
     """Audit a blowup trajectory; a non-blowup trajectory yields an
     empty audit."""
     if traj.blow_step is None:
-        return GrowthAudit(np.empty(0), np.empty(0))
+        return GrowthAudit(np.empty(0))
     a = _abs_states(traj.states)
     a = a[np.isfinite(a)]
-    pairs = list(zip(a[:-1], a[1:]))
-    ratios = [math.log(y) / math.log(x) for x, y in pairs if x > 1.0 and y > 1.0]
-    mults = [y / x for x, y in pairs if x > 0.0]
-    return GrowthAudit(np.array(ratios), np.array(mults))
+    return GrowthAudit(np.array([y / x for x, y in zip(a[:-1], a[1:])
+                                 if x > 0.0]))
 
 
 def replay_states(traj: Trajectory) -> np.ndarray:

@@ -109,9 +109,13 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def uniform(keys, mode):
-    """The mode table extending by one mode everywhere."""
-    return kernels.mode_table(keys, [mode] * (len(keys) + 1))
+def uniform(keys, vals, mode):
+    """The interval rows extending the store by one envelope everywhere."""
+    return kernels.interval_rows(keys, vals, [mode] * (len(keys) + 1))
+
+
+def _same_bits(a, b):
+    return _bits(a) == _bits(b) or (a != a and b != b)
 
 
 class TestScalarHelpersAgree:
@@ -209,14 +213,31 @@ class TestScalarHelpersAgree:
 
     def test_mcshane_eval(self):
         # neighbour-only evaluation equals the full-cone scan bit for bit
+        # (NaN as NaN): on random members and a one-anchor realization, at
+        # +-inf and NaN, on every anchor and along both tails, under both
+        # envelopes and under a random envelope per interval
         rng = np.random.default_rng(2)
-        for f, span in members():
-            tables = [uniform(f.store[0], mode) for mode in (0, 1)]
-            for x in queries(f, span, rng):
-                for mode in (0, 1):
-                    assert kernels.mcshane_eval(
-                        *f.store, f.L, tables[mode], float(x)) == \
-                        full_mcshane(f.xs, f.vs, f.L, mode, float(x))
+        one = RealizedPiecewiseLinear(np.array([0.5]), np.array([-1.25]),
+                                      3.0)
+        for f, span in [*members(), (one, 4.0)]:
+            keys = f.store[0]
+            xs = [float(x) for x in queries(f, span, rng)] + [
+                -np.inf, np.inf, np.nan, keys[0] - 1e3, keys[0] - 0.5,
+                keys[-1] + 0.5, keys[-1] + 1e3]
+            for mode in (0, 1):
+                rows = uniform(*f.store, mode)
+                for x in xs:
+                    assert _same_bits(
+                        kernels.mcshane_eval(keys, rows, f.L, x),
+                        full_mcshane(f.xs, f.vs, f.L, mode, x)), (mode, x)
+            # a realization reads its interval's envelope: the tails' are
+            # the first and last in its list
+            modes = rng.integers(0, 2, len(keys) + 1)
+            g = RealizedPiecewiseLinear(f.xs, f.vs, f.L, modes=modes)
+            for x in xs:
+                mode = int(modes[np.searchsorted(f.xs, x)])
+                assert _same_bits(g(x), full_mcshane(f.xs, f.vs, f.L, mode,
+                                                     x)), (mode, x)
 
     def test_exact_anchor_hit_returns_stored_value(self):
         xs, vs = anchors()
@@ -224,9 +245,18 @@ class TestScalarHelpersAgree:
         for i in range(xs.shape[0]):
             assert kernels.interval(keys, vals, 2.0, xs[i]) == (vs[i], vs[i])
             for mode in (0, 1):
-                assert kernels.mcshane_eval(keys, vals, 2.0,
-                                            uniform(keys, mode),
-                                            xs[i]) == vs[i]
+                assert kernels.mcshane_eval(keys, uniform(keys, vals, mode),
+                                            2.0, xs[i]) == vs[i]
+        # a duel's anchors sit on runs of slope exactly L, where a
+        # neighbour's cone can round past the stored value at an anchor
+        for L in (2.0, 6.0):
+            out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, GUARD, 200)
+            keys, vals = kernels.anchor_store(out[4], out[5])
+            for mode in (0, 1):
+                rows = uniform(keys, vals, mode)
+                for x in keys:
+                    assert _bits(kernels.mcshane_eval(keys, rows, L, x)) == \
+                        _bits(vals[x])
 
     def test_interval(self):
         rng = np.random.default_rng(3)
@@ -248,8 +278,8 @@ class TestScalarHelpersAgree:
             keys, vals = kernels.anchor_store(xs, vs)
             for x in rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 300):
                 for mode in (0, 1):
-                    a = kernels.mcshane_eval(keys, vals, L,
-                                             uniform(keys, mode), x)
+                    a = kernels.mcshane_eval(
+                        keys, uniform(keys, vals, mode), L, x)
                     b = full_mcshane(xs, vs, L, mode, x)
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -390,36 +420,67 @@ class TestBlockedHistories:
     """A history holds its keys in sorted blocks of at most 2 * _LOAD keys;
     lookups and ties cross block edges as over one flat sorted list."""
 
-    def test_visit_matches_linear_scan_across_blocks(self):
+    def test_visit_matches_linear_scan_across_blocks(self, monkeypatch):
         # dyadic states repeat and sit exactly midway between two others;
         # after them come the midpoints of every block edge, each tied
         # between the last key of one block and the first of the next,
-        # and two states so far out that every distance ties
+        # and two states so far out that every distance ties.  Then, each
+        # into a fresh history: uniform floats, where nearly every visit
+        # takes the direct path and blocks split inside it, runs past the
+        # last key and below the first (an escaping duel's), NaN, which no
+        # key is nearest, and adjacent floats, whose computed distances
+        # round to ties, in a pair split across a block edge and in
+        # clusters
+        scanned = []  # the state of each visit that went through the scan
+        scan = kernels._tie_scan
+
+        def counted(blocks, steps, b, i, x, best):
+            scanned.append(x)
+            return scan(blocks, steps, b, i, x, best)
+
+        monkeypatch.setattr(kernels, "_tie_scan", counted)
         rng = np.random.default_rng(11)
+
+        def history(estimate):
+            # a fresh history and a visit checked against a linear scan
+            # (and, with estimate, the controllers' estimate)
+            store = ([], [])
+            steps = {}
+            hist = controllers.NnHistory()
+            seen = []
+
+            def visit(y):
+                t = len(seen)
+                k, gap = kernels._visit(store, steps, y, t)
+                if t == 0:
+                    assert (k, gap) == (-1, np.inf)
+                else:
+                    d = np.abs(y - np.array(seen))
+                    assert (k, gap) == (int(np.argmin(d)), d.min()), t
+                    if estimate:
+                        assert controllers.nn_estimate(hist, y) == \
+                            (hist.ynexts[k] - hist.us[k], gap), t
+                blocks, maxes = store
+                assert maxes == [block[-1] for block in blocks], t
+                assert all(0 < len(b) <= 2 * kernels._LOAD
+                           for b in blocks), t
+                seen.append(y)
+                if estimate:
+                    hist.append(y, 0.5 * t, float(t))
+
+            return store, steps, seen, visit
+
+        def check_keys(store, steps, seen):
+            keys = _history_keys(store)
+            assert np.array_equal(keys, np.unique(seen))
+            assert [steps[y] for y in keys] == \
+                np.unique(seen, return_index=True)[1].tolist()
+            return keys
+
         states = (rng.integers(-1024, 1024, 3000) / 16.0).tolist()
         states[:0] = [-0.0]
         states[1500:1500] = [0.0, -0.0]
-        store = ([], [])
-        steps = {}
-        hist = controllers.NnHistory()
-        seen = []
-
-        def visit(y):
-            t = len(seen)
-            k, gap = kernels._visit(store, steps, y, t)
-            if t == 0:
-                assert (k, gap) == (-1, np.inf)
-            else:
-                d = np.abs(y - np.array(seen))
-                assert (k, gap) == (int(np.argmin(d)), d.min()), t
-                assert controllers.nn_estimate(hist, y) == \
-                    (hist.ynexts[k] - hist.us[k], gap), t
-            blocks, maxes = store
-            assert maxes == [block[-1] for block in blocks], t
-            assert all(0 < len(b) <= 2 * kernels._LOAD for b in blocks), t
-            seen.append(y)
-            hist.append(y, 0.5 * t, float(t))
-
+        store, steps, seen, visit = history(True)
         for y in states:
             visit(y)
         blocks, maxes = store
@@ -435,11 +496,61 @@ class TestBlockedHistories:
         # run spans every block, from either end
         for y in (-2.0**60, 2.0**60):
             visit(y)
-        keys = _history_keys(store)
-        assert np.array_equal(keys, np.unique(seen))
+        keys = check_keys(store, steps, seen)
         assert math.copysign(1.0, keys[keys.index(0.0)]) == -1.0
-        assert [steps[y] for y in keys] == \
-            np.unique(seen, return_index=True)[1].tolist()
+
+        store, steps, seen, visit = history(False)
+        before = len(scanned)
+        for y in rng.uniform(-100.0, 100.0, 3000).tolist():
+            visit(y)
+        assert len(store[0]) >= 12 and len(scanned) - before < 30
+        before = len(scanned)
+        for k in range(1, 401):
+            visit(100.0 + 0.5 * k)
+        for k in range(1, 401):
+            visit(-100.0 - 0.5 * k)
+        assert len(scanned) == before and len(store[0]) >= 16
+        check_keys(store, steps, seen)
+        # NaN into a history of many blocks and into one of one key: no
+        # nearest state, and the key goes last
+        for hist in (store, ([[1.0]], [1.0])):
+            nan = float("nan")
+            k, gap = kernels._visit(hist, {1.0: 0}, nan, len(seen))
+            assert k == -1 and math.isnan(gap)
+            assert hist[0][-1][-1] is nan
+        assert all(math.isnan(x) for x in scanned[-2:])
+
+        # two adjacent floats split across a block edge, 1.0 the last key
+        # of the first block: from 4 away, both distances round to 4.0,
+        # and the later visit of the two must not win
+        below = (-100.0 - np.arange(127.0)).tolist()
+        above = (100.0 + np.arange(128.0)).tolist()
+        up = float(np.nextafter(1.0, 2.0))
+        for pair, y in (([up, 1.0], -3.0), ([1.0, up], 5.0)):
+            store, steps, seen, visit = history(False)
+            for x in pair + below + above:
+                visit(x)
+            assert store[1][0] == 1.0 and store[0][1][0] == up
+            before = len(scanned)
+            visit(y)
+            assert scanned[before:] == [y]
+
+        # each cluster of eight adjacent floats, visited out of order, then
+        # one state away from it; most distances there round in pairs
+        before = len(scanned)
+        ties = 0
+        for c in (1.0, -3.0, 2.0**40, 1e-300):
+            cluster = [c]
+            for _ in range(7):
+                cluster.append(float(np.nextafter(cluster[-1], np.inf)))
+            for m in (3.0, -3.0, 5.0, -5.0, 1.5, -1.5):
+                y = c + m * abs(c)
+                d = np.abs(y - np.array(cluster))
+                ties += int((d == d.min()).sum() > 1)
+                store, steps, seen, visit = history(False)
+                for x in rng.permutation(cluster).tolist() + [y]:
+                    visit(x)
+        assert ties >= 12 and len(scanned) - before >= ties
 
     def test_nonparam_fixed_replays_across_splits(self):
         xs, vs = anchors(seed=5)
@@ -447,8 +558,8 @@ class TestBlockedHistories:
         raw = np.random.default_rng(12).uniform(-1, 1, 2001)
         raw[0] = 0.0
         system = NonparametricSystem(L=2.0, f=f)
-        ys, us, blow = kernels.nonparam_fixed(0.3, *f.store, f.mode_table,
-                                              2.0, raw, 1.0, 0.1, GUARD)
+        ys, us, blow = kernels.nonparam_fixed(0.3, f.store[0], f.rows, 2.0,
+                                              raw, 1.0, 0.1, GUARD)
         assert blow == -1
         traj = _trajectory("nonparametric", ys, us, raw, system,
                            SwitchingControl())
@@ -562,8 +673,8 @@ class TestEpisodeKernelsAgree:
         raw = rng.uniform(-1, 1, 401)
         raw[0] = 0.0
         system = NonparametricSystem(L=2.0, f=f)
-        ys, us, blow = kernels.nonparam_fixed(0.3, *f.store, f.mode_table,
-                                              2.0, raw, 1.0, 0.1, GUARD)
+        ys, us, blow = kernels.nonparam_fixed(0.3, f.store[0], f.rows, 2.0,
+                                              raw, 1.0, 0.1, GUARD)
         traj = _trajectory("nonparametric", ys, us, raw, system,
                            SwitchingControl())
         _assert_inputs_recomputable(traj)
@@ -579,8 +690,8 @@ class TestEpisodeKernelsAgree:
         raw = rng.integers(-64, 65, 401) / 64.0
         raw[0] = 0.0
         system = NonparametricSystem(L=1.0, f=f)
-        ys, us, blow = kernels.nonparam_fixed(0.0, *f.store, f.mode_table,
-                                              1.0, raw, 1.0, 0.1, GUARD)
+        ys, us, blow = kernels.nonparam_fixed(0.0, f.store[0], f.rows, 1.0,
+                                              raw, 1.0, 0.1, GUARD)
         assert blow == -1
         ties = repeats = 0
         for t in range(1, 400):
@@ -1068,13 +1179,14 @@ class TestZohFlowBits:
             keys, vals = kernels.anchor_store(xs, vs)
             modes = rng.integers(0, 2, len(keys) + 1).tolist()
             table = kernels.mode_table(keys, modes)
+            rows = kernels.interval_rows(keys, vals, modes)
             starts = [float(rng.choice(xs)), rng.uniform(-12.0, 12.0),
                       xs[0] - rng.uniform(0.0, 5.0),
                       xs[-1] + rng.uniform(0.0, 5.0)]
             for x in starts:
                 h = float(np.exp(rng.uniform(np.log(0.01), np.log(50.0))))
                 for u in (0.0, rng.uniform(-3.0, 3.0) * L,
-                          -kernels.mcshane_eval(keys, vals, L, table, x)):
+                          -kernels.mcshane_eval(keys, rows, L, x)):
                     yield keys, vals, table, L, x, u, h
 
     def test_flows_keep_their_bits(self):
@@ -1097,6 +1209,48 @@ class TestZohFlowBits:
                     for a in out[:6]:
                         h.update(np.asarray(a).tobytes())
                     h.update(np.array(out[6:], dtype=np.int64).tobytes())
+        assert h.hexdigest() == self.DUEL_DIGEST
+
+
+class TestNonparamBits:
+    """The nearest-neighbour kernels' bits, pinned by sha256: the fixed
+    kernel over random members, whose 5 000 distinct states split their
+    history's blocks some 25 times each, and the duel bounded at L 2,
+    whose states repeat, and escaping at L 6, whose history grows at one
+    end; a change to the history search or to the evaluation of a
+    realization that moves any bit moves a digest."""
+
+    FIXED_DIGEST = ("cc08c77681f640b2f362c3e6a76d4690"
+                    "ac2dc9b13f8799fdfad916e46b2c0cdc")
+    DUEL_DIGEST = ("ef774a2aadbdd856f95f4f43160c398c"
+                   "f0eea0d100a6e4f086ed7abd91add946")
+
+    def test_fixed_members_keep_their_bits(self):
+        rng = np.random.default_rng(31)
+        h = hashlib.sha256()
+        for _ in range(3):
+            f = random_lipschitz_member(2.0, RandomMember(), rng)
+            raw = rng.uniform(-1.0, 1.0, 5001)
+            raw[0] = 0.0
+            ys, us, blow = kernels.nonparam_fixed(
+                float(rng.normal()), f.store[0], f.rows, 2.0, raw, 1.0, 0.1,
+                GUARD)
+            assert blow == -1 and us.shape == (5000,)
+            assert len(_split_steps(ys[:-1].tolist())) >= 20
+            h.update(ys.tobytes())
+            h.update(us.tobytes())
+        assert h.hexdigest() == self.FIXED_DIGEST
+
+    def test_duels_keep_their_bits(self):
+        h = hashlib.sha256()
+        blows = []
+        for L, T in ((2.0, 2000), (6.0, 500)):
+            out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, GUARD, T)
+            for a in out[:6]:
+                h.update(a.tobytes())
+            h.update(np.array(out[6:], dtype=np.int64).tobytes())
+            blows.append(out[-1])
+        assert blows[0] == -1 and blows[1] > 0
         assert h.hexdigest() == self.DUEL_DIGEST
 
 

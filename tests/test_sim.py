@@ -473,18 +473,8 @@ class TestGrowthAudit:
                           noises=np.zeros_like(arr),
                           blow_step=arr.shape[0] - 1 if blow else None)
 
-    def test_doubly_exponential(self):
-        audit = growth_rate_audit(self._traj([2.0**(2.0**k) for k in range(1, 8)]))
-        assert np.allclose(audit.log_ratios, 2.0, atol=1e-12)
-
-    def test_geometric_tends_to_one(self):
-        audit = growth_rate_audit(self._traj([2.0**k for k in range(1, 30)]))
-        assert audit.log_ratios[-1] < audit.log_ratios[0]
-        assert audit.log_ratios[-1] == pytest.approx(1.0, abs=0.05)
-
     def test_non_blowup_gives_empty_audit(self):
         audit = growth_rate_audit(self._traj([1.0, 2.0, 3.0], blow=False))
-        assert audit.log_ratios.shape == (0,)
         assert audit.multipliers.shape == (0,)
 
     def test_sampled_escape_multipliers(self):
