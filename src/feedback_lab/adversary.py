@@ -41,9 +41,12 @@ class RealizedPiecewiseLinear:
     largest Lipschitz-L interpolant, and 1 the lower,
     max_i(v_i - L|x - x_i|), the smallest.  Left out, every interval
     takes the upper; a sampled duel's swept intervals each keep the
-    envelope that swept them.  Evaluation returns the stored value
-    exactly on anchor points, so replaying a trajectory through a
-    realization reproduces every recorded function value bit for bit.
+    envelope that swept them.  The kernels, evaluation and the sampled
+    flow read one ``table``: the sorted keys and one row per interval,
+    its anchors, their values and its envelope.  Evaluation returns the
+    stored value exactly on anchor points, so replaying a trajectory
+    through a realization reproduces every recorded function value bit
+    for bit.
     """
 
     xs: np.ndarray
@@ -82,27 +85,16 @@ class RealizedPiecewiseLinear:
         object.__setattr__(self, "modes", modes)
 
     @cached_property
-    def store(self) -> tuple[list[float], dict[float, float]]:
-        """The anchors in the kernels' store form, built at the first
-        evaluation, so a realization that is only written out, as most
-        duels' are, builds none."""
-        return kernels.anchor_store(self.xs, self.vs)
-
-    @cached_property
-    def mode_table(self) -> dict[float, int]:
-        """``modes`` in the kernels' form (``kernels.mode_table``)."""
-        return kernels.mode_table(self.store[0], self.modes.tolist())
-
-    @cached_property
-    def rows(self) -> list[tuple]:
-        """Each interval's anchors, values and envelope in the kernels'
-        row form (``kernels.interval_rows``), one row per located index,
-        built at the first evaluation like ``store``."""
-        return kernels.interval_rows(*self.store, self.modes.tolist())
+    def table(self) -> tuple[list[float], list[tuple]]:
+        """The anchors and ``modes`` in the kernels' store form
+        (``kernels.anchor_table``): the sorted keys and one row per
+        interval.  Built at the first evaluation, so a realization that is
+        only written out, as most duels' are, builds none; the kernels
+        only read it."""
+        return kernels.anchor_table(self.xs, self.vs, self.modes.tolist())
 
     def __call__(self, x: float) -> float:
-        return kernels.mcshane_eval(self.store[0], self.rows, self.L,
-                                    float(x))
+        return kernels.mcshane_eval(*self.table, self.L, float(x))
 
     def tail_slopes(self) -> tuple[float, float]:
         """Signed slopes of the left and right unbounded pieces."""
@@ -113,12 +105,13 @@ class RealizedPiecewiseLinear:
 class PiecewiseLinearFn:
     """Anchor store with slope budget L, realized as the upper envelope.
 
-    Anchors are kept in the kernels' store form, a sorted list of
-    distinct abscissas and a dict from each to its value; every commit is
-    checked against the whole store within ``CONSISTENCY_TOL`` times the
-    larger of 1 and the two values' magnitudes, so far-escaped stores are
-    not rejected on last-bit rounding of slope-L cones.  ``realize``
-    extends the store by the upper envelope on every interval.
+    Anchors are kept as a sorted list of distinct abscissas and a dict
+    from each to its value, the form ``kernels.interval`` reads one row
+    from; every commit is checked against the whole store within
+    ``CONSISTENCY_TOL`` times the larger of 1 and the two values'
+    magnitudes, so far-escaped stores are not rejected on last-bit
+    rounding of slope-L cones.  ``realize`` extends the store by the
+    upper envelope on every interval.
     """
 
     def __init__(self, L: float, anchors=()):

@@ -2,12 +2,12 @@
 
 Every episode loop and the coupled fixed-point solver live here as plain
 Python functions.  The episode kernels read their input arrays once as
-lists (``.tolist()``), keep states in Python lists of Python floats and
-anchor stores and nearest-neighbour histories in sorted lists (blocked,
-for the histories) and dicts of them (see below), and build their numpy
-return arrays once, when they return.  A list read costs about a third
-of a numpy-scalar read, and both follow IEEE double arithmetic, so
-results are the same bits.  The one difference is overflow: ``x ** b``
+lists (``.tolist()``), keep states in Python lists of Python floats,
+anchor stores in sorted key lists with one row per interval, and
+nearest-neighbour histories in sorted blocks with a dict of first-visit
+steps (see below), and build their numpy return arrays once, when they
+return.  A list read costs about a third of a numpy-scalar read, and
+both follow IEEE double arithmetic, so results are the same bits.  The one difference is overflow: ``x ** b``
 raises ``OverflowError`` on Python floats where float64 gives inf.
 ``power_eval`` defines how a state is raised to a power: it never
 raises, and returns what float64 arithmetic gives.  The RLS kernel
@@ -39,7 +39,10 @@ and one iteration loop around either tracks the step, the norm and the
 verdict.
 On convergence it returns, as a fifth element, the gains
 K_i = S_bb^+ S_ab' of the final iterate, from the same sums and
-pseudo-inverse (None otherwise).  ``mjls_episode`` computes each mode's
+pseudo-inverse (None otherwise).  Where a converged iterate's S_bb holds
+a non-finite entry, its pseudo-inverse drops the overflowed inputs
+whatever the exact map does, so the verdict turns indeterminate and no
+gains are returned.  ``mjls_episode`` computes each mode's
 prediction ``A_i x + B_i u`` once per step, one dot over the row
 ``[A_i | B_i]`` and ``(x, u)``; the true step adds the noise to the
 current mode's, the next step's mode estimate reads the same
@@ -50,59 +53,59 @@ Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
 index at which the guard tripped (-1 means the horizon was reached).
 
-Piecewise-linear functions are passed as anchor stores ``(keys, vals)``
+Piecewise-linear functions are passed as anchor stores ``(keys, rows)``
 with slope budget L: ``keys`` lists the sorted, distinct abscissas as
-Python floats and ``vals`` maps each to its value (``anchor_store``
-builds the pair from arrays, once per realization).  Mode 0 evaluates
-the upper envelope ``min_i(v_i + L|x - x_i|)``, mode 1 the lower
-envelope ``max_i(v_i - L|x - x_i|)``.  For L-consistent anchors both
-envelopes at x are fixed by the two anchors either side of x (McShane
-1934), so evaluation reads only those two.  An exact anchor hit returns
-the stored value, so replaying a stored trajectory through the same
-anchors is reproducible to the last bit.  A function takes its envelope
-per interval, between adjacent keys and on each tail, as 0 or 1.  A
-fixed realization lists the interval rows once (``interval_rows``, built
-with its store): for each located index j, the anchors either side of
-interval j, their values and its envelope.  ``mcshane_eval`` reads one
-row per evaluation, in ``nonparam_fixed`` and in replay, and takes only
-its envelope's side of ``_cone``'s arithmetic, in ``_cone``'s order.
-The duels' growing stores take the cone itself (``_cone``).  The sampled
-kernels and replay integrate over a mode table (``mode_table``), which
-maps each interval to its envelope by the interval's right key, in
-closed form, one linear piece at a time (``zoh_flow``).
+Python floats, and ``rows[j] = (left, v_left, right, v_right,
+envelope)`` describes interval j, the one at located index j: the
+anchors either side of it (None for a tail's missing one), their values
+and its envelope.  Envelope 0 is the upper envelope
+``min_i(v_i + L|x - x_i|)``, 1 the lower ``max_i(v_i - L|x - x_i|)``,
+and None marks an interval where a duel's f is still free.  For
+L-consistent anchors both envelopes at x are fixed by the two anchors
+either side of x (McShane 1934), so every access reads one row: the cone
+arithmetic (``_cone``) gives the interval of values consistent with the
+store, ``mcshane_eval`` the envelope's side of it, in ``_cone``'s order,
+and ``zoh_flow`` integrates the flow over the rows in closed form, one
+linear piece at a time.  An exact anchor hit returns the stored value,
+so replaying a stored trajectory through the same anchors is
+reproducible to the last bit.  A realization builds its table once
+(``anchor_table``), with an envelope in every row; the duels start from
+the one free row of an empty store and grow it.  ``interval`` reads the
+reference adversary's sorted keys and value dict instead, building the
+one row it needs.
 
-Every store keeps sorted keys plus a dict keyed by the float: an anchor
-store maps each key to its anchor value, and a nearest-neighbour history
-(``_visit``) each distinct past state to the step of its first visit.
-An anchor store is one flat key list, since ``zoh_flow`` walks it by
-index and it stays small in every workload.  A history holds its keys in
-sorted blocks of at most 2 * ``_LOAD`` keys with each block's last key
-alongside, so a commit moves the tail of one block, not of a list of
-10^4 keys (criterion 4's episodes).  An access locates x once, reads its
-neighbours' values with dict lookups and commits with one
-``list.insert`` and one dict store (``_insert`` in an anchor store), so
-each access moves one tail, not two.  A commit at a key already stored
-keeps the first value: among equal computed distances the smallest step
-wins, and a repeat of a state can never beat its first visit.  Keys
-compare as floats, so a +0.0 visit finds a stored -0.0 and keeps it and
-its value.
-A NaN key equals no key and sorts after every key, so a NaN commit
-appends (to a history's last block); the dict finds it by identity, so
+An anchor store is one flat key list and its rows, since ``zoh_flow``
+walks the rows by index and the store stays small in every workload.  A
+commit (``_insert``) inserts the key and splits its row into two that
+keep the row's envelope, and a flow that closes a free interval rewrites
+its row.  A nearest-neighbour history (``_visit``) keeps sorted keys
+plus a dict from each distinct past state to the step of its first
+visit, the keys in sorted blocks of at most 2 * ``_LOAD`` keys with each
+block's last key alongside, so a commit moves the tail of one block, not
+of a list of 10^4 keys (criterion 4's episodes).  A commit at a key
+already stored keeps the first value: among equal computed distances the
+smallest step wins, and a repeat of a state can never beat its first
+visit.  Keys compare as floats, so a +0.0 visit finds a stored -0.0 and
+keeps it and its value.  A NaN key equals no key and sorts after every
+key, so a NaN commit appends (to a history's last block); the dict finds
+it by identity, and the rows either side hold the NaN object itself, so
 reads through the key list get its value back.
 
 Every anchor-store access finds x's index once, by bisection
 (``_bisect``), and uses it for both the lookup and the insertion: the
 index j of the first key >= x (``len(keys)`` if none, and for NaN), which
-is what ``np.searchsorted(keys, x)`` returns.  The cone arithmetic at it
-(``_cone``) gives the interval of values consistent with the store.  A
-history visit bisects the block maxima, then the one block, which
-locates x at the same place in the joined blocks.  Where one neighbour
-is strictly nearer than the other and the key beyond it lies in x's
-block, or there is none, and is strictly farther, the visit returns that
-neighbour's step directly (x past the last key or before the first
-included); NaN and every tie, and a key beyond in the next block, go
-through the one tie handler, a scan of the tied runs across block edges
-(``_tie_scan``).
+is what ``np.searchsorted(keys, x)`` returns.  A history visit bisects
+the block maxima, then the one block, which locates x at the same place
+in the joined blocks.  Where one neighbour is strictly nearer than the
+other and the key beyond it lies in x's block, or there is none, and is
+strictly farther, the visit returns that neighbour's step directly (x
+past the last key or before the first included); NaN and every tie, and
+a key beyond in the next block, go through the one tie handler, a scan
+of the tied runs across block edges (``_tie_scan``).
+
+Both sampled kernels run one loop (``_sampled_episode``), the duel's: it
+commits only where x's row has no envelope, so over a realization's
+table, where every row has one, it commits and closes nothing.
 
 The episode kernels return arrays of the entries their episode produced:
 T + 1 states and T inputs, or blow + 1 and blow where the guard tripped
@@ -122,6 +125,8 @@ _INF = float("inf")
 _NEG_INF = -_INF
 # a nearest-neighbour history block splits in halves beyond 2 * _LOAD keys
 _LOAD = 128
+# the one row of an empty store: no anchors, f free everywhere
+_FREE = (None, None, None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +161,22 @@ def _bisect(keys, x):
     return bisect_left(keys, x)
 
 
-def _cone(keys, vals, L, x, j):
-    # the interval at x from the anchors either side of its index j
-    n = len(keys)
-    if j < n:
-        right = keys[j]
-        if right == x:
-            v = vals[right]
-            return v, v
+def _cone(row, L, x):
+    # the interval at x from the anchors of x's row: the stored value on
+    # its right anchor, else the intersection of the two anchors' cones
+    left, vl, right, vr, _ = row
+    if right == x:
+        return vr, vr
     lo = _NEG_INF
     hi = _INF
-    if j > 0:
-        left = keys[j - 1]
-        v = vals[left]
+    if left is not None:
         d = x - left
-        lo = v - L * d
-        hi = v + L * d
-    if j < n:
-        v = vals[right]
+        lo = vl - L * d
+        hi = vl + L * d
+    if right is not None:
         d = right - x
-        a = v - L * d
-        c = v + L * d
+        a = vr - L * d
+        c = vr + L * d
         if a > lo:
             lo = a
         if c < hi:
@@ -184,37 +184,36 @@ def _cone(keys, vals, L, x, j):
     return lo, hi
 
 
-def anchor_store(xs, vs):
+def anchor_table(xs, vs, modes):
     """The store form of the anchor arrays ``(xs, vs)``: the sorted keys
-    as a list of Python floats and a dict from each key to its value."""
+    as a list of Python floats, and one row ``(left, v_left, right,
+    v_right, envelope)`` per located index j, the anchors either side of
+    interval j (None for a tail's missing one), their values and the
+    envelope ``modes`` lists for it, left tail first (0 the upper, 1 the
+    lower, None where f is still free)."""
     keys = xs.tolist()
-    return keys, dict(zip(keys, vs.tolist()))
+    ends = [None] + keys + [None]
+    vals = [None] + vs.tolist() + [None]
+    return keys, list(zip(ends, vals, ends[1:], vals[1:], modes))
 
 
 def interval(keys, vals, L, x):
-    """Values at x consistent with the stored anchors: the single stored
-    value on an anchor, else the intersection of the neighbours' cones."""
-    return _cone(keys, vals, L, x, _bisect(keys, x))
-
-
-def interval_rows(keys, vals, modes):
-    """One row ``(left, v_left, right, v_right, envelope)`` per located
-    index j of the sorted keys: the anchors either side of interval j
-    (None for a tail's missing one), their values, and the interval's
-    envelope from ``modes``, listed left tail first (0 the upper, 1 the
-    lower)."""
-    ends = [None] + keys + [None]
-    return [(a, vals.get(a), c, vals.get(c), m)
-            for a, c, m in zip(ends, ends[1:], modes)]
+    """Values at x consistent with the anchors whose sorted keys and
+    value dict are given: the single stored value on an anchor, else the
+    intersection of the neighbours' cones."""
+    j = _bisect(keys, x)
+    left = keys[j - 1] if j else None
+    right = keys[j] if j < len(keys) else None
+    return _cone((left, vals.get(left), right, vals.get(right), None), L, x)
 
 
 def mcshane_eval(keys, rows, L, x):
-    """Envelope value at x of the realization whose sorted keys and
-    ``interval_rows`` are given: the upper envelope or the lower, as x's
-    interval takes.  The arithmetic is ``_cone``'s, in its order."""
+    """Envelope value at x of the function whose sorted keys and rows are
+    given: the upper envelope or the lower, as x's row takes.  The
+    arithmetic is ``_cone``'s, in its order."""
     left, vl, right, vr, lower = rows[bisect_left(keys, x) if x == x
                                       else len(keys)]
-    if right is not None and right == x:
+    if right == x:
         return vr
     if lower:
         v = _NEG_INF
@@ -235,13 +234,16 @@ def mcshane_eval(keys, rows, L, x):
     return v
 
 
-def _insert(keys, vals, j, key, val):
-    """Insert key at its located index j in the sorted keys and map it to
-    val, unless key is already there: a store keeps its first value."""
-    if j < len(keys) and keys[j] == key:
+def _insert(keys, rows, j, key, val):
+    """Insert key at its located index j in the sorted keys with value
+    val, splitting row j into two rows that keep its envelope, unless key
+    is already there: a store keeps its first value."""
+    left, vl, right, vr, m = rows[j]
+    if right == key:
         return
     keys.insert(j, key)
-    vals[key] = val
+    rows[j] = (left, vl, key, val, m)
+    rows.insert(j + 1, (key, val, right, vr, m))
 
 
 def _visit(hist, steps, x, t):
@@ -374,9 +376,10 @@ def _ce_input(xs, us, hist, sk, k, x, L, c, h, kappa):
     return u
 
 
-def _arrays(keys, vals):
-    # a store's keys and values as float64 arrays in sorted order
-    return np.array(keys), np.array([vals[k] for k in keys])
+def _arrays(keys, rows):
+    # a store's keys and values as float64 arrays in sorted order: each
+    # key's value is its row's right one
+    return np.array(keys), np.array([row[3] for row in rows[:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +466,8 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
     us = []
     ws = [0.0]
     vsc = []
-    axs = []
-    avs = {}
+    keys = []
+    rows = [_FREE]
     hist = ([], [])
     hk = {}
     bmin = y
@@ -476,15 +479,15 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
         if y > bmax:
             bmax = y
         u = _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax)
-        j = _bisect(axs, y)
-        if not axs:
+        j = _bisect(keys, y)
+        if not keys:
             hi = L * abs(y) + budget_c
             lo = -hi
         else:
-            lo, hi = _cone(axs, avs, L, y, j)
+            lo, hi = _cone(rows[j], L, y)
         v = hi if abs(hi + u) >= abs(lo + u) else lo
         w = w_bar if (v + u) >= 0.0 else -w_bar
-        _insert(axs, avs, j, y, v)
+        _insert(keys, rows, j, y, v)
         y1 = v + u + w
         us.append(u)
         ws.append(w)
@@ -495,7 +498,7 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
             break
         y = y1
     return (np.array(ys), np.array(us), np.array(ws), np.array(vsc),
-            *_arrays(axs, avs), len(axs), blow)
+            *_arrays(keys, rows), len(keys), blow)
 
 
 # ---------------------------------------------------------------------------
@@ -509,21 +512,15 @@ def _exp(a):
         return _INF
 
 
-def mode_table(keys, modes):
-    """Each interval's envelope mode keyed by the interval's right key,
-    inf for the right tail, from ``modes`` listed left tail first."""
-    return dict(zip(keys + [_INF], modes))
-
-
-def zoh_flow(keys, vals, modes, L, x, u, h):
+def zoh_flow(keys, rows, L, x, u, h):
     """State after one period h of dx/dt = f(x) + u from x, u held.
 
     f takes on each interval between adjacent keys, and on each tail,
-    the envelope ``modes`` maps it to (``mode_table``): the upper, a
-    minimum of upward cones, or the lower, a maximum of downward ones,
-    each linear between kinks with slope +-L.  On a piece of slope a the
-    flow is x* + (x - x*) e^{a t}, x* its equilibrium; it moves one way,
-    the sign of f(x) + u, and never crosses an equilibrium.  Across an
+    the envelope its row holds: the upper, a minimum of upward cones, or
+    the lower, a maximum of downward ones, each linear between kinks
+    with slope +-L.  On a piece of slope a the flow is
+    x* + (x - x*) e^{a t}, x* its equilibrium; it moves one way, the
+    sign of f(x) + u, and never crosses an equilibrium.  Across an
     interval the envelope runs on the line through the anchor behind the
     motion, then from a kink on, on the line through the anchor ahead.
     A piece's endpoint (one ``exp``) stands where the line in use is
@@ -534,23 +531,23 @@ def zoh_flow(keys, vals, modes, L, x, u, h):
     lower, so one expression serves both: negating a product or a
     divisor is exact.
 
-    An interval missing from ``modes`` is one no period swept, where the
-    sampled duel's f is still free: the flow takes the envelope that
+    A row whose envelope is None is an interval no period swept, where
+    the sampled duel's f is still free: the flow takes the envelope that
     pushes it on, the upper moving right and the lower moving left, and
-    records it for every later period.  The duel enters such an interval
-    only at an anchor, where both envelopes take the stored value.  On a
-    free tail it commits the endpoint with the active line's value, the
-    expression a later flow compares there, so a replay through the
-    final store gets the same bits.
+    closes the interval by rewriting its row with it.  The duel enters
+    such an interval only at an anchor, where both envelopes take the
+    stored value.  On a free tail it commits the endpoint with the
+    active line's value, the expression a later flow compares there, so
+    a replay through the final store gets the same bits.
     """
-    n = len(keys)
     j = _bisect(keys, x)
-    lo, hi = _cone(keys, vals, L, x, j)
-    g = (lo if modes.get(keys[j] if j < n else _INF) == 1 else hi) + u
+    row = rows[j]
+    lo, hi = _cone(row, L, x)
+    g = (lo if row[4] == 1 else hi) + u
     if not (g > 0.0 or g < 0.0):
         return x  # at rest, or NaN
     s = 1.0 if g > 0.0 else -1.0
-    if s > 0.0 and j < n and keys[j] == x:
+    if s > 0.0 and row[2] == x:
         j += 1
     tau = h
     enter = True
@@ -558,19 +555,17 @@ def zoh_flow(keys, vals, modes, L, x, u, h):
         if enter:
             # interval j: its anchor behind the motion (p0, q0) and the
             # one ahead (p1, q1); a tail lacks one
-            i0, i1 = (j - 1, j) if s > 0.0 else (j, j - 1)
-            has0, has1 = 0 <= i0 < n, 0 <= i1 < n
-            p0 = keys[i0] if has0 else 0.0
-            p1 = keys[i1] if has1 else 0.0
-            q0 = vals[p0] if has0 else 0.0
-            q1 = vals[p1] if has1 else 0.0
-            key = keys[j] if j < n else _INF
-            m = modes.get(key)
+            left, vl, right, vr, m = rows[j]
+            if s > 0.0:
+                p0, q0, p1, q1 = left, vl, right, vr
+            else:
+                p0, q0, p1, q1 = right, vr, left, vl
+            has0, has1 = p0 is not None, p1 is not None
             free = m is None
             if free:
                 m = 0 if s > 0.0 else 1
                 if has0 and has1:
-                    modes[key] = m
+                    rows[j] = (left, vl, right, vr, m)
             eL = L if m == 0 else -L
             # whether the envelope runs on the line through the anchor
             # behind; at a tie, on the one ahead
@@ -614,69 +609,43 @@ def zoh_flow(keys, vals, modes, L, x, u, h):
             j += 1 if s > 0.0 else -1
             enter = True
     if free and not has1 and 0.0 < (x_end - p0) * s < _INF:
-        _insert(keys, vals, j, x_end, q0 + eL * ((x_end - p0) * s))
-        modes[x_end if s > 0.0 else p0] = m
+        # the swept piece of the tail closes (moving left, the right one
+        # of the split); the new tail beyond stays free
+        _insert(keys, rows, j, x_end, q0 + eL * ((x_end - p0) * s))
+        if s < 0.0:
+            j += 1
+        left, vl, right, vr, _ = rows[j]
+        rows[j] = (left, vl, right, vr, m)
     return x_end
 
 
 # ---------------------------------------------------------------------------
-# sampled-data episode, fixed f + certainty-equivalence controller
+# sampled-data episodes: certainty-equivalence controller against a fixed
+# f, or against the duel's opponent, which commits where f is still free,
+# at a sample point inside an interval no period swept and at the end of
+# a sweep along a tail; each period's flow closes the intervals it sweeps
+# with the envelope (upper or lower) that pushed it
 
-def sampled_fixed(x0, fkeys, fvals, fmodes, L, c, h, kappa, n_samples, guard,
-                  use_controller):
-    # fmodes maps every interval (a realization's ``mode_table`` does), so
-    # the flow finds no free interval and commits nothing to the store
-    x = float(x0)
-    xs = [x]
-    us = []
-    hist = ([], [])
-    sk = {}
-    blow = -1
-    for k in range(n_samples):
-        u = 0.0
-        if use_controller != 0:
-            u = _ce_input(xs, us, hist, sk, k, x, L, c, h, kappa)
-        x1 = zoh_flow(fkeys, fvals, fmodes, L, x, u, h)
-        us.append(u)
-        xs.append(x1)
-        if x1 != x1 or x1 > guard or x1 < -guard:
-            blow = k + 1
-            break
-        x = x1
-    return np.array(xs), np.array(us), blow
-
-
-# ---------------------------------------------------------------------------
-# sampled-data duel: the opponent commits where f is still free, at a
-# sample point inside an interval no period swept and at the end of a
-# sweep along a tail, and each period's flow closes the intervals it
-# sweeps with the envelope (upper or lower) that pushed it
-
-def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
-    x = float(x0)
+def _sampled_episode(x, keys, rows, L, c, h, kappa, n_samples, guard,
+                     use_controller):
+    # f is fixed where a row holds an envelope, so over a realization's
+    # table, where every row does, the loop commits nothing
     xs = [x]
     us = []
     vsc = []
-    axs = []
-    avs = {}
-    modes = {}
     hist = ([], [])
     sk = {}
     blow = -1
-    if x != 0.0:
-        # an anchor at 0 inside [-c, c] keeps every envelope value inside
-        # |f(x)| <= L|x| + c; it leans the way the start lies
-        axs.append(0.0)
-        avs[0.0] = c if x > 0.0 else -c
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
             u = _ce_input(xs, us, hist, sk, k, x, L, c, h, kappa)
-        j = _bisect(axs, x)
-        lo, hi = _cone(axs, avs, L, x, j)
-        m = modes.get(axs[j] if j < len(axs) else _INF)
-        if j < len(axs) and axs[j] == x or m is not None:
-            # an anchor, or a swept interval: f is fixed there
+        j = _bisect(keys, x)
+        row = rows[j]
+        lo, hi = _cone(row, L, x)
+        m = row[4]
+        if m is not None or row[2] == x:
+            # a swept interval, or an anchor: f is fixed there
             v = lo if m == 1 else hi
         else:
             box = L * abs(x) + c
@@ -689,8 +658,8 @@ def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
                 # into it, as adversary.sampled_adversary_choose does
                 lo = hi = min(max(0.5 * (lo + hi), -box), box)
             v = hi if abs(hi + u) >= abs(lo + u) else lo
-            _insert(axs, avs, j, x, v)
-        x1 = zoh_flow(axs, avs, modes, L, x, u, h)
+            _insert(keys, rows, j, x, v)
+        x1 = zoh_flow(keys, rows, L, x, u, h)
         us.append(u)
         vsc.append(v)
         xs.append(x1)
@@ -698,13 +667,35 @@ def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
             blow = k + 1
             break
         x = x1
+    return xs, us, vsc, blow
+
+
+def sampled_fixed(x0, fkeys, frows, L, c, h, kappa, n_samples, guard,
+                  use_controller):
+    xs, us, _, blow = _sampled_episode(float(x0), fkeys, frows, L, c, h,
+                                       kappa, n_samples, guard,
+                                       use_controller)
+    return np.array(xs), np.array(us), blow
+
+
+def sampled_duel(x0, L, c, h, kappa, n_samples, guard, use_controller):
+    x = float(x0)
+    keys = []
+    rows = [_FREE]
+    if x != 0.0:
+        # an anchor at 0 inside [-c, c] keeps every envelope value inside
+        # |f(x)| <= L|x| + c; it leans the way the start lies
+        _insert(keys, rows, 0, 0.0, c if x > 0.0 else -c)
+    xs, us, vsc, blow = _sampled_episode(x, keys, rows, L, c, h, kappa,
+                                         n_samples, guard, use_controller)
     # intervals no period swept: a tail realizes as the envelope a sweep
     # out along it takes (the lower on the left, the upper on the right),
     # and the others as the upper one
-    amodes = [modes.get(key, 0) for key in axs] + [0]
-    amodes[0] = modes.get(axs[0], 1)
-    return (np.array(xs), np.array(us), np.array(vsc), *_arrays(axs, avs),
-            np.array(amodes), len(axs), blow)
+    amodes = [0 if row[4] is None else row[4] for row in rows]
+    if rows[0][4] is None:
+        amodes[0] = 1
+    return (np.array(xs), np.array(us), np.array(vsc), *_arrays(keys, rows),
+            np.array(amodes), len(keys), blow)
 
 
 # ---------------------------------------------------------------------------
@@ -954,13 +945,20 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     Ms = np.array(Ms).reshape((N, n, n))
     Ks = None
     if status == 0:
-        # the gains K_i = S_bb^+ S_ab' of the final iterate
+        # the gains K_i = S_bb^+ S_ab' of the final iterate.  An S_bb that
+        # overflowed inverts to 0 and drops every input, which says
+        # nothing about the exact map: the verdict is indeterminate
         Ml = Ms.tolist()
         Ks = []
         for Prow in P:
             _, S_ab, S_bb = _mode_sums(At, Bt, Prow, Ml)
+            if not all(abs(v) < np.inf for row in S_bb for v in row):
+                status = 2
+                Ks = None
+                break
             Ks.append([_row_dots(S_ab, row) for row in _pinv(S_bb, svd_rtol)])
-        Ks = np.array(Ks)
+        else:
+            Ks = np.array(Ks)
     return Ms, status, iters, delta, Ks
 
 

@@ -253,9 +253,8 @@ def integrate_sampled(x0: float, f: RealizedPiecewiseLinear, u_const: float,
     (:func:`require_sampled_member`).
     """
     require_sampled_member(f, spec)
-    keys, vals = f.store
-    return kernels.zoh_flow(keys, vals, f.mode_table, f.L, float(x0),
-                            float(u_const), spec.h)
+    return kernels.zoh_flow(*f.table, f.L, float(x0), float(u_const),
+                            spec.h)
 
 
 def step_mjls(x, mode: int, u, w, spec: MjlsSpec):

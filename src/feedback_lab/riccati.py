@@ -124,7 +124,10 @@ def solve_coupled_riccati(spec: MjlsSpec, tol: float = DEFAULT_TOL,
     elementwise change) that grew on each of the last min(100,
     ``max_iter`` - 1) > 0 iterations; anything else there, such as a slow
     but shrinking step, is reported INDETERMINATE, never silently mapped
-    to NO_SOLUTION.  The solve keeps no per-iteration history.
+    to NO_SOLUTION.  So is a convergence whose sum_j B_j' p_ij M_j B_j
+    overflows in some mode: its pseudo-inverse drops the overflowed
+    inputs, so the iterate need not be the exact map's fixed point, and
+    no gains are formed.  The solve keeps no per-iteration history.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tolerance must be finite and positive")

@@ -419,7 +419,7 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
     raw = rng.uniform(-1.0, 1.0, T + 1)
     raw[0] = 0.0
     ys, us, blow = kernels.nonparam_fixed(
-        y0, f.store[0], f.rows, f.L, raw, system.w_bar, eps, GUARD)
+        y0, *f.table, f.L, raw, system.w_bar, eps, GUARD)
     return _episode("nonparametric", system, controller, seed, T, ys, us,
                     system.w_bar * raw, blow, realized_f=f)
 
@@ -457,8 +457,7 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
         f = random_envelope_member(spec.L, spec.c, rng)
     x0 = 0.0 + system.x0_std * rng.standard_normal()
     xs, us, blow = kernels.sampled_fixed(
-        x0, *f.store, f.mode_table, f.L, spec.c, spec.h, kappa, T, GUARD,
-        use_ctl)
+        x0, *f.table, f.L, spec.c, spec.h, kappa, T, GUARD, use_ctl)
     return _episode("sampled", system, controller, seed, T, xs, us,
                     np.zeros(T + 1), blow, realized_f=f)
 
@@ -583,23 +582,38 @@ def monte_carlo(cfg: McConfig, n_seeds: int) -> McReport:
 def regret_logfit(report: McReport) -> tuple[float, float]:
     """Least-squares slope of mean regret against log horizon.
 
-    Needs at least five checkpoints; returns (slope, r_squared).
+    Needs at least five finite checkpoints; returns (slope, r_squared).
+    The fit is the two-parameter normal equations about the means, each
+    sum taken left to right over Python floats, so its bits do not
+    depend on the linear-algebra build.
     """
-    rows = [(tc, r) for tc, r in report.regret_vs_logT if np.isfinite(r)]
+    rows = [(math.log(tc), float(r)) for tc, r in report.regret_vs_logT
+            if np.isfinite(r)]
     if len(rows) < 5:
         raise ValueError("at least five finite checkpoints are required")
-    xs = np.log(np.array([tc for tc, _ in rows], dtype=float))
-    ys = np.array([r for _, r in rows])
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    sx = sy = 0.0
+    for x, y in rows:
+        sx += x
+        sy += y
+    mx = sx / len(rows)
+    my = sy / len(rows)
+    sxx = sxy = 0.0
+    for x, y in rows:
+        dx = x - mx
+        sxx += dx * dx
+        sxy += dx * (y - my)
+    slope = sxy / sxx
+    ss_res = ss_tot = 0.0
+    for x, y in rows:
+        dy = y - my
+        e = dy - slope * (x - mx)
+        ss_res += e * e
+        ss_tot += dy * dy
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res <= 1e-12 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return float(coef[0]), r2
+    return slope, r2
 
 
 # ---------------------------------------------------------------------------

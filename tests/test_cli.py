@@ -283,18 +283,15 @@ class TestMjlsSolve:
         assert "verdict: no-solution after 1 iterations" in (
             capsys.readouterr().out)
 
-    def test_overflowing_input_block_returns(self, tmp_path):
+    @staticmethod
+    def _overflowing_solve(spec, iterations, tmp_path):
         # B's 1e200 entries overflow S_bb = sum_j B_j' p M_j B_j to inf, a
         # matrix on which LAPACK's SVD can run forever; the pseudo-inverse
         # never hands it one, so the solve ends (in a subprocess with a
         # timeout, so a hang fails here instead of stalling the suite).
-        # The inf block inverts to 0, so the gains drop every input and
-        # the verdict still reads solved
-        spec = {"P": [[0.0794, 0.9206], [0.8645, 0.1355]],
-                "A": [[[-0.338, 0.239], [0.174, 0.0]],
-                      [[0.0557, -0.0609], [-0.0879, -0.252]]],
-                "B": [[[1e-200, 1.379, -0.122], [-1.273, -0.204, -0.946]],
-                      [[-1.109, -0.0764, -0.730], [-1e200, 1.549, 1.747]]]}
+        # The inf block inverts to 0, which drops every input whatever the
+        # exact map does, so an iterate that settles on it reads
+        # indeterminate, with no gains, and exits 3 under --strict
         path = tmp_path / "overflow.yaml"
         path.write_text(yaml.safe_dump(spec))
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -306,8 +303,26 @@ class TestMjlsSolve:
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert "verdict: solved after 8 iterations" in proc.stdout
-        assert proc.stdout.count("[0. 0.]") == 6  # K_1 and K_2, 3 x 2
+        assert (f"verdict: indeterminate after {iterations} iterations\n"
+                == proc.stdout)
+        assert run_cli(["mjls-solve", "--spec", str(path), "--strict"]) == \
+            cli.EXIT_INDETERMINATE
+
+    def test_overflowing_input_block_returns(self, tmp_path):
+        spec = {"P": [[0.0794, 0.9206], [0.8645, 0.1355]],
+                "A": [[[-0.338, 0.239], [0.174, 0.0]],
+                      [[0.0557, -0.0609], [-0.0879, -0.252]]],
+                "B": [[[1e-200, 1.379, -0.122], [-1.273, -0.204, -0.946]],
+                      [[-1.109, -0.0764, -0.730], [-1e200, 1.549, 1.747]]]}
+        self._overflowing_solve(spec, 8, tmp_path)
+
+    def test_overflowing_own_input_is_indeterminate(self, tmp_path):
+        # each state has its own input, so the exact map's fixed point is
+        # I; with the overflowed input's gain dropped the iterate settles
+        # at 4/3 I, which once read solved
+        spec = {"P": [[1.0]], "A": [[[0.5, 0.0], [0.0, 0.5]]],
+                "B": [[[1e200, 0.0], [0.0, 1.0]]]}
+        self._overflowing_solve(spec, 17, tmp_path)
 
     def test_nan_input_block_exits_2(self, capsys, tmp_path):
         # S_bb's off-diagonal entry is 1e400 - 1e400 = inf - inf = NaN,

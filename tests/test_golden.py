@@ -3,13 +3,15 @@ run of each subcommand that runs an episode kernel over anchor stores,
 nearest-neighbour histories, the RLS recurrence or the jump-linear loop.
 
 A change that moves a pin on purpose updates it and states the cause in
-CHANGES.md.  No pinned byte may depend on the linear-algebra build.  The
-parametric horizons stay below five regret checkpoints, so the
-least-squares regret fit (LAPACK) reads NaN.  ``mjls-run`` runs a
-one-state and a two-state spec, each with one input: the episode
-kernel, the Riccati solve and its gains all sum in scalar loops, and at
-one input the pseudo-inverse is 1/x in closed form.  ``mjls-solve`` with
-more than one input stays out: its pseudo-inverse takes LAPACK's SVD.
+CHANGES.md.  No pinned byte may depend on the linear-algebra build.  One
+parametric horizon stays below five regret checkpoints, so its regret
+fit reads NaN, and one has five, which the fit's scalar loops (the
+normal equations about the means) turn into a slope and r^2.
+``mjls-run`` runs a one-state and a two-state spec, each with one input:
+the episode kernel, the Riccati solve and its gains all sum in scalar
+loops, and at one input the pseudo-inverse is 1/x in closed form.
+``mjls-solve`` with more than one input stays out: its pseudo-inverse
+takes LAPACK's SVD.
 """
 
 import hashlib
@@ -37,6 +39,11 @@ RUNS = {
          "--T", "1000", "--unstable-T", "100"],
         {"parametric_sweep.csv":
          "7a9e6dbfa813ea422910db1565676b242d71460fcfa4abd90a85ff380e6f8d87"}),
+    "parametric-sweep-fit": (
+        ["parametric-sweep", "--b", "2,3.5,4.5,6", "--seeds", "8",
+         "--T", "2048", "--unstable-T", "100"],
+        {"parametric_sweep.csv":
+         "f93e2a6fb0e206ce380da854d543ead477b40a325d7e0d286e0b9216cad924e5"}),
     "nonparam-duel-random": (
         ["nonparam-duel", "--mode", "random", "--L", "1,6", "--seeds", "6",
          "--T", "500"],

@@ -109,9 +109,19 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def uniform(keys, vals, mode):
-    """The interval rows extending the store by one envelope everywhere."""
-    return kernels.interval_rows(keys, vals, [mode] * (len(keys) + 1))
+def uniform(xs, vs, mode):
+    """The store of the anchors ``(xs, vs)`` extended by one envelope
+    everywhere: its keys and rows."""
+    xs = np.asarray(xs, dtype=float)
+    return kernels.anchor_table(xs, np.asarray(vs, dtype=float),
+                                [mode] * (xs.shape[0] + 1))
+
+
+def value_dict(xs, vs):
+    """The anchors ``(xs, vs)`` as ``PiecewiseLinearFn`` keeps them, the
+    form ``kernels.interval`` reads: sorted keys and a value dict."""
+    keys = np.asarray(xs, dtype=float).tolist()
+    return keys, dict(zip(keys, np.asarray(vs, dtype=float).tolist()))
 
 
 def _same_bits(a, b):
@@ -220,12 +230,12 @@ class TestScalarHelpersAgree:
         one = RealizedPiecewiseLinear(np.array([0.5]), np.array([-1.25]),
                                       3.0)
         for f, span in [*members(), (one, 4.0)]:
-            keys = f.store[0]
+            keys = f.xs.tolist()
             xs = [float(x) for x in queries(f, span, rng)] + [
                 -np.inf, np.inf, np.nan, keys[0] - 1e3, keys[0] - 0.5,
                 keys[-1] + 0.5, keys[-1] + 1e3]
             for mode in (0, 1):
-                rows = uniform(*f.store, mode)
+                rows = uniform(f.xs, f.vs, mode)[1]
                 for x in xs:
                     assert _same_bits(
                         kernels.mcshane_eval(keys, rows, f.L, x),
@@ -241,28 +251,28 @@ class TestScalarHelpersAgree:
 
     def test_exact_anchor_hit_returns_stored_value(self):
         xs, vs = anchors()
-        keys, vals = kernels.anchor_store(xs, vs)
+        keys, vals = value_dict(xs, vs)
         for i in range(xs.shape[0]):
             assert kernels.interval(keys, vals, 2.0, xs[i]) == (vs[i], vs[i])
             for mode in (0, 1):
-                assert kernels.mcshane_eval(keys, uniform(keys, vals, mode),
+                assert kernels.mcshane_eval(*uniform(xs, vs, mode),
                                             2.0, xs[i]) == vs[i]
         # a duel's anchors sit on runs of slope exactly L, where a
         # neighbour's cone can round past the stored value at an anchor
         for L in (2.0, 6.0):
             out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, GUARD, 200)
-            keys, vals = kernels.anchor_store(out[4], out[5])
             for mode in (0, 1):
-                rows = uniform(keys, vals, mode)
-                for x in keys:
+                keys, rows = uniform(out[4], out[5], mode)
+                for x, v in zip(keys, out[5].tolist()):
                     assert _bits(kernels.mcshane_eval(keys, rows, L, x)) == \
-                        _bits(vals[x])
+                        _bits(v)
 
     def test_interval(self):
         rng = np.random.default_rng(3)
         for f, span in members():
+            keys, vals = value_dict(f.xs, f.vs)
             for x in queries(f, span, rng):
-                assert kernels.interval(*f.store, f.L, float(x)) == \
+                assert kernels.interval(keys, vals, f.L, float(x)) == \
                     full_interval(f.xs, f.vs, f.L, float(x))
         assert kernels.interval([], {}, 1.0, 3.0) == (-np.inf, np.inf)
 
@@ -275,11 +285,9 @@ class TestScalarHelpersAgree:
             out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, GUARD, 200)
             xs, vs = out[4], out[5]
             assert xs.shape[0] == out[6]
-            keys, vals = kernels.anchor_store(xs, vs)
             for x in rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 300):
                 for mode in (0, 1):
-                    a = kernels.mcshane_eval(
-                        keys, uniform(keys, vals, mode), L, x)
+                    a = kernels.mcshane_eval(*uniform(xs, vs, mode), L, x)
                     b = full_mcshane(xs, vs, L, mode, x)
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
@@ -313,12 +321,14 @@ class TestLocatedIndex:
     def test_bisect_and_cone_equal_searchsorted(self, keys, extra):
         n = len(keys)
         xs = np.array(keys, dtype=float)
-        keys, vals = kernels.anchor_store(xs, np.cos(np.arange(float(n))))
+        vs = np.cos(np.arange(float(n)))
+        keys, vals = value_dict(xs, vs)
+        rows = kernels.anchor_table(xs, vs, [None] * (n + 1))[1]
         for x in probes(keys) + [extra]:
             ref = int(np.searchsorted(xs, x))
             assert kernels._bisect(keys, x) == ref, x
             lo, hi = kernels.interval(keys, vals, 1.5, x)
-            cone = kernels._cone(keys, vals, 1.5, x, ref)
+            cone = kernels._cone(rows[ref], 1.5, x)
             assert _same(cone[0], lo) and _same(cone[1], hi), x
 
 
@@ -341,22 +351,49 @@ def _split_steps(states):
     return out
 
 
+def _assert_row_invariant(keys, rows, first):
+    """Row j's right anchor and row j + 1's left anchor are keys[j], the
+    same bits, and both carry the key's first value (``first`` maps each
+    key to it, NaN keys by identity); the tails lack their outer anchor."""
+    assert len(rows) == len(keys) + 1
+    assert rows[0][:2] == (None, None) and rows[-1][2:4] == (None, None)
+    for j, key in enumerate(keys):
+        assert _bits(rows[j][2]) == _bits(key) == _bits(rows[j + 1][0]), j
+        assert rows[j][3] == first[key] == rows[j + 1][1], j
+
+
 class TestSortedStores:
-    """A store is a sorted key list, blocked in a history, and a dict from
-    each key to its value (an anchor value, or a history's first-visit
-    step)."""
+    """A store is a sorted key list, blocked in a history with a dict from
+    each key to its first-visit step, and for an anchor store one row per
+    interval, which holds the anchors either side and their values."""
 
     def test_insert_keeps_first_value_sorted_and_distinct(self):
+        # between inserts a random row takes a random envelope, as a flow
+        # closing an interval rewrites its row; a split keeps it
         rng = np.random.default_rng(5)
         keys_in = rng.integers(-20, 20, 300).astype(float)
         keys = []
-        vals = {}
+        rows = [kernels._FREE]
+        first = {}
         for t, key in enumerate(keys_in.tolist()):
-            kernels._insert(keys, vals, kernels._bisect(keys, key), key, t)
-        uniq, first = np.unique(keys_in, return_index=True)
+            j = kernels._bisect(keys, key)
+            before = list(rows)
+            kernels._insert(keys, rows, j, key, t)
+            first.setdefault(key, t)
+            if len(rows) == len(before):
+                assert rows == before  # a stored key keeps its rows
+            else:
+                assert rows[:j] == before[:j] and \
+                    rows[j + 2:] == before[j + 1:]
+                assert rows[j][4] == rows[j + 1][4] == before[j][4]
+            _assert_row_invariant(keys, rows, first)
+            i = int(rng.integers(len(rows)))
+            rows[i] = rows[i][:4] + ((None, 0, 1)[rng.integers(3)],)
+        uniq, first_index = np.unique(keys_in, return_index=True)
         assert np.array_equal(keys, uniq)
-        assert sorted(vals) == keys
-        assert [vals[k] for k in keys] == first.tolist()
+        assert [row[2] for row in rows[:-1]] == keys
+        assert [row[0] for row in rows[1:]] == keys
+        assert [row[3] for row in rows[:-1]] == first_index.tolist()
 
     def test_signed_zero_revisit_keeps_first_key_and_step(self):
         hist = ([], [])
@@ -372,19 +409,29 @@ class TestSortedStores:
 
     def test_nan_key_reads_back_its_own_value(self):
         # NaN sorts after every key and equals none, so each NaN insert
-        # appends; its neighbour reads look it up by the stored object
-        keys = [1.0, 2.0]
-        vals = {1.0: 0.5, 2.0: 1.0}
+        # appends; the rows either side hold the inserted object and its
+        # value, and a value dict finds it by the stored object
+        keys, rows = kernels.anchor_table(np.array([1.0, 2.0]),
+                                          np.array([0.5, 1.0]), [None] * 3)
+        first = {1.0: 0.5, 2.0: 1.0}
         for nan, val in ((math.nan, 7.0), (float("nan"), 8.0)):
-            kernels._insert(keys, vals, kernels._bisect(keys, nan), nan, val)
-            assert keys[-1] is nan and vals[keys[-1]] == val
-        assert len(keys) == 4 and [vals[k] for k in keys] == \
+            kernels._insert(keys, rows, kernels._bisect(keys, nan), nan, val)
+            first[nan] = val
+            assert keys[-1] is nan and rows[-2][2] is nan and \
+                rows[-1][0] is nan
+            assert rows[-2][3] == rows[-1][1] == val
+            _assert_row_invariant(keys, rows, first)
+        assert len(keys) == 4 and [row[3] for row in rows[:-1]] == \
             [0.5, 1.0, 7.0, 8.0]
+        vals = dict(zip(keys, [row[3] for row in rows[:-1]]))
         # the cone at 3.0 sits against the first NaN, whose cone is NaN
         # and never narrows the left neighbour's
         assert kernels._bisect(keys, 3.0) == 2
+        assert kernels._cone(rows[2], 1.0, 3.0) == (0.0, 2.0)
         assert kernels.interval(keys, vals, 1.0, 3.0) == (0.0, 2.0)
         # a NaN query locates past the last NaN and reads its value
+        j = kernels._bisect(keys, math.nan)
+        assert all(map(math.isnan, kernels._cone(rows[j], 1.0, math.nan)))
         assert all(map(math.isnan, kernels.interval(keys, vals, 1.0,
                                                     math.nan)))
 
@@ -558,8 +605,8 @@ class TestBlockedHistories:
         raw = np.random.default_rng(12).uniform(-1, 1, 2001)
         raw[0] = 0.0
         system = NonparametricSystem(L=2.0, f=f)
-        ys, us, blow = kernels.nonparam_fixed(0.3, f.store[0], f.rows, 2.0,
-                                              raw, 1.0, 0.1, GUARD)
+        ys, us, blow = kernels.nonparam_fixed(0.3, *f.table, 2.0, raw, 1.0,
+                                              0.1, GUARD)
         assert blow == -1
         traj = _trajectory("nonparametric", ys, us, raw, system,
                            SwitchingControl())
@@ -575,9 +622,8 @@ class TestBlockedHistories:
         spec = SampledSpec(L=1.0, c=1.0, h=1.0)
         f = RealizedPiecewiseLinear(xs, vs, 1.0)
         system = SampledSystem(spec=spec, f=f)
-        out, us, blow = kernels.sampled_fixed(0.7, *f.store, f.mode_table,
-                                              1.0, 1.0, 1.0, 4.0, 600, GUARD,
-                                              1)
+        out, us, blow = kernels.sampled_fixed(0.7, *f.table, 1.0, 1.0, 1.0,
+                                              4.0, 600, GUARD, 1)
         assert blow == -1
         traj = _trajectory("sampled", out, us, np.zeros(601), system,
                            SampledCeControl())
@@ -673,8 +719,8 @@ class TestEpisodeKernelsAgree:
         raw = rng.uniform(-1, 1, 401)
         raw[0] = 0.0
         system = NonparametricSystem(L=2.0, f=f)
-        ys, us, blow = kernels.nonparam_fixed(0.3, f.store[0], f.rows, 2.0,
-                                              raw, 1.0, 0.1, GUARD)
+        ys, us, blow = kernels.nonparam_fixed(0.3, *f.table, 2.0, raw, 1.0,
+                                              0.1, GUARD)
         traj = _trajectory("nonparametric", ys, us, raw, system,
                            SwitchingControl())
         _assert_inputs_recomputable(traj)
@@ -690,8 +736,8 @@ class TestEpisodeKernelsAgree:
         raw = rng.integers(-64, 65, 401) / 64.0
         raw[0] = 0.0
         system = NonparametricSystem(L=1.0, f=f)
-        ys, us, blow = kernels.nonparam_fixed(0.0, f.store[0], f.rows, 1.0,
-                                              raw, 1.0, 0.1, GUARD)
+        ys, us, blow = kernels.nonparam_fixed(0.0, *f.table, 1.0, raw, 1.0,
+                                              0.1, GUARD)
         assert blow == -1
         ties = repeats = 0
         for t in range(1, 400):
@@ -733,12 +779,50 @@ class TestEpisodeKernelsAgree:
         spec = SampledSpec(L=1.0, c=1.0, h=0.5)
         f = RealizedPiecewiseLinear(xs, vs, 1.0)
         system = SampledSystem(spec=spec, f=f)
-        out, us, blow = kernels.sampled_fixed(0.7, *f.store, f.mode_table,
-                                              1.0, 1.0, 0.5, 4.0, 50, GUARD, 1)
+        out, us, blow = kernels.sampled_fixed(0.7, *f.table, 1.0, 1.0, 0.5,
+                                              4.0, 50, GUARD, 1)
         traj = _trajectory("sampled", out, us, np.zeros(51), system,
                            SampledCeControl())
         _assert_inputs_recomputable(traj)
         assert check_replay(traj)
+
+    def test_sampled_fixed_leaves_the_table_as_it_is(self):
+        # the sampled kernels share the duel's loop, which commits and
+        # closes intervals only where a row's envelope is None; a
+        # realization's table has one in every row, so a run over it, with
+        # the controller on or off, keeps its keys and every row object
+        rng = np.random.default_rng(23)
+        cases = []
+        for _ in range(10):
+            f = random_envelope_member(1.5, 1.0, rng)
+            cases.append((f.xs, f.vs, 1.5))
+        for _ in range(10):
+            # runs of slope exactly +-L, where the envelopes tie
+            L = float(rng.uniform(0.5, 2.0))
+            xs = np.sort(rng.uniform(-10.0, 10.0, 9))
+            vs = [float(rng.uniform(-1.0, 1.0))]
+            for a, b in zip(xs, xs[1:]):
+                vs.append(vs[-1] + (L, -L)[rng.integers(2)] * (b - a))
+            cases.append((xs, np.array(vs), L))
+        crossing = left = right = 0
+        for xs, vs, L in cases:
+            modes = rng.integers(0, 2, xs.shape[0] + 1)
+            f = RealizedPiecewiseLinear(xs, vs, L, modes=modes)
+            keys, rows = f.table
+            keys0, rows0 = list(keys), list(rows)
+            for use_controller in (0, 1):
+                out, us, blow = kernels.sampled_fixed(
+                    float(rng.uniform(-12.0, 12.0)), keys, rows, L, 1.0,
+                    float(rng.uniform(0.2, 2.0)), 4.0, 200, GUARD,
+                    use_controller)
+                assert keys == keys0 and rows == rows0
+                assert all(a is b for a, b in zip(rows, rows0))
+                located = set(np.searchsorted(xs, out).tolist())
+                crossing += len(located) > 1
+                left += 0 in located
+                right += xs.shape[0] in located
+        # most runs cross anchors, and some run on each tail
+        assert crossing >= 30 and left and right
 
     def test_sampled_control_tie_rule(self):
         # the certainty-equivalence input over a sorted history with
@@ -1176,10 +1260,8 @@ class TestZohFlowBits:
             for i in range(1, xs.shape[0]):
                 slope = (L, -L, rng.uniform(-L, L))[rng.integers(3)]
                 vs[i] = vs[i - 1] + slope * (xs[i] - xs[i - 1])
-            keys, vals = kernels.anchor_store(xs, vs)
-            modes = rng.integers(0, 2, len(keys) + 1).tolist()
-            table = kernels.mode_table(keys, modes)
-            rows = kernels.interval_rows(keys, vals, modes)
+            modes = rng.integers(0, 2, xs.shape[0] + 1).tolist()
+            keys, rows = kernels.anchor_table(xs, vs, modes)
             starts = [float(rng.choice(xs)), rng.uniform(-12.0, 12.0),
                       xs[0] - rng.uniform(0.0, 5.0),
                       xs[-1] + rng.uniform(0.0, 5.0)]
@@ -1187,7 +1269,7 @@ class TestZohFlowBits:
                 h = float(np.exp(rng.uniform(np.log(0.01), np.log(50.0))))
                 for u in (0.0, rng.uniform(-3.0, 3.0) * L,
                           -kernels.mcshane_eval(keys, rows, L, x)):
-                    yield keys, vals, table, L, x, u, h
+                    yield keys, rows, L, x, u, h
 
     def test_flows_keep_their_bits(self):
         rng = np.random.default_rng(17)
@@ -1233,8 +1315,7 @@ class TestNonparamBits:
             raw = rng.uniform(-1.0, 1.0, 5001)
             raw[0] = 0.0
             ys, us, blow = kernels.nonparam_fixed(
-                float(rng.normal()), f.store[0], f.rows, 2.0, raw, 1.0, 0.1,
-                GUARD)
+                float(rng.normal()), *f.table, 2.0, raw, 1.0, 0.1, GUARD)
             assert blow == -1 and us.shape == (5000,)
             assert len(_split_steps(ys[:-1].tolist())) >= 20
             h.update(ys.tobytes())
@@ -1260,10 +1341,12 @@ class TestRiccatiSolveBits:
     ``test_golden.py``): one to three modes, one to four states, with
     edge entries, zeroed input columns and capped iterations, so that
     overflowing and NaN iterates, the rising-step verdict, convergence
-    with gains and the pseudo-inverse's NaN error all occur."""
+    with gains, convergence on an input block that overflows
+    (indeterminate, no gains) and the pseudo-inverse's NaN error all
+    occur."""
 
-    DIGEST = ("9c2fc7230ea8a2ccfcec981a997399c2"
-              "7a344fbbeabe51aa7efb188b4beb4805")
+    DIGEST = ("40c6c4b25b4cf0d605e7d46bac221861"
+              "df6b71d64e13c44e7e5be268c7e8117c")
     EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200,
              1e-200, -1e-200, 5e-324, -3e-320]
 
@@ -1290,7 +1373,7 @@ class TestRiccatiSolveBits:
         rng = np.random.default_rng(29)
         h = hashlib.sha256()
         seen = {"solved": 0, "guard": 0, "nan": 0, "rising": 0,
-                "indeterminate": 0, "raised": 0}
+                "indeterminate": 0, "overflowed": 0, "raised": 0}
         for A, B, P, tol, max_iter in self.solves(rng, 1000):
             try:
                 Ms, status, iters, delta, Ks = kernels.riccati_solve(
@@ -1307,7 +1390,9 @@ class TestRiccatiSolveBits:
                 seen["solved"] += 1
                 assert Ks.shape == (A.shape[0], 1, A.shape[1])
             elif status == 2:
-                seen["indeterminate"] += 1
+                assert Ks is None
+                seen["indeterminate" if iters == max_iter
+                     else "overflowed"] += 1
             elif np.isnan(Ms).any():
                 seen["nan"] += 1
             elif np.abs(Ms).max() > DIVERGENCE_GUARD:
