@@ -144,10 +144,18 @@ class SampledSystem:
 
 @dataclass(frozen=True)
 class MjlsSystem:
-    """Starts at x0, in a mode drawn uniformly over 1..N."""
+    """Starts at x0, one finite entry per state, in a mode drawn uniformly
+    over 1..N."""
 
     spec: MjlsSpec
-    x0: tuple[float, ...] = ()
+    x0: tuple[float, ...]
+
+    def __post_init__(self):
+        x0 = np.asarray(self.x0, dtype=float)
+        if x0.shape != (self.spec.n_states,) or not np.isfinite(x0).all():
+            raise ConfigurationError(
+                f"x0 must hold {self.spec.n_states} finite entries, "
+                f"got {self.x0}")
 
 
 SystemSpec = (ParametricSystem | NonparametricSystem | SampledSystem
@@ -476,11 +484,9 @@ def _run_mjls(system: MjlsSystem, controller, T: int, seed: int):
     else:
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a jump-linear system")
-    x0 = np.asarray(system.x0, dtype=float)
-    if x0.shape != (spec.n_states,):
-        raise ConfigurationError("x0 dimension mismatch")
     X, U, modes, est, blow = kernels.mjls_episode(
-        spec.A, spec.B, Kg, spec.chain.P, x0, mode0 - 1, munif, W, GUARD)
+        spec.A, spec.B, Kg, spec.chain.P, np.asarray(system.x0, dtype=float),
+        mode0 - 1, munif, W, GUARD)
     noises = np.zeros((T + 1, spec.n_states))
     noises[1:] = W
     return _episode("mjls", system, controller, seed, T, X, U, noises, blow,

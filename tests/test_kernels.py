@@ -6,12 +6,16 @@ linear-scan controllers (``recompute_input``) for the sorted-history
 nearest-neighbour choice, the model step operations (replay) for the
 states, the reference adversary for the duel's committed values,
 ``riccati_rhs`` for the fixed-point iterates and the matrix-product
-gains for the solver's gains, and the matrix-product route it replaced
-for the jump-linear episode.
-"""
+gains for the solver's gains, and for the jump-linear episode the
+matrix-product route and the loop its generated code replaced
+(``reference_mjls_episode``)."""
 
 import hashlib
+import inspect
 import math
+import traceback
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -1234,6 +1238,205 @@ class TestMjlsScalarKernel:
         traj, _ = run_episode(MjlsSystem(spec=spec, x0=(1e10, 1e10)),
                               T=20, seed=0)
         assert traj.blow_step == 1 and check_replay(traj)
+
+
+# ---------------------------------------------------------------------------
+# the jump-linear kernel against the loop it was generated from
+
+
+def _reference_dots(rows, v):
+    # each row's dot with v: from 0.0, v's entries (the left factors) times
+    # the row's, summed left to right
+    out = []
+    for row in rows:
+        s = 0.0
+        for a, b in zip(v, row):
+            s += a * b
+        out.append(s)
+    return out
+
+
+def reference_mjls_episode(A, B, Kg, P, x0, mode0, munif, W, guard):
+    """``mjls_episode`` as one loop for every shape: the dots and the
+    residuals as loops over lists, in the order and with the operations
+    the kernel's generated straight-line code takes, so the returns are
+    the same bits."""
+    T = W.shape[0]
+    n = A.shape[1]
+    m = B.shape[2]
+    rows = [[a + b for a, b in zip(Ai, Bi)]
+            for Ai, Bi in zip(A.tolist(), B.tolist())]
+    Kl = Kg.tolist()
+    Wl = W.tolist()
+    ul = munif.tolist()
+    succ = [row.index(max(row)) for row in P.tolist()]
+    cum = [list(accumulate(row[:-1])) + [math.inf] for row in P.tolist()]
+    x = x0.tolist()
+    th = mode0
+    xs = list(x)
+    us = []
+    modes = [th]
+    est = [-1]
+    blow = -1
+    for t in range(T):
+        ihat = 0
+        if t >= 1:
+            best = math.inf
+            bi = 0
+            for i, pred in enumerate(preds):
+                s = 0.0
+                for xk, pk in zip(x, pred):
+                    d = xk - pk
+                    s += d * d
+                if s < best:
+                    best = s
+                    bi = i
+            est.append(bi)
+            ihat = succ[bi]
+        u = [-v for v in _reference_dots(Kl[ihat], x)]
+        preds = [_reference_dots(mode, x + u) for mode in rows]
+        x = [p + wk for p, wk in zip(preds[th], Wl[t])]
+        xs.extend(x)
+        us.extend(u)
+        th = bisect_right(cum[th], ul[t])
+        modes.append(th)
+        if not all(abs(v) <= guard for v in x):
+            blow = t + 1
+            break
+    est.append(-1)
+    return (np.array(xs).reshape(-1, n), np.array(us).reshape(-1, m),
+            np.array(modes, dtype=np.int64), np.array(est), blow)
+
+
+def random_mjls_args(rng):
+    """A random episode: N 1-4 modes, n 1-4 states, m 1-3 inputs, random
+    or zero gains, starts whose entries may be +-0.0, noise that may be
+    all zero, and now and then a row of +-1e300 entries (the state turns
+    infinite or NaN) or a small guard."""
+    N = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 4))
+    A = rng.normal(0.0, 1.2 / np.sqrt(n), (N, n, n))
+    B = rng.normal(0.0, 1.0, (N, n, m))
+    Kg = (rng.normal(0.0, 0.5, (N, m, n)) if rng.random() < 0.7
+          else np.zeros((N, m, n)))
+    P = rng.dirichlet(np.ones(N), N)
+    x0 = np.array([(0.0, -0.0, rng.normal())[rng.integers(3)]
+                   for _ in range(n)])
+    if rng.random() < 0.1:
+        # a row of +-1e300 in every mode: from a start of 1e10 its
+        # products overflow, to inf at n = 1 and to inf - inf beyond
+        A[:, rng.integers(n)] = 1e300 * (-1.0) ** np.arange(n)
+        x0 = np.full(n, 1e10)
+    T = int(rng.integers(1, 80))
+    W = rng.normal(0.0, 1.0, (T, n)) * (rng.random() < 0.8)
+    guard = (GUARD, 1e3)[rng.random() < 0.2]
+    return A, B, Kg, P, x0, int(rng.integers(N)), rng.random(T), W, guard
+
+
+def _same_episode_bits(got, want):
+    for a, b in zip(got[:4], want[:4]):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+        assert a.tobytes() == b.tobytes()
+    assert got[4] == want[4]
+
+
+class TestMjlsBits:
+    """The jump-linear kernel's bits, pinned by sha256 over all five
+    returns: the benchmark's spec with its Riccati gains, random shapes
+    from N = n = m = 1 to 4 x 4 x 3 with +-0.0 starts and zero gains,
+    zero-gain blow-ups and the 1e300 spec whose state turns NaN."""
+
+    DIGEST = ("b10a60f4d32b47653adaa92aeea6c9cf"
+              "a8f5164b57a42ee488dd589e690c5df1")
+
+    @staticmethod
+    def episodes():
+        spec = mjls_specs()["n3_m3"]
+        Kg = solve_coupled_riccati(spec).solution.Ks
+        for seed in range(4):
+            yield _mjls_args(spec, Kg, (0.5, -0.2, 0.1), seed, 400)
+        for x0 in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)):
+            yield _mjls_args(spec, Kg, x0, 5, 50)
+        one = MjlsSpec(chain=MarkovChain(np.array([[1.0]])),
+                       A=np.array([[[0.5]]]), B=np.ones((1, 1, 1)),
+                       noise=MartingaleDiffVector(1.0, 1.0, 1))
+        for x0 in (0.0, -0.0):
+            yield _mjls_args(one, np.array([[[0.3]]]), (x0,), 0, 30)
+        expanding = MjlsSpec(chain=MarkovChain(np.array([[0.5, 0.5],
+                                                         [0.5, 0.5]])),
+                             A=np.array([[[3.0, 0.1], [0.0, 2.5]],
+                                         [[0.0, -3.0], [3.0, 0.0]]]),
+                             B=np.ones((2, 2, 1)),
+                             noise=MartingaleDiffVector(1.0, 2.0, 2))
+        for seed in range(2):
+            yield _mjls_args(expanding, np.zeros((2, 1, 2)), (1.0, 1.0),
+                             seed, 1000)
+        huge = MjlsSpec(chain=MarkovChain(np.array([[1.0]])),
+                        A=np.array([[[1e300, -1e300], [0.0, 1.0]]]),
+                        B=np.ones((1, 2, 1)),
+                        noise=MartingaleDiffVector(1.0, 2.0, 2))
+        yield _mjls_args(huge, np.zeros((1, 1, 2)), (1e10, 1e10), 0, 20)
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            yield random_mjls_args(rng)
+
+    def test_episodes_keep_their_bits(self):
+        h = hashlib.sha256()
+        shapes = set()
+        blows = 0
+        for args in self.episodes():
+            out = kernels.mjls_episode(*args)
+            for a in out[:4]:
+                h.update(a.tobytes())
+            h.update(np.int64(out[4]).tobytes())
+            shapes.add(args[1].shape)
+            blows += out[4] >= 0
+        assert (1, 1, 1) in shapes and len(shapes) > 30 and blows > 5
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestMjlsReference:
+    def test_random_specs_match_reference_bits(self):
+        rng = np.random.default_rng(43)
+        seen = {"blow": 0, "nan": 0, "neg_zero": 0}
+        for _ in range(300):
+            args = random_mjls_args(rng)
+            got = kernels.mjls_episode(*args)
+            _same_episode_bits(got, reference_mjls_episode(*args))
+            seen["blow"] += got[4] >= 0
+            seen["nan"] += bool(np.isnan(got[0]).any())
+            seen["neg_zero"] += bool(np.signbit(got[1][got[1] == 0]).any())
+        assert all(seen.values()), seen
+
+    def test_generated_loop_shows_its_source(self):
+        # the loop compiles under a name that gives its shape, and its
+        # lines are registered where tracebacks and inspect read them
+        loop = kernels._mjls_loop(3, 3, 3)
+        assert loop is kernels._mjls_loop(3, 3, 3)
+        assert loop.__code__.co_filename == "<mjls_episode N=3 n=3 m=3>"
+        assert "N=3 n=3 m=3" in inspect.getsource(loop)
+        with pytest.raises(ValueError) as err:
+            loop([0.0], [], [], [], [], [], [], 0, GUARD)
+        frame = traceback.extract_tb(err.tb)[-1]
+        assert frame.filename == "<mjls_episode N=3 n=3 m=3>"
+        assert frame.line.startswith("(a0_0_0, a0_0_1,")
+
+    @pytest.mark.parametrize("m", [240, 3000])
+    def test_long_dots_match_reference_bits(self, m):
+        # one state and m inputs: each prediction is one dot of m + 1
+        # terms, past the parser's nesting limit for a parenthesized
+        # expression (200) and the compiler's recursion limit for a chained
+        # one
+        rng = np.random.default_rng(m)
+        args = (rng.normal(0.0, 0.5, (1, 1, 1)),
+                rng.normal(0.0, 1.0 / m, (1, 1, m)),
+                rng.normal(0.0, 0.5, (1, m, 1)), np.ones((1, 1)),
+                np.array([0.7]), 0, rng.random(20),
+                rng.normal(0.0, 1.0, (20, 1)), GUARD)
+        _same_episode_bits(kernels.mjls_episode(*args),
+                           reference_mjls_episode(*args))
 
 
 class TestZohFlowBits:

@@ -227,6 +227,18 @@ class TestConfigurationErrors:
         with pytest.raises(ConfigurationError):
             run_episode(sysn, SwitchingControl(), GreedyAdversary(), 10, 0)
 
+    def test_mjls_start_is_required(self):
+        with pytest.raises(TypeError, match="x0"):
+            MjlsSystem(spec=mjls_expanding().spec)
+
+    @pytest.mark.parametrize("x0", [(), (1.0, 2.0), (math.nan,),
+                                    (-math.inf,)],
+                             ids=["empty", "wrong_length", "nan", "inf"])
+    def test_mjls_start_must_fit_the_spec(self, x0):
+        # a start no episode can run is rejected where it is built
+        with pytest.raises(ConfigurationError, match="x0"):
+            MjlsSystem(spec=mjls_expanding().spec, x0=x0)
+
     def test_missing_f_rejected(self):
         with pytest.raises(ConfigurationError):
             run_episode(NonparametricSystem(L=1.0), SwitchingControl(),
