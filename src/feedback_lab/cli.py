@@ -59,12 +59,14 @@ class EmitOptions:
 @dataclass(frozen=True)
 class Option:
     """One experiment option.  ``key`` is the config-file key and, with
-    ``_`` spelled ``-``, the flag; file values and flags alike are
-    coerced to ``type`` and, where ``choices`` is set, checked against
-    it."""
+    ``_`` spelled ``-``, the flag; ``default`` is its value where neither
+    the file nor a flag sets it (None: the key stays out of the config).
+    Defaults, file values and flags alike are coerced to ``type`` and,
+    where ``choices`` is set, checked against it."""
 
     key: str
     type: type
+    default: object = None
     help: str | None = None
     choices: tuple[str, ...] | None = None
 
@@ -96,40 +98,38 @@ def _read_mapping(path: str, kind: str) -> dict:
 
 
 def load_config(path: str | None, experiment: str, overrides: dict) -> dict:
-    """Merge file config and flag overrides; unknown keys are rejected."""
-    options = SUBCOMMANDS[experiment].options
-    schema = {opt.key: opt.type for opt in options}
-    schema["seed"] = int
-    merged: dict = {}
+    """The complete config of a run: the option rows' defaults, then the
+    file, then the flags (a None flag sets nothing).  Unknown keys are
+    rejected."""
+    options = SUBCOMMANDS[experiment].options + (Option("seed", int),)
+    schema = {opt.key: opt for opt in options}
+    merged = {opt.key: opt.default for opt in options
+              if opt.default is not None}
+    layers = []
     if path is not None:
         raw = _read_mapping(path, "config")
         exp = raw.pop("experiment", experiment)
         if exp != experiment:
             raise CliError(
                 f"config file is for experiment {exp!r}, not {experiment!r}")
-        for key, value in raw.items():
+        layers.append(raw)
+    layers.append({k: v for k, v in overrides.items() if v is not None})
+    for layer in layers:
+        for key, value in layer.items():
             if key not in schema:
                 raise CliError(f"unknown config key {key!r} for {experiment}")
             merged[key] = value
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in schema:
-            raise CliError(f"unknown config key {key!r} for {experiment}")
-        merged[key] = value
     for key, value in merged.items():
-        want = schema[key]
+        opt = schema[key]
         try:
-            if want is int and isinstance(value, (bool, float)):
+            if opt.type is int and isinstance(value, (bool, float)):
                 # int() would truncate 2.9, overflow at inf and read true
                 raise TypeError
-            merged[key] = want(value)
+            merged[key] = opt.type(value)
         except (TypeError, ValueError):
-            raise CliError(f"config key {key!r} must be {want.__name__}")
-    for opt in options:
-        if opt.choices and opt.key in merged and (
-                merged[opt.key] not in opt.choices):
-            raise CliError(f"{opt.key} must be "
+            raise CliError(f"config key {key!r} must be {opt.type.__name__}")
+        if opt.choices and merged[key] not in opt.choices:
+            raise CliError(f"{key} must be "
                            + " or ".join(repr(c) for c in opt.choices))
     return merged
 
@@ -262,22 +262,17 @@ def _print_table(table: dict, limit=25) -> None:
 
 
 def run_parametric_sweep(cfg: dict, seed: int) -> list[dict]:
-    bs = parse_value_list(cfg.get("b", "1.5:6.0:0.5"))
-    T = cfg.get("T", 5000)
-    seeds = cfg.get("seeds", 100)
-    unstable_T = cfg.get("unstable_T", 200)
-    unstable_seeds = cfg.get("unstable_seeds", seeds)
-    M = cfg.get("M", 1.0)
-    theta_mean = cfg.get("theta_mean", 1.0)
-    noise_var = cfg.get("noise_var", 1.0)
+    bs = parse_value_list(cfg["b"])
+    seeds = cfg["seeds"]
     rows = []
     for b in bs:
         verdict = analysis.parametric_regime(b)
-        horizon = T if verdict.stabilizable else unstable_T
-        n = seeds if verdict.stabilizable else unstable_seeds
-        system = sim.ParametricSystem(f=PowerGrowthFn(M=M, b=b),
-                                      noise=GaussianIID(noise_var),
-                                      theta_mean=theta_mean)
+        horizon = cfg["T"] if verdict.stabilizable else cfg["unstable_T"]
+        n = (seeds if verdict.stabilizable
+             else cfg.get("unstable_seeds", seeds))
+        system = sim.ParametricSystem(f=PowerGrowthFn(M=cfg["M"], b=b),
+                                      noise=GaussianIID(cfg["noise_var"]),
+                                      theta_mean=cfg["theta_mean"])
         mc = sim.McConfig(system=system, controller=sim.MvRlsControl(),
                           T=horizon, master_seed=seed,
                           checkpoints=sim.default_checkpoints(horizon))
@@ -297,7 +292,7 @@ def run_parametric_sweep(cfg: dict, seed: int) -> list[dict]:
 
 
 def run_poly_check(cfg: dict, seed: int) -> list[dict]:
-    exps = parse_value_list(cfg.get("exponents", "5"))
+    exps = parse_value_list(cfg["exponents"])
     poly = analysis.characteristic_poly(exps)
     verdict = analysis.poly_impossible(poly, exps[0])
     if verdict.regime is analysis.Regime.IMPOSSIBLE:
@@ -314,8 +309,7 @@ def run_poly_check(cfg: dict, seed: int) -> list[dict]:
 
 
 def run_highorder_check(cfg: dict, seed: int) -> list[dict]:
-    L = cfg.get("L", 1.0)
-    p = cfg.get("p", 1)
+    L, p = cfg["L"], cfg["p"]
     verdict = analysis.highorder_impossible(L, p)
     label = ("impossible" if verdict.regime is analysis.Regime.IMPOSSIBLE
              else "not-triggered")
@@ -353,11 +347,8 @@ def _trajectory_table(name: str, label: float, traj) -> dict:
 
 
 def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
-    Ls = parse_value_list(cfg.get("L", "6"))
-    T = cfg.get("T", 500)
-    seeds = cfg.get("seeds", 100)
-    w_bar = cfg.get("w_bar", 1.0)
-    mode = cfg.get("mode", "adversary")
+    Ls = parse_value_list(cfg["L"])
+    T, seeds, w_bar, mode = cfg["T"], cfg["seeds"], cfg["w_bar"], cfg["mode"]
     # None means 1e6 * w_bar, so the verdict reads the same at every noise
     # scale; an explicit --escape is absolute
     escape = cfg.get("escape")
@@ -374,7 +365,7 @@ def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
         else:
             system = sim.NonparametricSystem(
                 L=L, w_bar=w_bar, y0_std=1.0,
-                member=sim.RandomMember(n_anchors=cfg.get("n_anchors", 16)))
+                member=sim.RandomMember(n_anchors=cfg["n_anchors"]))
             adversary = None
         controller = sim.SwitchingControl(eps=cfg.get("eps"))
         mc = sim.McConfig(system=system, controller=controller,
@@ -401,16 +392,13 @@ def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
 
 
 def run_sampled_sweep(cfg: dict, seed: int) -> list[dict]:
-    Ls = parse_value_list(cfg.get("L", "0.5,1.0,2.0"))
-    h = cfg.get("h", 1.0)
-    c = cfg.get("c", 1.0)
-    samples = cfg.get("samples", 1000)
-    seeds = cfg.get("seeds", 50)
-    mode = cfg.get("mode", "random")
+    Ls = parse_value_list(cfg["L"])
+    h, samples = cfg["h"], cfg["samples"]
+    seeds, mode = cfg["seeds"], cfg["mode"]
     rows = []
     extras = []
     for L in Ls:
-        spec = SampledSpec(L=L, c=c, h=h)
+        spec = SampledSpec(L=L, c=cfg["c"], h=h)
         verdict = analysis.sampled_regime(L, h)
         if mode == "adversary":
             system = sim.SampledSystem(spec=spec)
@@ -475,13 +463,16 @@ def load_mjls_spec(path: str) -> MjlsSpec:
         raise CliError(f"invalid jump-linear spec: {exc}")
 
 
+def _mjls_spec(cfg: dict, command: str) -> MjlsSpec:
+    if not cfg.get("spec"):
+        raise CliError(f"{command} needs --spec FILE")
+    return load_mjls_spec(cfg["spec"])
+
+
 def run_mjls_solve(cfg: dict, seed: int) -> list[dict]:
-    path = cfg.get("spec")
-    if not path:
-        raise CliError("mjls-solve needs --spec FILE")
-    spec = load_mjls_spec(path)
-    result = riccati.solve_coupled_riccati(
-        spec, tol=cfg.get("tol", 1e-10), max_iter=cfg.get("max_iter", 10000))
+    spec = _mjls_spec(cfg, "mjls-solve")
+    result = riccati.solve_coupled_riccati(spec, tol=cfg["tol"],
+                                           max_iter=cfg["max_iter"])
     print(f"verdict: {result.status.value} after {result.iterations} iterations")
     rows = []
     if result.solution is not None:
@@ -499,23 +490,18 @@ def run_mjls_solve(cfg: dict, seed: int) -> list[dict]:
 
 
 def run_mjls_run(cfg: dict, seed: int) -> list[dict]:
-    path = cfg.get("spec")
-    if not path:
-        raise CliError("mjls-run needs --spec FILE")
-    spec = load_mjls_spec(path)
+    spec = _mjls_spec(cfg, "mjls-run")
     result = riccati.solve_coupled_riccati(spec)
     indeterminate = result.status is riccati.SolveStatus.INDETERMINATE
-    T = cfg.get("T", 2000)
-    seeds = cfg.get("seeds", 50)
     if result.solution is None:
         print(f"no gain schedule: solver verdict {result.status.value}")
         controller = sim.ZeroControl()
     else:
         controller = sim.MjlsGainControl(result.solution)
     system = sim.MjlsSystem(spec=spec, x0=tuple([0.0] * spec.n_states))
-    mc = sim.McConfig(system=system, controller=controller, T=T,
+    mc = sim.McConfig(system=system, controller=controller, T=cfg["T"],
                       master_seed=seed, collect_curve=True)
-    report = sim.monte_carlo(mc, seeds)
+    report = sim.monte_carlo(mc, cfg["seeds"])
     rows = []
     if report.mean_sq_curve is not None:
         for t, v in enumerate(report.mean_sq_curve):
@@ -543,65 +529,68 @@ SUBCOMMANDS = {
         "blowup fraction and regret growth of the adaptive minimum-variance "
         "loop across growth exponents; the stabilizable/impossible switch "
         "sits at b=4",
-        (Option("b", str, "exponents, 'lo:hi:step' or comma list"),
-         Option("seeds", int),
-         Option("T", int),
-         Option("unstable_T", int, "horizon used on the impossible side"),
-         Option("unstable_seeds", int),
-         Option("M", float),
-         Option("theta_mean", float),
-         Option("noise_var", float))),
+        (Option("b", str, "1.5:6.0:0.5",
+                "exponents, 'lo:hi:step' or comma list"),
+         Option("seeds", int, 100),
+         Option("T", int, 5000),
+         Option("unstable_T", int, 200, "horizon used on the impossible side"),
+         Option("unstable_seeds", int),  # None: seeds
+         Option("M", float, 1.0),
+         Option("theta_mean", float, sim.ParametricSystem.theta_mean),
+         Option("noise_var", float, GaussianIID.variance))),
     "poly-check": Subcommand(
         run_poly_check,
         "negativity test of the characteristic polynomial attached to "
         "decreasing regression exponents; a negative value inside (1, b_1) "
         "certifies impossibility",
-        (Option("exponents", str, "comma list, decreasing"),)),
+        (Option("exponents", str, "5", "comma list, decreasing"),)),
     "highorder-check": Subcommand(
         run_highorder_check,
         "closed-form impossibility inequality for higher-order Lipschitz "
         "uncertainty; at p=1 the threshold is 3/2+sqrt(2)",
-        (Option("L", float),
-         Option("p", int))),
+        (Option("L", float, 1.0),
+         Option("p", int, 1))),
     "nonparam-duel": Subcommand(
         run_nonparam_duel,
         "switching nearest-neighbor controller against random Lipschitz "
         "members or the greedy anchor-committing opponent",
-        (Option("L", str, "slope budgets, range or comma list"),
-         Option("seeds", int),
-         Option("T", int),
-         Option("w_bar", float),
-         Option("eps", float),
-         Option("mode", str, choices=_MODES),
-         Option("escape", float, "sup |y| threshold; default 1e6 * w_bar"),
-         Option("n_anchors", int))),
+        (Option("L", str, "6", "slope budgets, range or comma list"),
+         Option("seeds", int, 100),
+         Option("T", int, 500),
+         Option("w_bar", float, sim.NonparametricSystem.w_bar),
+         Option("eps", float),  # None: sim.SwitchingControl's 0.1 * w_bar
+         Option("mode", str, "adversary", choices=_MODES),
+         Option("escape", float,
+                help="sup |y| threshold; default 1e6 * w_bar"),
+         Option("n_anchors", int, sim.RandomMember.n_anchors))),
     "sampled-sweep": Subcommand(
         run_sampled_sweep,
         "sampled-data loop across slope budgets: certainty-equivalence "
         "control against random members, or the escape audit against the "
         "greedy opponent",
-        (Option("L", str, "slope bounds, range or comma list"),
-         Option("h", float),
-         Option("c", float),
-         Option("samples", int),
-         Option("substeps", int, "accepted and unread: the flow is exact"),
-         Option("seeds", int),
-         Option("mode", str, choices=_MODES))),
+        (Option("L", str, "0.5,1.0,2.0", "slope bounds, range or comma list"),
+         Option("h", float, 1.0),
+         Option("c", float, 1.0),
+         Option("samples", int, 1000),
+         Option("substeps", int,
+                help="accepted and unread: the flow is exact"),
+         Option("seeds", int, 50),
+         Option("mode", str, "random", choices=_MODES))),
     "mjls-solve": Subcommand(
         run_mjls_solve,
         "solve the coupled fixed-point equations whose positive-definite "
         "solvability decides jump-linear stabilizability; prints M_i, K_i, "
         "residual and verdict",
-        (Option("spec", str, "YAML file with P, A, B"),
-         Option("tol", float),
-         Option("max_iter", int))),
+        (Option("spec", str, help="YAML file with P, A, B"),
+         Option("tol", float, riccati.DEFAULT_TOL),
+         Option("max_iter", int, riccati.DEFAULT_MAX_ITER))),
     "mjls-run": Subcommand(
         run_mjls_run,
         "Monte Carlo of the jump-linear loop under the solved gain schedule; "
         "emits the mean-square state curve",
-        (Option("spec", str, "YAML file with P, A, B"),
-         Option("T", int),
-         Option("seeds", int))),
+        (Option("spec", str, help="YAML file with P, A, B"),
+         Option("T", int, 2000),
+         Option("seeds", int, 50))),
 }
 
 

@@ -187,6 +187,11 @@ class SwitchingControl:
         if self.eps is not None and not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and positive: {self.eps}")
 
+    def threshold(self, w_bar: float) -> float:
+        """The switching threshold at noise bound ``w_bar``: the kernels
+        and ``recompute_input`` both read it here."""
+        return 0.1 * w_bar if self.eps is None else self.eps
+
 
 @dataclass(frozen=True)
 class SampledCeControl:
@@ -400,7 +405,7 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
     if not isinstance(controller, SwitchingControl):
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a nonparametric system")
-    eps = 0.1 * system.w_bar if controller.eps is None else controller.eps
+    eps = controller.threshold(system.w_bar)
 
     if adversary is not None:
         if not isinstance(adversary, GreedyAdversary):
@@ -711,11 +716,11 @@ def recompute_input(traj: Trajectory, t: int):
         return ctl.adaptive_mv_control(
             state, models.eval_power(system.f, traj.states[t]))
     if traj.kind == "nonparametric":
-        eps = (0.1 * system.w_bar if controller.eps is None else controller.eps)
         hist = ctl.NnHistory()
         for i in range(t):
             hist.append(traj.states[i], traj.inputs[i], traj.states[i + 1])
-        return ctl.switching_control(hist, traj.states[t], eps)
+        return ctl.switching_control(hist, traj.states[t],
+                                     controller.threshold(system.w_bar))
     if traj.kind == "sampled":
         samples = [(traj.states[i], traj.inputs[i], traj.states[i + 1])
                    for i in range(t)]

@@ -35,6 +35,26 @@ def mjls_spec_file(tmp_path):
     return str(path)
 
 
+# each subcommand's defaults as its run reads them; a key without a
+# default stays out of the config
+DEFAULTS = {
+    "parametric-sweep": {"b": "1.5:6.0:0.5", "seeds": 100, "T": 5000,
+                         "unstable_T": 200, "M": 1.0, "theta_mean": 1.0,
+                         "noise_var": 1.0},
+    "poly-check": {"exponents": "5"},
+    "highorder-check": {"L": 1.0, "p": 1},
+    "nonparam-duel": {"L": "6", "seeds": 100, "T": 500, "w_bar": 1.0,
+                      "mode": "adversary", "n_anchors": 16},
+    "sampled-sweep": {"L": "0.5,1.0,2.0", "h": 1.0, "c": 1.0,
+                      "samples": 1000, "seeds": 50, "mode": "random"},
+    "mjls-solve": {"tol": 1e-10, "max_iter": 10000},
+    "mjls-run": {"T": 2000, "seeds": 50},
+}
+# a value for each key that has no default
+UNSET_VALUES = {"unstable_seeds": 7, "eps": 0.2, "escape": 1e3,
+                "substeps": 4, "spec": "spec.yaml", "seed": 5}
+
+
 class TestValueParsing:
     def test_range_inclusive(self):
         assert cli.parse_value_list("1.5:3.0:0.5") == [1.5, 2.0, 2.5, 3.0]
@@ -71,16 +91,53 @@ class TestConfigHandling:
         assert cfg["T"] == 250
         assert cfg["seeds"] == 5
 
-    def test_round_trip_idempotent(self, tmp_path):
-        cfg = cli.load_config(None, "nonparam-duel",
-                              {"T": 10, "L": "6", "seeds": 3})
-        text = cli.serialize_config("nonparam-duel", cfg)
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_defaults_are_complete(self, command):
+        # every default a run reads, with its type, comes from the table
+        cfg = cli.load_config(None, command, {})
+        assert cfg == DEFAULTS[command]
+        assert {k: type(v) for k, v in cfg.items()} == (
+            {k: type(v) for k, v in DEFAULTS[command].items()})
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_round_trip_idempotent(self, command, tmp_path):
+        # the complete config, with a value for every key that has no
+        # default as well
+        keys = {opt.key for opt in cli.SUBCOMMANDS[command].options}
+        cfg = cli.load_config(None, command, {
+            k: v for k, v in UNSET_VALUES.items() if k in keys | {"seed"}})
+        text = cli.serialize_config(command, cfg)
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
-        cfg2 = cli.load_config(str(path), "nonparam-duel", {})
+        cfg2 = cli.load_config(str(path), command, {})
         assert cfg2 == cfg
-        text2 = cli.serialize_config("nonparam-duel", cfg2)
+        text2 = cli.serialize_config(command, cfg2)
         assert text2 == text
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("nonparam-duel", {"mode": "random", "L": "1,6", "seeds": 3,
+                           "T": 60}),
+        ("mjls-run", {"T": 40, "seeds": 3}),
+    ])
+    def test_serialized_config_reproduces_run(self, command, overrides,
+                                              mjls_spec_file, tmp_path,
+                                              monkeypatch):
+        # the written config of a run is all it takes to run it again
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        if command == "mjls-run":
+            overrides = {**overrides, "spec": mjls_spec_file}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(cli.serialize_config(command, cli.load_config(
+            None, command, {**overrides, "seed": 4})))
+        flags = [a for k, v in overrides.items()
+                 for a in ("--" + k.replace("_", "-"), str(v))]
+        outputs = []
+        for argv in (["--seed", "4", command] + flags,
+                     ["--config", str(path), command]):
+            out = tmp_path / f"out{len(outputs)}"
+            assert run_cli(["--out", str(out), "--no-timestamp"] + argv) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_wrong_experiment_tag(self, tmp_path):
         path = tmp_path / "cfg.yaml"
