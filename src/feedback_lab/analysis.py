@@ -90,8 +90,8 @@ def characteristic_poly(exponents) -> CharPoly:
     bs = [float(b) for b in exponents]
     if len(bs) < 1:
         raise ValueError("at least one exponent is required")
-    if any(b <= 0 for b in bs):
-        raise ValueError("exponents must be positive")
+    if not all(0 < b < math.inf for b in bs):
+        raise ValueError("exponents must be positive and finite")
     if any(bs[i] <= bs[i + 1] for i in range(len(bs) - 1)):
         raise ValueError("exponents must be strictly decreasing")
     coeffs = [1.0, -bs[0]]

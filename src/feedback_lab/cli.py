@@ -73,10 +73,10 @@ class Option:
 
 @dataclass(frozen=True)
 class Subcommand:
-    """``run(cfg, seed)`` prints the subcommand's summary and returns the
-    tables to emit."""
+    """``run(cfg)`` prints the subcommand's summary and returns the tables
+    to emit; ``cfg["seed"]`` is the master seed."""
 
-    run: Callable[[dict, int], list[dict]]
+    run: Callable[[dict], list[dict]]
     help: str
     options: tuple[Option, ...]
 
@@ -101,7 +101,7 @@ def load_config(path: str | None, experiment: str, overrides: dict) -> dict:
     """The complete config of a run: the option rows' defaults, then the
     file, then the flags (a None flag sets nothing).  Unknown keys are
     rejected."""
-    options = SUBCOMMANDS[experiment].options + (Option("seed", int),)
+    options = SUBCOMMANDS[experiment].options + (Option("seed", int, 0),)
     schema = {opt.key: opt for opt in options}
     merged = {opt.key: opt.default for opt in options
               if opt.default is not None}
@@ -170,17 +170,16 @@ def parse_value_list(spec: str) -> list[float]:
     return vals
 
 
-def resolve_seed(flag_seed: int | None, cfg: dict) -> int:
-    """Precedence: flag, then FEEDBACK_LAB_SEED, then config, then 0."""
-    if flag_seed is not None:
-        return flag_seed
+def _seed_override(flag_seed: int | None) -> int | None:
+    """The seed that overrides the config: the flag, else FEEDBACK_LAB_SEED
+    (None where neither is set)."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return int(cfg.get("seed", 0))
+    if flag_seed is not None or env is None:
+        return flag_seed
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def _print_table(table: dict, limit=25) -> None:
 # experiments
 
 
-def run_parametric_sweep(cfg: dict, seed: int) -> list[dict]:
+def run_parametric_sweep(cfg: dict) -> list[dict]:
     bs = parse_value_list(cfg["b"])
     seeds = cfg["seeds"]
     rows = []
@@ -274,7 +273,7 @@ def run_parametric_sweep(cfg: dict, seed: int) -> list[dict]:
                                       noise=GaussianIID(cfg["noise_var"]),
                                       theta_mean=cfg["theta_mean"])
         mc = sim.McConfig(system=system, controller=sim.MvRlsControl(),
-                          T=horizon, master_seed=seed,
+                          T=horizon, master_seed=cfg["seed"],
                           checkpoints=sim.default_checkpoints(horizon))
         report = sim.monte_carlo(mc, n)
         try:
@@ -291,7 +290,7 @@ def run_parametric_sweep(cfg: dict, seed: int) -> list[dict]:
     return [table]
 
 
-def run_poly_check(cfg: dict, seed: int) -> list[dict]:
+def run_poly_check(cfg: dict) -> list[dict]:
     exps = parse_value_list(cfg["exponents"])
     poly = analysis.characteristic_poly(exps)
     verdict = analysis.poly_impossible(poly, exps[0])
@@ -308,7 +307,7 @@ def run_poly_check(cfg: dict, seed: int) -> list[dict]:
              "rows": rows}]
 
 
-def run_highorder_check(cfg: dict, seed: int) -> list[dict]:
+def run_highorder_check(cfg: dict) -> list[dict]:
     L, p = cfg["L"], cfg["p"]
     verdict = analysis.highorder_impossible(L, p)
     label = ("impossible" if verdict.regime is analysis.Regime.IMPOSSIBLE
@@ -346,9 +345,10 @@ def _trajectory_table(name: str, label: float, traj) -> dict:
             "rows": rows, "downsample": True}
 
 
-def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
+def run_nonparam_duel(cfg: dict) -> list[dict]:
     Ls = parse_value_list(cfg["L"])
     T, seeds, w_bar, mode = cfg["T"], cfg["seeds"], cfg["w_bar"], cfg["mode"]
+    seed = cfg["seed"]
     # None means 1e6 * w_bar, so the verdict reads the same at every noise
     # scale; an explicit --escape is absolute
     escape = cfg.get("escape")
@@ -391,10 +391,10 @@ def run_nonparam_duel(cfg: dict, seed: int) -> list[dict]:
     return [table] + extras
 
 
-def run_sampled_sweep(cfg: dict, seed: int) -> list[dict]:
+def run_sampled_sweep(cfg: dict) -> list[dict]:
     Ls = parse_value_list(cfg["L"])
     h, samples = cfg["h"], cfg["samples"]
-    seeds, mode = cfg["seeds"], cfg["mode"]
+    seeds, mode, seed = cfg["seeds"], cfg["mode"], cfg["seed"]
     rows = []
     extras = []
     for L in Ls:
@@ -469,7 +469,7 @@ def _mjls_spec(cfg: dict, command: str) -> MjlsSpec:
     return load_mjls_spec(cfg["spec"])
 
 
-def run_mjls_solve(cfg: dict, seed: int) -> list[dict]:
+def run_mjls_solve(cfg: dict) -> list[dict]:
     spec = _mjls_spec(cfg, "mjls-solve")
     result = riccati.solve_coupled_riccati(spec, tol=cfg["tol"],
                                            max_iter=cfg["max_iter"])
@@ -489,7 +489,7 @@ def run_mjls_solve(cfg: dict, seed: int) -> list[dict]:
              "rows": rows, "indeterminate": indeterminate}]
 
 
-def run_mjls_run(cfg: dict, seed: int) -> list[dict]:
+def run_mjls_run(cfg: dict) -> list[dict]:
     spec = _mjls_spec(cfg, "mjls-run")
     result = riccati.solve_coupled_riccati(spec)
     indeterminate = result.status is riccati.SolveStatus.INDETERMINATE
@@ -500,7 +500,7 @@ def run_mjls_run(cfg: dict, seed: int) -> list[dict]:
         controller = sim.MjlsGainControl(result.solution)
     system = sim.MjlsSystem(spec=spec, x0=tuple([0.0] * spec.n_states))
     mc = sim.McConfig(system=system, controller=controller, T=cfg["T"],
-                      master_seed=seed, collect_curve=True)
+                      master_seed=cfg["seed"], collect_curve=True)
     report = sim.monte_carlo(mc, cfg["seeds"])
     rows = []
     if report.mean_sq_curve is not None:
@@ -650,13 +650,13 @@ def main(argv=None) -> int:
     try:
         overrides = {opt.key: getattr(args, opt.key)
                      for opt in command.options}
+        overrides["seed"] = _seed_override(args.seed)
         cfg = load_config(args.config, args.experiment, overrides)
-        seed = resolve_seed(args.seed, cfg)
         if args.every < 1:
             raise CliError(f"--every must be at least 1, got {args.every}")
         opts = EmitOptions(out_dir=args.out, fmt=args.format, force=args.force,
                            timestamp=not args.no_timestamp, every=args.every)
-        tables = command.run(cfg, seed)
+        tables = command.run(cfg)
         for table in tables:
             for path in emit(table, opts):
                 print(f"wrote {path}")

@@ -223,17 +223,23 @@ def step_nonparametric(y: float, f, u: float, w: float) -> float:
     return fy + u + w
 
 
+def require_realized(f, L: float) -> None:
+    """Reject an ``f`` that is not an anchor table the kernels read
+    (a ``RealizedPiecewiseLinear``) within the slope budget ``L``."""
+    if not isinstance(f, RealizedPiecewiseLinear):
+        raise ValueError(
+            f"f must be a RealizedPiecewiseLinear, got {type(f).__name__}")
+    if not f.L <= L:
+        raise ValueError(f"f.L = {f.L} exceeds the class's L = {L}")
+
+
 def require_sampled_member(f, spec: SampledSpec) -> None:
     """Reject an ``f`` outside the sampled class |f(x)| <= L|x| + c.
 
     A realization's slopes are at most ``f.L``, so once ``f.L <= L`` the
     bound holds at every x exactly when |f(0)| <= c does.
     """
-    if not isinstance(f, RealizedPiecewiseLinear):
-        raise ValueError(
-            f"f must be a RealizedPiecewiseLinear, got {type(f).__name__}")
-    if not f.L <= spec.L:
-        raise ValueError(f"f.L = {f.L} exceeds the class's L = {spec.L}")
+    require_realized(f, spec.L)
     f0 = f(0.0)
     if not abs(f0) <= spec.c + 1e-9 * max(1.0, spec.c):
         raise ValueError(

@@ -69,7 +69,7 @@ class ParametricSystem:
     """Starts at y0 = 0, with theta drawn from N(theta_mean, 1)."""
 
     f: PowerGrowthFn
-    noise: GaussianIID = GaussianIID(1.0)
+    noise: GaussianIID = GaussianIID()
     theta_mean: float = 1.0
 
     def __post_init__(self):
@@ -88,15 +88,6 @@ def _require_f_or_member(system):
     # would go unread
     if system.f is not None and system.member is not None:
         raise ValueError("member must be None when f is given")
-
-
-def _require_member(f, L: float):
-    # a given f is an anchor table the kernels read, within the budget L
-    if f is not None and not isinstance(f, RealizedPiecewiseLinear):
-        raise ValueError(
-            f"f must be a RealizedPiecewiseLinear, got {type(f).__name__}")
-    if f is not None and not f.L <= L:
-        raise ValueError(f"f.L = {f.L} exceeds the system's L = {L}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,8 @@ class NonparametricSystem:
                 f"w_bar at most {NOISE_CAP:g}, got {self.w_bar}")
         _require_finite(self, "y0_std")
         _require_f_or_member(self)
-        _require_member(self.f, self.L)
+        if self.f is not None:
+            models.require_realized(self.f, self.L)
 
 
 @dataclass(frozen=True)
@@ -384,10 +376,8 @@ def random_envelope_member(L: float, c: float,
                                    np.asarray(vs)[order], L)
 
 
-def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
-    if not isinstance(controller, MvRlsControl):
-        raise ConfigurationError(
-            f"{type(controller).__name__} cannot drive a parametric system")
+def _run_parametric(system: ParametricSystem, controller, adversary, T: int,
+                    seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = system.theta_mean + rng.standard_normal()
     w = math.sqrt(system.noise.variance) * rng.standard_normal(T + 1)
@@ -402,16 +392,8 @@ def _run_parametric(system: ParametricSystem, controller, T: int, seed: int):
 def _run_nonparametric(system: NonparametricSystem, controller, adversary,
                        T: int, seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
-    if not isinstance(controller, SwitchingControl):
-        raise ConfigurationError(
-            f"{type(controller).__name__} cannot drive a nonparametric system")
     eps = controller.threshold(system.w_bar)
-
     if adversary is not None:
-        if not isinstance(adversary, GreedyAdversary):
-            raise ConfigurationError("nonparametric episodes take the greedy adversary")
-        if system.f is not None or system.member is not None:
-            raise ConfigurationError("adversarial episodes leave f unspecified")
         # 0.0 + turns a -0.0 draw at y0_std 0 into the start 0.0
         y0 = 0.0 + system.y0_std * rng.standard_normal()
         ys, us, ws, vsc, axs, avs, _, blow = kernels.nonparam_duel(
@@ -425,8 +407,6 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
     # (member if needed, y0 perturbation, noise)
     f = system.f
     if f is None:
-        if system.member is None:
-            raise ConfigurationError("either f, a member recipe, or an adversary is required")
         f = random_lipschitz_member(system.L, system.member, rng)
     y0 = 0.0 + system.y0_std * rng.standard_normal()
     raw = rng.uniform(-1.0, 1.0, T + 1)
@@ -442,19 +422,8 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
     spec = system.spec
     rng = np.random.Generator(np.random.PCG64(seed))
     kappa = ctl.SAMPLED_CLIP_KAPPA
-    if isinstance(controller, SampledCeControl):
-        use_ctl = 1
-    elif isinstance(controller, ZeroControl):
-        use_ctl = 0
-    else:
-        raise ConfigurationError(
-            f"{type(controller).__name__} cannot drive a sampled-data system")
-
+    use_ctl = int(isinstance(controller, SampledCeControl))
     if adversary is not None:
-        if not isinstance(adversary, SampledGreedyAdversary):
-            raise ConfigurationError("sampled episodes take the sampled greedy adversary")
-        if system.f is not None or system.member is not None:
-            raise ConfigurationError("adversarial episodes leave f unspecified")
         x0 = 0.0 + system.x0_std * rng.standard_normal()
         xs, us, vsc, axs, avs, amodes, _, blow = kernels.sampled_duel(
             x0, spec.L, spec.c, spec.h, kappa, T, GUARD, use_ctl)
@@ -465,8 +434,6 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
 
     f = system.f
     if f is None:
-        if system.member is None:
-            raise ConfigurationError("either f, a member recipe, or an adversary is required")
         f = random_envelope_member(spec.L, spec.c, rng)
     x0 = 0.0 + system.x0_std * rng.standard_normal()
     xs, us, blow = kernels.sampled_fixed(
@@ -475,20 +442,15 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
                     np.zeros(T + 1), blow, realized_f=f)
 
 
-def _run_mjls(system: MjlsSystem, controller, T: int, seed: int):
+def _run_mjls(system: MjlsSystem, controller, adversary, T: int, seed: int):
     spec = system.spec
     rng = np.random.Generator(np.random.PCG64(seed))
     N = spec.n_modes
     mode0 = int(rng.integers(1, N + 1))
     munif = rng.random(T)
     W = math.sqrt(spec.noise.sigma_lo) * rng.standard_normal((T, spec.n_states))
-    if isinstance(controller, MjlsGainControl):
-        Kg = controller.solution.Ks
-    elif isinstance(controller, ZeroControl):
-        Kg = np.zeros((N, spec.n_inputs, spec.n_states))
-    else:
-        raise ConfigurationError(
-            f"{type(controller).__name__} cannot drive a jump-linear system")
+    Kg = (controller.solution.Ks if isinstance(controller, MjlsGainControl)
+          else np.zeros((N, spec.n_inputs, spec.n_states)))
     X, U, modes, est, blow = kernels.mjls_episode(
         spec.A, spec.B, Kg, spec.chain.P, np.asarray(system.x0, dtype=float),
         mode0 - 1, munif, W, GUARD)
@@ -499,30 +461,55 @@ def _run_mjls(system: MjlsSystem, controller, T: int, seed: int):
                     mode_estimates=np.where(est >= 0, est + 1, 0))
 
 
+# The admission policy, one row per system class: its runner, the
+# controllers it runs under and the opponents it takes (none for the
+# parametric and jump-linear classes).  A class that takes an opponent is a
+# Lipschitz class: its episode runs on a given f, on a member recipe or
+# against the opponent, exactly one of them.
+_ADMISSION = (
+    (ParametricSystem, _run_parametric, (MvRlsControl,), ()),
+    (NonparametricSystem, _run_nonparametric, (SwitchingControl,),
+     (GreedyAdversary,)),
+    (SampledSystem, _run_sampled, (SampledCeControl, ZeroControl),
+     (SampledGreedyAdversary,)),
+    (MjlsSystem, _run_mjls, (MjlsGainControl, ZeroControl), ()),
+)
+
+
 def run_episode(system: SystemSpec, controller=ZeroControl(),
                 adversary=None, T: int = 1000, seed: int = 0):
     """Close the loop for one episode; deterministic per seed.
 
-    Returns ``(Trajectory, EpisodeVerdict)``.  Mismatched system,
-    controller and adversary combinations raise ConfigurationError.
+    Returns ``(Trajectory, EpisodeVerdict)``.  A combination of system,
+    controller and adversary that ``_ADMISSION`` does not admit raises
+    ConfigurationError before any draw.
     """
     if T < 1:
         raise ValueError("horizon must be at least 1")
+    name = type(system).__name__
+    for cls, run, controllers, opponents in _ADMISSION:
+        if isinstance(system, cls):
+            break
+    else:
+        raise ConfigurationError(f"unknown system type {name}")
+    if not isinstance(controller, controllers):
+        raise ConfigurationError(
+            f"{type(controller).__name__} cannot drive a {name}")
+    if adversary is not None and not isinstance(adversary, opponents):
+        raise ConfigurationError(
+            f"{name} episodes take no {type(adversary).__name__}")
+    if opponents:
+        given = system.f is not None or system.member is not None
+        if given and adversary is not None:
+            raise ConfigurationError(
+                "adversarial episodes leave f and the member unspecified")
+        if not given and adversary is None:
+            raise ConfigurationError(
+                "either f, a member recipe, or an adversary is required")
     # blowup episodes legitimately touch inf on their final transition;
     # the guard logic classifies those, so the fp warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(system, NonparametricSystem):
-            return _run_nonparametric(system, controller, adversary, T, seed)
-        if isinstance(system, SampledSystem):
-            return _run_sampled(system, controller, adversary, T, seed)
-        if adversary is not None:
-            raise ConfigurationError(
-                f"{type(system).__name__} episodes take no adversary")
-        if isinstance(system, ParametricSystem):
-            return _run_parametric(system, controller, T, seed)
-        if isinstance(system, MjlsSystem):
-            return _run_mjls(system, controller, T, seed)
-    raise ConfigurationError(f"unknown system type {type(system).__name__}")
+        return run(system, controller, adversary, T, seed)
 
 
 # ---------------------------------------------------------------------------

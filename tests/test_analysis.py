@@ -53,6 +53,15 @@ class TestCharacteristicPoly:
         with pytest.raises(ValueError):
             characteristic_poly([])
 
+    @pytest.mark.parametrize("exponents", [[math.nan], [5.0, math.nan],
+                                           [math.inf], [math.inf, 5.0]],
+                             ids=["nan", "trailing_nan", "inf", "leading_inf"])
+    def test_rejects_non_finite(self, exponents):
+        # NaN passes both the sign and the order test, and inf makes the
+        # polynomial non-finite
+        with pytest.raises(ValueError, match="finite"):
+            characteristic_poly(exponents)
+
 
 class TestPolyImpossible:
     def test_triggers_for_five(self):

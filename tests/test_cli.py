@@ -35,24 +35,41 @@ def mjls_spec_file(tmp_path):
     return str(path)
 
 
-# each subcommand's defaults as its run reads them; a key without a
-# default stays out of the config
+# each subcommand's defaults as its run reads them, the master seed
+# included; a key without a default stays out of the config
 DEFAULTS = {
     "parametric-sweep": {"b": "1.5:6.0:0.5", "seeds": 100, "T": 5000,
                          "unstable_T": 200, "M": 1.0, "theta_mean": 1.0,
-                         "noise_var": 1.0},
-    "poly-check": {"exponents": "5"},
-    "highorder-check": {"L": 1.0, "p": 1},
+                         "noise_var": 1.0, "seed": 0},
+    "poly-check": {"exponents": "5", "seed": 0},
+    "highorder-check": {"L": 1.0, "p": 1, "seed": 0},
     "nonparam-duel": {"L": "6", "seeds": 100, "T": 500, "w_bar": 1.0,
-                      "mode": "adversary", "n_anchors": 16},
+                      "mode": "adversary", "n_anchors": 16, "seed": 0},
     "sampled-sweep": {"L": "0.5,1.0,2.0", "h": 1.0, "c": 1.0,
-                      "samples": 1000, "seeds": 50, "mode": "random"},
-    "mjls-solve": {"tol": 1e-10, "max_iter": 10000},
-    "mjls-run": {"T": 2000, "seeds": 50},
+                      "samples": 1000, "seeds": 50, "mode": "random",
+                      "seed": 0},
+    "mjls-solve": {"tol": 1e-10, "max_iter": 10000, "seed": 0},
+    "mjls-run": {"T": 2000, "seeds": 50, "seed": 0},
 }
-# a value for each key that has no default
+# a value for each key that has no default, and a seed
 UNSET_VALUES = {"unstable_seeds": 7, "eps": 0.2, "escape": 1e3,
                 "substeps": 4, "spec": "spec.yaml", "seed": 5}
+
+
+def ran_config(monkeypatch, argv):
+    """Run ``argv`` through ``cli.main``; returns its exit code and the
+    config it ran (None if it read none)."""
+    seen = []
+    load = cli.load_config
+
+    def recording(*args):
+        seen.append(load(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "load_config", recording)
+    code = run_cli(argv)
+    monkeypatch.setattr(cli, "load_config", load)
+    return code, (seen[-1] if seen else None)
 
 
 class TestValueParsing:
@@ -139,6 +156,24 @@ class TestConfigHandling:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
 
+    def test_serialized_config_of_an_env_seeded_run_reproduces_it(
+            self, tmp_path, monkeypatch):
+        # the seed FEEDBACK_LAB_SEED sets is part of the config a run
+        # ran, so its written config alone replays the run
+        argv = ["--no-timestamp", "nonparam-duel", "--mode", "random",
+                "--L", "1,6", "--seeds", "3", "--T", "60"]
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "4")
+        code, cfg = ran_config(monkeypatch, ["--out", str(tmp_path / "env")]
+                               + argv)
+        assert code == 0 and cfg["seed"] == 4
+        path = tmp_path / "cfg.yaml"
+        path.write_text(cli.serialize_config("nonparam-duel", cfg))
+        monkeypatch.delenv(cli.SEED_ENV_VAR)
+        assert run_cli(["--out", str(tmp_path / "file"), "--no-timestamp",
+                        "--config", str(path), "nonparam-duel"]) == 0
+        assert ((tmp_path / "env" / "nonparam_duel.csv").read_bytes()
+                == (tmp_path / "file" / "nonparam_duel.csv").read_bytes())
+
     def test_wrong_experiment_tag(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("experiment: poly-check\n")
@@ -147,23 +182,38 @@ class TestConfigHandling:
 
 
 class TestSeedResolution:
-    def test_env_var_used(self, monkeypatch):
+    """The seed is a config key: the flag, then FEEDBACK_LAB_SEED, then the
+    file, then 0."""
+
+    RUN = ["highorder-check"]
+
+    def test_env_var_used(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "77")
-        assert cli.resolve_seed(None, {}) == 77
+        assert ran_config(monkeypatch, self.RUN)[1]["seed"] == 77
 
-    def test_flag_beats_env(self, monkeypatch):
+    def test_flag_beats_env(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "77")
-        assert cli.resolve_seed(5, {}) == 5
+        assert ran_config(monkeypatch, ["--seed", "5"] + self.RUN)[1][
+            "seed"] == 5
 
-    def test_config_fallback(self, monkeypatch):
-        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-        assert cli.resolve_seed(None, {"seed": 3}) == 3
-        assert cli.resolve_seed(None, {}) == 0
+    def test_config_fallback(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 3\n")
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "77")
+        assert ran_config(monkeypatch, ["--config", str(path)] + self.RUN)[
+            1]["seed"] == 77
+        monkeypatch.delenv(cli.SEED_ENV_VAR)
+        assert ran_config(monkeypatch, ["--config", str(path)] + self.RUN)[
+            1]["seed"] == 3
+        assert ran_config(monkeypatch, self.RUN)[1]["seed"] == 0
 
-    def test_bad_env_value(self, monkeypatch):
+    def test_bad_env_value(self, monkeypatch, capsys):
+        # a malformed variable exits 2 naming it, unless the flag is set
         monkeypatch.setenv(cli.SEED_ENV_VAR, "xyz")
-        with pytest.raises(cli.CliError):
-            cli.resolve_seed(None, {})
+        assert ran_config(monkeypatch, self.RUN) == (cli.EXIT_CONFIG, None)
+        assert cli.SEED_ENV_VAR in capsys.readouterr().err
+        assert ran_config(monkeypatch, ["--seed", "5"] + self.RUN)[1][
+            "seed"] == 5
 
 
 class TestPolyCheck:
@@ -246,6 +296,12 @@ class TestExitCodes:
          "has more than 10000 points"),
         (["parametric-sweep", "--b", "nan"] + SHORT,
          "growth exponent must be nonnegative and finite"),
+        (["poly-check", "--exponents", "nan"],
+         "exponents must be positive and finite"),
+        (["poly-check", "--exponents", "5,nan"],
+         "exponents must be positive and finite"),
+        (["poly-check", "--exponents", "inf"],
+         "exponents must be positive and finite"),
         (["highorder-check", "--L", "inf"],
          "slope budget L must be positive and finite"),
         (["parametric-sweep", "--b", "2", "--noise-var", "inf"] + SHORT,
@@ -277,7 +333,9 @@ class TestExitCodes:
             "sampled_c_inf", "sampled_span_overflows", "eps_negative",
             "eps_zero", "eps_nan", "every_zero", "every_negative",
             "empty_L", "empty_b", "empty_range", "range_nan",
-            "range_inf", "range_too_many_points", "b_nan", "highorder_L_inf",
+            "range_inf", "range_too_many_points", "b_nan",
+            "exponents_nan", "exponents_trailing_nan", "exponents_inf",
+            "highorder_L_inf",
             "noise_var_inf", "theta_mean_inf", "theta_mean_nan", "w_bar_inf",
             "sampled_h_inf", "escape_nan", "escape_negative", "escape_inf",
             "tol_inf", "w_bar_beyond_guard", "w_bar_beyond_guard_random",
@@ -457,7 +515,7 @@ class TestEmission:
         row = payload["rows"][0]
         table = cli.run_nonparam_duel(
             cli.load_config(None, "nonparam-duel",
-                            {"L": "6", "seeds": 3, "T": 40}), 0)[0]
+                            {"L": "6", "seeds": 3, "T": 40, "seed": 0}))[0]
         expect = dict(zip(table["columns"], table["rows"][0]))
         assert row == expect
 
@@ -580,7 +638,8 @@ class TestSampledSweep:
         # the flow is exact, so the integrator resolution is gone
         tables = [cli.run_sampled_sweep(cli.load_config(
             None, "sampled-sweep", {"L": "1", "h": 2.0, "samples": 30,
-                                    "seeds": 2, "mode": mode, **extra}), 3)
+                                    "seeds": 2, "mode": mode, "seed": 3,
+                                    **extra}))
             for extra in ({}, {"substeps": 1}, {"substeps": 4096})]
         # (repr, as the rows hold NaN)
         assert repr(tables[0]) == repr(tables[1]) == repr(tables[2])
@@ -589,8 +648,9 @@ class TestSampledSweep:
 class TestNonparamDuelEscape:
     def run(self, **overrides):
         cfg = cli.load_config(None, "nonparam-duel",
-                              {"L": "1", "T": 200, "seeds": 4, **overrides})
-        table = cli.run_nonparam_duel(cfg, 0)[0]
+                              {"L": "1", "T": 200, "seeds": 4, "seed": 0,
+                               **overrides})
+        table = cli.run_nonparam_duel(cfg)[0]
         return dict(zip(table["columns"], table["rows"][0]))
 
     def test_default_threshold_scales_with_w_bar(self):

@@ -199,33 +199,83 @@ class TestEpisodeEpilogue:
             assert len(traj.modes) == len(traj.mode_estimates) == n
 
 
+# every system the admission matrix runs, by name
+MATRIX_SYSTEMS = {
+    "parametric": param_system,
+    "nonparam-f": lambda: NonparametricSystem(
+        L=1.0, f=RealizedPiecewiseLinear(np.array([0.0, 1.0]),
+                                         np.array([0.0, 0.5]), 1.0)),
+    "nonparam-member": lambda: NonparametricSystem(L=1.0,
+                                                   member=RandomMember()),
+    "nonparam-neither": lambda: NonparametricSystem(L=1.0),
+    "sampled-f": lambda: SampledSystem(
+        spec=SampledSpec(1.0, 1.0, 0.5),
+        f=RealizedPiecewiseLinear(np.array([0.0]), np.array([1.0]), 1.0)),
+    "sampled-member": lambda: SampledSystem(spec=SampledSpec(1.0, 1.0, 0.5),
+                                            member=RandomEnvelopeMember()),
+    "sampled-neither": lambda: SampledSystem(spec=SampledSpec(1.0, 1.0, 0.5)),
+    "jump-linear": lambda: mjls_pieces()[0],
+}
+MATRIX_CONTROLLERS = {
+    "ZeroControl": ZeroControl,
+    "MvRlsControl": MvRlsControl,
+    "SwitchingControl": SwitchingControl,
+    "SampledCeControl": SampledCeControl,
+    "MjlsGainControl": lambda: mjls_pieces()[1],
+}
+MATRIX_ADVERSARIES = {
+    "None": lambda: None,
+    "GreedyAdversary": GreedyAdversary,
+    "SampledGreedyAdversary": SampledGreedyAdversary,
+}
+# the (controller, adversary) pairs each system runs under; every other
+# combination is a ConfigurationError.  The parametric and nonparametric
+# verdicts are about the RLS and switching laws, so neither runs open loop
+ADMITTED = {
+    "parametric": {("MvRlsControl", "None")},
+    "nonparam-f": {("SwitchingControl", "None")},
+    "nonparam-member": {("SwitchingControl", "None")},
+    "nonparam-neither": {("SwitchingControl", "GreedyAdversary")},
+    "sampled-f": {("ZeroControl", "None"), ("SampledCeControl", "None")},
+    "sampled-member": {("ZeroControl", "None"), ("SampledCeControl", "None")},
+    "sampled-neither": {("ZeroControl", "SampledGreedyAdversary"),
+                        ("SampledCeControl", "SampledGreedyAdversary")},
+    "jump-linear": {("ZeroControl", "None"), ("MjlsGainControl", "None")},
+}
+MATRIX = [(s, c, a) for s in MATRIX_SYSTEMS for c in MATRIX_CONTROLLERS
+          for a in MATRIX_ADVERSARIES]
+
+
 class TestConfigurationErrors:
-    def test_controller_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            run_episode(param_system(), SwitchingControl(), None, 10, 0)
-        # the parametric verdicts are about the RLS law; no open loop
-        with pytest.raises(ConfigurationError):
-            run_episode(param_system(), ZeroControl(), None, 10, 0)
-        with pytest.raises(ConfigurationError):
-            run_episode(NonparametricSystem(L=1.0, member=RandomMember()),
-                        MvRlsControl(), None, 10, 0)
-        # the nonparametric verdicts are about the switching law; no open
-        # loop either
-        with pytest.raises(ConfigurationError):
-            run_episode(NonparametricSystem(L=1.0, member=RandomMember()),
-                        ZeroControl(), None, 10, 0)
+    @pytest.mark.parametrize("system, controller, adversary", MATRIX,
+                             ids=["-".join(case) for case in MATRIX])
+    def test_admission_matrix(self, system, controller, adversary):
+        # every system, controller and adversary combination: the admitted
+        # ones run a 10-step episode, the others are configuration errors
+        args = (MATRIX_SYSTEMS[system](), MATRIX_CONTROLLERS[controller](),
+                MATRIX_ADVERSARIES[adversary]())
+        if (controller, adversary) not in ADMITTED[system]:
+            with pytest.raises(ConfigurationError):
+                run_episode(*args, 10, 0)
+            return
+        traj, verdict = run_episode(*args, 10, 0)
+        assert len(traj.states) == verdict.horizon + 1
+        assert (traj.committed is not None) == (adversary != "None")
+        assert check_replay(traj)
 
-    def test_adversary_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            run_episode(param_system(), MvRlsControl(), GreedyAdversary(), 10, 0)
-        with pytest.raises(ConfigurationError):
-            run_episode(NonparametricSystem(L=1.0), SwitchingControl(),
-                        SampledGreedyAdversary(), 10, 0)
+    def test_rejected_before_any_draw(self, monkeypatch):
+        # the admission check runs before a runner builds its generator
+        cases = [(MATRIX_SYSTEMS[s](), MATRIX_CONTROLLERS[c](),
+                  MATRIX_ADVERSARIES[a]()) for s, c, a in MATRIX
+                 if (c, a) not in ADMITTED[s]]
 
-    def test_adversary_with_fixed_f_rejected(self):
-        sysn = NonparametricSystem(L=1.0, member=RandomMember())
-        with pytest.raises(ConfigurationError):
-            run_episode(sysn, SwitchingControl(), GreedyAdversary(), 10, 0)
+        def no_generator(seed):
+            raise AssertionError("a rejected episode built its generator")
+
+        monkeypatch.setattr(np.random, "PCG64", no_generator)
+        for args in cases:
+            with pytest.raises(ConfigurationError):
+                run_episode(*args, 10, 0)
 
     def test_mjls_start_is_required(self):
         with pytest.raises(TypeError, match="x0"):
@@ -238,11 +288,6 @@ class TestConfigurationErrors:
         # a start no episode can run is rejected where it is built
         with pytest.raises(ConfigurationError, match="x0"):
             MjlsSystem(spec=mjls_expanding().spec, x0=x0)
-
-    def test_missing_f_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_episode(NonparametricSystem(L=1.0), SwitchingControl(),
-                        None, 10, 0)
 
     @pytest.mark.parametrize("s0", [0.0, -1.0, math.nan, math.inf])
     def test_rls_information_start_must_be_finite_and_positive(self, s0):
