@@ -31,6 +31,7 @@ SAMPLED_IMPOSSIBLE_LH = 7.53
 
 BOUNDARY_TOL = 1e-12
 TRIGGER_TOL = 1e-12
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class Regime(Enum):
@@ -86,7 +87,11 @@ def parametric_regime(b: float) -> RegimeVerdict:
 
 
 def characteristic_poly(exponents) -> CharPoly:
-    """Build the degree-(p+1) polynomial attached to decreasing exponents."""
+    """Build the degree-(p+1) polynomial attached to decreasing exponents.
+
+    Exponents whose polynomial could leave double range on [1, b_1], the
+    interval ``poly_impossible`` searches, raise ValueError.
+    """
     bs = [float(b) for b in exponents]
     if len(bs) < 1:
         raise ValueError("at least one exponent is required")
@@ -94,6 +99,12 @@ def characteristic_poly(exponents) -> CharPoly:
         raise ValueError("exponents must be positive and finite")
     if any(bs[i] <= bs[i + 1] for i in range(len(bs) - 1)):
         raise ValueError("exponents must be strictly decreasing")
+    # every coefficient past the leading 1 is at most b_1 in magnitude, so
+    # on [1, b_1] each Horner partial sum of the polynomial, of degree
+    # d = p + 1, is at most (d + 1) b_1^d
+    if math.log(len(bs) + 2) + (len(bs) + 1) * math.log(bs[0]) >= _LOG_MAX:
+        raise ValueError(f"exponents must keep the polynomial within double "
+                         f"range on [1, b_1], got b_1 = {bs[0]:g}")
     coeffs = [1.0, -bs[0]]
     for i in range(len(bs) - 1):
         coeffs.append(bs[i] - bs[i + 1])

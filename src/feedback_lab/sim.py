@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -241,6 +242,19 @@ class Trajectory:
     blow_step: int | None = None
     controller: object = None
 
+    @cached_property
+    def _regret_terms(self) -> np.ndarray:
+        # the squared tracking errors |y_t - w_t|^2 of steps 1.., formed
+        # once per episode: the verdict's regret is their sum and a Monte
+        # Carlo summary's checkpoint regrets their running sums.  A term
+        # that is not finite counts 0; the mask runs only where the sum is
+        # not finite, which in practice only a blow-up's last step gives
+        d = self.states - self.noises
+        terms = d[1:] ** 2 if d.ndim == 1 else np.sum(d[1:] ** 2, axis=1)
+        if terms.sum() < math.inf:
+            return terms
+        return np.where(np.isfinite(terms), terms, 0.0)
+
 
 @dataclass(frozen=True)
 class EpisodeVerdict:
@@ -309,15 +323,6 @@ def _abs_states(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(states * states, axis=1))
 
 
-def _regret_terms(states: np.ndarray, noises: np.ndarray) -> np.ndarray:
-    # the squared tracking error |y_t - w_t|^2 of steps 1..; a blow-up's
-    # final term can overflow, and counts 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = states - noises
-        terms = d[1:] ** 2 if d.ndim == 1 else np.sum(d[1:] ** 2, axis=1)
-    return np.where(np.isfinite(terms), terms, 0.0)
-
-
 def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
              blow: int, committed=None, modes=None, mode_estimates=None,
              **fields):
@@ -329,6 +334,13 @@ def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
     ``committed`` one fewer: T + 1 and T, or blow + 1 and blow after a
     blow-up.  ``noises``, drawn for T + 1 steps, is cut to the states;
     ``fields`` go to the trajectory as they are.
+
+    The sup is the largest finite |state| and the regret the sum of the
+    trajectory's ``_regret_terms``.  The masks that drop non-finite
+    entries run only where the unmasked maximum or sum is not finite, so
+    on blow-ups only: a bounded episode's states lie within the guard.
+    This runs under ``run_episode``'s errstate, the one for the whole
+    episode.
     """
     noises = noises[:len(states)]
     traj = Trajectory(kind=kind, states=states, inputs=inputs,
@@ -338,8 +350,10 @@ def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
                       blow_step=blow if blow >= 0 else None,
                       controller=controller, **fields)
     a = _abs_states(states)
-    sup = float(np.max(a[np.isfinite(a)]))
-    regret = float(np.sum(_regret_terms(states, noises)))
+    sup = float(a.max())
+    if not sup < math.inf:
+        sup = float(a[np.isfinite(a)].max())
+    regret = float(np.sum(traj._regret_terms))
     if blow >= 0:
         return traj, EpisodeVerdict(Outcome.BLOWUP, sup, regret, blow, blow)
     return traj, EpisodeVerdict(Outcome.BOUNDED, sup, regret, T, None)
@@ -522,7 +536,7 @@ def _episode_summary(cfg: McConfig, index: int):
                                 cfg.T, seed)
     regret_at = ()
     if cfg.checkpoints:
-        csum = np.cumsum(_regret_terms(traj.states, traj.noises))
+        csum = np.cumsum(traj._regret_terms)
         regret_at = tuple(float(csum[min(tc, csum.shape[0]) - 1])
                           for tc in cfg.checkpoints)
     curve = None

@@ -62,6 +62,22 @@ class TestCharacteristicPoly:
         with pytest.raises(ValueError, match="finite"):
             characteristic_poly(exponents)
 
+    @pytest.mark.parametrize("exponents", [[1e200], [1e308], [9e153],
+                                           [1e100, 1e50, 1.0]])
+    def test_rejects_exponents_beyond_double_range(self, exponents):
+        # the negativity test evaluates P on [1, b_1]: b = 1e200 puts its
+        # minimum b - b^2/4 near -2.5e399, beyond double range
+        with pytest.raises(ValueError, match="within double range"):
+            characteristic_poly(exponents)
+
+    def test_largest_accepted_exponent_stays_finite(self):
+        # just inside the bound the search runs without an overflow (a
+        # RuntimeWarning fails the suite) and finds the minimiser b/2
+        b = 7.7e153
+        v = poly_impossible(characteristic_poly([b]), b)
+        assert v.regime is Regime.IMPOSSIBLE
+        assert v.witness == pytest.approx(b / 2, rel=1e-6)
+
 
 class TestPolyImpossible:
     def test_triggers_for_five(self):

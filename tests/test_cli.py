@@ -302,6 +302,10 @@ class TestExitCodes:
          "exponents must be positive and finite"),
         (["poly-check", "--exponents", "inf"],
          "exponents must be positive and finite"),
+        (["poly-check", "--exponents", "1e200"],
+         "exponents must keep the polynomial within double range"),
+        (["poly-check", "--exponents", "1e308"],
+         "exponents must keep the polynomial within double range"),
         (["highorder-check", "--L", "inf"],
          "slope budget L must be positive and finite"),
         (["parametric-sweep", "--b", "2", "--noise-var", "inf"] + SHORT,
@@ -335,7 +339,7 @@ class TestExitCodes:
             "empty_L", "empty_b", "empty_range", "range_nan",
             "range_inf", "range_too_many_points", "b_nan",
             "exponents_nan", "exponents_trailing_nan", "exponents_inf",
-            "highorder_L_inf",
+            "exponents_1e200", "exponents_1e308", "highorder_L_inf",
             "noise_var_inf", "theta_mean_inf", "theta_mean_nan", "w_bar_inf",
             "sampled_h_inf", "escape_nan", "escape_negative", "escape_inf",
             "tol_inf", "w_bar_beyond_guard", "w_bar_beyond_guard_random",

@@ -1497,6 +1497,51 @@ class TestZohFlowBits:
         assert h.hexdigest() == self.DUEL_DIGEST
 
 
+class TestParametricBits:
+    """The RLS kernel's bits, pinned by sha256 over all three returns:
+    growth exponents from 0 to 20 (below, at and beyond the critical 4),
+    estimates starting above, at and below 0 (so theta_hat phi + u cancels
+    to +-0.0 and u is -0.0), three noise scales, and the edge starts of
+    ``PARAMETRIC_EDGE_STATES``; blow-ups include ones whose power
+    overflows, so that the last input is +-inf or NaN and the last state
+    NaN."""
+
+    DIGEST = ("5667c4fafd05b8f4edd49db1fecd70b5"
+              "17b0f5e7ee8d5a12f3cd249c0047a379")
+
+    @staticmethod
+    def episodes():
+        rng = np.random.default_rng(37)
+        for b in (0.0, 0.5, 1.5, 2.0, 3.0, 3.5, 4.5, 6.0, 20.0):
+            for theta0 in (1.0, 0.0, -2.0):
+                for scale in (0.1, 1.0, 10.0):
+                    for _ in range(3):
+                        w = scale * rng.standard_normal(401)
+                        w[0] = 0.0
+                        theta = theta0 + rng.standard_normal()
+                        yield 0.0, theta, w, 1.0, b, 1.0, theta0
+                for y0 in PARAMETRIC_EDGE_STATES + [1e200, -1e200]:
+                    w = rng.standard_normal(41)
+                    w[0] = 0.0
+                    yield y0, 1.5, w, 3.0, b, 1.0, theta0
+
+    def test_episodes_keep_their_bits(self):
+        h = hashlib.sha256()
+        seen = {"bounded": 0, "blow": 0, "nan_state": 0, "inf_input": 0,
+                "neg_zero_input": 0}
+        for args in self.episodes():
+            ys, us, blow = kernels.parametric_episode(*args, GUARD)
+            h.update(ys.tobytes())
+            h.update(us.tobytes())
+            h.update(np.int64(blow).tobytes())
+            seen["bounded" if blow < 0 else "blow"] += 1
+            seen["nan_state"] += bool(np.isnan(ys[-1]))
+            seen["inf_input"] += bool(np.isinf(us).any())
+            seen["neg_zero_input"] += bool(np.signbit(us[us == 0.0]).any())
+        assert all(v > 10 for v in seen.values()), seen
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestNonparamBits:
     """The nearest-neighbour kernels' bits, pinned by sha256: the fixed
     kernel over random members, whose 5 000 distinct states split their

@@ -18,7 +18,7 @@ from feedback_lab import (GaussianIID, GreedyAdversary,
                           default_checkpoints, episode_seed,
                           growth_rate_audit, make_rls, monte_carlo,
                           recompute_input,
-                          regret_logfit, run_episode,
+                          regret_logfit, run_episode, sim,
                           solve_coupled_riccati, splitmix64)
 from feedback_lab.models import NOISE_CAP, ConfigurationError
 from feedback_lab.sim import McReport, _aggregate, _episode_summary
@@ -81,7 +81,50 @@ EPILOGUE_CASES = [(name, make, 0, False) for name, make in ALL_EPISODES] + [
             [0.0], [1.0], 1.0)), SampledCeControl(), None, 60), 0, True),
     ("mjls-blowup", lambda: (mjls_expanding(), ZeroControl(), None, 400), 0,
      True),
+    # blow-ups whose last state or last regret term is not finite
+    ("parametric-nan", lambda: (param_system(20.0), MvRlsControl(), None, 50),
+     0, True),
+    ("nonparam-member-inf", lambda: (NonparametricSystem(
+        L=1e300, member=RandomMember(), y0_std=1e10), SwitchingControl(),
+        None, 50), 0, True),
+    ("nonparam-duel-overflow", lambda: (NonparametricSystem(
+        L=1e300, y0_std=1.0), SwitchingControl(), GreedyAdversary(), 50), 0,
+     True),
+    ("sampled-fixed-inf", lambda: (SampledSystem(
+        spec=SampledSpec(1000.0, 1.0, 1.0), f=RealizedPiecewiseLinear(
+            [0.0], [1.0], 1000.0)), SampledCeControl(), None, 20), 0, True),
+    ("sampled-duel-inf", lambda: (SampledSystem(
+        spec=SampledSpec(1000.0, 1.0, 1.0), x0_std=1.0), SampledCeControl(),
+        SampledGreedyAdversary(), 20), 0, True),
+    ("mjls-nan", lambda: (MjlsSystem(spec=MjlsSpec(
+        chain=MarkovChain(np.array([[1.0]])),
+        A=np.array([[[1e300, -1e300], [0.0, 1.0]]]), B=np.ones((1, 2, 1)),
+        noise=MartingaleDiffVector(1.0, 2.0, 2)), x0=(1e10, 1e10)),
+        ZeroControl(), None, 20), 0, True),
 ]
+
+
+def masked_epilogue(states, noises, checkpoints):
+    """An episode's figures by the masked two-pass formulas: the largest
+    finite |state|, the squared tracking errors |y_t - w_t|^2 of steps
+    1.. with every non-finite one counted 0, their pairwise sum, and the
+    running sum of the same terms read at each checkpoint (at the last
+    step where the episode ended before it)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (np.abs(states) if states.ndim == 1
+             else np.sqrt(np.sum(states * states, axis=1)))
+        d = states - noises[:len(states)]
+        terms = d[1:] ** 2 if d.ndim == 1 else np.sum(d[1:] ** 2, axis=1)
+    sup = float(np.max(a[np.isfinite(a)]))
+    terms = np.where(np.isfinite(terms), terms, 0.0)
+    csum = np.cumsum(terms)
+    return (sup, float(np.sum(terms)),
+            tuple(float(csum[min(tc, csum.shape[0]) - 1])
+                  for tc in checkpoints))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
 
 
 class TestSeedMixing:
@@ -197,6 +240,29 @@ class TestEpisodeEpilogue:
             assert len(traj.committed) == len(traj.inputs)
         if traj.kind == "mjls":
             assert len(traj.modes) == len(traj.mode_estimates) == n
+
+    @pytest.mark.parametrize("name,make,seed,blows", EPILOGUE_CASES,
+                             ids=[case[0] for case in EPILOGUE_CASES])
+    def test_figures_equal_the_masked_formulas(self, monkeypatch, name, make,
+                                               seed, blows):
+        # the verdict's sup and regret and the summary's checkpoint
+        # regrets, bit for bit, bounded and blown up, finite or not
+        system, controller, adversary, T = make()
+        checkpoints = (1, max(1, T // 3), T)
+        monkeypatch.setattr(sim, "episode_seed", lambda master, index: seed)
+        summary, _ = _episode_summary(
+            McConfig(system, controller, adversary, T,
+                     checkpoints=checkpoints), 0)
+        traj, verdict = run_episode(system, controller, adversary, T, seed)
+        assert (summary.outcome is Outcome.BLOWUP) == blows
+        sup, regret, regret_at = masked_epilogue(traj.states, traj.noises,
+                                                 checkpoints)
+        assert _bits(verdict.sup_abs_state) == _bits(sup)
+        assert _bits(summary.sup_abs_state) == _bits(sup)
+        assert _bits(verdict.regret) == _bits(regret)
+        assert _bits(summary.regret) == _bits(regret)
+        assert list(map(_bits, summary.regret_at)) == list(map(_bits,
+                                                               regret_at))
 
 
 # every system the admission matrix runs, by name
@@ -708,3 +774,54 @@ class TestKernelTraceContract:
         blow = int(out[-1])
         assert (blow >= 0) == blows
         assert (blow if blow >= 0 else len(out[0]) - 1) == verdict.horizon
+
+    # each traced kernel's array returns as (dtype, length), from the steps
+    # s the episode ran and the anchors a its store holds
+    ARRAYS = {
+        "parametric_episode": lambda s, a: [("f8", s + 1), ("f8", s)],
+        "nonparam_fixed": lambda s, a: [("f8", s + 1), ("f8", s)],
+        "nonparam_duel": lambda s, a: [("f8", s + 1), ("f8", s),
+                                       ("f8", s + 1), ("f8", s), ("f8", a),
+                                       ("f8", a)],
+        "sampled_fixed": lambda s, a: [("f8", s + 1), ("f8", s)],
+        "sampled_duel": lambda s, a: [("f8", s + 1), ("f8", s), ("f8", s),
+                                      ("f8", a), ("f8", a), ("i8", a + 1)],
+        "mjls_episode": lambda s, a: [("f8", s + 1), ("f8", s),
+                                      ("i8", s + 1), ("i8", s + 1)],
+    }
+
+    @pytest.mark.parametrize("name,make,seed,blows", EPILOGUE_CASES,
+                             ids=[case[0] for case in EPILOGUE_CASES])
+    def test_returns_are_writable_contiguous_arrays(
+            self, monkeypatch, name, make, seed, blows):
+        # every array a traced kernel returns is C-contiguous and writable,
+        # of its dtype, with one entry per step it reached
+        outputs = []
+
+        def recording(kernel, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                outputs.append((kernel, out))
+                return out
+            return wrapper
+
+        for kernel in self.TRACED:
+            monkeypatch.setattr(kernels, kernel,
+                                recording(kernel, getattr(kernels, kernel)))
+        system, controller, adversary, T = make()
+        _, verdict = run_episode(system, controller, adversary, T, seed)
+        for kernel, out in outputs:
+            if kernel == "riccati_solve":
+                Ms, _, _, _, Ks = out
+                arrays = [(Ms, "f8", Ms.shape[0])]
+                arrays += [] if Ks is None else [(Ks, "f8", Ms.shape[0])]
+            else:
+                anchors = int(out[-2]) if kernel.endswith("duel") else 0
+                expected = self.ARRAYS[kernel](verdict.horizon, anchors)
+                got = [a for a in out if isinstance(a, np.ndarray)]
+                assert len(got) == len(expected)
+                arrays = [(a, dtype, n) for a, (dtype, n) in zip(got,
+                                                                 expected)]
+            for a, dtype, n in arrays:
+                assert a.dtype == np.dtype(dtype) and a.shape[0] == n
+                assert a.flags.c_contiguous and a.flags.writeable
