@@ -29,8 +29,8 @@ from .models import (GUARD, ConfigurationError, GaussianIID, MarkovChain,
 from .riccati import (RiccatiSolution, SolveResult, SolveStatus,
                       pseudoinverse, riccati_residual, riccati_rhs,
                       solve_coupled_riccati)
-from .sim import (EpisodeVerdict, GreedyAdversary, GrowthAudit, McConfig,
-                  McReport, MjlsGainControl, MjlsSystem, MvRlsControl,
+from .sim import (EpisodeVerdict, GreedyAdversary, McConfig, McReport,
+                  MjlsGainControl, MjlsSystem, MvRlsControl,
                   NonparametricSystem, Outcome, ParametricSystem,
                   RandomEnvelopeMember, RandomMember,
                   SampledCeControl, SampledGreedyAdversary, SampledSystem,

@@ -11,6 +11,7 @@ with one fixed member of the declared uncertainty ball.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -183,7 +184,10 @@ def adversary_choose(f: PiecewiseLinearFn, x: float, u: float,
     upper endpoint), commits it, and points the noise away from the
     origin: w = w_bar * sign(v + u) with sign(0) taken as +1.  An empty
     store leaves the interval unbounded, so it is clipped to the working
-    budget |v| <= L|x| + OFFSET_BUDGET * w_bar.
+    budget |v| <= L|x| + OFFSET_BUDGET * w_bar.  A value past double
+    range, where that budget or a slope-L cone overflows, commits at its
+    edge, +-``sys.float_info.max``, so the store and its realization stay
+    finite and the step that follows still leaves the guard.
     """
     x = float(x)
     u = float(u)
@@ -192,6 +196,7 @@ def adversary_choose(f: PiecewiseLinearFn, x: float, u: float,
         cap = f.L * abs(x) + OFFSET_BUDGET * w_bar
         lo, hi = -cap, cap
     v = hi if abs(hi + u) >= abs(lo + u) else lo
+    v = min(max(v, -sys.float_info.max), sys.float_info.max)
     w = w_bar if (v + u) >= 0.0 else -w_bar
     f.commit(x, v)
     return v, w

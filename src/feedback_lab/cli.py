@@ -405,9 +405,9 @@ def run_sampled_sweep(cfg: dict) -> list[dict]:
             traj, ep = sim.run_episode(system, sim.SampledCeControl(),
                                        sim.SampledGreedyAdversary(),
                                        T=samples, seed=seed)
-            audit = sim.growth_rate_audit(traj)
-            min_mult = (float(np.min(audit.multipliers[:12]))
-                        if audit.multipliers.shape[0] else float("nan"))
+            multipliers = sim.growth_rate_audit(traj)
+            min_mult = (float(np.min(multipliers[:12]))
+                        if multipliers.shape[0] else float("nan"))
             rows.append([L, h, L * h, verdict.regime.value, mode, 1,
                          1.0 if ep.outcome is sim.Outcome.BLOWUP else 0.0,
                          ep.sup_abs_state, min_mult])

@@ -134,6 +134,7 @@ as sorted key and value arrays and its size.
 import functools
 import linecache
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
@@ -142,6 +143,7 @@ import numpy as np
 
 _INF = float("inf")
 _NEG_INF = -_INF
+_MAX = sys.float_info.max
 # a nearest-neighbour history block splits in halves beyond 2 * _LOAD keys
 _LOAD = 128
 # the one row of an empty store: no anchors, f free everywhere
@@ -509,6 +511,10 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
         else:
             lo, hi = _cone(rows[j], L, y)
         v = hi if abs(hi + u) >= abs(lo + u) else lo
+        # a value past double range commits at its edge, as
+        # ``adversary.adversary_choose`` does, so the store stays finite
+        if not -_MAX <= v <= _MAX:
+            v = math.copysign(_MAX, v)
         w = w_bar if (v + u) >= 0.0 else -w_bar
         _insert(keys, rows, j, y, v)
         y1 = v + u + w

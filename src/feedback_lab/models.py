@@ -69,7 +69,10 @@ class GaussianIID:
 
 @dataclass(frozen=True)
 class MartingaleDiffVector:
-    """Vector noise with sigma_lo*I <= E[w w'] and E[w'w] <= sigma_hi."""
+    """Vector noise with sigma_lo*I <= E[w w'] and E[w'w] <= sigma_hi.
+
+    A jump-linear episode draws its noise steps at scale sqrt(sigma_lo),
+    held to ``NOISE_CAP`` like ``GaussianIID``'s; sigma_hi is finite."""
 
     sigma_lo: float
     sigma_hi: float
@@ -82,6 +85,13 @@ class MartingaleDiffVector:
             raise ValueError("sigma_lo * dim must not exceed sigma_hi")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
+        if not self.sigma_hi < math.inf:
+            raise ConfigurationError(
+                f"sigma_hi must be finite, got {self.sigma_hi}")
+        if not math.sqrt(self.sigma_lo) <= NOISE_CAP:
+            raise ConfigurationError(
+                f"sigma_lo must keep the noise step sqrt(sigma_lo) at most "
+                f"{NOISE_CAP:g}, got {self.sigma_lo}")
 
 
 def _power_positive(adj: np.ndarray, k: int) -> bool:

@@ -228,7 +228,6 @@ class Trajectory:
     episodes).
     """
 
-    kind: str
     states: np.ndarray
     inputs: np.ndarray
     noises: np.ndarray
@@ -323,9 +322,8 @@ def _abs_states(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(states * states, axis=1))
 
 
-def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
-             blow: int, committed=None, modes=None, mode_estimates=None,
-             **fields):
+def _episode(system, controller, seed, T: int, states, inputs, noises,
+             blow: int, **fields):
     """The epilogue of every runner: record the kernel's returns and judge
     the episode.
 
@@ -333,7 +331,8 @@ def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
     the episode reached, the start included, and ``inputs`` and
     ``committed`` one fewer: T + 1 and T, or blow + 1 and blow after a
     blow-up.  ``noises``, drawn for T + 1 steps, is cut to the states;
-    ``fields`` go to the trajectory as they are.
+    ``fields``, ``modes``, ``mode_estimates`` and ``committed`` among
+    them, go to the trajectory as they are.
 
     The sup is the largest finite |state| and the regret the sum of the
     trajectory's ``_regret_terms``.  The masks that drop non-finite
@@ -342,11 +341,8 @@ def _episode(kind, system, controller, seed, T: int, states, inputs, noises,
     This runs under ``run_episode``'s errstate, the one for the whole
     episode.
     """
-    noises = noises[:len(states)]
-    traj = Trajectory(kind=kind, states=states, inputs=inputs,
-                      noises=noises, system=system, seed=seed,
-                      modes=modes, mode_estimates=mode_estimates,
-                      committed=committed,
+    traj = Trajectory(states=states, inputs=inputs,
+                      noises=noises[:len(states)], system=system, seed=seed,
                       blow_step=blow if blow >= 0 else None,
                       controller=controller, **fields)
     a = _abs_states(states)
@@ -399,8 +395,7 @@ def _run_parametric(system: ParametricSystem, controller, adversary, T: int,
     ys, us, blow = kernels.parametric_episode(
         0.0, theta, w, system.f.M, system.f.b, ctl.RLS_S0, system.theta_mean,
         GUARD)
-    return _episode("parametric", system, controller, seed, T, ys, us, w,
-                    blow, theta=theta)
+    return _episode(system, controller, seed, T, ys, us, w, blow, theta=theta)
 
 
 def _run_nonparametric(system: NonparametricSystem, controller, adversary,
@@ -413,8 +408,8 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
         ys, us, ws, vsc, axs, avs, _, blow = kernels.nonparam_duel(
             y0, system.L, system.w_bar, OFFSET_BUDGET * system.w_bar, eps,
             GUARD, T)
-        return _episode("nonparametric", system, controller, seed, T, ys, us,
-                        ws, blow, committed=vsc,
+        return _episode(system, controller, seed, T, ys, us, ws, blow,
+                        committed=vsc,
                         realized_f=RealizedPiecewiseLinear(axs, avs, system.L))
 
     # fixed or randomly drawn member; draws happen in the order
@@ -427,8 +422,8 @@ def _run_nonparametric(system: NonparametricSystem, controller, adversary,
     raw[0] = 0.0
     ys, us, blow = kernels.nonparam_fixed(
         y0, *f.table, f.L, raw, system.w_bar, eps, GUARD)
-    return _episode("nonparametric", system, controller, seed, T, ys, us,
-                    system.w_bar * raw, blow, realized_f=f)
+    return _episode(system, controller, seed, T, ys, us, system.w_bar * raw,
+                    blow, realized_f=f)
 
 
 def _run_sampled(system: SampledSystem, controller, adversary, T: int,
@@ -441,8 +436,8 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
         x0 = 0.0 + system.x0_std * rng.standard_normal()
         xs, us, vsc, axs, avs, amodes, _, blow = kernels.sampled_duel(
             x0, spec.L, spec.c, spec.h, kappa, T, GUARD, use_ctl)
-        return _episode("sampled", system, controller, seed, T, xs, us,
-                        np.zeros(T + 1), blow, committed=vsc,
+        return _episode(system, controller, seed, T, xs, us, np.zeros(T + 1),
+                        blow, committed=vsc,
                         realized_f=RealizedPiecewiseLinear(
                             axs, avs, spec.L, modes=amodes))
 
@@ -452,8 +447,8 @@ def _run_sampled(system: SampledSystem, controller, adversary, T: int,
     x0 = 0.0 + system.x0_std * rng.standard_normal()
     xs, us, blow = kernels.sampled_fixed(
         x0, *f.table, f.L, spec.c, spec.h, kappa, T, GUARD, use_ctl)
-    return _episode("sampled", system, controller, seed, T, xs, us,
-                    np.zeros(T + 1), blow, realized_f=f)
+    return _episode(system, controller, seed, T, xs, us, np.zeros(T + 1),
+                    blow, realized_f=f)
 
 
 def _run_mjls(system: MjlsSystem, controller, adversary, T: int, seed: int):
@@ -470,24 +465,93 @@ def _run_mjls(system: MjlsSystem, controller, adversary, T: int, seed: int):
         mode0 - 1, munif, W, GUARD)
     noises = np.zeros((T + 1, spec.n_states))
     noises[1:] = W
-    return _episode("mjls", system, controller, seed, T, X, U, noises, blow,
+    return _episode(system, controller, seed, T, X, U, noises, blow,
                     modes=modes + 1,
                     mode_estimates=np.where(est >= 0, est + 1, 0))
 
 
+# Each class's replay step, one stored transition recomputed through the
+# model step ops (``f`` is the replay's copy of the realization), and its
+# input recompute from the trajectory prefix through the reference
+# controller operations.
+
+
+def _replay_parametric(traj, f, x, t):
+    return models.step_parametric(x, traj.theta, traj.inputs[t],
+                                  traj.noises[t + 1], traj.system.f)
+
+
+def _replay_nonparametric(traj, f, x, t):
+    return models.step_nonparametric(x, f, traj.inputs[t], traj.noises[t + 1])
+
+
+def _replay_sampled(traj, f, x, t):
+    return models.integrate_sampled(x, f, traj.inputs[t], traj.system.spec)
+
+
+def _replay_mjls(traj, f, x, t):
+    return models.step_mjls(x, int(traj.modes[t]), traj.inputs[t],
+                            traj.noises[t + 1], traj.system.spec)
+
+
+def _recompute_parametric(traj, t):
+    f = traj.system.f
+    state = ctl.make_rls(traj.system.theta_mean)
+    for i in range(t):
+        phi = models.eval_power(f, traj.states[i])
+        z = traj.states[i + 1] - traj.inputs[i]
+        state = ctl.rls_update(state, phi, z)
+    return ctl.adaptive_mv_control(state, models.eval_power(f, traj.states[t]))
+
+
+def _recompute_nonparametric(traj, t):
+    hist = ctl.NnHistory()
+    for i in range(t):
+        hist.append(traj.states[i], traj.inputs[i], traj.states[i + 1])
+    return ctl.switching_control(
+        hist, traj.states[t], traj.controller.threshold(traj.system.w_bar))
+
+
+def _recompute_sampled(traj, t):
+    samples = [(traj.states[i], traj.inputs[i], traj.states[i + 1])
+               for i in range(t)]
+    return ctl.sampled_control(samples, traj.states[t], traj.system.spec)
+
+
+def _recompute_mjls(traj, t):
+    state = ctl.MjlsControllerState(Ks=traj.controller.solution.Ks)
+    if t >= 1:
+        state.observe(traj.states[t - 1], traj.inputs[t - 1])
+        ctl.mjls_estimate_mode(state, traj.states[t], traj.system.spec)
+    return ctl.mjls_control(state, traj.states[t])
+
+
 # The admission policy, one row per system class: its runner, the
-# controllers it runs under and the opponents it takes (none for the
-# parametric and jump-linear classes).  A class that takes an opponent is a
-# Lipschitz class: its episode runs on a given f, on a member recipe or
-# against the opponent, exactly one of them.
+# controllers it runs under, the opponents it takes (none for the
+# parametric and jump-linear classes), its replay step and its input
+# recompute.  A class that takes an opponent is a Lipschitz class: its
+# episode runs on a given f, on a member recipe or against the opponent,
+# exactly one of them.
 _ADMISSION = (
-    (ParametricSystem, _run_parametric, (MvRlsControl,), ()),
+    (ParametricSystem, _run_parametric, (MvRlsControl,), (),
+     _replay_parametric, _recompute_parametric),
     (NonparametricSystem, _run_nonparametric, (SwitchingControl,),
-     (GreedyAdversary,)),
+     (GreedyAdversary,), _replay_nonparametric, _recompute_nonparametric),
     (SampledSystem, _run_sampled, (SampledCeControl, ZeroControl),
-     (SampledGreedyAdversary,)),
-    (MjlsSystem, _run_mjls, (MjlsGainControl, ZeroControl), ()),
+     (SampledGreedyAdversary,), _replay_sampled, _recompute_sampled),
+    (MjlsSystem, _run_mjls, (MjlsGainControl, ZeroControl), (),
+     _replay_mjls, _recompute_mjls),
 )
+
+
+def _row(system):
+    """The ``_ADMISSION`` row of the system's class, found by
+    ``isinstance``, so a subclass takes its base's row; a system of no
+    row's class raises ConfigurationError."""
+    for row in _ADMISSION:
+        if isinstance(system, row[0]):
+            return row
+    raise ConfigurationError(f"unknown system type {type(system).__name__}")
 
 
 def run_episode(system: SystemSpec, controller=ZeroControl(),
@@ -500,12 +564,8 @@ def run_episode(system: SystemSpec, controller=ZeroControl(),
     """
     if T < 1:
         raise ValueError("horizon must be at least 1")
+    _, run, controllers, opponents, _, _ = _row(system)
     name = type(system).__name__
-    for cls, run, controllers, opponents in _ADMISSION:
-        if isinstance(system, cls):
-            break
-    else:
-        raise ConfigurationError(f"unknown system type {name}")
     if not isinstance(controller, controllers):
         raise ConfigurationError(
             f"{type(controller).__name__} cannot drive a {name}")
@@ -632,60 +692,34 @@ def regret_logfit(report: McReport) -> tuple[float, float]:
 # audits and replay
 
 
-@dataclass(frozen=True)
-class GrowthAudit:
-    """Escape-rate measurements of a blowup trajectory: ``multipliers``
-    are the consecutive ratios |x_{k+1}|/|x_k| over nonzero states."""
-
-    multipliers: np.ndarray
-
-
-def growth_rate_audit(traj: Trajectory) -> GrowthAudit:
-    """Audit a blowup trajectory; a non-blowup trajectory yields an
-    empty audit."""
+def growth_rate_audit(traj: Trajectory) -> np.ndarray:
+    """Escape multipliers of a blowup trajectory: the consecutive ratios
+    |x_{k+1}|/|x_k| over its finite states, from nonzero |x_k|.  A
+    non-blowup trajectory yields an empty array."""
     if traj.blow_step is None:
-        return GrowthAudit(np.empty(0))
+        return np.empty(0)
     a = _abs_states(traj.states)
     a = a[np.isfinite(a)]
-    return GrowthAudit(np.array([y / x for x, y in zip(a[:-1], a[1:])
-                                 if x > 0.0]))
+    return np.array([y / x for x, y in zip(a[:-1], a[1:]) if x > 0.0])
 
 
 def replay_states(traj: Trajectory) -> np.ndarray:
-    """Recompute every stored transition through the model step ops.
+    """Recompute every stored transition through the model step op of
+    the system's ``_ADMISSION`` row.
 
     Returns the recomputed state array; bit-equality with
     ``traj.states`` is the trajectory integrity invariant.  The step ops
     return a state beyond the guard as it is, so the final transition of
     a blowup trajectory replays like every other.
     """
-    system = traj.system
+    step = _row(traj.system)[4]
     out = np.array(traj.states, copy=True)
-    n_steps = traj.inputs.shape[0]
     # a copy of the realization: the anchor store its first evaluation
     # builds goes with the replay instead of staying with the trajectory
-    f = traj.realized_f
-    if f is not None:
-        f = replace(f)
-
-    def step(t):
-        if traj.kind == "parametric":
-            return models.step_parametric(out[t], traj.theta, traj.inputs[t],
-                                          traj.noises[t + 1], system.f)
-        if traj.kind == "nonparametric":
-            return models.step_nonparametric(out[t], f,
-                                             traj.inputs[t], traj.noises[t + 1])
-        if traj.kind == "sampled":
-            return models.integrate_sampled(out[t], f,
-                                            traj.inputs[t], system.spec)
-        if traj.kind == "mjls":
-            return models.step_mjls(out[t], int(traj.modes[t]), traj.inputs[t],
-                                    traj.noises[t + 1], system.spec)
-        raise ValueError(f"cannot replay trajectory kind {traj.kind!r}")
-
+    f = None if traj.realized_f is None else replace(traj.realized_f)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(n_steps):
-            out[t + 1] = step(t)
+        for t in range(traj.inputs.shape[0]):
+            out[t + 1] = step(traj, f, out[t], t)
     return out
 
 
@@ -703,33 +737,10 @@ def recompute_input(traj: Trajectory, t: int):
     Uses the module-level controller operations, reading nothing beyond
     index t; agreement with ``traj.inputs[t]`` checks both causality and
     the fused kernels against the reference controller implementations.
+    Zero control recomputes as zero in every class; any other controller
+    goes to the input recompute of the system's ``_ADMISSION`` row.
     """
-    controller = traj.controller
-    system = traj.system
-    if isinstance(controller, ZeroControl):
+    recompute = _row(traj.system)[5]
+    if isinstance(traj.controller, ZeroControl):
         return 0.0 if traj.states.ndim == 1 else np.zeros_like(traj.inputs[0])
-    if traj.kind == "parametric":
-        state = ctl.make_rls(system.theta_mean)
-        for i in range(t):
-            phi = models.eval_power(system.f, traj.states[i])
-            z = traj.states[i + 1] - traj.inputs[i]
-            state = ctl.rls_update(state, phi, z)
-        return ctl.adaptive_mv_control(
-            state, models.eval_power(system.f, traj.states[t]))
-    if traj.kind == "nonparametric":
-        hist = ctl.NnHistory()
-        for i in range(t):
-            hist.append(traj.states[i], traj.inputs[i], traj.states[i + 1])
-        return ctl.switching_control(hist, traj.states[t],
-                                     controller.threshold(system.w_bar))
-    if traj.kind == "sampled":
-        samples = [(traj.states[i], traj.inputs[i], traj.states[i + 1])
-                   for i in range(t)]
-        return ctl.sampled_control(samples, traj.states[t], system.spec)
-    if traj.kind == "mjls":
-        state = ctl.MjlsControllerState(Ks=controller.solution.Ks)
-        if t >= 1:
-            state.observe(traj.states[t - 1], traj.inputs[t - 1])
-            ctl.mjls_estimate_mode(state, traj.states[t], system.spec)
-        return ctl.mjls_control(state, traj.states[t])
-    raise ValueError(f"cannot recompute inputs for kind {traj.kind!r}")
+    return recompute(traj, t)

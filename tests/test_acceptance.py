@@ -160,10 +160,10 @@ def test_criterion_5_sampled_data_regimes():
                               ("ce", SampledCeControl())):
         traj, verdict = run_episode(SampledSystem(spec=spec), controller,
                                     SampledGreedyAdversary(), T=48, seed=0)
-        audit = growth_rate_audit(traj)
+        multipliers = growth_rate_audit(traj)
         blow_ok = verdict.outcome is Outcome.BLOWUP
-        min_mults[label] = (float(np.min(audit.multipliers[:12]))
-                            if audit.multipliers.shape[0] >= 12 else 0.0)
+        min_mults[label] = (float(np.min(multipliers[:12]))
+                            if multipliers.shape[0] >= 12 else 0.0)
         min_mults[label + "_blow"] = blow_ok
     mult_ok = all(min_mults[k] >= (8.0 / 2.0) * 0.95 for k in ("open", "ce"))
     blow_ok = min_mults["open_blow"] and min_mults["ce_blow"]
@@ -281,10 +281,10 @@ def test_criterion_7_property_suites():
         n = traj.inputs.shape[0]
         for t in (0, n // 2, n - 1):
             scrambled = Trajectory(
-                kind=traj.kind, states=traj.states.copy(),
-                inputs=traj.inputs.copy(), noises=traj.noises.copy(),
-                system=traj.system, theta=traj.theta,
-                realized_f=traj.realized_f, controller=traj.controller)
+                states=traj.states.copy(), inputs=traj.inputs.copy(),
+                noises=traj.noises.copy(), system=traj.system,
+                theta=traj.theta, realized_f=traj.realized_f,
+                controller=traj.controller)
             scrambled.states[t + 1:] = rng.standard_normal(
                 scrambled.states[t + 1:].shape)
             causal_ok &= recompute_input(scrambled, t) == traj.inputs[t]

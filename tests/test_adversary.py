@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from feedback_lab import (PiecewiseLinearFn,
+from feedback_lab import (GUARD, PiecewiseLinearFn, kernels,
                           RealizedPiecewiseLinear, adversary_choose,
                           feasible_interval, quasi_norm, realize,
                           SampledAdversaryState, sampled_adversary_choose)
@@ -51,6 +53,18 @@ class TestAdversaryChoose:
         # interval (-2, 2): |-2-10| = 12 beats |2-10| = 8
         assert v == -2.0
         assert w == -1.0
+
+    def test_overflowing_value_commits_at_the_edge(self):
+        # L|x| + budget overflows at L 1e300; the value commits at the
+        # largest double, as the duel kernel's first commit does, so the
+        # store realizes
+        f = PiecewiseLinearFn(L=1e300)
+        v, w = adversary_choose(f, x=1e10, u=0.0, w_bar=1.0)
+        assert v == sys.float_info.max and w == 1.0
+        assert realize(f)(1e10) == v
+        _, us, _, vsc, *_, blow = kernels.nonparam_duel(
+            1e10, 1e300, 1.0, 10.0, 0.1, GUARD, 5)
+        assert us[0] == 0.0 and vsc.tolist() == [v] and blow == 1
 
     def test_consistency_after_random_play(self):
         rng = np.random.default_rng(8)

@@ -472,8 +472,13 @@ class TestMjlsSolve:
          "spec key 'B' must be an array of numbers"),
         ({"P": [[1.0]], "A": [[0.5]], "B": [[[1.0]]]},
          "invalid jump-linear spec: A must be (N, n, n)"),
+        (dict(MJLS_SPEC, sigma_lo=float("inf"), sigma_hi=float("inf")),
+         "invalid jump-linear spec: sigma_hi must be finite"),
+        (dict(MJLS_SPEC, sigma_lo=1e300, sigma_hi=1e300),
+         "invalid jump-linear spec: sigma_lo must keep the noise step"),
     ], ids=["zero_inputs", "nan_A", "nan_P", "sigma_lo_list", "sigma_lo_null",
-            "sigma_hi_text", "A_mapping", "B_ragged", "A_2d"])
+            "sigma_hi_text", "A_mapping", "B_ragged", "A_2d", "sigma_inf",
+            "sigma_lo_beyond_cap"])
     def test_invalid_spec_exits_2(self, command, doc, message, capsys,
                                   tmp_path):
         path = tmp_path / "bad.yaml"

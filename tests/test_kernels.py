@@ -612,8 +612,7 @@ class TestBlockedHistories:
         ys, us, blow = kernels.nonparam_fixed(0.3, *f.table, 2.0, raw, 1.0,
                                               0.1, GUARD)
         assert blow == -1
-        traj = _trajectory("nonparametric", ys, us, raw, system,
-                           SwitchingControl())
+        traj = _trajectory(ys, us, raw, system, SwitchingControl())
         assert _bits(replay_states(traj)) == _bits(ys)
         splits = _split_steps(ys[:-1].tolist())
         assert len(splits) >= 5
@@ -629,8 +628,7 @@ class TestBlockedHistories:
         out, us, blow = kernels.sampled_fixed(0.7, *f.table, 1.0, 1.0, 1.0,
                                               4.0, 600, GUARD, 1)
         assert blow == -1
-        traj = _trajectory("sampled", out, us, np.zeros(601), system,
-                           SampledCeControl())
+        traj = _trajectory(out, us, np.zeros(601), system, SampledCeControl())
         assert _bits(replay_states(traj)) == _bits(out)
         splits = _split_steps(out[:-1].tolist())
         assert len(splits) >= 3
@@ -649,8 +647,8 @@ class Uniforms:
         return next(self._values)
 
 
-def _trajectory(kind, states, inputs, noises, system, controller):
-    return Trajectory(kind=kind, states=states, inputs=inputs, noises=noises,
+def _trajectory(states, inputs, noises, system, controller):
+    return Trajectory(states=states, inputs=inputs, noises=noises,
                       system=system, realized_f=getattr(system, "f", None),
                       controller=controller)
 
@@ -725,8 +723,7 @@ class TestEpisodeKernelsAgree:
         system = NonparametricSystem(L=2.0, f=f)
         ys, us, blow = kernels.nonparam_fixed(0.3, *f.table, 2.0, raw, 1.0,
                                               0.1, GUARD)
-        traj = _trajectory("nonparametric", ys, us, raw, system,
-                           SwitchingControl())
+        traj = _trajectory(ys, us, raw, system, SwitchingControl())
         _assert_inputs_recomputable(traj)
         assert check_replay(traj)
 
@@ -749,8 +746,7 @@ class TestEpisodeKernelsAgree:
             ties += np.unique(ys[:t][d == d.min()]).shape[0] > 1
             repeats += d.min() == 0.0
         assert ties > 10 and repeats > 100
-        traj = _trajectory("nonparametric", ys, us, raw, system,
-                           SwitchingControl())
+        traj = _trajectory(ys, us, raw, system, SwitchingControl())
         _assert_inputs_recomputable(traj)
 
     def test_nonparam_duel(self):
@@ -785,8 +781,7 @@ class TestEpisodeKernelsAgree:
         system = SampledSystem(spec=spec, f=f)
         out, us, blow = kernels.sampled_fixed(0.7, *f.table, 1.0, 1.0, 0.5,
                                               4.0, 50, GUARD, 1)
-        traj = _trajectory("sampled", out, us, np.zeros(51), system,
-                           SampledCeControl())
+        traj = _trajectory(out, us, np.zeros(51), system, SampledCeControl())
         _assert_inputs_recomputable(traj)
         assert check_replay(traj)
 

@@ -11,7 +11,7 @@ from feedback_lab import (GUARD, GaussianIID, MarkovChain,
                           PowerGrowthFn, RealizedPiecewiseLinear, SampledSpec,
                           eval_power, integrate_sampled, markov_next,
                           step_mjls, step_nonparametric, step_parametric)
-from feedback_lab.models import ConfigurationError
+from feedback_lab.models import NOISE_CAP, ConfigurationError
 from feedback_lab.sim import (Outcome, SampledSystem, ZeroControl,
                               check_replay, random_envelope_member,
                               run_episode)
@@ -435,6 +435,21 @@ class TestNoiseModels:
         with pytest.raises(ValueError):
             MartingaleDiffVector(sigma_lo=1.0, sigma_hi=1.0, dim=3)
         MartingaleDiffVector(sigma_lo=1.0, sigma_hi=3.0, dim=3)
+
+    @pytest.mark.parametrize("lo, hi, field", [
+        (math.inf, math.inf, "sigma_hi"),
+        (1.0, math.inf, "sigma_hi"),
+        (1e300, 1e300, "sigma_lo"),
+        (NOISE_CAP ** 2 * 4.0, NOISE_CAP ** 2 * 4.0, "sigma_lo"),
+    ], ids=["both_inf", "sigma_hi_inf", "sigma_lo_beyond_guard",
+            "sigma_lo_beyond_cap"])
+    def test_martingale_noise_cap(self, lo, hi, field):
+        # a noise step sqrt(sigma_lo) beyond NOISE_CAP, or an unbounded
+        # sigma_hi, is a configuration error; up to the cap it is built
+        with pytest.raises(ConfigurationError, match=field):
+            MartingaleDiffVector(sigma_lo=lo, sigma_hi=hi, dim=1)
+        MartingaleDiffVector(sigma_lo=NOISE_CAP ** 2, sigma_hi=NOISE_CAP ** 2,
+                             dim=1)
 
     def test_variance_positive(self):
         with pytest.raises(ValueError):

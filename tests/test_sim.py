@@ -1,4 +1,7 @@
 import math
+import sys
+import typing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +20,8 @@ from feedback_lab import (GaussianIID, GreedyAdversary,
                           Trajectory, ZeroControl, check_replay,
                           default_checkpoints, episode_seed,
                           growth_rate_audit, make_rls, monte_carlo,
-                          recompute_input,
-                          regret_logfit, run_episode, sim,
+                          recompute_input, regret_logfit, replay_states,
+                          run_episode, sim,
                           solve_coupled_riccati, splitmix64)
 from feedback_lab.models import NOISE_CAP, ConfigurationError
 from feedback_lab.sim import McReport, _aggregate, _episode_summary
@@ -89,6 +92,11 @@ EPILOGUE_CASES = [(name, make, 0, False) for name, make in ALL_EPISODES] + [
         None, 50), 0, True),
     ("nonparam-duel-overflow", lambda: (NonparametricSystem(
         L=1e300, y0_std=1.0), SwitchingControl(), GreedyAdversary(), 50), 0,
+     True),
+    # the opponent's value L|y| + budget overflows; it commits at the edge
+    # of double range, so the realization stays finite
+    ("nonparam-duel-inf", lambda: (NonparametricSystem(
+        L=1e300, y0_std=1e10), SwitchingControl(), GreedyAdversary(), 50), 0,
      True),
     ("sampled-fixed-inf", lambda: (SampledSystem(
         spec=SampledSpec(1000.0, 1.0, 1.0), f=RealizedPiecewiseLinear(
@@ -162,6 +170,20 @@ class TestReplayInvariant:
                 blowups += 1
                 assert check_replay(traj), f"seed {seed}"
         assert blowups > 0, "no blowup found to exercise the final transition"
+
+    @pytest.mark.parametrize("L, y0_std", [(1e300, 1e10), (1e200, 1e120)])
+    def test_overflowing_duel_commit_blows_up_and_replays(self, L, y0_std):
+        # the opponent's value L|y| + budget overflows at step 1; it
+        # commits at the largest double, so the episode blows up there and
+        # replays through a finite realization
+        system = NonparametricSystem(L=L, y0_std=y0_std)
+        for seed in range(4):
+            traj, verdict = run_episode(system, SwitchingControl(),
+                                        GreedyAdversary(), 50, seed)
+            assert verdict.outcome is Outcome.BLOWUP, seed
+            assert verdict.blow_step == 1, seed
+            assert traj.committed.tolist() == [sys.float_info.max]
+            assert check_replay(traj), seed
 
     @pytest.mark.parametrize("h", [1.0, 2.0, 8.0])
     def test_sampled_duel_from_nonzero_start_replays(self, h):
@@ -238,7 +260,7 @@ class TestEpisodeEpilogue:
             assert traj.committed is None
         else:
             assert len(traj.committed) == len(traj.inputs)
-        if traj.kind == "mjls":
+        if isinstance(traj.system, MjlsSystem):
             assert len(traj.modes) == len(traj.mode_estimates) == n
 
     @pytest.mark.parametrize("name,make,seed,blows", EPILOGUE_CASES,
@@ -328,6 +350,31 @@ class TestConfigurationErrors:
         assert len(traj.states) == verdict.horizon + 1
         assert (traj.committed is not None) == (adversary != "None")
         assert check_replay(traj)
+        # the jump-linear gains' dots round apart from the reference's
+        # matrix products in the last bits; every scalar input is exact
+        for t in range(traj.inputs.shape[0]):
+            u = recompute_input(traj, t)
+            if system == "jump-linear":
+                assert np.allclose(u, traj.inputs[t], rtol=1e-12,
+                                   atol=1e-12), t
+            else:
+                assert _bits(u) == _bits(traj.inputs[t]), t
+
+    def test_rows_cover_each_system_class_once(self):
+        classes = [row[0] for row in sim._ADMISSION]
+        assert sorted(classes, key=lambda c: c.__name__) == sorted(
+            typing.get_args(sim.SystemSpec), key=lambda c: c.__name__)
+
+    def test_system_of_no_class_is_a_configuration_error(self):
+        # admission, replay and input recompute find the class through one
+        # lookup; a system of no row's class fails each, zero control too
+        traj, _ = run_episode(mjls_expanding(), ZeroControl(), None, 5, 0)
+        stranger = replace(traj, system=object())
+        for call in (lambda: run_episode(object(), ZeroControl(), None, 5),
+                     lambda: replay_states(stranger),
+                     lambda: recompute_input(stranger, 0)):
+            with pytest.raises(ConfigurationError, match="unknown system"):
+                call()
 
     def test_rejected_before_any_draw(self, monkeypatch):
         # the admission check runs before a runner builds its generator
@@ -480,10 +527,10 @@ class TestCausality:
         n = traj.inputs.shape[0]
         for t in (0, n // 2, n - 1):
             scrambled = Trajectory(
-                kind=traj.kind, states=traj.states.copy(),
-                inputs=traj.inputs.copy(), noises=traj.noises.copy(),
-                system=traj.system, theta=traj.theta,
-                realized_f=traj.realized_f, controller=traj.controller)
+                states=traj.states.copy(), inputs=traj.inputs.copy(),
+                noises=traj.noises.copy(), system=traj.system,
+                theta=traj.theta, realized_f=traj.realized_f,
+                controller=traj.controller)
             scrambled.states[t + 1:] = rng.standard_normal(
                 scrambled.states[t + 1:].shape)
             assert recompute_input(scrambled, t) == traj.inputs[t]
@@ -591,22 +638,21 @@ class TestRegretLogfit:
 class TestGrowthAudit:
     def _traj(self, values, blow=True):
         arr = np.asarray(values, dtype=float)
-        return Trajectory(kind="synthetic", states=arr,
-                          inputs=np.zeros(arr.shape[0] - 1),
+        return Trajectory(states=arr, inputs=np.zeros(arr.shape[0] - 1),
                           noises=np.zeros_like(arr),
                           blow_step=arr.shape[0] - 1 if blow else None)
 
     def test_non_blowup_gives_empty_audit(self):
-        audit = growth_rate_audit(self._traj([1.0, 2.0, 3.0], blow=False))
-        assert audit.multipliers.shape == (0,)
+        traj = self._traj([1.0, 2.0, 3.0], blow=False)
+        assert growth_rate_audit(traj).shape == (0,)
 
     def test_sampled_escape_multipliers(self):
         system = SampledSystem(spec=SampledSpec(1.0, 1.0, 8.0))
         traj, verdict = run_episode(system, ZeroControl(),
                                     SampledGreedyAdversary(), T=48, seed=0)
         assert verdict.outcome is Outcome.BLOWUP
-        audit = growth_rate_audit(traj)
-        assert np.all(audit.multipliers[:12] >= 4.0 * 0.95)
+        multipliers = growth_rate_audit(traj)
+        assert np.all(multipliers[:12] >= 4.0 * 0.95)
 
 
 class TestMjlsClosedLoop:
