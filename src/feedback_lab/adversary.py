@@ -67,9 +67,12 @@ class RealizedPiecewiseLinear:
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("abscissas must be sorted and distinct")
         # the tolerance scales with the values' magnitude, so realizations
-        # of far-escaped runs are not rejected on last-bit rounding
+        # of far-escaped runs are not rejected on last-bit rounding; a
+        # bound past double range reads inf and admits any difference
         scale = np.maximum(1.0, np.maximum(np.abs(vs[:-1]), np.abs(vs[1:])))
-        if np.any(np.abs(np.diff(vs)) > self.L * np.diff(xs) + 1e-9 * scale):
+        with np.errstate(over="ignore"):
+            steep = np.abs(np.diff(vs)) > self.L * np.diff(xs) + 1e-9 * scale
+        if np.any(steep):
             raise ValueError(
                 f"anchor difference quotients exceed the slope budget {self.L}")
         object.__setattr__(self, "xs", xs)
@@ -226,7 +229,11 @@ class SampledAdversaryState:
 
 def sampled_adversary_choose(state: SampledAdversaryState, x: float,
                              u: float) -> float:
-    """Greedy endpoint choice intersected with the envelope |v| <= L|x| + c."""
+    """Greedy endpoint choice intersected with the envelope |v| <= L|x| + c.
+
+    A value past double range commits at +-``sys.float_info.max``, as in
+    ``adversary_choose``.
+    """
     x = float(x)
     u = float(u)
     fn = state.fn
@@ -244,5 +251,6 @@ def sampled_adversary_choose(state: SampledAdversaryState, x: float,
         mid = 0.5 * (lo + hi)
         lo = hi = min(max(mid, -box), box)
     v = hi if abs(hi + u) >= abs(lo + u) else lo
+    v = min(max(v, -sys.float_info.max), sys.float_info.max)
     fn.commit(x, v)
     return v

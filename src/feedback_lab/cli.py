@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -625,7 +626,11 @@ def _add_global_options(parser: argparse.ArgumentParser,
                         help="exit 3 on indeterminate solver verdicts")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built from the static option table
+    at the first call and shared by every later ``main``; parsing keeps
+    its state in the namespace it returns, not in the parser."""
     parser = argparse.ArgumentParser(
         prog="feedback-lab",
         description="Simulation laboratory for the capability and limits "

@@ -4,13 +4,13 @@ Every episode loop and the coupled fixed-point solver live here as plain
 Python functions.  The episode kernels read their input arrays once as
 lists (``.tolist()``), keep states in Python lists of Python floats,
 anchor stores in sorted key lists with one row per interval, and
-nearest-neighbour histories in sorted blocks with a dict of first-visit
-steps (see below), and build their numpy return arrays once, when they
-return.  A list of floats becomes an array through ``_array``:
-``np.fromiter`` with the float64 dtype and the length given, the same
-bits as ``np.array`` on the list without its dtype discovery, which took
-most of its time (about 150 against 85 us for the 5 001 states of a
-T 5 000 episode on a 2-vCPU x86_64 host).  A list read costs about a
+nearest-neighbour histories in sorted blocks, each with a list of
+first-visit steps beside it (see below), and build their numpy return
+arrays once, when they return.  A list of floats becomes an array
+through ``_array``: ``np.fromiter`` with the float64 dtype and the
+length given, the same bits as ``np.array`` on the list without its
+dtype discovery, which took most of its time (about 150 against 85 us
+for the 5 001 states of a T 5 000 episode on a 2-vCPU x86_64 host).  A list read costs about a
 third of a numpy-scalar read, and both follow IEEE double arithmetic, so
 results are the same bits.  The one difference is overflow: ``x ** b``
 raises ``OverflowError`` on Python floats where float64 gives inf.
@@ -95,18 +95,20 @@ An anchor store is one flat key list and its rows, since ``zoh_flow``
 walks the rows by index and the store stays small in every workload.  A
 commit (``_insert``) inserts the key and splits its row into two that
 keep the row's envelope, and a flow that closes a free interval rewrites
-its row.  A nearest-neighbour history (``_visit``) keeps sorted keys
-plus a dict from each distinct past state to the step of its first
-visit, the keys in sorted blocks of at most 2 * ``_LOAD`` keys with each
+its row.  A nearest-neighbour history (``_visit``) keeps the distinct
+past states in sorted blocks of at most 2 * ``_LOAD`` keys, with each
 block's last key alongside, so a commit moves the tail of one block, not
-of a list of 10^4 keys (criterion 4's episodes).  A commit at a key
-already stored keeps the first value: among equal computed distances the
-smallest step wins, and a repeat of a state can never beat its first
-visit.  Keys compare as floats, so a +0.0 visit finds a stored -0.0 and
-keeps it and its value.  A NaN key equals no key and sorts after every
-key, so a NaN commit appends (to a history's last block); the dict finds
-it by identity, and the rows either side hold the NaN object itself, so
-reads through the key list get its value back.
+of a list of 10^4 keys (criterion 4's episodes).  Beside each block a
+list holds the step of each key's first visit, in the block's order, so
+a visit reads its nearest key's step by the index it found the key at,
+and an insert or a split moves keys and steps together; no state is
+hashed.  A commit at a key already stored keeps the first value: among
+equal computed distances the smallest step wins, and a repeat of a state
+can never beat its first visit.  Keys compare as floats, so a +0.0 visit
+finds a stored -0.0 and keeps it and its value.  A NaN key equals no key
+and sorts after every key, so a NaN commit appends (to a history's last
+block, its step to that block's step list); the rows either side hold
+the NaN object itself, so reads through the key list get its value back.
 
 Every anchor-store access finds x's index once, by bisection
 (``_bisect``), and uses it for both the lookup and the insertion: the
@@ -267,14 +269,15 @@ def _insert(keys, rows, j, key, val):
     rows.insert(j + 1, (key, val, right, vr, m))
 
 
-def _visit(hist, steps, x, t):
+def _visit(hist, x, t):
     """Look up the stored state nearest to x, then record x at step t.
 
-    ``hist`` is ``(blocks, maxes)``: the distinct past states in sorted
-    blocks of at most 2 * ``_LOAD`` keys, in order, and each block's last
-    key.  ``steps`` maps each stored state to the step of its first visit.
-    Returns the step k of the nearest state (-1 for an empty history) and
-    its distance.  Computed distances grow monotonically away from the
+    ``hist`` is ``(blocks, maxes, steps)``: the distinct past states in
+    sorted blocks of at most 2 * ``_LOAD`` keys, in order, each block's
+    last key, and beside each block a list of the same length whose entry
+    i is the step of the first visit to the block's key i.  Returns the
+    step k of the nearest state (-1 for an empty history) and its
+    distance.  Computed distances grow monotonically away from the
     insertion point on either side, so the entries tied at the minimum
     form one run on each side of it, which may cross block edges; the
     smallest step among them wins.  Where one neighbour is strictly
@@ -283,11 +286,11 @@ def _visit(hist, steps, x, t):
     tie go through the scan (``_tie_scan``).  The joined blocks are the
     flat sorted list ``_bisect`` and ``_insert`` would keep, NaN last.
     """
-    blocks, maxes = hist
+    blocks, maxes, steps = hist
     if not blocks:
         blocks.append([x])
         maxes.append(x)
-        steps[x] = t
+        steps.append([t])
         return -1, _INF
     # the first block whose last key is >= x, else the end of the last
     b = bisect_left(maxes, x) if x == x else len(maxes)
@@ -298,6 +301,7 @@ def _visit(hist, steps, x, t):
     else:
         blk = blocks[b]
         i = bisect_left(blk, x)
+    stp = steps[b]
     n = len(blk)
     # the neighbours' distances, inf where there is none
     dr = blk[i] - x if i < n else _INF
@@ -310,23 +314,25 @@ def _visit(hist, steps, x, t):
     if dr < dl and (blk[i + 1] - x > dr if i + 1 < n
                     else b + 1 == len(blocks)):
         best = dr
-        k = steps[blk[i]]
+        k = stp[i]
     elif dl < dr and (x - blk[i - 2] > dl if i > 1 else i == 1 and not b):
         best = dl
-        k = steps[blk[i - 1]]
+        k = stp[i - 1]
     else:
         best = dr if dr < dl else dl
         k = _tie_scan(blocks, steps, b, i, x, best)
     if i < n and blk[i] == x:
         return k, best  # a revisit keeps the first key and its step
     blk.insert(i, x)
-    steps[x] = t
+    stp.insert(i, t)
     if i == n:
         maxes[b] = x
     if n >= 2 * _LOAD:
         h = (n + 1) >> 1
         blocks.insert(b + 1, blk[h:])
+        steps.insert(b + 1, stp[h:])
         del blk[h:]
+        del stp[h:]
         maxes.insert(b, blk[-1])
     return k, best
 
@@ -335,44 +341,44 @@ def _tie_scan(blocks, steps, b, i, x, best):
     # the smallest step over the keys at distance best: the runs left of
     # x's index i in block b and from it on, across block edges
     k = -1
-    c, row, r = b, blocks[b], i
+    c, row, stp, r = b, blocks[b], steps[b], i
     while True:
         if not r:
             if not c:
                 break
             c -= 1
             row = blocks[c]
+            stp = steps[c]
             r = len(row)
         r -= 1
-        key = row[r]
-        if x - key != best:
+        if x - row[r] != best:
             break
-        s = steps[key]
+        s = stp[r]
         if k < 0 or s < k:
             k = s
-    c, row, r = b, blocks[b], i
+    c, row, stp, r = b, blocks[b], steps[b], i
     while True:
         if r == len(row):
             c += 1
             if c == len(blocks):
                 break
             row = blocks[c]
+            stp = steps[c]
             r = 0
-        key = row[r]
-        if key - x != best:
+        if row[r] - x != best:
             break
-        s = steps[key]
+        s = stp[r]
         if k < 0 or s < k:
             k = s
         r += 1
     return k
 
 
-def _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax):
+def _switching_input(ys, us, hist, t, y, eps, bmin, bmax):
     # nearest-neighbour estimate fhat = y_{k+1} - u_k, then range-centring
     # far from every past output and tracking 0 close to one (0.0 - fhat,
     # which is +0.0 where -fhat is -0.0); y is recorded in the history
-    k, gap = _visit(hist, hk, y, t)
+    k, gap = _visit(hist, y, t)
     if k < 0:
         return 0.0
     fhat = ys[k + 1] - us[k]
@@ -381,10 +387,10 @@ def _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax):
     return 0.0 - fhat
 
 
-def _ce_input(xs, us, hist, sk, k, x, L, c, h, kappa):
+def _ce_input(xs, us, hist, k, x, L, c, h, kappa):
     # certainty equivalence on the nearest past sample, clipped to
     # |u| <= kappa (L|x| + c); x is recorded in the history
-    i, _ = _visit(hist, sk, x, k)
+    i, _ = _visit(hist, x, k)
     if i < 0:
         return 0.0
     ftilde = (xs[i + 1] - xs[i]) / h - us[i]
@@ -461,8 +467,7 @@ def nonparam_fixed(y0, fkeys, frows, L, ws, w_bar, eps, guard):
     y = float(y0)
     ys = [y]
     us = []
-    hist = ([], [])
-    hk = {}
+    hist = ([], [], [])
     bmin = y
     bmax = y
     blow = -1
@@ -471,7 +476,7 @@ def nonparam_fixed(y0, fkeys, frows, L, ws, w_bar, eps, guard):
             bmin = y
         if y > bmax:
             bmax = y
-        u = _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax)
+        u = _switching_input(ys, us, hist, t, y, eps, bmin, bmax)
         y1 = mcshane_eval(fkeys, frows, L, y) + u + w_bar * ws[t + 1]
         us.append(u)
         ys.append(y1)
@@ -493,8 +498,7 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
     vsc = []
     keys = []
     rows = [_FREE]
-    hist = ([], [])
-    hk = {}
+    hist = ([], [], [])
     bmin = y
     bmax = y
     blow = -1
@@ -503,7 +507,7 @@ def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
             bmin = y
         if y > bmax:
             bmax = y
-        u = _switching_input(ys, us, hist, hk, t, y, eps, bmin, bmax)
+        u = _switching_input(ys, us, hist, t, y, eps, bmin, bmax)
         j = _bisect(keys, y)
         if not keys:
             hi = L * abs(y) + budget_c
@@ -567,14 +571,17 @@ def zoh_flow(keys, rows, L, x, u, h):
     such an interval only at an anchor, where both envelopes take the
     stored value.  On a free tail it commits the endpoint with the
     active line's value, the expression a later flow compares there, so
-    a replay through the final store gets the same bits.
+    a replay through the final store gets the same bits; where that
+    value is past double range, the whole tail closes instead.
     """
     j = _bisect(keys, x)
     row = rows[j]
     lo, hi = _cone(row, L, x)
     g = (lo if row[4] == 1 else hi) + u
     if not (g > 0.0 or g < 0.0):
-        return x  # at rest, or NaN
+        # at rest, or NaN: a NaN state stays as it is, and an f(x) + u
+        # past double range (inf - inf) has no flow, so the state reads NaN
+        return g if g != g and x == x else x
     s = 1.0 if g > 0.0 else -1.0
     if s > 0.0 and row[2] == x:
         j += 1
@@ -639,10 +646,15 @@ def zoh_flow(keys, rows, L, x, u, h):
             enter = True
     if free and not has1 and 0.0 < (x_end - p0) * s < _INF:
         # the swept piece of the tail closes (moving left, the right one
-        # of the split); the new tail beyond stays free
-        _insert(keys, rows, j, x_end, q0 + eL * ((x_end - p0) * s))
-        if s < 0.0:
-            j += 1
+        # of the split); the new tail beyond stays free.  Where the value
+        # at the endpoint lies past double range, so does every value
+        # beyond it: the whole tail closes, and no anchor is committed
+        # there, since one at +-max would bend the envelope the flow took
+        v = q0 + eL * ((x_end - p0) * s)
+        if -_MAX <= v <= _MAX:
+            _insert(keys, rows, j, x_end, v)
+            if s < 0.0:
+                j += 1
         left, vl, right, vr, _ = rows[j]
         rows[j] = (left, vl, right, vr, m)
     return x_end
@@ -662,13 +674,12 @@ def _sampled_episode(x, keys, rows, L, c, h, kappa, n_samples, guard,
     xs = [x]
     us = []
     vsc = []
-    hist = ([], [])
-    sk = {}
+    hist = ([], [], [])
     blow = -1
     for k in range(n_samples):
         u = 0.0
         if use_controller != 0:
-            u = _ce_input(xs, us, hist, sk, k, x, L, c, h, kappa)
+            u = _ce_input(xs, us, hist, k, x, L, c, h, kappa)
         j = _bisect(keys, x)
         row = rows[j]
         lo, hi = _cone(row, L, x)
@@ -687,6 +698,10 @@ def _sampled_episode(x, keys, rows, L, c, h, kappa, n_samples, guard,
                 # into it, as adversary.sampled_adversary_choose does
                 lo = hi = min(max(0.5 * (lo + hi), -box), box)
             v = hi if abs(hi + u) >= abs(lo + u) else lo
+            # a value past double range commits at its edge, as in
+            # ``nonparam_duel``, so the store stays finite
+            if not -_MAX <= v <= _MAX:
+                v = math.copysign(_MAX, v)
             _insert(keys, rows, j, x, v)
         x1 = zoh_flow(keys, rows, L, x, u, h)
         us.append(u)

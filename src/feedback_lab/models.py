@@ -264,7 +264,8 @@ def integrate_sampled(x0: float, f: RealizedPiecewiseLinear, u_const: float,
     (``kernels.zoh_flow``, the one the sampled kernels take), through
     each interval's envelope (``f.modes``, upper or lower):
     x* + (x - x*) e^{a t} on a piece of slope a = +-L with equilibrium
-    x*.  A state beyond double precision reads +-inf.  ``f`` must
+    x*.  A state beyond double precision reads +-inf, and one whose
+    rate f(x) + u has no sign (inf - inf) reads NaN.  ``f`` must
     be realized and inside the declared class
     (:func:`require_sampled_member`).
     """

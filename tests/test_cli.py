@@ -258,6 +258,18 @@ class TestExitCodes:
         assert run_cli(args) == 2
         assert run_cli(["--force"] + args) == 0
 
+    def test_calls_share_the_parser_but_no_parsed_state(self, tmp_path,
+                                                         capsys):
+        # the parser is built once per process; a --force parsed by one
+        # call must not carry over to the next
+        args = ["--out", str(tmp_path), "--no-timestamp", "highorder-check",
+                "--L", "1.0", "--p", "1"]
+        assert run_cli(["--force"] + args) == 0
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert cli.build_parser() is cli.build_parser()
+
     def test_strict_indeterminate_exit(self, mjls_spec_file, monkeypatch,
                                         capsys):
         def fake_solve(spec, tol=1e-10, max_iter=10000):

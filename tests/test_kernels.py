@@ -341,15 +341,19 @@ def _history_keys(hist):
     return [key for block in hist[0] for key in block]
 
 
+def _history_steps(hist):
+    # a blocked history's first-visit steps, in the order of its keys
+    return [step for block in hist[2] for step in block]
+
+
 def _split_steps(states):
     """The steps whose visit split a history block, recording ``states``
     through ``_visit`` as the episode kernels do."""
-    hist = ([], [])
-    steps = {}
+    hist = ([], [], [])
     out = []
     for t, y in enumerate(states):
         n = len(hist[0])
-        kernels._visit(hist, steps, y, t)
+        kernels._visit(hist, y, t)
         if n and len(hist[0]) > n:
             out.append(t)
     return out
@@ -367,9 +371,9 @@ def _assert_row_invariant(keys, rows, first):
 
 
 class TestSortedStores:
-    """A store is a sorted key list, blocked in a history with a dict from
-    each key to its first-visit step, and for an anchor store one row per
-    interval, which holds the anchors either side and their values."""
+    """A store is a sorted key list, blocked in a history with a list of
+    first-visit steps beside each block, and for an anchor store one row
+    per interval, which holds the anchors either side and their values."""
 
     def test_insert_keeps_first_value_sorted_and_distinct(self):
         # between inserts a random row takes a random envelope, as a flow
@@ -400,16 +404,17 @@ class TestSortedStores:
         assert [row[3] for row in rows[:-1]] == first_index.tolist()
 
     def test_signed_zero_revisit_keeps_first_key_and_step(self):
-        hist = ([], [])
-        steps = {}
-        assert kernels._visit(hist, steps, -0.0, 0) == (-1, np.inf)
-        assert kernels._visit(hist, steps, 1.0, 1) == (0, 1.0)
-        k, gap = kernels._visit(hist, steps, 0.0, 2)
+        hist = ([], [], [])
+        assert kernels._visit(hist, -0.0, 0) == (-1, np.inf)
+        assert kernels._visit(hist, 1.0, 1) == (0, 1.0)
+        k, gap = kernels._visit(hist, 0.0, 2)
         assert (k, gap) == (0, 0.0)
         keys = _history_keys(hist)
         assert keys == [0.0, 1.0] and math.copysign(1.0, keys[0]) == -1.0
-        assert steps == {0.0: 0, 1.0: 1}
-        assert math.copysign(1.0, next(iter(steps))) == -1.0
+        assert _history_steps(hist) == [0, 1]
+        # the first key, -0.0, sits beside its own step
+        assert math.copysign(1.0, hist[0][0][0]) == -1.0 and \
+            hist[2][0][0] == 0
 
     def test_nan_key_reads_back_its_own_value(self):
         # NaN sorts after every key and equals none, so each NaN insert
@@ -444,12 +449,11 @@ class TestSortedStores:
         # two others, so distance ties are frequent
         rng = np.random.default_rng(6)
         states = rng.integers(-256, 256, 400) / 16.0
-        store = ([], [])
-        steps = {}
+        store = ([], [], [])
         hist = controllers.NnHistory()
         ties = repeats = 0
         for t, y in enumerate(states.tolist()):
-            k, gap = kernels._visit(store, steps, y, t)
+            k, gap = kernels._visit(store, y, t)
             if t == 0:
                 assert (k, gap, len(_history_keys(store))) == (-1, np.inf, 1)
             else:
@@ -462,7 +466,7 @@ class TestSortedStores:
             hist.append(y, 0.5 * t, float(t))
         keys = _history_keys(store)
         assert np.array_equal(keys, np.unique(states))
-        assert [steps[y] for y in keys] == \
+        assert _history_steps(store) == \
             np.unique(states, return_index=True)[1].tolist()
         assert ties > 20 and repeats > 20
 
@@ -495,14 +499,13 @@ class TestBlockedHistories:
         def history(estimate):
             # a fresh history and a visit checked against a linear scan
             # (and, with estimate, the controllers' estimate)
-            store = ([], [])
-            steps = {}
+            store = ([], [], [])
             hist = controllers.NnHistory()
             seen = []
 
             def visit(y):
                 t = len(seen)
-                k, gap = kernels._visit(store, steps, y, t)
+                k, gap = kernels._visit(store, y, t)
                 if t == 0:
                     assert (k, gap) == (-1, np.inf)
                 else:
@@ -511,30 +514,33 @@ class TestBlockedHistories:
                     if estimate:
                         assert controllers.nn_estimate(hist, y) == \
                             (hist.ynexts[k] - hist.us[k], gap), t
-                blocks, maxes = store
+                blocks, maxes, steps = store
                 assert maxes == [block[-1] for block in blocks], t
                 assert all(0 < len(b) <= 2 * kernels._LOAD
                            for b in blocks), t
+                # a split moves each key's step with it
+                assert [len(s) for s in steps] == \
+                    [len(b) for b in blocks], t
                 seen.append(y)
                 if estimate:
                     hist.append(y, 0.5 * t, float(t))
 
-            return store, steps, seen, visit
+            return store, seen, visit
 
-        def check_keys(store, steps, seen):
+        def check_keys(store, seen):
             keys = _history_keys(store)
             assert np.array_equal(keys, np.unique(seen))
-            assert [steps[y] for y in keys] == \
+            assert _history_steps(store) == \
                 np.unique(seen, return_index=True)[1].tolist()
             return keys
 
         states = (rng.integers(-1024, 1024, 3000) / 16.0).tolist()
         states[:0] = [-0.0]
         states[1500:1500] = [0.0, -0.0]
-        store, steps, seen, visit = history(True)
+        store, seen, visit = history(True)
         for y in states:
             visit(y)
-        blocks, maxes = store
+        blocks, maxes, _ = store
         assert len(blocks) >= 8
         edges = [(a, b[0]) for a, b in zip(maxes, blocks[1:])]
         edge_ties = 0
@@ -547,10 +553,10 @@ class TestBlockedHistories:
         # run spans every block, from either end
         for y in (-2.0**60, 2.0**60):
             visit(y)
-        keys = check_keys(store, steps, seen)
+        keys = check_keys(store, seen)
         assert math.copysign(1.0, keys[keys.index(0.0)]) == -1.0
 
-        store, steps, seen, visit = history(False)
+        store, seen, visit = history(False)
         before = len(scanned)
         for y in rng.uniform(-100.0, 100.0, 3000).tolist():
             visit(y)
@@ -561,12 +567,12 @@ class TestBlockedHistories:
         for k in range(1, 401):
             visit(-100.0 - 0.5 * k)
         assert len(scanned) == before and len(store[0]) >= 16
-        check_keys(store, steps, seen)
+        check_keys(store, seen)
         # NaN into a history of many blocks and into one of one key: no
         # nearest state, and the key goes last
-        for hist in (store, ([[1.0]], [1.0])):
+        for hist in (store, ([[1.0]], [1.0], [[0]])):
             nan = float("nan")
-            k, gap = kernels._visit(hist, {1.0: 0}, nan, len(seen))
+            k, gap = kernels._visit(hist, nan, len(seen))
             assert k == -1 and math.isnan(gap)
             assert hist[0][-1][-1] is nan
         assert all(math.isnan(x) for x in scanned[-2:])
@@ -578,7 +584,7 @@ class TestBlockedHistories:
         above = (100.0 + np.arange(128.0)).tolist()
         up = float(np.nextafter(1.0, 2.0))
         for pair, y in (([up, 1.0], -3.0), ([1.0, up], 5.0)):
-            store, steps, seen, visit = history(False)
+            store, seen, visit = history(False)
             for x in pair + below + above:
                 visit(x)
             assert store[1][0] == 1.0 and store[0][1][0] == up
@@ -598,7 +604,7 @@ class TestBlockedHistories:
                 y = c + m * abs(c)
                 d = np.abs(y - np.array(cluster))
                 ties += int((d == d.min()).sum() > 1)
-                store, steps, seen, visit = history(False)
+                store, seen, visit = history(False)
                 for x in rng.permutation(cluster).tolist() + [y]:
                     visit(x)
         assert ties >= 12 and len(scanned) - before >= ties
@@ -830,12 +836,10 @@ class TestEpisodeKernelsAgree:
         rng = np.random.default_rng(9)
         xs = rng.integers(-256, 256, 301) / 16.0
         us = rng.uniform(-1, 1, 300)
-        hist = ([], [])
-        steps = {}
+        hist = ([], [], [])
         for k in range(300):
             samples = [(xs[i], us[i], xs[i + 1]) for i in range(k)]
-            u = kernels._ce_input(xs, us, hist, steps, k, xs[k], 1.0, 1.0, 0.5,
-                                  4.0)
+            u = kernels._ce_input(xs, us, hist, k, xs[k], 1.0, 1.0, 0.5, 4.0)
             assert u == controllers.sampled_control(samples, xs[k], spec)
 
     def test_sampled_duel(self):
@@ -1490,6 +1494,23 @@ class TestZohFlowBits:
                         h.update(np.asarray(a).tobytes())
                     h.update(np.array(out[6:], dtype=np.int64).tobytes())
         assert h.hexdigest() == self.DUEL_DIGEST
+
+
+class TestZohFlowOverflow:
+    def test_rate_past_double_range_reads_nan(self):
+        # at 1e10 the right tail's upper envelope from (0, 1) at slope
+        # 1e300 is inf, so against an input of -inf f(x) + u is NaN: the
+        # flow has no direction, and the state reads NaN, not at rest.  A
+        # NaN state stays the object it is
+        keys, rows = kernels.anchor_table(np.array([0.0]), np.array([1.0]),
+                                          [1, 0])
+        L = 1e300
+        assert kernels.mcshane_eval(keys, rows, L, 1e10) == np.inf
+        assert math.isnan(kernels.zoh_flow(keys, rows, L, 1e10, -np.inf,
+                                           1e-300))
+        assert kernels.zoh_flow(keys, rows, L, 0.0, -1.0, 1.0) == 0.0
+        nan = float("nan")
+        assert kernels.zoh_flow(keys, rows, L, nan, 0.0, 1.0) is nan
 
 
 class TestParametricBits:

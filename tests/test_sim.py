@@ -185,6 +185,37 @@ class TestReplayInvariant:
             assert traj.committed.tolist() == [sys.float_info.max]
             assert check_replay(traj), seed
 
+    @pytest.mark.parametrize("L, x0_std", [(1e300, 1e10), (1e200, 1e120)])
+    def test_overflowing_sampled_duel_commit_blows_up_and_replays(self, L,
+                                                                 x0_std):
+        # the cone from the start anchor (0, c) overflows at the first
+        # sample; the value commits at the largest double, so the episode
+        # blows up there and replays through a finite realization
+        system = SampledSystem(spec=SampledSpec(L, 1.0, 1.0), x0_std=x0_std)
+        for seed in range(3):
+            traj, verdict = run_episode(system, SampledCeControl(),
+                                        SampledGreedyAdversary(), 20, seed)
+            assert verdict.outcome is Outcome.BLOWUP, seed
+            assert verdict.blow_step == 1, seed
+            assert traj.committed.tolist() == [sys.float_info.max]
+            assert check_replay(traj), seed
+
+    @pytest.mark.parametrize("L, h, x0_std", [(2.0, 1.0, 1e307),
+                                              (1e300, 1e-300, 1e10)])
+    def test_sampled_tail_past_double_range_replays(self, L, h, x0_std):
+        # a sweep along a free tail ends where the envelope's value is past
+        # double range: the tail closes without an anchor there, and the
+        # episode, blown up at step 1 or still running, replays
+        system = SampledSystem(spec=SampledSpec(L, 1.0, h), x0_std=x0_std)
+        for seed in range(10):
+            traj, verdict = run_episode(system, SampledCeControl(),
+                                        SampledGreedyAdversary(), 30, seed)
+            assert np.isfinite(traj.realized_f.vs).all(), seed
+            assert check_replay(traj), seed
+            # an input past double range leaves no state at rest
+            if verdict.outcome is Outcome.BOUNDED:
+                assert np.isfinite(traj.inputs).all(), seed
+
     @pytest.mark.parametrize("h", [1.0, 2.0, 8.0])
     def test_sampled_duel_from_nonzero_start_replays(self, h):
         # an anchor at 0 inside [-c, c], committed before the first sample,
