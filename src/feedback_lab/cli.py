@@ -187,14 +187,29 @@ def _seed_override(flag_seed: int | None) -> int | None:
 # emission
 
 
-def _open_out(opts: EmitOptions, name: str):
-    if opts.out_dir is None:
-        return None
-    os.makedirs(opts.out_dir, exist_ok=True)
+def _out_path(opts: EmitOptions, name: str) -> str:
     path = os.path.join(opts.out_dir, name)
     if os.path.exists(path) and not opts.force:
         raise CliError(f"refusing to overwrite {path} without --force")
     return path
+
+
+def _check_main_table(opts: EmitOptions, experiment: str) -> None:
+    """Refuse, before the run, to overwrite the command's main table, the
+    one named after the command; the extra tables are checked when they
+    are emitted."""
+    if opts.out_dir is None:
+        return
+    for ext in ("csv", "json"):
+        if opts.fmt in (ext, "both"):
+            _out_path(opts, f"{experiment.replace('-', '_')}.{ext}")
+
+
+def _open_out(opts: EmitOptions, name: str):
+    if opts.out_dir is None:
+        return None
+    os.makedirs(opts.out_dir, exist_ok=True)
+    return _out_path(opts, name)
 
 
 def emit_csv(path: str, columns: list[str], rows: list[list],
@@ -661,6 +676,7 @@ def main(argv=None) -> int:
             raise CliError(f"--every must be at least 1, got {args.every}")
         opts = EmitOptions(out_dir=args.out, fmt=args.format, force=args.force,
                            timestamp=not args.no_timestamp, every=args.every)
+        _check_main_table(opts, args.experiment)
         tables = command.run(cfg)
         for table in tables:
             for path in emit(table, opts):

@@ -2,7 +2,9 @@
 
 Every episode loop and the coupled fixed-point solver live here as plain
 Python functions.  The episode kernels read their input arrays once as
-lists (``.tolist()``), keep states in Python lists of Python floats,
+lists (``.tolist()``), except the RLS kernel, which reads its noise in
+place through a ``memoryview``: the same doubles, one at a time, with no
+list of T floats built.  They keep states in Python lists of Python floats,
 anchor stores in sorted key lists with one row per interval, and
 nearest-neighbour histories in sorted blocks, each with a list of
 first-visit steps beside it (see below), and build their numpy return
@@ -38,12 +40,18 @@ iterate it feeds back is exactly symmetric and finite.  At m = 1 its
 pseudo-inverse is 1/x in closed form (``_pinv1``), so 1 x 1 iterates are
 the bits of the numpy route (``riccati.riccati_rhs``), and for m > 1 it
 goes through LAPACK's SVD, which never sees a non-finite matrix (it may
-not return on one).  At n = m = 1 each iterate is a few lines of
-scalar arithmetic on flat lists with the same products in the same
-order (``_scalar_riccati_map``), under a tenth of the generic body's
-time at two modes; every other shape runs the dots (``_riccati_map``),
-and one iteration loop around either tracks the step, the norm and the
-verdict.
+not return on one).  The iteration is generated once per shape from one
+template (``_riccati_loop``), in the way ``mjls_episode``'s loop is (see
+below), and compiled on first use under the name
+``<riccati_solve N=.. n=.. m=..>``: the rules around the map (NaN counts
+as inf in the step and the norm, the divergence guard, the tolerance and
+the rising-step verdict at the cap) are written once, in the template,
+as straight-line statements over every iterate entry.  At n = m = 1 the
+map itself is straight-line code on local floats with the same products
+in the same order, ``_pinv1``'s rules inline; every other shape calls
+the dots (``_riccati_map``).  Over criterion 6's 400 two-mode solves
+the generated loop took about half the time of the loop over lists it
+replaced (38 against 74 ms on a 2-vCPU x86_64 host).
 On convergence it returns, as a fifth element, the gains
 K_i = S_bb^+ S_ab' of the final iterate, from the same sums and
 pseudo-inverse (None otherwise).  Where a converged iterate's S_bb holds
@@ -431,7 +439,9 @@ def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
     us_append = us.append
     lo = -guard
     blow = -1
-    for wt in w[1:].tolist():
+    # the noise read in place: the same doubles as w[1:].tolist(), with no
+    # list built
+    for wt in memoryview(w)[1:]:
         # power_eval(M, b, y) inlined, one branch per sign of y: the call
         # alone would cost about a sixth of the step
         try:
@@ -978,68 +988,28 @@ def _riccati_map(At, Bt, P, Ms, rtol):
     return Mnew
 
 
-def _scalar_riccati_map(A, B, P, Ms, rtol):
-    # _riccati_map at n = m = 1, on flat lists: the same products in the
-    # same order.  Its one-term dots add x to 0.0, which changes x only at
-    # -0.0, and each such term then goes into a sum that began at +0.0 and
-    # so is never -0.0; adding or subtracting a zero of either sign leaves
-    # such a sum as it is, so without the 0.0 + every bit stays the same
-    Mnew = []
-    for Prow in P:
-        S_aa = S_ab = S_bb = 0.0
-        for p, M, a, b in zip(Prow, Ms, A, B):
-            pm = p * M
-            row = a * pm
-            S_aa += row * a
-            S_ab += row * b
-            S_bb += b * pm * b
-        X = S_aa - S_ab * _pinv1(S_bb, rtol) * S_ab + 1.0
-        Mnew.append(0.5 * (X + X))
-    return Mnew
-
-
-def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
-    # lists of Python floats (see the module docstring): flat at
-    # n = m = 1, else each mode's transposes and iterate as nested rows
-    N, n = A.shape[:2]
-    m = B.shape[2]
-    scalar = n == m == 1
-    P = P.tolist()
-    At = A.transpose(0, 2, 1).tolist()
-    Bt = B.transpose(0, 2, 1).tolist()
-    if scalar:
-        Af = A.ravel().tolist()
-        Bf = B.ravel().tolist()
-        Ms = old = [1.0] * N
-    else:
-        Ms = [np.eye(n).tolist()] * N
-        old = [v for M in Ms for row in M for v in row]
+# the iteration of riccati_solve for one shape; the fields are filled with
+# names built from the shape alone (``_riccati_loop``).  ``Ms`` is the
+# start iterate as nested (N, n, n) lists; the last iterate returns flat
+_RICCATI_LOOP = """\
+def riccati_loop(At, Bt, P, Ms, tol, max_iter, div_guard, rtol):
+    \"\"\"riccati_solve for {shape}: iterate, status, iterations, step\"\"\"
+{load}
     status = 2
     iters = max_iter
-    delta = np.inf
+    delta = _INF
     rises = 0  # consecutive iterations whose step delta grew
     for k in range(max_iter):
         prev = delta
-        if scalar:
-            Ms = new = _scalar_riccati_map(Af, Bf, P, Ms, svd_rtol)
-        else:
-            Ms = _riccati_map(At, Bt, P, Ms, svd_rtol)
-            new = [v for M in Ms for row in M for v in row]
+{map}
         delta = 0.0
         nrm = 0.0
-        for v, w in zip(new, old):
-            if v != v:
-                # NaN comes from an overflow (inf - inf), and no norm
-                # comparison would see it: count it as infinite
-                v = np.inf
-            d = abs(v - w)
-            if d > delta:
-                delta = d
-            v = abs(v)
-            if v > nrm:
-                nrm = v
-        old = new
-        rises = rises + 1 if delta > prev else 0
+{steps}
+        {old} = {new}
+        if delta > prev:
+            rises += 1
+        else:
+            rises = 0
         if nrm > div_guard:
             status = 1
             iters = k + 1
@@ -1052,6 +1022,97 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
         # the step grew over each of the last min(100, max_iter - 1)
         # iterations: the iterate is moving away, not settling
         status = 1
+    return {old}, status, iters, delta
+"""
+
+# one entry's share of the step and the norm.  NaN comes from an overflow
+# (inf - inf), and no norm comparison would see it: it counts as inf
+_RICCATI_STEP = """\
+v = {new}
+if v != v:
+    v = _INF
+d = abs(v - {old})
+if d > delta:
+    delta = d
+v = abs(v)
+if v > nrm:
+    nrm = v"""
+
+
+def _scalar_map(N):
+    # _riccati_map at n = m = 1 on local floats: the same products in the
+    # same order, every mode from the previous iterate, and _pinv1 inline.
+    # Its one-term dots add x to 0.0, which changes x only at -0.0, and
+    # each such term then goes into a sum that began at +0.0 and so is
+    # never -0.0; adding or subtracting a zero of either sign leaves such
+    # a sum as it is, so without the 0.0 + every bit stays the same
+    lines = []
+    for i in range(N):
+        for j in range(N):
+            acc = ("{0} = 0.0 + " if j == 0 else "{0} = {0} + ").format
+            a, b = f"a{j}_0_0", f"b{j}_0_0"
+            lines += [f"pm = p{i}_{j} * m{j}_0_0",
+                      f"row = {a} * pm",
+                      acc("saa") + f"row * {a}",
+                      acc("sab") + f"row * {b}",
+                      acc("sbb") + f"{b} * pm * {b}"]
+        lines += ["if sbb != sbb:",
+                  '    raise LinAlgError("SVD did not converge")',
+                  "s = abs(sbb)",
+                  "pinv = 1.0 / sbb if s > 0.0 and s > rtol * s else 0.0",
+                  "X = saa - sab * pinv * sab + 1.0",
+                  f"x{i}_0_0 = 0.5 * (X + X)"]
+    return lines
+
+
+@functools.cache
+def _riccati_loop(N, n, m):
+    """``riccati_solve``'s iteration for N modes, n states and m inputs:
+    ``_RICCATI_LOOP`` filled with names built from those three integers
+    alone, compiled once per shape.  At n = m = 1 the map is straight-line
+    code on local floats; at every other shape it is ``_riccati_map``."""
+    def nested(prefix):
+        # N n x n matrices as a nested target
+        return _tuple(_tuple(_tuple(f"{prefix}{i}_{r}_{c}" for c in range(n))
+                             for r in range(n)) for i in range(N))
+
+    old = [f"m{i}_{r}_{c}" for i in range(N) for r in range(n)
+           for c in range(n)]
+    new = ["x" + v[1:] for v in old]
+    load = [nested("m") + " = Ms"]
+    if n == m == 1:
+        load += [nested("a") + " = At", nested("b") + " = Bt",
+                 _tuple(_tuple(f"p{i}_{j}" for j in range(N))
+                        for i in range(N)) + " = P"]
+        body = _scalar_map(N)
+    else:
+        body = ["Ms = _riccati_map(At, Bt, P, Ms, rtol)", nested("x") + " = Ms"]
+    steps = [line for x, v in zip(new, old)
+             for line in _RICCATI_STEP.format(new=x, old=v).splitlines()]
+    shape = f"N={N} n={n} m={m}"
+    src = _RICCATI_LOOP.format(
+        shape=shape, load=_block(load, 4), map=_block(body, 8),
+        steps=_block(steps, 8), old=_tuple(old), new=_tuple(new))
+    name = f"<riccati_solve {shape}>"
+    # registered so that tracebacks, profiles and inspect show the lines
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
+    scope = {"_INF": _INF, "LinAlgError": np.linalg.LinAlgError,
+             "_riccati_map": _riccati_map}
+    exec(compile(src, name, "exec"), scope)
+    return scope["riccati_loop"]
+
+
+def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
+    # each mode's transposes and iterate as nested rows of Python floats
+    # (see the module docstring), iterated from I by the shape's loop
+    N, n = A.shape[:2]
+    m = B.shape[2]
+    P = P.tolist()
+    At = A.transpose(0, 2, 1).tolist()
+    Bt = B.transpose(0, 2, 1).tolist()
+    Ms, status, iters, delta = _riccati_loop(N, n, m)(
+        At, Bt, P, [np.eye(n).tolist()] * N, tol, max_iter, div_guard,
+        svd_rtol)
     Ms = np.array(Ms).reshape((N, n, n))
     Ks = None
     if status == 0:

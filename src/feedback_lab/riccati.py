@@ -21,13 +21,18 @@ gains do not go through BLAS products.
 matrix products and ``pseudoinverse``, independent of the solve path,
 so a claimed solution can always be checked against a second route: for
 scalar systems the two give the same bits, for larger ones they agree
-to rounding.
+to rounding.  A solution computes its residual on the first read of
+``RiccatiSolution.residual``, not in the solve: no verdict reads it.  A
+NaN defect (the map's inf - inf) counts as infinite, as a NaN iterate
+does in the solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -48,12 +53,21 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Fixed point M_1..M_N with the induced feedback gains K_1..K_N."""
+    """Fixed point M_1..M_N with the induced feedback gains K_1..K_N.
+
+    ``residual``, the fixed point's ``riccati_residual`` against the spec
+    it solves (inf where a defect is NaN), is computed on its first read:
+    no verdict reads it.
+    """
 
     Ms: np.ndarray  # (N, n, n)
     Ks: np.ndarray  # (N, m, n)
     iterations: int
-    residual: float
+    _spec: MjlsSpec = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        return riccati_residual(self.Ms, self._spec)
 
 
 @dataclass(frozen=True)
@@ -139,16 +153,19 @@ def solve_coupled_riccati(spec: MjlsSpec, tol: float = DEFAULT_TOL,
     status = list(SolveStatus)[status_code]
     if status is not SolveStatus.SOLVED:
         return SolveResult(status, None, iters, float(delta))
-    sol = RiccatiSolution(Ms=Ms, Ks=Ks, iterations=iters,
-                          residual=riccati_residual(Ms, spec))
+    sol = RiccatiSolution(Ms=Ms, Ks=Ks, iterations=iters, _spec=spec)
     return SolveResult(status, sol, iters, float(delta))
 
 
 def riccati_residual(sol, spec: MjlsSpec) -> float:
-    """Max elementwise defect of the fixed point, solve-path independent."""
+    """Max elementwise defect of the fixed point, solve-path independent.
+
+    A NaN defect (the map's inf - inf at an iterate that overflows it)
+    counts as infinite, as a NaN iterate does in the solve.
+    """
     Ms = sol.Ms if isinstance(sol, RiccatiSolution) else np.asarray(sol, float)
     worst = 0.0
     for i in range(spec.n_modes):
-        d = np.max(np.abs(riccati_rhs(Ms, spec, i + 1) - Ms[i]))
-        worst = max(worst, float(d))
+        d = float(np.max(np.abs(riccati_rhs(Ms, spec, i + 1) - Ms[i])))
+        worst = max(worst, d if d == d else math.inf)
     return worst

@@ -242,17 +242,20 @@ class Trajectory:
     controller: object = None
 
     @cached_property
-    def _regret_terms(self) -> np.ndarray:
-        # the squared tracking errors |y_t - w_t|^2 of steps 1.., formed
-        # once per episode: the verdict's regret is their sum and a Monte
-        # Carlo summary's checkpoint regrets their running sums.  A term
-        # that is not finite counts 0; the mask runs only where the sum is
-        # not finite, which in practice only a blow-up's last step gives
+    def _regret(self) -> tuple[np.ndarray, float]:
+        # the squared tracking errors |y_t - w_t|^2 of steps 1.. and their
+        # sum, formed once per episode: the sum is the verdict's regret and
+        # the running sums a Monte Carlo summary's checkpoint regrets.  A
+        # term that is not finite counts 0; the mask runs only where the
+        # sum is not finite, which in practice only a blow-up's last step
+        # gives
         d = self.states - self.noises
         terms = d[1:] ** 2 if d.ndim == 1 else np.sum(d[1:] ** 2, axis=1)
-        if terms.sum() < math.inf:
-            return terms
-        return np.where(np.isfinite(terms), terms, 0.0)
+        total = float(terms.sum())
+        if not total < math.inf:
+            terms = np.where(np.isfinite(terms), terms, 0.0)
+            total = float(terms.sum())
+        return terms, total
 
 
 @dataclass(frozen=True)
@@ -334,11 +337,11 @@ def _episode(system, controller, seed, T: int, states, inputs, noises,
     ``fields``, ``modes``, ``mode_estimates`` and ``committed`` among
     them, go to the trajectory as they are.
 
-    The sup is the largest finite |state| and the regret the sum of the
-    trajectory's ``_regret_terms``.  The masks that drop non-finite
-    entries run only where the unmasked maximum or sum is not finite, so
-    on blow-ups only: a bounded episode's states lie within the guard.
-    This runs under ``run_episode``'s errstate, the one for the whole
+    The sup is the largest finite |state| and the regret the sum that
+    ``Trajectory._regret`` forms beside its terms, once per episode.  The
+    masks that drop non-finite entries run only where the unmasked
+    maximum or sum is not finite, so on blow-ups only: a bounded
+    episode's states lie within the guard.  This runs under ``run_episode``'s errstate, the one for the whole
     episode.
     """
     traj = Trajectory(states=states, inputs=inputs,
@@ -349,7 +352,7 @@ def _episode(system, controller, seed, T: int, states, inputs, noises,
     sup = float(a.max())
     if not sup < math.inf:
         sup = float(a[np.isfinite(a)].max())
-    regret = float(np.sum(traj._regret_terms))
+    regret = traj._regret[1]
     if blow >= 0:
         return traj, EpisodeVerdict(Outcome.BLOWUP, sup, regret, blow, blow)
     return traj, EpisodeVerdict(Outcome.BOUNDED, sup, regret, T, None)
@@ -596,7 +599,7 @@ def _episode_summary(cfg: McConfig, index: int):
                                 cfg.T, seed)
     regret_at = ()
     if cfg.checkpoints:
-        csum = np.cumsum(traj._regret_terms)
+        csum = np.cumsum(traj._regret[0])
         regret_at = tuple(float(csum[min(tc, csum.shape[0]) - 1])
                           for tc in cfg.checkpoints)
     curve = None

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -269,6 +270,38 @@ class TestExitCodes:
         assert run_cli(args) == 2
         assert "refusing to overwrite" in capsys.readouterr().err
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("fmt, held, runs", [
+        ("csv", "parametric_sweep.csv", False),
+        ("json", "parametric_sweep.json", False),
+        ("both", "parametric_sweep.json", False),
+        ("csv", "parametric_sweep.json", True),
+    ])
+    def test_main_table_collision_exits_before_the_run(
+            self, fmt, held, runs, tmp_path, monkeypatch, capsys):
+        # the main table's path is checked before the command runs: a
+        # collision costs no sweep, and the held file stays as it was
+        calls = []
+        command = cli.SUBCOMMANDS["parametric-sweep"]
+        monkeypatch.setitem(cli.SUBCOMMANDS, "parametric-sweep",
+                            dataclasses.replace(
+                                command, run=lambda cfg: calls.append(cfg)
+                                or []))
+        path = tmp_path / held
+        path.write_text("held\n")
+        stamp = path.stat().st_mtime_ns
+        code = run_cli(["--out", str(tmp_path), "--format", fmt,
+                        "parametric-sweep"])
+        err = capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == [held]
+        assert path.read_text() == "held\n"
+        assert path.stat().st_mtime_ns == stamp
+        if runs:
+            assert code == 0 and len(calls) == 1
+            return
+        assert code == 2 and not calls
+        assert err == (f"error: refusing to overwrite {path} "
+                       "without --force\n")
 
     def test_strict_indeterminate_exit(self, mjls_spec_file, monkeypatch,
                                         capsys):

@@ -10,8 +10,11 @@ normal equations about the means) turn into a slope and r^2.
 ``mjls-run`` runs a one-state and a two-state spec, each with one input:
 the episode kernel, the Riccati solve and its gains all sum in scalar
 loops, and at one input the pseudo-inverse is 1/x in closed form.
-``mjls-solve`` with more than one input stays out: its pseudo-inverse
-takes LAPACK's SVD.
+``mjls-solve`` runs the one-state spec, so its residual column, from
+numpy's matrix products, holds one-term products only, and the SVD of a
+1 x 1 matrix is its absolute value.  ``mjls-solve`` with more than one
+state or input stays out: its residual would take BLAS's small-matrix
+products or LAPACK's SVD of a larger matrix.
 """
 
 import hashlib
@@ -72,6 +75,10 @@ RUNS = {
          "d69e257e6711e44160fd0dd4a8ca1574838797f459e8bb8d8e9af9da7d12ff2f",
          "sampled_sweep_trajectory.csv":
          "f6c5cb2cf8cc9b029e0663cae5f0138415f4dbb19580360504e626a0aa5635a2"}),
+    "mjls-solve": (
+        ["mjls-solve", "--spec", "<spec>"],
+        {"mjls_solve.csv":
+         "638fb37a966e8e2dcd2b8b1e4debc5a4b15593a682d295c04d1ba2d7523c57bf"}),
     "mjls-run": (
         ["mjls-run", "--spec", "<spec>", "--T", "200", "--seeds", "6"],
         {"mjls_run.csv":

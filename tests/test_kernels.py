@@ -13,6 +13,9 @@ matrix-product route and the loop its generated code replaced
 import hashlib
 import inspect
 import math
+import os
+import subprocess
+import sys
 import traceback
 from bisect import bisect_right
 from itertools import accumulate
@@ -191,9 +194,10 @@ class TestScalarHelpersAgree:
             kernels._svd_pinv([[math.nan]], SVD_RTOL)
 
     def test_scalar_riccati_map_is_the_generic_loops(self):
-        # the n = m = 1 body drops the loops' 0.0 + terms; on entries drawn
-        # from signed zeros, infinities, extremes and subnormals it gives
-        # the generic body's bits (NaN too) or raises where it raises
+        # the generated loop's straight-line map at n = m = 1, run for one
+        # iteration from the drawn iterate; on entries drawn from signed
+        # zeros, infinities, extremes and subnormals it gives the generic
+        # body's bits (NaN too) or raises where it raises
         rng = np.random.default_rng(8)
         pool = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-200, -1e-200, 1e200,
                 -1e200, math.inf, -math.inf, 3e-320]
@@ -206,6 +210,12 @@ class TestScalarHelpersAgree:
             # each entry as the 1 x 1 matrix (its own transpose)
             return [[[x]] for x in xs]
 
+        def scalar_map(N, A, B, P, Ms):
+            # one iteration of the generated loop: its iterate, flat
+            loop = kernels._riccati_loop(N, 1, 1)
+            return loop(nested(A), nested(B), P, nested(Ms), DEFAULT_TOL, 1,
+                        DIVERGENCE_GUARD, SVD_RTOL)[0]
+
         raised = 0
         with np.errstate(all="ignore"):
             for _ in range(3000):
@@ -217,10 +227,10 @@ class TestScalarHelpersAgree:
                                                 nested(Ms), SVD_RTOL)
                 except np.linalg.LinAlgError:
                     with pytest.raises(np.linalg.LinAlgError):
-                        kernels._scalar_riccati_map(A, B, P, Ms, SVD_RTOL)
+                        scalar_map(N, A, B, P, Ms)
                     raised += 1
                     continue
-                got = kernels._scalar_riccati_map(A, B, P, Ms, SVD_RTOL)
+                got = scalar_map(N, A, B, P, Ms)
                 assert [_bits(x) for x in got] == \
                     [_bits(M[0][0]) for M in want]
         assert 0 < raised < 3000
@@ -719,6 +729,24 @@ class TestEpisodeKernelsAgree:
                 final = _assert_parametric_steps(1.3, w, M, b, y0)
                 if abs(y0) == 1e60 and b == 6.0:
                     assert math.isnan(final), (M, b)
+
+    def test_parametric_reads_any_noise_view(self):
+        # the noise is read in place: a strided view and a float32 array
+        # give the bits of their contiguous float64 copies
+        rng = np.random.default_rng(12)
+        w2 = rng.standard_normal(2 * 401)
+        w2[0] = 0.0
+        for w in (w2[::2], w2[:401].astype(np.float32)):
+            copy = np.ascontiguousarray(w, dtype=np.float64)
+            assert not (w.flags.c_contiguous and w.dtype == np.float64)
+            for b in (1.5, 6.0):
+                got = kernels.parametric_episode(0.0, 1.3, w, 1.0, b, 1.0,
+                                                 1.0, GUARD)
+                want = kernels.parametric_episode(0.0, 1.3, copy, 1.0, b,
+                                                  1.0, 1.0, GUARD)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2] == want[2]
 
     def test_nonparam_fixed(self):
         xs, vs = anchors(seed=5)
@@ -1422,6 +1450,31 @@ class TestMjlsReference:
         assert frame.filename == "<mjls_episode N=3 n=3 m=3>"
         assert frame.line.startswith("(a0_0_0, a0_0_1,")
 
+    def test_generated_riccati_loop_shows_its_source(self):
+        # the solve's loop, too, compiles under a name that gives its
+        # shape, with its lines registered
+        loop = kernels._riccati_loop(2, 1, 1)
+        assert loop is kernels._riccati_loop(2, 1, 1)
+        assert loop.__code__.co_filename == "<riccati_solve N=2 n=1 m=1>"
+        assert "N=2 n=1 m=1" in inspect.getsource(loop)
+        with pytest.raises(ValueError) as err:
+            loop([], [], [], [], DEFAULT_TOL, 1, DIVERGENCE_GUARD, SVD_RTOL)
+        frame = traceback.extract_tb(err.tb)[-1]
+        assert frame.filename == "<riccati_solve N=2 n=1 m=1>"
+        assert frame.line == "(((m0_0_0,),), ((m1_0_0,),),) = Ms"
+
+    def test_import_compiles_no_loop(self):
+        # the loops compile on first use, never at import, so a fresh
+        # interpreter's setup stays free of compiles
+        code = ("import linecache, feedback_lab; print(sorted(k for k in "
+                "linecache.cache if k.startswith(('<riccati_solve', "
+                "'<mjls_episode'))))")
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
     @pytest.mark.parametrize("m", [240, 3000])
     def test_long_dots_match_reference_bits(self, m):
         # one state and m inputs: each prediction is one dot of m + 1
@@ -1597,6 +1650,33 @@ class TestNonparamBits:
             blows.append(out[-1])
         assert blows[0] == -1 and blows[1] > 0
         assert h.hexdigest() == self.DUEL_DIGEST
+
+
+class TestGridSolveBits:
+    """Criterion 6's 20 x 20 grid (A = (0, delta), B = 1, switching
+    probability p12 both ways; the benchmark's deltas and p12s), pinned
+    by sha256 over every return of each solve: the scalar loop's bits."""
+
+    DIGEST = ("204564109745c353cb489191a9c0793b"
+              "af6ce4e1d639e3af14d47ad1232a8656")
+
+    def test_solves_keep_their_bits(self):
+        h = hashlib.sha256()
+        statuses = []
+        for delta in np.linspace(0.0, 3.0, 20):
+            for k in range(20):
+                p12 = (k + 0.5) / 20.0
+                Ms, status, iters, step, Ks = kernels.riccati_solve(
+                    np.array([[[0.0]], [[delta]]]), np.ones((2, 1, 1)),
+                    np.array([[1 - p12, p12], [p12, 1 - p12]]), DEFAULT_TOL,
+                    DEFAULT_MAX_ITER, DIVERGENCE_GUARD, SVD_RTOL)
+                h.update(Ms.tobytes())
+                h.update(np.array([status, iters], dtype=np.int64).tobytes())
+                h.update(np.float64(step).tobytes())
+                h.update(b"-" if Ks is None else Ks.tobytes())
+                statuses.append(status)
+        assert statuses.count(0) == 324 and statuses.count(1) == 76
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestRiccatiSolveBits:

@@ -6,8 +6,8 @@ import pytest
 
 from feedback_lab import (MarkovChain, MartingaleDiffVector, MjlsSpec,
                           Regime, SolveStatus,
-                          pseudoinverse, riccati_residual, riccati_rhs,
-                          kernels, scalar_mjls_stabilizable,
+                          pseudoinverse, riccati, riccati_residual,
+                          riccati_rhs, kernels, scalar_mjls_stabilizable,
                           solve_coupled_riccati)
 from feedback_lab.riccati import SVD_RTOL
 
@@ -147,6 +147,37 @@ class TestSolver:
             r = riccati_residual(np.array([[[1.0 + delta]]]), spec)
             assert r > prev
             prev = r
+
+    @pytest.mark.parametrize("spec, Ms", [
+        (single_mode(a=0.5), [[[math.inf]]]),
+        (scalar_two_mode(0.5, 2.0, 0.5), [[[1.0]], [[1e308]]]),
+        (scalar_two_mode(0.5, 2.0, 0.5), [[[1.0]], [[math.inf]]]),
+    ], ids=["one_mode_inf", "two_mode_max", "two_mode_inf"])
+    def test_nan_defect_reads_infinite(self, spec, Ms):
+        # the map computes inf - inf at these iterates: no fixed point, so
+        # the defect is infinite, not the 0.0 that max(0.0, nan) keeps
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert riccati_residual(np.array(Ms), spec) == math.inf
+
+    def test_residual_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return riccati_rhs(*args)
+
+        spec = golden_spec()
+        monkeypatch.setattr(riccati, "riccati_rhs", counting)
+        res = solve_coupled_riccati(spec)
+        assert res.status is SolveStatus.SOLVED and not calls
+        first = res.solution.residual
+        assert len(calls) == spec.n_modes
+        assert res.solution.residual is first and len(calls) == spec.n_modes
+        want = riccati_residual(res.solution.Ms, spec)
+        assert np.float64(first).tobytes() == np.float64(want).tobytes()
+        assert 0.0 < first < 1e-9
+        # the spec stays out of the solution's repr
+        assert "_spec" not in repr(res.solution)
 
     def test_small_grid_matches_closed_form(self):
         for delta in np.linspace(0.2, 2.8, 5):
