@@ -106,7 +106,8 @@ def switching_control(hist: NnHistory, y: float, eps: float) -> float:
     a recorded output it tracks the reference 0 instead.  An empty
     history is the bootstrap step and returns zero.
     """
-    if eps <= 0:
+    if not eps > 0:
+        # also true for NaN, which would take the tracking branch always
         raise ValueError("switching threshold eps must be positive")
     if len(hist) == 0:
         return 0.0

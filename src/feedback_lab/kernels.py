@@ -54,7 +54,9 @@ the generated loop took about half the time of the loop over lists it
 replaced (38 against 74 ms on a 2-vCPU x86_64 host).
 On convergence it returns, as a fifth element, the gains
 K_i = S_bb^+ S_ab' of the final iterate, from the same sums and
-pseudo-inverse (None otherwise).  Where a converged iterate's S_bb holds
+pseudo-inverse (None otherwise), formed in the generated code as well:
+one straight-line pass at n = m = 1, ``_riccati_gains`` at every other
+shape.  Where a converged iterate's S_bb holds
 a non-finite entry, its pseudo-inverse drops the overflowed inputs
 whatever the exact map does, so the verdict turns indeterminate and no
 gains are returned.  ``mjls_episode`` computes each mode's
@@ -89,9 +91,10 @@ and None marks an interval where a duel's f is still free.  For
 L-consistent anchors both envelopes at x are fixed by the two anchors
 either side of x (McShane 1934), so every access reads one row: the cone
 arithmetic (``_cone``) gives the interval of values consistent with the
-store, ``mcshane_eval`` the envelope's side of it, in ``_cone``'s order,
-and ``zoh_flow`` integrates the flow over the rows in closed form, one
-linear piece at a time.  An exact anchor hit returns the stored value,
+store, ``_envelope`` the envelope's side of it, in ``_cone``'s order
+(``mcshane_eval`` locates x's row and reads it there), and ``zoh_flow``
+integrates the flow over the rows in closed form, one linear piece at a
+time.  An exact anchor hit returns the stored value,
 so replaying a stored trajectory through the same anchors is
 reproducible to the last bit.  A realization builds its table once
 (``anchor_table``), with an envelope in every row; the duels start from
@@ -130,9 +133,15 @@ past the last key or before the first included); NaN and every tie, and
 a key beyond in the next block, go through the one tie handler, a scan
 of the tied runs across block edges (``_tie_scan``).
 
-Both sampled kernels run one loop (``_sampled_episode``), the duel's: it
-commits only where x's row has no envelope, so over a realization's
-table, where every row has one, it commits and closes nothing.
+Each pair of kernels, fixed and duel, runs one loop, the duel's
+(``_nonparam_episode``, ``_sampled_episode``): it commits only where the
+state's row has no envelope, so over a realization's table, where every
+row has one, it commits and closes nothing.  The nonparametric loop
+locates y once and reads a fixed row through ``_envelope``, and writes
+the switching law and ``_visit``'s rules into its body, with no call and
+no tuple per step; the tests pin that body to ``_visit``.  Its step took
+about 10 % less than one that made those two calls, over random members
+and duels on a 2-vCPU x86_64 host.
 
 The episode kernels return arrays of the entries their episode produced:
 T + 1 states and T inputs, or blow + 1 and blow where the guard tripped
@@ -238,12 +247,10 @@ def interval(keys, vals, L, x):
     return _cone((left, vals.get(left), right, vals.get(right), None), L, x)
 
 
-def mcshane_eval(keys, rows, L, x):
-    """Envelope value at x of the function whose sorted keys and rows are
-    given: the upper envelope or the lower, as x's row takes.  The
-    arithmetic is ``_cone``'s, in its order."""
-    left, vl, right, vr, lower = rows[bisect_left(keys, x) if x == x
-                                      else len(keys)]
+def _envelope(row, L, x):
+    # the envelope value at x of x's row: the upper or the lower, as the
+    # row takes, from its two anchors in _cone's arithmetic and order
+    left, vl, right, vr, lower = row
     if right == x:
         return vr
     if lower:
@@ -263,6 +270,14 @@ def mcshane_eval(keys, rows, L, x):
             if c < v:
                 v = c
     return v
+
+
+def mcshane_eval(keys, rows, L, x):
+    """Envelope value at x of the function whose sorted keys and rows are
+    given: the upper envelope or the lower, as x's row takes
+    (``_envelope``)."""
+    return _envelope(rows[bisect_left(keys, x) if x == x else len(keys)],
+                     L, x)
 
 
 def _insert(keys, rows, j, key, val):
@@ -382,19 +397,6 @@ def _tie_scan(blocks, steps, b, i, x, best):
     return k
 
 
-def _switching_input(ys, us, hist, t, y, eps, bmin, bmax):
-    # nearest-neighbour estimate fhat = y_{k+1} - u_k, then range-centring
-    # far from every past output and tracking 0 close to one (0.0 - fhat,
-    # which is +0.0 where -fhat is -0.0); y is recorded in the history
-    k, gap = _visit(hist, y, t)
-    if k < 0:
-        return 0.0
-    fhat = ys[k + 1] - us[k]
-    if gap > eps:
-        return -fhat + 0.5 * (bmin + bmax)
-    return 0.0 - fhat
-
-
 def _ce_input(xs, us, hist, k, x, L, c, h, kappa):
     # certainty equivalence on the nearest past sample, clipped to
     # |u| <= kappa (L|x| + c); x is recorded in the history
@@ -469,77 +471,139 @@ def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
 
 
 # ---------------------------------------------------------------------------
-# nonparametric episode, fixed realized f + switching NN controller
+# nonparametric episodes: the switching nearest-neighbour controller against
+# a fixed realized f, or against the greedy opponent, which commits an anchor
+# at every state where f is still free
 
-def nonparam_fixed(y0, fkeys, frows, L, ws, w_bar, eps, guard):
-    T = ws.shape[0] - 1
-    ws = ws.tolist()
-    y = float(y0)
-    ys = [y]
-    us = []
-    hist = ([], [], [])
-    bmin = y
-    bmax = y
-    blow = -1
-    for t in range(T):
-        if y < bmin:
-            bmin = y
-        if y > bmax:
-            bmax = y
-        u = _switching_input(ys, us, hist, t, y, eps, bmin, bmax)
-        y1 = mcshane_eval(fkeys, frows, L, y) + u + w_bar * ws[t + 1]
-        us.append(u)
-        ys.append(y1)
-        if y1 != y1 or y1 > guard or y1 < -guard:
-            blow = t + 1
-            break
-        y = y1
-    return _array(ys), _array(us), blow
-
-
-# ---------------------------------------------------------------------------
-# nonparametric duel: greedy anchor-committing opponent vs the controller
-
-def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
-    y = float(y0)
+def _nonparam_episode(y, keys, rows, L, noise, w_bar, budget_c, eps, guard,
+                      T):
+    # f is fixed where y's row holds an envelope, so over a realization's
+    # table, where every row does, the loop commits nothing; ws and vsc hold
+    # the noise and the value of each step that committed (every step of a
+    # duel).  The switching law and its history visit are written out here,
+    # with no call and no tuple per step: the visit is ``_visit``'s rules,
+    # which the tests pin this body to; the law estimates
+    # fhat = y_{k+1} - u_k from the nearest past state k, centres the
+    # observed range far from every past output and tracks 0 close to one
+    # (0.0 - fhat, which is +0.0 where -fhat is -0.0).  The observed range
+    # is the history's first and last key once y is recorded, since a
+    # revisit keeps the first key, as a running minimum and maximum do
+    split = 2 * _LOAD
     ys = [y]
     us = []
     ws = [0.0]
     vsc = []
-    keys = []
-    rows = [_FREE]
-    hist = ([], [], [])
-    bmin = y
-    bmax = y
+    ys_append = ys.append
+    us_append = us.append
+    ws_append = ws.append
+    vsc_append = vsc.append
+    blocks = []
+    maxes = []
+    steps = []
+    lo_guard = -guard
     blow = -1
     for t in range(T):
-        if y < bmin:
-            bmin = y
-        if y > bmax:
-            bmax = y
-        u = _switching_input(ys, us, hist, t, y, eps, bmin, bmax)
-        j = _bisect(keys, y)
-        if not keys:
-            hi = L * abs(y) + budget_c
-            lo = -hi
+        if blocks:
+            # the first block whose last key is >= y, else the end of the
+            # last
+            b = bisect_left(maxes, y) if y == y else len(maxes)
+            if b == len(maxes):
+                b -= 1
+                blk = blocks[b]
+                i = len(blk)
+            else:
+                blk = blocks[b]
+                i = bisect_left(blk, y)
+            stp = steps[b]
+            n = len(blk)
+            dr = blk[i] - y if i < n else _INF
+            if i:
+                dl = y - blk[i - 1]
+            elif b:
+                dl = y - maxes[b - 1]
+            else:
+                dl = _INF
+            if dr < dl and (blk[i + 1] - y > dr if i + 1 < n
+                            else b + 1 == len(blocks)):
+                gap = dr
+                k = stp[i]
+            elif dl < dr and (y - blk[i - 2] > dl if i > 1
+                              else i == 1 and not b):
+                gap = dl
+                k = stp[i - 1]
+            else:
+                gap = dr if dr < dl else dl
+                k = _tie_scan(blocks, steps, b, i, y, gap)
+            if i == n or blk[i] != y:
+                # a revisit keeps the first key and its step
+                blk.insert(i, y)
+                stp.insert(i, t)
+                if i == n:
+                    maxes[b] = y
+                if n >= split:
+                    h = (n + 1) >> 1
+                    blocks.insert(b + 1, blk[h:])
+                    steps.insert(b + 1, stp[h:])
+                    del blk[h:]
+                    del stp[h:]
+                    maxes.insert(b, blk[-1])
+            if k < 0:
+                u = 0.0  # y is NaN, which no key is nearest
+            elif gap > eps:
+                u = -(ys[k + 1] - us[k]) + 0.5 * (blocks[0][0] + maxes[-1])
+            else:
+                u = 0.0 - (ys[k + 1] - us[k])
         else:
-            lo, hi = _cone(rows[j], L, y)
-        v = hi if abs(hi + u) >= abs(lo + u) else lo
-        # a value past double range commits at its edge, as
-        # ``adversary.adversary_choose`` does, so the store stays finite
-        if not -_MAX <= v <= _MAX:
-            v = math.copysign(_MAX, v)
-        w = w_bar if (v + u) >= 0.0 else -w_bar
-        _insert(keys, rows, j, y, v)
+            blocks.append([y])
+            maxes.append(y)
+            steps.append([t])
+            u = 0.0
+        j = bisect_left(keys, y) if y == y else len(keys)
+        row = rows[j]
+        if row[4] is None:
+            # the opponent's greedy pick from the values consistent with
+            # the store: its budget cone while the store is empty
+            if keys:
+                lo, hi = _cone(row, L, y)
+            else:
+                hi = L * abs(y) + budget_c
+                lo = -hi
+            v = hi if abs(hi + u) >= abs(lo + u) else lo
+            # a value past double range commits at its edge, as
+            # ``adversary.adversary_choose`` does, so the store stays finite
+            if not -_MAX <= v <= _MAX:
+                v = math.copysign(_MAX, v)
+            w = w_bar if (v + u) >= 0.0 else -w_bar
+            _insert(keys, rows, j, y, v)
+            ws_append(w)
+            vsc_append(v)
+        else:
+            v = _envelope(row, L, y)
+            w = w_bar * noise[t + 1]
         y1 = v + u + w
-        us.append(u)
-        ws.append(w)
-        vsc.append(v)
-        ys.append(y1)
-        if y1 != y1 or y1 > guard or y1 < -guard:
+        us_append(u)
+        ys_append(y1)
+        if not lo_guard <= y1 <= guard:
+            # also true for NaN
             blow = t + 1
             break
         y = y1
+    return ys, us, ws, vsc, blow
+
+
+def nonparam_fixed(y0, fkeys, frows, L, ws, w_bar, eps, guard):
+    # a realization has no free row, so no budget cone is read (0.0)
+    ys, us, _, _, blow = _nonparam_episode(
+        float(y0), fkeys, frows, L, ws.tolist(), w_bar, 0.0, eps, guard,
+        ws.shape[0] - 1)
+    return _array(ys), _array(us), blow
+
+
+def nonparam_duel(y0, L, w_bar, budget_c, eps, guard, T):
+    keys = []
+    rows = [_FREE]
+    ys, us, ws, vsc, blow = _nonparam_episode(
+        float(y0), keys, rows, L, None, w_bar, budget_c, eps, guard, T)
     return (_array(ys), _array(us), _array(ws), _array(vsc),
             *_arrays(keys, rows), len(keys), blow)
 
@@ -990,10 +1054,12 @@ def _riccati_map(At, Bt, P, Ms, rtol):
 
 # the iteration of riccati_solve for one shape; the fields are filled with
 # names built from the shape alone (``_riccati_loop``).  ``Ms`` is the
-# start iterate as nested (N, n, n) lists; the last iterate returns flat
+# start iterate as nested (N, n, n) lists; the last iterate returns flat,
+# and the gains as nested (N, m, n) lists
 _RICCATI_LOOP = """\
 def riccati_loop(At, Bt, P, Ms, tol, max_iter, div_guard, rtol):
-    \"\"\"riccati_solve for {shape}: iterate, status, iterations, step\"\"\"
+    \"\"\"riccati_solve for {shape}: iterate, status, iterations, step,
+    gains\"\"\"
 {load}
     status = 2
     iters = max_iter
@@ -1022,7 +1088,10 @@ def riccati_loop(At, Bt, P, Ms, tol, max_iter, div_guard, rtol):
         # the step grew over each of the last min(100, max_iter - 1)
         # iterations: the iterate is moving away, not settling
         status = 1
-    return {old}, status, iters, delta
+    Ks = None
+    if status == 0:
+{gains}
+    return {old}, status, iters, delta, Ks
 """
 
 # one entry's share of the step and the norm.  NaN comes from an overflow
@@ -1039,6 +1108,21 @@ if v > nrm:
     nrm = v"""
 
 
+def _scalar_sums(N, i, saa, sab, sbb):
+    # mode i's S_aa, S_ab and S_bb at n = m = 1 into the names given (no
+    # S_aa where saa is None), from the iterate m{j}_0_0: _mode_sums's
+    # products in its order
+    lines = []
+    for j in range(N):
+        acc = ("{0} = 0.0 + " if j == 0 else "{0} = {0} + ").format
+        a, b = f"a{j}_0_0", f"b{j}_0_0"
+        lines += [f"pm = p{i}_{j} * m{j}_0_0", f"row = {a} * pm"]
+        if saa:
+            lines.append(acc(saa) + f"row * {a}")
+        lines += [acc(sab) + f"row * {b}", acc(sbb) + f"{b} * pm * {b}"]
+    return lines
+
+
 def _scalar_map(N):
     # _riccati_map at n = m = 1 on local floats: the same products in the
     # same order, every mode from the previous iterate, and _pinv1 inline.
@@ -1048,14 +1132,7 @@ def _scalar_map(N):
     # a sum as it is, so without the 0.0 + every bit stays the same
     lines = []
     for i in range(N):
-        for j in range(N):
-            acc = ("{0} = 0.0 + " if j == 0 else "{0} = {0} + ").format
-            a, b = f"a{j}_0_0", f"b{j}_0_0"
-            lines += [f"pm = p{i}_{j} * m{j}_0_0",
-                      f"row = {a} * pm",
-                      acc("saa") + f"row * {a}",
-                      acc("sab") + f"row * {b}",
-                      acc("sbb") + f"{b} * pm * {b}"]
+        lines += _scalar_sums(N, i, "saa", "sab", "sbb")
         lines += ["if sbb != sbb:",
                   '    raise LinAlgError("SVD did not converge")',
                   "s = abs(sbb)",
@@ -1065,12 +1142,45 @@ def _scalar_map(N):
     return lines
 
 
+def _scalar_gains(N):
+    # _riccati_gains at n = m = 1 on the final iterate: the same sums,
+    # _pinv1's rules inline and K_i = 0.0 + pinv * S_ab, _row_dots's
+    # one-term dot.  Every S_bb is finite here, or the verdict turns
+    # indeterminate, so none raises
+    lines = []
+    for i in range(N):
+        lines += _scalar_sums(N, i, None, f"sab{i}", f"sbb{i}")
+    lines.append("if " + " and ".join(f"abs(sbb{i}) < _INF"
+                                      for i in range(N)) + ":")
+    for i in range(N):
+        lines += [f"    s = abs(sbb{i})",
+                  f"    pinv = 1.0 / sbb{i} if s > 0.0 and s > rtol * s "
+                  "else 0.0",
+                  f"    k{i} = 0.0 + pinv * sab{i}"]
+    return lines + ["    Ks = [" + ", ".join(f"[[k{i}]]" for i in range(N))
+                    + "]", "else:", "    status = 2"]
+
+
+def _riccati_gains(At, Bt, P, Ms, rtol):
+    # the gains K_i = S_bb^+ S_ab' of the iterate Ms, nested; None where
+    # an S_bb holds a non-finite entry.  Such an S_bb inverts to 0 and
+    # drops every input, which says nothing about the exact map
+    Ks = []
+    for Prow in P:
+        _, S_ab, S_bb = _mode_sums(At, Bt, Prow, Ms)
+        if not all(abs(v) < _INF for row in S_bb for v in row):
+            return None
+        Ks.append([_row_dots(S_ab, row) for row in _pinv(S_bb, rtol)])
+    return Ks
+
+
 @functools.cache
 def _riccati_loop(N, n, m):
     """``riccati_solve``'s iteration for N modes, n states and m inputs:
     ``_RICCATI_LOOP`` filled with names built from those three integers
-    alone, compiled once per shape.  At n = m = 1 the map is straight-line
-    code on local floats; at every other shape it is ``_riccati_map``."""
+    alone, compiled once per shape.  At n = m = 1 the map and the gains
+    are straight-line code on local floats; at every other shape they are
+    ``_riccati_map`` and ``_riccati_gains``."""
     def nested(prefix):
         # N n x n matrices as a nested target
         return _tuple(_tuple(_tuple(f"{prefix}{i}_{r}_{c}" for c in range(n))
@@ -1085,19 +1195,24 @@ def _riccati_loop(N, n, m):
                  _tuple(_tuple(f"p{i}_{j}" for j in range(N))
                         for i in range(N)) + " = P"]
         body = _scalar_map(N)
+        gains = _scalar_gains(N)
     else:
         body = ["Ms = _riccati_map(At, Bt, P, Ms, rtol)", nested("x") + " = Ms"]
+        # at convergence Ms is the final iterate
+        gains = ["Ks = _riccati_gains(At, Bt, P, Ms, rtol)",
+                 "if Ks is None:", "    status = 2"]
     steps = [line for x, v in zip(new, old)
              for line in _RICCATI_STEP.format(new=x, old=v).splitlines()]
     shape = f"N={N} n={n} m={m}"
     src = _RICCATI_LOOP.format(
         shape=shape, load=_block(load, 4), map=_block(body, 8),
-        steps=_block(steps, 8), old=_tuple(old), new=_tuple(new))
+        steps=_block(steps, 8), gains=_block(gains, 8), old=_tuple(old),
+        new=_tuple(new))
     name = f"<riccati_solve {shape}>"
     # registered so that tracebacks, profiles and inspect show the lines
     linecache.cache[name] = (len(src), None, src.splitlines(True), name)
     scope = {"_INF": _INF, "LinAlgError": np.linalg.LinAlgError,
-             "_riccati_map": _riccati_map}
+             "_riccati_map": _riccati_map, "_riccati_gains": _riccati_gains}
     exec(compile(src, name, "exec"), scope)
     return scope["riccati_loop"]
 
@@ -1110,27 +1225,11 @@ def riccati_solve(A, B, P, tol, max_iter, div_guard, svd_rtol):
     P = P.tolist()
     At = A.transpose(0, 2, 1).tolist()
     Bt = B.transpose(0, 2, 1).tolist()
-    Ms, status, iters, delta = _riccati_loop(N, n, m)(
+    Ms, status, iters, delta, Ks = _riccati_loop(N, n, m)(
         At, Bt, P, [np.eye(n).tolist()] * N, tol, max_iter, div_guard,
         svd_rtol)
-    Ms = np.array(Ms).reshape((N, n, n))
-    Ks = None
-    if status == 0:
-        # the gains K_i = S_bb^+ S_ab' of the final iterate.  An S_bb that
-        # overflowed inverts to 0 and drops every input, which says
-        # nothing about the exact map: the verdict is indeterminate
-        Ml = Ms.tolist()
-        Ks = []
-        for Prow in P:
-            _, S_ab, S_bb = _mode_sums(At, Bt, Prow, Ml)
-            if not all(abs(v) < np.inf for row in S_bb for v in row):
-                status = 2
-                Ks = None
-                break
-            Ks.append([_row_dots(S_ab, row) for row in _pinv(S_bb, svd_rtol)])
-        else:
-            Ks = np.array(Ks)
-    return Ms, status, iters, delta, Ks
+    return (np.array(Ms).reshape((N, n, n)), status, iters, delta,
+            None if Ks is None else np.array(Ks))
 
 
 def warm_up():

@@ -139,6 +139,11 @@ class TestSwitchingControl:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             switching_control(NnHistory(), 0.0, eps=0.0)
+        # NaN compares false with 0 too: it would track on every history
+        h = NnHistory()
+        h.append(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            switching_control(h, 5.0, eps=math.nan)
 
 
 class TestSampledControl:

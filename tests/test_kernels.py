@@ -235,6 +235,42 @@ class TestScalarHelpersAgree:
                     [_bits(M[0][0]) for M in want]
         assert 0 < raised < 3000
 
+    def test_scalar_gains_are_the_generic_gains(self):
+        # the generated loop's straight-line gains at n = m = 1, after one
+        # iteration that converges (tol inf), give _riccati_gains's bits on
+        # the iterate it returns, or turn the verdict indeterminate where
+        # an S_bb is not finite, as _riccati_gains returns None there
+        rng = np.random.default_rng(9)
+        pool = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-200, -1e-200, 1e200,
+                -1e200, 1e-160, 3e-320]
+        seen = {"gains": 0, "indeterminate": 0}
+        with np.errstate(all="ignore"):
+            for _ in range(3000):
+                N = int(rng.integers(1, 4))
+                A, B, Pf, Ms = ([[[pool[j] if j < len(pool)
+                                   else float(rng.normal(0, 2))]]
+                                 for j in rng.integers(0, 2 * len(pool), k)]
+                                for k in (N, N, N * N, N))
+                P = [[row[0][0] for row in Pf[i * N:i * N + N]]
+                     for i in range(N)]
+                try:
+                    M, status, _, delta, Ks = kernels._riccati_loop(N, 1, 1)(
+                        A, B, P, Ms, math.inf, 1, math.inf, SVD_RTOL)
+                except np.linalg.LinAlgError:
+                    continue
+                if not delta < math.inf:
+                    continue  # a NaN or inf step never converges
+                want = kernels._riccati_gains(A, B, P,
+                                              [[[m]] for m in M], SVD_RTOL)
+                if want is None:
+                    assert (status, Ks) == (2, None)
+                    seen["indeterminate"] += 1
+                else:
+                    assert status == 0 and [_bits(K[0][0]) for K in Ks] == \
+                        [_bits(K[0][0]) for K in want]
+                    seen["gains"] += 1
+        assert all(v > 50 for v in seen.values()), seen
+
     def test_mcshane_eval(self):
         # neighbour-only evaluation equals the full-cone scan bit for bit
         # (NaN as NaN): on random members and a one-anchor realization, at
@@ -651,6 +687,177 @@ class TestBlockedHistories:
         for s in splits[:3]:
             for t in range(s - 1, s + 3):
                 assert recompute_input(traj, t) == us[t], t
+
+
+def reference_nonparam(y, keys, rows, L, noise, w_bar, budget_c, eps, T):
+    """The nonparametric loop with the visit through ``_visit`` and the
+    switching law as a call of its own: running output extremes, the
+    estimate fhat = y_{k+1} - u_k from the nearest past state k, centring
+    the range beyond eps and tracking 0 within it (0.0 - fhat).  f is
+    ``mcshane_eval`` where y's row holds an envelope, else the greedy
+    commit from the row's cone (the budget cone on an empty store).
+    Returns the states, inputs, the noises and values of the steps that
+    committed, and the number of centring steps."""
+    ys, us, ws, vsc = [y], [], [0.0], []
+    hist = ([], [], [])
+    bmin = bmax = y
+    centred = 0
+    for t in range(T):
+        if y < bmin:
+            bmin = y
+        if y > bmax:
+            bmax = y
+        k, gap = kernels._visit(hist, y, t)
+        if k < 0:
+            u = 0.0
+        elif gap > eps:
+            u = -(ys[k + 1] - us[k]) + 0.5 * (bmin + bmax)
+            centred += 1
+        else:
+            u = 0.0 - (ys[k + 1] - us[k])
+        j = kernels._bisect(keys, y)
+        if rows[j][4] is None:
+            if keys:
+                lo, hi = kernels._cone(rows[j], L, y)
+            else:
+                hi = L * abs(y) + budget_c
+                lo = -hi
+            v = hi if abs(hi + u) >= abs(lo + u) else lo
+            if not -sys.float_info.max <= v <= sys.float_info.max:
+                v = math.copysign(sys.float_info.max, v)
+            w = w_bar if v + u >= 0.0 else -w_bar
+            kernels._insert(keys, rows, j, y, v)
+            ws.append(w)
+            vsc.append(v)
+        else:
+            v = kernels.mcshane_eval(keys, rows, L, y)
+            w = w_bar * noise[t + 1]
+        y1 = v + u + w
+        us.append(u)
+        ys.append(y1)
+        if y1 != y1 or y1 > GUARD or y1 < -GUARD:
+            break
+        y = y1
+    return ys, us, ws, vsc, centred
+
+
+class TestNonparamLoopVisit:
+    """The nonparametric loop writes the history visit and the switching
+    law into its body; these runs pin that body to ``_visit`` and to the
+    law written as a call (``reference_nonparam``), every state, input,
+    noise and committed value bit for bit."""
+
+    @staticmethod
+    def tie_member(eps):
+        # test_nonparam_fixed_tie_rule's member: f = -|x| and dyadic noise
+        # keep every state on a dyadic grid, so states repeat and fall
+        # exactly midway between two earlier ones
+        f = RealizedPiecewiseLinear(np.array([0.0]), np.array([0.0]), 1.0,
+                                    modes=[1, 1])
+        raw = np.random.default_rng(0).integers(-64, 65, 401) / 64.0
+        raw[0] = 0.0
+        ys, us, blow = kernels.nonparam_fixed(0.0, *f.table, 1.0, raw, 1.0,
+                                              eps, GUARD)
+        ref = reference_nonparam(0.0, *f.table, 1.0, raw.tolist(), 1.0, 0.0,
+                                 eps, 400)
+        assert blow == -1
+        assert ys.tobytes() == np.array(ref[0]).tobytes()
+        assert us.tobytes() == np.array(ref[1]).tobytes()
+        assert ref[2:4] == ([0.0], [])  # a realization takes no commit
+        return ys, ref[4]
+
+    def test_tie_rule_member(self):
+        ys, centred = self.tie_member(0.1)
+        ties = repeats = 0
+        for t in range(1, 400):
+            d = np.abs(ys[t] - ys[:t])
+            ties += np.unique(ys[:t][d == d.min()]).shape[0] > 1
+            repeats += d.min() == 0.0
+        assert ties > 10 and repeats > 100 and centred > 10
+        # a smaller threshold centres the observed range at most steps
+        assert self.tie_member(0.01)[1] > 100
+
+    def test_tie_rule_member_in_small_blocks(self, monkeypatch):
+        # blocks of at most 4 keys split every few steps, and tied runs
+        # cross block edges; both loops read _LOAD when they run
+        crossed = []  # per scan, whether its tied run crossed a block edge
+        scan = kernels._tie_scan
+
+        def counted(blocks, steps, b, i, x, best):
+            row = blocks[b]
+            left = b and (i == 0 or x - row[0] == best) and \
+                x - blocks[b - 1][-1] == best
+            right = b + 1 < len(blocks) and \
+                (i == len(row) or row[-1] - x == best) and \
+                blocks[b + 1][0] - x == best
+            crossed.append(bool(left or right))
+            return scan(blocks, steps, b, i, x, best)
+
+        monkeypatch.setattr(kernels, "_LOAD", 2)
+        monkeypatch.setattr(kernels, "_tie_scan", counted)
+        ys, _ = self.tie_member(0.1)
+        assert len(_split_steps(ys[:-1].tolist())) > 20
+        assert len(crossed) > 100 and sum(crossed) > 50
+
+    def test_rounding_ties_near_clusters(self):
+        # f = 0 (slope budget 0), and noise steered step by step through
+        # the reference so the states land on a cluster of eight adjacent
+        # floats, visited out of order, within an ulp or two, then one
+        # state away from it, where most computed distances round to ties
+        # on one side of the query (TestBlockedHistories' clusters)
+        table = kernels.anchor_table(np.array([0.0]), np.array([0.0]),
+                                     [0, 0])
+        rng = np.random.default_rng(3)
+        ties = 0
+        for c in (1.0, -3.0, 2.0**40, 1e-300):
+            cluster = [c]
+            for _ in range(7):
+                cluster.append(float(np.nextafter(cluster[-1], np.inf)))
+            for m in (3.0, -3.0, 5.0, -5.0, 1.5, -1.5):
+                targets = rng.permutation(cluster).tolist() + \
+                    [c + m * abs(c), c]
+                noise = [0.0]
+                for t, y in enumerate(targets[1:]):
+                    u = reference_nonparam(targets[0], *table, 0.0,
+                                           noise + [0.0], 1.0, 0.0, 0.1,
+                                           t + 1)[1][t]
+                    noise.append(y - u)
+                ys, us, blow = kernels.nonparam_fixed(
+                    targets[0], *table, 0.0, np.array(noise), 1.0, 0.1,
+                    GUARD)
+                ref = reference_nonparam(targets[0], *table, 0.0, noise,
+                                         1.0, 0.0, 0.1, len(noise) - 1)
+                assert blow == -1
+                assert ys.tobytes() == np.array(ref[0]).tobytes(), (c, m)
+                assert us.tobytes() == np.array(ref[1]).tobytes(), (c, m)
+                d = np.abs(ys[-2] - ys[:-2])
+                ties += int((d == d.min()).sum() > 1)
+        assert ties >= 12
+
+    def test_duels(self):
+        # bounded at L 2, where states repeat, and escaping at L 6, where
+        # the history grows at one end until the guard trips
+        for L, T, bounded in ((2.0, 2000, True), (6.0, 500, False)):
+            out = kernels.nonparam_duel(0.4, L, 1.0, 10.0, 0.1, GUARD, T)
+            keys, rows = [], [kernels._FREE]
+            ys, us, ws, vsc, _ = reference_nonparam(0.4, keys, rows, L, None,
+                                                    1.0, 10.0, 0.1, T)
+            assert (out[-1] == -1) == bounded
+            for got, want in zip(out[:4], (ys, us, ws, vsc)):
+                assert got.tobytes() == np.array(want).tobytes(), L
+            assert out[4].tolist() == keys and out[6] == len(keys)
+
+    def test_nan_start(self):
+        # a NaN state finds no neighbour and reads the last row
+        xs, vs = anchors(seed=5)
+        f = RealizedPiecewiseLinear(xs, vs, 2.0)
+        raw = np.zeros(11)
+        ys, us, blow = kernels.nonparam_fixed(math.nan, *f.table, 2.0, raw,
+                                              1.0, 0.1, GUARD)
+        ref = reference_nonparam(math.nan, *f.table, 2.0, raw.tolist(), 1.0,
+                                 0.0, 0.1, 10)
+        assert blow == 1 and ys.tobytes() == np.array(ref[0]).tobytes()
+        assert us.tobytes() == np.array(ref[1]).tobytes()
 
 
 class Uniforms:
