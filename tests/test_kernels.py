@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import math
 import os
+import struct
 import subprocess
 import sys
 import traceback
@@ -133,6 +134,25 @@ def value_dict(xs, vs):
 
 def _same_bits(a, b):
     return _bits(a) == _bits(b) or (a != a and b != b)
+
+
+class TestArrayBits:
+    def test_packed_array_is_fromiters_bytes(self):
+        # the episode kernels' returns: signed zeros and infinities, NaNs
+        # with three payloads (one of them signalling), the subnormal
+        # minimum, the largest double and Python ints, and no entry at all
+        nans = [struct.unpack("<d", struct.pack("<Q", q))[0]
+                for q in (0x7FF8000000000001, 0xFFF80000DEADBEEF,
+                          0x7FF4000000000000)]
+        values = [0.0, -0.0, math.inf, -math.inf, *nans, 5e-324,
+                  sys.float_info.max, -sys.float_info.max, 0, 1, -7,
+                  2**53 + 1]
+        for xs in (values, values[::-1], [], [-0.0], nans):
+            a = kernels._array(xs)
+            assert a.dtype == np.float64 and a.shape == (len(xs),)
+            assert a.flags.writeable and a.flags.c_contiguous
+            assert a.tobytes() == np.fromiter(xs, float, len(xs)).tobytes()
+        assert len({v.tobytes() for v in kernels._array(nans)}) == 3
 
 
 class TestScalarHelpersAgree:
@@ -1698,6 +1718,139 @@ class TestMjlsReference:
                            reference_mjls_episode(*args))
 
 
+def sparse_mjls_args(rng, edit):
+    """``random_mjls_args``, then, from a second generator, entries of A
+    and B set to exactly 0.0, -0.0 or 1.0, and now and then B = I: specs
+    whose loops leave out zero products and take unit ones bare."""
+    A, B, *rest = random_mjls_args(rng)
+    for M in (A, B):
+        hit = edit.random(M.shape) < edit.uniform(0.2, 0.8)
+        M[hit] = edit.choice([0.0, -0.0, 1.0], int(hit.sum()))
+    if edit.random() < 0.3:
+        B[:] = np.eye(*B.shape[1:])
+    return (A, B, *rest)
+
+
+def _one_mode_args(A, B, Kg, x0, guard=GUARD, T=6):
+    # a one-mode episode over the given matrices, with unit noise
+    A, B, Kg = (np.array([M], dtype=float) for M in (A, B, Kg))
+    n = A.shape[1]
+    rng = np.random.default_rng(n)
+    return (A, B, Kg, np.ones((1, 1)), np.array(x0, dtype=float), 0,
+            rng.random(T), rng.normal(0.0, 1.0, (T, n)), guard)
+
+
+class TestMjlsSparseLoop:
+    """The loop generated without a spec's exact-zero and unit products
+    against ``reference_mjls_episode``, which keeps every term."""
+
+    def test_sparse_specs_match_reference_bits(self, monkeypatch):
+        patterns = []
+        real = kernels._mjls_loop
+
+        def recorded(N, n, m, pattern):
+            patterns.append(pattern)
+            return real(N, n, m, pattern)
+
+        monkeypatch.setattr(kernels, "_mjls_loop", recorded)
+        rng = np.random.default_rng(47)
+        edit = np.random.default_rng(53)
+        seen = dict.fromkeys(["blow", "nan", "neg_zero", "small_guard",
+                              "x_zero", "u_zero", "unit"], 0)
+        for _ in range(300):
+            args = sparse_mjls_args(rng, edit)
+            got = kernels.mjls_episode(*args)
+            _same_episode_bits(got, reference_mjls_episode(*args))
+            A, B = args[:2]
+            n = A.shape[1]
+            coefs = np.concatenate([A, B], axis=2).ravel()
+            pattern = patterns[-1] or "." * coefs.shape[0]
+            cols = np.arange(coefs.shape[0]) % (n + B.shape[2])
+            dropped = np.array([p == "0" for p in pattern])
+            assert np.array_equal(np.array([p == "1" for p in pattern]),
+                                  coefs == 1.0)
+            assert not (dropped & (coefs != 0.0)).any()
+            seen["x_zero"] += bool((dropped & (cols < n)).any())
+            seen["u_zero"] += bool((dropped & (cols >= n)).any())
+            seen["unit"] += "1" in pattern
+            seen["blow"] += got[4] >= 0
+            seen["nan"] += bool(np.isnan(got[0]).any())
+            seen["neg_zero"] += bool(np.signbit(got[1][got[1] == 0]).any())
+            seen["small_guard"] += args[-1] < GUARD
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("A, B, Kg, x0, guard", [
+        # zero gains: every input is -0.0
+        ([[0.5, 0.0], [1.0, -0.0]], [[1.0, 0.0], [0.0, 1.0]],
+         [[0.0, 0.0], [0.0, 0.0]], [0.3, -0.0], GUARD),
+        # a start beyond the guard
+        ([[0.5, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
+         [[0.5, 0.0], [0.0, 0.5]], [5e3, 1.0], 1e3),
+        # non-finite starts: inf or NaN times an exact zero is NaN, where
+        # the inputs' terms alone would give -inf
+        ([[0.5, 0.0], [0.0, 0.5]], [[1.0, 1.0], [1.0, 1.0]],
+         [[0.5, 0.5], [0.5, 0.5]], [1.0, math.inf], GUARD),
+        ([[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]],
+         [[0.5, 0.0], [0.0, 0.5]], [1.0, math.nan], GUARD),
+        # an infinite guard lets a state of inf through to the next
+        # step's products
+        ([[1e300, 0.0], [0.0, 0.5]], [[1.0, 1.0], [1.0, 1.0]],
+         [[0.5, 0.5], [0.5, 0.5]], [1e10, 1.0], math.inf),
+        # a gain of 1e300 beside an exact-zero B entry: u0 overflows to
+        # -inf, and its zero products are NaN
+        ([[0.5, 0.0], [0.0, 0.5]], [[0.0, 1.0], [1.0, 0.0]],
+         [[1e300, 0.0], [0.0, 0.5]], [1e10, 1.0], GUARD),
+        # a NaN gain after finite ones, which max() would pass over
+        ([[0.5, 0.0], [0.0, 0.5]], [[0.0, 1.0], [1.0, 0.0]],
+         [[0.5, 0.5], [0.5, math.nan]], [1.0, 1.0], GUARD),
+    ], ids=["zero_gains", "start_beyond_guard", "inf_start", "nan_start",
+            "infinite_guard", "overflowing_input", "nan_gain"])
+    def test_edge_episodes_match_reference_bits(self, A, B, Kg, x0, guard):
+        # every entry's bits but a NaN's sign: from a non-finite start a
+        # prediction adds two NaNs of opposite signs, and which one CPython
+        # 3.11 returns depends on whether it has specialized that add
+        args = _one_mode_args(A, B, Kg, x0, guard)
+        got = kernels.mjls_episode(*args)
+        want = reference_mjls_episode(*args)
+        for a, b in zip(got[:4], want[:4]):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+            assert a[a == a].tobytes() == b[b == b].tobytes()
+        assert got[4] == want[4]
+
+    def test_sparse_loop_names_its_pattern(self):
+        # one state, one input: the state's term is left out and the
+        # input's taken bare, and the source still holds only names
+        loop = kernels._mjls_loop(1, 1, 1, "01")
+        name = "<mjls_episode N=1 n=1 m=1 pattern=01>"
+        assert loop.__code__.co_filename == name
+        src = inspect.getsource(loop)
+        assert "        p0_0 = 0.0 + u0\n" in src
+        assert "x0 * a0_0_0" not in src and "u0 * a0_0_1" not in src
+
+    def test_sparse_episode_blows_up_and_replays(self):
+        # B = I and zeros in A, under a gain schedule solved for the same
+        # spec with A a tenth as large: the loop runs sparse, and the
+        # episode escapes
+        chain = MarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]))
+        A = np.array([[[3.0, 0.0], [0.0, 2.5]], [[0.0, -3.0], [3.0, 0.0]]])
+        noise = MartingaleDiffVector(1.0, 2.0, 2)
+        spec = MjlsSpec(chain=chain, A=A, B=np.array([np.eye(2)] * 2),
+                        noise=noise)
+        tame = MjlsSpec(chain=chain, A=0.1 * A, B=spec.B, noise=noise)
+        controller = MjlsGainControl(solve_coupled_riccati(tame).solution)
+        traj, verdict = run_episode(MjlsSystem(spec=spec, x0=(1.0, -1.0)),
+                                    controller, None, 1000, 5)
+        assert verdict.blow_step is not None
+        assert check_replay(traj)
+        # the reference controller takes matrix products, which round as
+        # BLAS does
+        end = traj.inputs.shape[0]
+        for t in (0, 1, end // 2, end - 1):
+            assert np.allclose(recompute_input(traj, t), traj.inputs[t],
+                               rtol=1e-12, atol=1e-12)
+
+
 class TestZohFlowBits:
     """The flow's bits, pinned by sha256 over random members under random
     upper/lower mode tables and over sampled duels from nonzero starts;
@@ -1771,6 +1924,105 @@ class TestZohFlowOverflow:
         assert kernels.zoh_flow(keys, rows, L, 0.0, -1.0, 1.0) == 0.0
         nan = float("nan")
         assert kernels.zoh_flow(keys, rows, L, nan, 0.0, 1.0) is nan
+
+
+def reference_sampled_episode(x, keys, rows, L, c, h, kappa, n_samples,
+                              guard, use_controller):
+    """``kernels._sampled_episode`` with every period's flow through the
+    public ``zoh_flow``, which locates the sample and takes its cone
+    again, where the kernel's loop hands the flow its own index and
+    rate."""
+    xs = [x]
+    us = []
+    vsc = []
+    hist = ([], [], [])
+    blow = -1
+    for k in range(n_samples):
+        u = 0.0
+        if use_controller != 0:
+            u = kernels._ce_input(xs, us, hist, k, x, L, c, h, kappa)
+        j = kernels._bisect(keys, x)
+        row = rows[j]
+        lo, hi = kernels._cone(row, L, x)
+        m = row[4]
+        if m is not None or row[2] == x:
+            v = lo if m == 1 else hi
+        else:
+            box = L * abs(x) + c
+            lo = max(lo, -box)
+            hi = min(hi, box)
+            if lo > hi:
+                lo = hi = min(max(0.5 * (lo + hi), -box), box)
+            v = hi if abs(hi + u) >= abs(lo + u) else lo
+            if not -sys.float_info.max <= v <= sys.float_info.max:
+                v = math.copysign(sys.float_info.max, v)
+            kernels._insert(keys, rows, j, x, v)
+        x1 = kernels.zoh_flow(keys, rows, L, x, u, h)
+        us.append(u)
+        vsc.append(v)
+        xs.append(x1)
+        if not abs(x1) <= guard:
+            blow = k + 1
+            break
+        x = x1
+    return xs, us, vsc, blow
+
+
+class TestSampledLocatesOnce:
+    """The sampled loop locates each sample once and hands the flow the
+    index and the rate f(x) + u it found there."""
+
+    def test_each_period_bisects_and_takes_the_cone_once(self, monkeypatch):
+        counts = {"_bisect": 0, "_cone": 0}
+        for name in counts:
+            def counted(*args, _real=getattr(kernels, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        f = RealizedPiecewiseLinear(*anchors(seed=8, L=1.0), 1.0)
+        xs, us, blow = kernels.sampled_fixed(0.7, *f.table, 1.0, 1.0, 0.5,
+                                             4.0, 1000, GUARD, 1)
+        assert blow == -1 and us.shape == (1000,)
+        assert counts == {"_bisect": 1000, "_cone": 1000}
+
+    @staticmethod
+    def runs():
+        # both kernels with the controller on and off, from NaN of either
+        # sign, signed zeros and random starts, over random members'
+        # tables and duels, under the guard and a small one
+        rng = np.random.default_rng(29)
+        nan = float("nan")
+        for _ in range(12):
+            f = random_envelope_member(1.5, 1.0, rng)
+            for x0 in (nan, -nan, 0.0, -0.0, rng.uniform(-12.0, 12.0)):
+                for use_controller in (0, 1):
+                    guard = (GUARD, 30.0)[rng.integers(2)]
+                    yield kernels.sampled_fixed, (
+                        x0, *f.table, 1.5, 1.0, float(rng.uniform(0.2, 2.0)),
+                        4.0, 200, guard, use_controller)
+        for L, c, h in [(1.0, 1.0, 0.5), (1.5, 0.5, 1.0), (1.0, 1.0, 8.0)]:
+            for x0 in (nan, -nan, 0.0, 0.7, -40.0):
+                for use_controller in (0, 1):
+                    yield kernels.sampled_duel, (x0, L, c, h, 4.0, 150,
+                                                 GUARD, use_controller)
+
+    def test_kernels_match_a_loop_through_the_public_flow(self,
+                                                          monkeypatch):
+        got = [kernel(*args) for kernel, args in self.runs()]
+        monkeypatch.setattr(kernels, "_sampled_episode",
+                            reference_sampled_episode)
+        want = [kernel(*args) for kernel, args in self.runs()]
+        nan_starts = 0
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            for a, b in zip(g, w):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            if math.isnan(g[0][0]):
+                # a NaN state has no flow: it stays NaN and trips the
+                # guard at once
+                assert g[-1] == 1 and math.isnan(g[0][1])
+                nan_starts += 1
+        assert nan_starts == 4 * 12 + 4 * 3
 
 
 class TestParametricBits:
