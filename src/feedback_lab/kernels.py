@@ -95,10 +95,17 @@ twenty T 2 000 episodes on a 2-vCPU x86_64 host).  The source holds only
 names built from N, n, m and the pattern, never an input value.  It is
 compiled under the name ``<mjls_episode N=.. n=.. m=..>``, or
 ``<mjls_episode N=.. n=.. m=.. pattern=..>`` where the pattern holds a 0
-or a 1, and registered in ``linecache`` (``_compile``, which ``_riccati_loop`` calls
-as well), so tracebacks, profiles and ``inspect`` show its lines; replay
-still runs ``_row_dots`` over every term and so checks the generated
-code independently.
+or a 1, and registered in ``linecache`` (``_compile``, which
+``_riccati_loop`` and the history visit use as well), so tracebacks,
+profiles and ``inspect`` show its lines; replay still runs ``_row_dots``
+over every term and so checks the generated code independently.
+
+A NaN's sign and payload are outside the reproducibility contract: where
+a step adds two NaNs of opposite sign, CPython may return either one,
+depending on whether it has specialized the addition, so a direct call
+of ``mjls_episode`` from a NaN start can return NaNs of either sign.
+``run_episode`` starts a jump-linear episode only from a finite state,
+and ``check_replay`` compares a NaN as NaN, whatever its bits.
 
 Conventions: noise arrays have length T+1 with slot 0 unused, Markov
 modes are 0-based inside kernels, blowup is reported as the 1-based step
@@ -161,14 +168,19 @@ Each pair of kernels, fixed and duel, runs one loop, the duel's
 (``_nonparam_episode``, ``_sampled_episode``): it commits only where the
 state's row has no envelope, so over a realization's table, where every
 row has one, it commits and closes nothing.  The nonparametric loop
-locates y once and reads a fixed row through ``_envelope``, and writes
-the switching law and ``_visit``'s rules into its body, with no call and
-no tuple per step; the tests pin that body to ``_visit``.  Its step took
-about 10 % less than one that made those two calls, over random members
-and duels on a 2-vCPU x86_64 host.  The sampled loop locates each sample
-once: it hands the flow (``_flow``, ``zoh_flow``'s body) the index it
-found and the rate v + u it formed, which is ``zoh_flow``'s f(x) + u
-there, so a period bisects and takes a cone once, not twice.
+locates the state once, reads a fixed row through ``_envelope``, and
+holds the switching law and the history visit in its body, with no call
+and no tuple per step.  The visit is written once, as the source
+fragment ``_VISIT``, and compiled at import both into ``_visit`` and into
+the loop (``_NONPARAM_LOOP``), each in this module's namespace and
+registered in ``linecache`` under ``<_visit>`` and
+``<_nonparam_episode>``; the sampled loop calls ``_visit``.  The
+nonparametric step took about 10 % less than one that made those two
+calls, over random members and duels on a 2-vCPU x86_64 host.  The
+sampled loop locates each sample once: it hands the flow (``_flow``,
+``zoh_flow``'s body) the index it found and the rate v + u it formed,
+which is ``zoh_flow``'s f(x) + u there, so a period bisects and takes a
+cone once, not twice.
 
 The episode kernels return arrays of the entries their episode produced:
 T + 1 states and T inputs, or blow + 1 and blow where the guard tripped
@@ -195,6 +207,26 @@ _MAX = sys.float_info.max
 _LOAD = 128
 # the one row of an empty store: no anchors, f free everywhere
 _FREE = (None, None, None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# generated code: templates filled and compiled
+
+def _tuple(names):
+    # a tuple display that stays a tuple at one element
+    return "(" + ", ".join(names) + ",)"
+
+
+def _block(lines, depth):
+    return "\n".join(" " * depth + line for line in lines)
+
+
+def _compile(name, src, scope):
+    # src executed in scope under name, its lines registered so that
+    # tracebacks, profiles and inspect show them; returns the scope
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
+    exec(compile(src, name, "exec"), scope)
+    return scope
 
 
 # ---------------------------------------------------------------------------
@@ -320,29 +352,32 @@ def _insert(keys, rows, j, key, val):
     rows.insert(j + 1, (key, val, right, vr, m))
 
 
-def _visit(hist, x, t):
-    """Look up the stored state nearest to x, then record x at step t.
-
-    ``hist`` is ``(blocks, maxes, steps)``: the distinct past states in
-    sorted blocks of at most 2 * ``_LOAD`` keys, in order, each block's
-    last key, and beside each block a list of the same length whose entry
-    i is the step of the first visit to the block's key i.  Returns the
-    step k of the nearest state (-1 for an empty history) and its
-    distance.  Computed distances grow monotonically away from the
-    insertion point on either side, so the entries tied at the minimum
-    form one run on each side of it, which may cross block edges; the
-    smallest step among them wins.  Where one neighbour is strictly
-    nearer and the key beyond it, in x's block or absent, strictly
-    farther, that neighbour is the run (the direct path); NaN and every
-    tie go through the scan (``_tie_scan``).  The joined blocks are the
-    flat sorted list ``_bisect`` and ``_insert`` would keep, NaN last.
-    """
-    blocks, maxes, steps = hist
-    if not blocks:
-        blocks.append([x])
-        maxes.append(x)
-        steps.append([t])
-        return -1, _INF
+# The history visit, written once and compiled into ``_visit`` and into the
+# nonparametric loop (``_NONPARAM_LOOP``), which takes it with no call and
+# no tuple per step.  It looks up the stored state nearest to x, sets k to
+# that state's step (-1 for an empty history, and for NaN, which no key is
+# nearest) and best to its distance, then records x at step t.  It reads
+# the history ``blocks``, ``maxes`` and ``steps``: the distinct past states
+# in sorted blocks of at most ``split`` = 2 * ``_LOAD`` keys, in order,
+# each block's last key, and beside each block a list of the same length
+# whose entry i is the step of the first visit to the block's key i.
+# Computed distances grow monotonically away from the insertion point on
+# either side, so the entries tied at the minimum form one run on each
+# side of it, which may cross block edges; the smallest step among them
+# wins.  Where one neighbour is strictly nearer and the key beyond it, in
+# x's block or absent, strictly farther, that neighbour is the run (the
+# direct path); NaN and every tie go through the scan (``_tie_scan``).
+# The joined blocks are the flat sorted list ``_bisect`` and ``_insert``
+# would keep, NaN last.  Both compiled functions read ``_LOAD`` and
+# ``_tie_scan`` from this module when they run
+_VISIT = """\
+if not blocks:
+    blocks.append([x])
+    maxes.append(x)
+    steps.append([t])
+    k = -1
+    best = _INF
+else:
     # the first block whose last key is >= x, else the end of the last
     b = bisect_left(maxes, x) if x == x else len(maxes)
     if b == len(maxes):
@@ -372,20 +407,31 @@ def _visit(hist, x, t):
     else:
         best = dr if dr < dl else dl
         k = _tie_scan(blocks, steps, b, i, x, best)
-    if i < n and blk[i] == x:
-        return k, best  # a revisit keeps the first key and its step
-    blk.insert(i, x)
-    stp.insert(i, t)
-    if i == n:
-        maxes[b] = x
-    if n >= 2 * _LOAD:
-        h = (n + 1) >> 1
-        blocks.insert(b + 1, blk[h:])
-        steps.insert(b + 1, stp[h:])
-        del blk[h:]
-        del stp[h:]
-        maxes.insert(b, blk[-1])
+    if i == n or blk[i] != x:
+        # a revisit keeps the first key and its step
+        blk.insert(i, x)
+        stp.insert(i, t)
+        if i == n:
+            maxes[b] = x
+        if n >= split:
+            h = (n + 1) >> 1
+            blocks.insert(b + 1, blk[h:])
+            steps.insert(b + 1, stp[h:])
+            del blk[h:]
+            del stp[h:]
+            maxes.insert(b, blk[-1])"""
+
+_VISIT_FN = """\
+def _visit(hist, x, t):
+    \"\"\"(k, best) of x's visit at step t to hist (``_VISIT``)\"\"\"
+    blocks, maxes, steps = hist
+    split = 2 * _LOAD
+{visit}
     return k, best
+"""
+
+_visit = _compile("<_visit>", _VISIT_FN.format(
+    visit=_block(_VISIT.splitlines(), 4)), globals())["_visit"]
 
 
 def _tie_scan(blocks, steps, b, i, x, best):
@@ -506,21 +552,22 @@ def parametric_episode(y0, theta, w, M, b, s0, theta0, guard):
 # a fixed realized f, or against the greedy opponent, which commits an anchor
 # at every state where f is still free
 
-def _nonparam_episode(y, keys, rows, L, noise, w_bar, budget_c, eps, guard,
+# the loop of nonparam_fixed and nonparam_duel, with the visit (``_VISIT``)
+# in its body.  f is fixed where x's row holds an envelope, so over a
+# realization's table, where every row does, the loop commits nothing; ws
+# and vsc hold the noise and the value of each step that committed (every
+# step of a duel).  The switching law estimates fhat = x_{k+1} - u_k from
+# the nearest past state k, centres the observed range far from every past
+# output and tracks 0 close to one (0.0 - fhat, which is +0.0 where -fhat
+# is -0.0).  The observed range is the history's first and last key once
+# x is recorded, since a revisit keeps the first key, as a running minimum
+# and maximum do
+_NONPARAM_LOOP = """\
+def _nonparam_episode(x, keys, rows, L, noise, w_bar, budget_c, eps, guard,
                       T):
-    # f is fixed where y's row holds an envelope, so over a realization's
-    # table, where every row does, the loop commits nothing; ws and vsc hold
-    # the noise and the value of each step that committed (every step of a
-    # duel).  The switching law and its history visit are written out here,
-    # with no call and no tuple per step: the visit is ``_visit``'s rules,
-    # which the tests pin this body to; the law estimates
-    # fhat = y_{k+1} - u_k from the nearest past state k, centres the
-    # observed range far from every past output and tracks 0 close to one
-    # (0.0 - fhat, which is +0.0 where -fhat is -0.0).  The observed range
-    # is the history's first and last key once y is recorded, since a
-    # revisit keeps the first key, as a running minimum and maximum do
+    \"\"\"states, inputs, noises, values committed and the blow step\"\"\"
     split = 2 * _LOAD
-    ys = [y]
+    ys = [x]
     us = []
     ws = [0.0]
     vsc = []
@@ -534,70 +581,22 @@ def _nonparam_episode(y, keys, rows, L, noise, w_bar, budget_c, eps, guard,
     lo_guard = -guard
     blow = -1
     for t in range(T):
-        if blocks:
-            # the first block whose last key is >= y, else the end of the
-            # last
-            b = bisect_left(maxes, y) if y == y else len(maxes)
-            if b == len(maxes):
-                b -= 1
-                blk = blocks[b]
-                i = len(blk)
-            else:
-                blk = blocks[b]
-                i = bisect_left(blk, y)
-            stp = steps[b]
-            n = len(blk)
-            dr = blk[i] - y if i < n else _INF
-            if i:
-                dl = y - blk[i - 1]
-            elif b:
-                dl = y - maxes[b - 1]
-            else:
-                dl = _INF
-            if dr < dl and (blk[i + 1] - y > dr if i + 1 < n
-                            else b + 1 == len(blocks)):
-                gap = dr
-                k = stp[i]
-            elif dl < dr and (y - blk[i - 2] > dl if i > 1
-                              else i == 1 and not b):
-                gap = dl
-                k = stp[i - 1]
-            else:
-                gap = dr if dr < dl else dl
-                k = _tie_scan(blocks, steps, b, i, y, gap)
-            if i == n or blk[i] != y:
-                # a revisit keeps the first key and its step
-                blk.insert(i, y)
-                stp.insert(i, t)
-                if i == n:
-                    maxes[b] = y
-                if n >= split:
-                    h = (n + 1) >> 1
-                    blocks.insert(b + 1, blk[h:])
-                    steps.insert(b + 1, stp[h:])
-                    del blk[h:]
-                    del stp[h:]
-                    maxes.insert(b, blk[-1])
-            if k < 0:
-                u = 0.0  # y is NaN, which no key is nearest
-            elif gap > eps:
-                u = -(ys[k + 1] - us[k]) + 0.5 * (blocks[0][0] + maxes[-1])
-            else:
-                u = 0.0 - (ys[k + 1] - us[k])
+{visit}
+        if k < 0:
+            u = 0.0  # the first step, or x is NaN, which no key is nearest
+        elif best > eps:
+            u = -(ys[k + 1] - us[k]) + 0.5 * (blocks[0][0] + maxes[-1])
         else:
-            blocks.append([y])
-            maxes.append(y)
-            steps.append([t])
-            u = 0.0
-        j = bisect_left(keys, y) if y == y else len(keys)
+            u = 0.0 - (ys[k + 1] - us[k])
+        j = bisect_left(keys, x) if x == x else len(keys)
         row = rows[j]
         if row[4] is None:
             # the opponent's greedy pick from the values consistent with
             # the store: its budget cone while the store is empty
             if keys:
-                lo, hi = _cone(row, L, y)
+                lo, hi = _cone(row, L, x)
             else:
-                hi = L * abs(y) + budget_c
+                hi = L * abs(x) + budget_c
                 lo = -hi
             v = hi if abs(hi + u) >= abs(lo + u) else lo
             # a value past double range commits at its edge, as
@@ -605,21 +604,25 @@ def _nonparam_episode(y, keys, rows, L, noise, w_bar, budget_c, eps, guard,
             if not -_MAX <= v <= _MAX:
                 v = math.copysign(_MAX, v)
             w = w_bar if (v + u) >= 0.0 else -w_bar
-            _insert(keys, rows, j, y, v)
+            _insert(keys, rows, j, x, v)
             ws_append(w)
             vsc_append(v)
         else:
-            v = _envelope(row, L, y)
+            v = _envelope(row, L, x)
             w = w_bar * noise[t + 1]
-        y1 = v + u + w
+        x1 = v + u + w
         us_append(u)
-        ys_append(y1)
-        if not lo_guard <= y1 <= guard:
+        ys_append(x1)
+        if not lo_guard <= x1 <= guard:
             # also true for NaN
             blow = t + 1
             break
-        y = y1
+        x = x1
     return ys, us, ws, vsc, blow
+"""
+
+_nonparam_episode = _compile("<_nonparam_episode>", _NONPARAM_LOOP.format(
+    visit=_block(_VISIT.splitlines(), 8)), globals())["_nonparam_episode"]
 
 
 def nonparam_fixed(y0, fkeys, frows, L, ws, w_bar, eps, guard):
@@ -922,15 +925,6 @@ def mjls_loop(ab, gain, sched, cum, Wl, ul, x, th, guard):
 """
 
 
-def _tuple(names):
-    # a tuple display that stays a tuple at one element
-    return "(" + ", ".join(names) + ",)"
-
-
-def _block(lines, depth):
-    return "\n".join(" " * depth + line for line in lines)
-
-
 def _dot(target, factors, coefs, pattern=None):
     # a dot as one statement per term, from 0.0 and left to right: a
     # single expression of a few hundred terms would exceed the parser's
@@ -945,14 +939,6 @@ def _dot(target, factors, coefs, pattern=None):
     first, *rest = products
     return [f"{target} = 0.0 + {first}"] + [
         f"{target} = {target} + {p}" for p in rest]
-
-
-def _compile(name, src, scope):
-    # src executed in scope under name, its lines registered so that
-    # tracebacks, profiles and inspect show them; returns the scope
-    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
-    exec(compile(src, name, "exec"), scope)
-    return scope
 
 
 @functools.cache

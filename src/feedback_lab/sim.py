@@ -658,6 +658,8 @@ def regret_logfit(report: McReport) -> tuple[float, float]:
     """Least-squares slope of mean regret against log horizon.
 
     Needs at least five finite checkpoints; returns (slope, r_squared).
+    A mean regret that is the same at every checkpoint has no growth to
+    fit: its slope is 0.0 and its r_squared NaN, not a perfect 1.0.
     The fit is the two-parameter normal equations about the means, each
     sum taken left to right over Python floats, so its bits do not
     depend on the linear-algebra build.
@@ -684,11 +686,7 @@ def regret_logfit(report: McReport) -> tuple[float, float]:
         e = dy - slope * (x - mx)
         ss_res += e * e
         ss_tot += dy * dy
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res <= 1e-12 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return slope, r2
+    return slope, 1.0 - ss_res / ss_tot if ss_tot else math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 import traceback
 from bisect import bisect_right
 from itertools import accumulate
@@ -762,10 +763,11 @@ def reference_nonparam(y, keys, rows, L, noise, w_bar, budget_c, eps, T):
 
 
 class TestNonparamLoopVisit:
-    """The nonparametric loop writes the history visit and the switching
-    law into its body; these runs pin that body to ``_visit`` and to the
-    law written as a call (``reference_nonparam``), every state, input,
-    noise and committed value bit for bit."""
+    """The nonparametric loop holds the history visit, compiled from the
+    fragment ``_visit`` is compiled from, and the switching law in its
+    body; these runs check its law and its commits against the loop
+    written with calls (``reference_nonparam``), every state, input, noise
+    and committed value bit for bit."""
 
     @staticmethod
     def tie_member(eps):
@@ -799,7 +801,8 @@ class TestNonparamLoopVisit:
 
     def test_tie_rule_member_in_small_blocks(self, monkeypatch):
         # blocks of at most 4 keys split every few steps, and tied runs
-        # cross block edges; both loops read _LOAD when they run
+        # cross block edges; the loop and the reference's _visit both read
+        # _LOAD and _tie_scan when they run
         crossed = []  # per scan, whether its tied run crossed a block edge
         scan = kernels._tie_scan
 
@@ -878,6 +881,18 @@ class TestNonparamLoopVisit:
                                  0.0, 0.1, 10)
         assert blow == 1 and ys.tobytes() == np.array(ref[0]).tobytes()
         assert us.tobytes() == np.array(ref[1]).tobytes()
+
+    @pytest.mark.parametrize("fn", ["_visit", "_nonparam_episode"])
+    def test_visit_compiled_shows_its_source(self, fn):
+        # _visit and the nonparametric loop compile at import from the one
+        # fragment _VISIT, each under its own registered name
+        code = getattr(kernels, fn).__code__
+        assert code.co_filename == f"<{fn}>"
+        src = inspect.getsource(getattr(kernels, fn))
+        assert src.startswith(f"def {fn}(")
+        depth = 4 if fn == "_visit" else 8
+        assert textwrap.indent(kernels._VISIT, " " * depth) in src
+        assert src.count("_tie_scan(") == 1
 
 
 class Uniforms:
@@ -1691,8 +1706,9 @@ class TestMjlsReference:
         assert frame.line == "(((m0_0_0,),), ((m1_0_0,),),) = Ms"
 
     def test_import_compiles_no_loop(self):
-        # the loops compile on first use, never at import, so a fresh
-        # interpreter's setup stays free of compiles
+        # the jump-linear and Riccati loops compile on first use, never at
+        # import, so a fresh interpreter's setup compiles only the history
+        # visit and the nonparametric loop, whose source has no shape
         code = ("import linecache, feedback_lab; print(sorted(k for k in "
                 "linecache.cache if k.startswith(('<riccati_solve', "
                 "'<mjls_episode'))))")

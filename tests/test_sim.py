@@ -656,9 +656,12 @@ class TestRegretLogfit:
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_regret_slope_zero(self):
+        # a constant series has no growth to fit: slope 0 and r^2 NaN, not
+        # a perfect fit of no growth
         rows = [(T, 5.0) for T in (128, 256, 512, 1024, 2048)]
         slope, r2 = regret_logfit(self._report(rows))
         assert slope == pytest.approx(0.0, abs=1e-12)
+        assert math.isnan(r2)
 
     def test_requires_five_checkpoints(self):
         rows = [(T, 1.0) for T in (128, 256, 512)]
