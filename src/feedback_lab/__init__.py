@@ -16,7 +16,7 @@ from .analysis import (CharPoly, CRITICAL_EXPONENT, CRITICAL_RADIUS, Regime,
                        RegimeVerdict, SAMPLED_IMPOSSIBLE_LH,
                        SAMPLED_STABILIZABLE_LH, characteristic_poly,
                        highorder_impossible, parametric_regime,
-                       poly_impossible, quasi_norm, sampled_regime,
+                       poly_impossible, sampled_regime,
                        scalar_mjls_stabilizable)
 from .controllers import (MjlsControllerState, NnHistory, RlsState,
                           adaptive_mv_control, make_rls, mjls_control,

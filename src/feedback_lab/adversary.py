@@ -100,11 +100,6 @@ class RealizedPiecewiseLinear:
     def __call__(self, x: float) -> float:
         return kernels.mcshane_eval(*self.table, self.L, float(x))
 
-    def tail_slopes(self) -> tuple[float, float]:
-        """Signed slopes of the left and right unbounded pieces."""
-        right = (self.L, -self.L)  # the right tail's, by mode
-        return -right[self.modes[0]], right[self.modes[-1]]
-
 
 class PiecewiseLinearFn:
     """Anchor store with slope budget L, realized as the upper envelope.

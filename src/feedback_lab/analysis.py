@@ -235,18 +235,6 @@ def highorder_impossible(L: float, p: int) -> RegimeVerdict:
     return RegimeVerdict(Regime.STABILIZABLE, boundary, witness=diff)
 
 
-def quasi_norm(f) -> float:
-    """Asymptotic slope of a realized piecewise-linear function.
-
-    Equals max(|left tail slope|, |right tail slope|), the exact value of
-    the vanishing-offset slope seminorm on this class: bounded-region
-    variation washes out and cross-tail pairs are dominated by the
-    steeper tail.
-    """
-    tails = f.tail_slopes()
-    return max(abs(tails[0]), abs(tails[1]))
-
-
 def sampled_regime(L: float, h: float) -> RegimeVerdict:
     """Classify the product L*h for the sampled-data loop.
 

@@ -44,15 +44,6 @@ class CliError(Exception):
     """Configuration or validation failure; maps to exit code 2."""
 
 
-@dataclass
-class EmitOptions:
-    out_dir: str | None
-    fmt: str
-    force: bool
-    timestamp: bool
-    every: int
-
-
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -187,39 +178,18 @@ def _seed_override(flag_seed: int | None) -> int | None:
 # emission
 
 
-def _out_path(opts: EmitOptions, name: str) -> str:
-    path = os.path.join(opts.out_dir, name)
-    if os.path.exists(path) and not opts.force:
-        raise CliError(f"refusing to overwrite {path} without --force")
-    return path
-
-
-def _check_main_table(opts: EmitOptions, experiment: str) -> None:
-    """Refuse, before the run, to overwrite the command's main table, the
-    one named after the command; the extra tables are checked when they
-    are emitted."""
-    if opts.out_dir is None:
-        return
-    for ext in ("csv", "json"):
-        if opts.fmt in (ext, "both"):
-            _out_path(opts, f"{experiment.replace('-', '_')}.{ext}")
-
-
-def _open_out(opts: EmitOptions, name: str):
-    if opts.out_dir is None:
-        return None
-    os.makedirs(opts.out_dir, exist_ok=True)
-    return _out_path(opts, name)
-
-
-def emit_csv(path: str, columns: list[str], rows: list[list],
-             timestamp: bool) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if timestamp:
-            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+def _out_paths(args: argparse.Namespace, name: str) -> list[str]:
+    """The files table ``name`` goes to: one for each format ``--format``
+    asks for, under ``--out`` (none without it).  One that exists is
+    refused unless ``--force`` is given."""
+    if args.out is None:
+        return []
+    paths = [os.path.join(args.out, f"{name}.{ext}") for ext in ("csv", "json")
+             if args.format in (ext, "both")]
+    for path in paths:
+        if os.path.exists(path) and not args.force:
+            raise CliError(f"refusing to overwrite {path} without --force")
+    return paths
 
 
 def _json_value(value):
@@ -229,38 +199,38 @@ def _json_value(value):
     return value
 
 
-def emit_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def emit(results: dict, opts: EmitOptions) -> list[str]:
-    """Write one table to <name>.csv or <name>.json; returns paths.
+def emit(results: dict, args: argparse.Namespace) -> list[str]:
+    """Write one table to <name>.csv and/or <name>.json under ``--out``;
+    returns the paths written.
 
     ``--every`` down-samples only tables flagged as time-indexed
     (trajectories and curves), never sweep summaries.
     """
-    written = []
     name = results["name"]
     columns = results["columns"]
     rows = results["rows"]
-    if opts.every > 1 and results.get("downsample", False):
-        rows = rows[:: opts.every]
-    if opts.fmt in ("csv", "both"):
-        path = _open_out(opts, f"{name}.csv")
-        if path:
-            emit_csv(path, columns, rows, opts.timestamp)
-            written.append(path)
-    if opts.fmt in ("json", "both"):
-        path = _open_out(opts, f"{name}.json")
-        if path:
+    if results.get("downsample", False):
+        rows = rows[:: args.every]
+    paths = _out_paths(args, name)
+    if paths:
+        os.makedirs(args.out, exist_ok=True)
+    for path in paths:
+        if path.endswith(".csv"):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                if not args.no_timestamp:
+                    stamp = datetime.now(timezone.utc).isoformat()
+                    fh.write(f"# generated {stamp}\n")
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                writer.writerows(rows)
+        else:
             payload = {"name": name, "rows": [
                 {c: _json_value(v) for c, v in zip(columns, row)}
                 for row in rows]}
-            emit_json(path, payload)
-            written.append(path)
-    return written
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    return paths
 
 
 def _print_table(table: dict, limit=25) -> None:
@@ -674,12 +644,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.experiment, overrides)
         if args.every < 1:
             raise CliError(f"--every must be at least 1, got {args.every}")
-        opts = EmitOptions(out_dir=args.out, fmt=args.format, force=args.force,
-                           timestamp=not args.no_timestamp, every=args.every)
-        _check_main_table(opts, args.experiment)
+        # the main table, named after the command, is refused before the
+        # run; every table is refused before the first one is written
+        _out_paths(args, args.experiment.replace("-", "_"))
         tables = command.run(cfg)
         for table in tables:
-            for path in emit(table, opts):
+            _out_paths(args, table["name"])
+        for table in tables:
+            for path in emit(table, args):
                 print(f"wrote {path}")
         if args.strict and any(t.get("indeterminate") for t in tables):
             return EXIT_INDETERMINATE

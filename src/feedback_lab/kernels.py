@@ -19,10 +19,12 @@ third of a numpy-scalar read, and both follow IEEE double arithmetic, so
 results are the same bits.  The one difference is overflow: ``x ** b``
 raises ``OverflowError`` on Python floats where float64 gives inf.
 ``power_eval`` defines how a state is raised to a power: it never
-raises, and returns what float64 arithmetic gives.  The RLS kernel
-inlines it, one branch per sign of the state with the same operations
-(the call would cost about a sixth of a step), and the model step
-operations that replay the kernel call it.
+raises, and returns what float64 arithmetic gives, so an overflowing
+power reads +-inf and the divergence guard turns the state that follows
+into a blow-up.  The RLS kernel inlines it, one branch per sign of the
+state with the same operations (the call would cost about a sixth of a
+step), and the model step operations that replay the kernel call it; a
+Tier-1 test replays every kernel state through them bit for bit.
 
 The small-matrix kernels, ``riccati_solve`` and ``mjls_episode``, read
 their matrices once into lists of Python floats, where each numpy call
@@ -65,8 +67,10 @@ gains are returned.  ``mjls_episode`` computes each mode's
 prediction ``A_i x + B_i u`` once per step, one dot over the row
 ``[A_i | B_i]`` and ``(x, u)``; the true step adds the noise to the
 current mode's, the next step's mode estimate reads the same
-predictions, and ``mjls_step`` (replay) takes the same dot.  States and
-inputs go into flat ``array('d')`` buffers.  The loop is generated once
+predictions, and ``mjls_step`` (replay) takes the same dot.  The mode
+of each step is drawn before the guard check, so a blown-up trajectory
+records the mode its last step landed in.  States and inputs go into
+flat ``array('d')`` buffers.  The loop is generated once
 per shape (N modes, n states, m inputs) from one template
 (``_mjls_loop``) and compiled on first use: every entry of [A_i | B_i]
 and of the scheduled gain is a local variable, and every dot, residual,
@@ -134,17 +138,21 @@ reference adversary's sorted keys and value dict instead, building the
 one row it needs.
 
 An anchor store is one flat key list and its rows, since ``zoh_flow``
-walks the rows by index and the store stays small in every workload.  A
+walks the rows by index and the store stays small in every workload
+(50 anchors over both sampled duels of the benchmark).  A
 commit (``_insert``) inserts the key and splits its row into two that
 keep the row's envelope, and a flow that closes a free interval rewrites
 its row.  A nearest-neighbour history (``_visit``) keeps the distinct
 past states in sorted blocks of at most 2 * ``_LOAD`` keys, with each
-block's last key alongside, so a commit moves the tail of one block, not
-of a list of 10^4 keys (criterion 4's episodes).  Beside each block a
+block's last key alongside (the layout of Grant Jenks's
+SortedContainers), so a commit moves the tail of one block, not of a
+list of 10^4 keys (criterion 4's episodes).  Beside each block a
 list holds the step of each key's first visit, in the block's order, so
 a visit reads its nearest key's step by the index it found the key at,
 and an insert or a split moves keys and steps together; no state is
-hashed.  A commit at a key already stored keeps the first value: among
+hashed.  A dict from state to step cost two hashes of a float per
+visit: reading by index cut the traced ``nonparam_fixed`` time per step
+by about 15 % (1.79 to 1.52 us on a 2-vCPU x86_64 host).  A commit at a key already stored keeps the first value: among
 equal computed distances the smallest step wins, and a repeat of a state
 can never beat its first visit.  Keys compare as floats, so a +0.0 visit
 finds a stored -0.0 and keeps it and its value.  A NaN key equals no key
@@ -180,13 +188,22 @@ calls, over random members and duels on a 2-vCPU x86_64 host.  The
 sampled loop locates each sample once: it hands the flow (``_flow``,
 ``zoh_flow``'s body) the index it found and the rate v + u it formed,
 which is ``zoh_flow``'s f(x) + u there, so a period bisects and takes a
-cone once, not twice.
+cone once, not twice.  No anchor ever lands inside a swept interval, so
+a replay through the final store evaluates every piece from the same
+two anchors and envelope as the run did.  Classical RK4 over full
+anchor scans, the reference route in ``tests/test_models.py``, agrees
+with the flow to 1.1e-8 relative at 4 096 substeps and to 5.8e-5 at 64.
 
 The episode kernels return arrays of the entries their episode produced:
 T + 1 states and T inputs, or blow + 1 and blow where the guard tripped
 at step blow; ``mjls_episode``'s mode estimates, one per state, start
 and end in -1 (no estimate).  The duel kernels also return their store
 as sorted key and value arrays and its size.
+
+``tests/test_kernels.py`` checks each kernel against a reference route
+that does not share its body: full-cone scans, the linear-scan
+controllers, replay, the reference adversary, ``riccati.riccati_rhs``,
+and the matrix-product route the jump-linear episode replaced.
 """
 
 import functools

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from feedback_lab import (GUARD, PiecewiseLinearFn, kernels,
                           RealizedPiecewiseLinear, adversary_choose,
-                          feasible_interval, quasi_norm, realize,
+                          feasible_interval, realize,
                           SampledAdversaryState, sampled_adversary_choose)
 from feedback_lab.adversary import InconsistentAnchors
 
@@ -125,7 +125,6 @@ class TestRealize:
             vals = np.array([g(x) for x in grid])
             slopes = np.abs(np.diff(vals) / np.diff(grid))
             assert np.max(slopes) <= L + 1e-9
-            assert quasi_norm(g) <= L + 1e-12
 
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError):
@@ -197,9 +196,10 @@ class TestRealizedValidation:
             g = RealizedPiecewiseLinear(xs, vs, 1.0, modes=[1, m, 0])
             assert g(2.0) == mid
             assert (g(-3.0), g(7.0)) == (-3.0, 3.0)
-            assert g.tail_slopes() == (1.0, 1.0)
+            assert (g(-3.0) - g(-4.0), g(8.0) - g(7.0)) == (1.0, 1.0)
         g = RealizedPiecewiseLinear(xs, vs, 1.0, modes=[1, 1, 1])
-        assert g(2.0) == -2.0 and g.tail_slopes() == (1.0, -1.0)
+        assert g(2.0) == -2.0
+        assert (g(-3.0) - g(-4.0), g(8.0) - g(7.0)) == (1.0, -1.0)
         assert RealizedPiecewiseLinear(xs, vs, 1.0).modes.tolist() == [0, 0, 0]
 
     def test_rounding_within_scaled_tolerance_accepted(self):
@@ -229,3 +229,36 @@ class TestSampledAdversary:
         fn = PiecewiseLinearFn(L=1.0, anchors=[(0.0, 5.0)])
         with pytest.raises(InconsistentAnchors):
             SampledAdversaryState(fn=fn, c=2.0)
+
+
+def _recommit():
+    f = PiecewiseLinearFn(L=1.0, anchors=[(0.0, 0.0)])
+    f.commit(0.0, 0.5)
+
+
+def _choose_past_envelope():
+    # an anchor committed straight into the store, outside |v| <= L|x| + c,
+    # leaves no feasible value inside the envelope nearby
+    state = SampledAdversaryState(fn=PiecewiseLinearFn(L=1.0), c=1.0)
+    state.fn.commit(0.0, 5.0)
+    sampled_adversary_choose(state, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    pytest.param(lambda: PiecewiseLinearFn(L=0.0), ValueError,
+                 "slope budget L must be positive", id="L_zero"),
+    pytest.param(lambda: PiecewiseLinearFn(L=float("nan")), ValueError,
+                 "slope budget L must be positive", id="L_nan"),
+    pytest.param(_recommit, InconsistentAnchors,
+                 "already committed with a different value", id="recommit"),
+    pytest.param(lambda: SampledAdversaryState(fn=PiecewiseLinearFn(L=1.0),
+                                               c=0.0),
+                 ValueError, "offset c must be positive", id="c_zero"),
+    pytest.param(_choose_past_envelope, InconsistentAnchors,
+                 "feasible interval empty against the envelope",
+                 id="past_envelope"),
+])
+def test_invalid_arguments_raise(make, exc, fragment):
+    with pytest.raises(exc) as info:
+        make()
+    assert info.type is exc and fragment in str(info.value)

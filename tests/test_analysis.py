@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from feedback_lab import (CRITICAL_RADIUS, PiecewiseLinearFn,
-                          RealizedPiecewiseLinear, Regime,
-                          characteristic_poly, highorder_impossible,
-                          parametric_regime, poly_impossible, quasi_norm,
-                          sampled_regime, scalar_mjls_stabilizable)
-from feedback_lab.analysis import poly_min_on_interval
+from feedback_lab import (CRITICAL_RADIUS, Regime, characteristic_poly,
+                          highorder_impossible, parametric_regime,
+                          poly_impossible, sampled_regime,
+                          scalar_mjls_stabilizable)
+from feedback_lab.analysis import CharPoly, poly_min_on_interval
 
 
 class TestParametricRegime:
@@ -175,42 +174,6 @@ class TestHighorderImpossible:
             highorder_impossible(1.0, 0)
 
 
-class TestQuasiNorm:
-    def test_global_line(self):
-        # the lower envelope of a line of slope -2.5 is that line
-        f = RealizedPiecewiseLinear(np.array([-1.0, 1.0]),
-                                    np.array([3.5, -1.5]), 2.5,
-                                    modes=[1, 1, 1])
-        assert quasi_norm(f) == 2.5
-
-    def test_mcshane_realization_bounded_by_budget(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            L = float(rng.uniform(0.5, 4.0))
-            fn = PiecewiseLinearFn(L=L)
-            xs = np.sort(rng.uniform(-5, 5, size=6))
-            v = float(rng.uniform(-1, 1))
-            for i, x in enumerate(xs):
-                if i > 0:
-                    v += float(rng.uniform(-L, L)) * (xs[i] - xs[i - 1])
-                fn.commit(float(x), v)
-            assert quasi_norm(fn.realize()) <= L + 1e-12
-
-    def test_every_realization_reaches_the_budget(self):
-        # each tail is an upper or lower envelope, of slope +-L, so every
-        # realization's quasi-norm is its budget, whatever its modes
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            L = float(rng.uniform(0.5, 4.0))
-            xs = np.sort(rng.uniform(-5, 5, size=int(rng.integers(1, 7))))
-            vs = np.cumsum(np.concatenate(
-                ([rng.uniform(-1, 1)],
-                 rng.uniform(-L, L, xs.shape[0] - 1) * np.diff(xs))))
-            modes = rng.integers(0, 2, xs.shape[0] + 1).tolist()
-            f = RealizedPiecewiseLinear(xs, vs, L, modes=modes)
-            assert quasi_norm(f) == L
-
-
 class TestSampledRegime:
     def test_impossible_side(self):
         assert sampled_regime(2.0, 4.0).regime is Regime.IMPOSSIBLE
@@ -266,3 +229,13 @@ class TestScalarMjls:
             scalar_mjls_stabilizable(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             scalar_mjls_stabilizable(0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    pytest.param(lambda: CharPoly(np.array([2.0, -4.0, 4.0])), ValueError,
+                 "must be monic", id="not_monic"),
+])
+def test_invalid_arguments_raise(make, exc, fragment):
+    with pytest.raises(exc) as info:
+        make()
+    assert info.type is exc and fragment in str(info.value)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedback_lab import (RealizedPiecewiseLinear, SampledSpec, cli,
-                          integrate_sampled, riccati)
+                          integrate_sampled, riccati, sim)
 
 
 def run_cli(args, capsys=None):
@@ -181,6 +181,28 @@ class TestConfigHandling:
         with pytest.raises(cli.CliError):
             cli.load_config(str(path), "nonparam-duel", {})
 
+    @pytest.mark.parametrize("kind, text, fragment", [
+        ("config", "T: [1\n", "malformed config file"),
+        ("spec", "P: {\n", "malformed spec file"),
+        ("config", "- 1\n", "config file must hold a mapping"),
+        # an empty file reads as {}
+        ("spec", "", "spec file missing key 'P'"),
+        ("spec", yaml.safe_dump({"P": MJLS_SPEC["P"], "A": MJLS_SPEC["A"]}),
+         "spec file missing key 'B'"),
+        ("spec", yaml.safe_dump(dict(MJLS_SPEC, C=1, D=2)),
+         "unknown spec keys: ['C', 'D']"),
+    ], ids=["malformed_config", "malformed_spec", "config_list",
+            "empty_spec", "spec_without_B", "spec_unknown_keys"])
+    def test_unreadable_files(self, kind, text, fragment, tmp_path):
+        path = tmp_path / "file.yaml"
+        path.write_text(text)
+        with pytest.raises(cli.CliError) as info:
+            if kind == "config":
+                cli.load_config(str(path), "nonparam-duel", {})
+            else:
+                cli.load_mjls_spec(str(path))
+        assert info.type is cli.CliError and fragment in str(info.value)
+
 
 class TestSeedResolution:
     """The seed is a config key: the flag, then FEEDBACK_LAB_SEED, then the
@@ -302,6 +324,30 @@ class TestExitCodes:
         assert code == 2 and not calls
         assert err == (f"error: refusing to overwrite {path} "
                        "without --force\n")
+
+    @pytest.mark.parametrize("argv, held", [
+        (["nonparam-duel", "--L", "6", "--T", "20", "--seeds", "2"],
+         "nonparam_duel_trajectory.json"),
+        (["sampled-sweep", "--L", "1", "--h", "2", "--mode", "adversary",
+          "--samples", "20"], "sampled_sweep_anchors.csv"),
+    ])
+    def test_refused_extra_table_writes_nothing(self, argv, held, tmp_path,
+                                                capsys):
+        # an extra table's file is only known after the run; every table
+        # is checked before the first is written, so a refusal leaves
+        # --out as it was
+        path = tmp_path / held
+        path.write_text("held\n")
+        stamp = path.stat().st_mtime_ns
+        code = run_cli(["--out", str(tmp_path), "--format", "both",
+                        "--no-timestamp"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: refusing to overwrite {path} "
+                       "without --force\n")
+        assert path.read_text() == "held\n"
+        assert path.stat().st_mtime_ns == stamp
+        assert sorted(os.listdir(tmp_path)) == [held]
 
     def test_strict_indeterminate_exit(self, mjls_spec_file, monkeypatch,
                                         capsys):
@@ -530,6 +576,30 @@ class TestMjlsSolve:
         path.write_text(yaml.safe_dump(doc))
         assert run_cli([command, "--spec", str(path)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+class TestMjlsRun:
+    def test_no_solution_runs_zero_control(self, tmp_path, capsys):
+        # delta^2 p (1 - p) = 1.27 > 1: the solver finds no gain schedule,
+        # the run falls back to zero control, and that verdict is no
+        # indeterminate one under --strict
+        doc = {"P": [[0.5, 0.5], [0.5, 0.5]], "A": [[[0.0]], [[2.25]]],
+               "B": [[[1.0]], [[1.0]]]}
+        path = tmp_path / "spec.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert run_cli(["--out", str(out), "--format", "json", "--strict",
+                        "--seed", "3", "mjls-run", "--spec", str(path),
+                        "--T", "200", "--seeds", "4"]) == 0
+        assert ("no gain schedule: solver verdict no-solution\n"
+                in capsys.readouterr().out)
+        rows = json.loads((out / "mjls_run.json").read_text())["rows"]
+        system = sim.MjlsSystem(spec=cli.load_mjls_spec(str(path)), x0=(0.0,))
+        report = sim.monte_carlo(sim.McConfig(
+            system=system, controller=sim.ZeroControl(), T=200,
+            master_seed=3, collect_curve=True), 4)
+        assert [r["mean_sq_state"] for r in rows] == \
+            report.mean_sq_curve.tolist()
 
 
 class TestEmission:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from feedback_lab import (MarkovChain, MartingaleDiffVector, MjlsSpec,
-                          MjlsControllerState, NnHistory, SampledSpec,
+                          MjlsControllerState, NnHistory, RlsState,
+                          SampledSpec,
                           adaptive_mv_control, make_rls, mjls_control,
                           mjls_estimate_mode, nn_estimate, rls_update,
                           sampled_control, step_mjls, switching_control)
@@ -230,3 +231,18 @@ class TestMjlsController:
         est = mjls_estimate_mode(state, [2.0], spec)  # residual favors mode 2
         assert est == 2
         assert np.array_equal(state.posterior, chain.P[1])
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    pytest.param(lambda: RlsState(theta_hat=0.0, s=0.0), ValueError,
+                 "information s must stay positive", id="s_zero"),
+    pytest.param(lambda: RlsState(theta_hat=0.0, s=math.nan), ValueError,
+                 "information s must stay positive", id="s_nan"),
+    pytest.param(lambda: MjlsControllerState(
+        Ks=np.zeros((2, 1, 1)), posterior=np.array([0.5, 0.6])),
+        ValueError, "posterior must sum to 1", id="posterior_sum"),
+])
+def test_invalid_arguments_raise(make, exc, fragment):
+    with pytest.raises(exc) as info:
+        make()
+    assert info.type is exc and fragment in str(info.value)

@@ -457,3 +457,45 @@ class TestNoiseModels:
         for v in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 GaussianIID(variance=v)
+
+
+CHAIN = TestMjlsSpecValidation.CHAIN
+
+
+def _mjls(A, B, noise=TestMjlsSpecValidation.NOISE):
+    return MjlsSpec(chain=CHAIN, A=A, B=B, noise=noise)
+
+
+@pytest.mark.parametrize("make, exc, fragment", [
+    pytest.param(lambda: MartingaleDiffVector(0.0, 1.0, 1), ValueError,
+                 "noise bounds must be positive", id="sigma_lo_zero"),
+    pytest.param(lambda: MartingaleDiffVector(1.0, math.nan, 1), ValueError,
+                 "noise bounds must be positive", id="sigma_hi_nan"),
+    pytest.param(lambda: MartingaleDiffVector(1.0, 1.0, 0), ValueError,
+                 "dimension must be at least 1", id="dim_zero"),
+    pytest.param(lambda: MarkovChain(np.full((2, 3), 1 / 3)), ValueError,
+                 "transition matrix must be square", id="P_not_square"),
+    pytest.param(lambda: MarkovChain(np.ones(1)), ValueError,
+                 "transition matrix must be square", id="P_vector"),
+    pytest.param(lambda: _mjls(np.zeros((1, 1, 1)), np.ones((2, 1, 1))),
+                 ValueError, "A must be (N, n, n)", id="A_modes"),
+    pytest.param(lambda: _mjls(np.zeros((2, 1, 2)), np.ones((2, 1, 1))),
+                 ValueError, "A must be (N, n, n)", id="A_not_square"),
+    pytest.param(lambda: _mjls(np.zeros((2, 1, 1)), np.ones((2, 2, 1))),
+                 ValueError, "B must be (N, n, m)", id="B_states"),
+    pytest.param(lambda: _mjls(np.zeros((2, 1, 1)), np.ones((2, 1, 1)),
+                               MartingaleDiffVector(1.0, 2.0, 2)),
+                 ValueError, "noise dimension must match", id="noise_dim"),
+    pytest.param(lambda: SampledSpec(L=1.0, c=0.0, h=1.0), ValueError,
+                 "L, c and h must be positive", id="sampled_c_zero"),
+    pytest.param(lambda: SampledSpec(L=math.nan, c=1.0, h=1.0), ValueError,
+                 "L, c and h must be positive", id="sampled_L_nan"),
+    pytest.param(lambda: markov_next(3, CHAIN, np.random.default_rng(0)),
+                 ValueError, "mode 3 outside 1..2", id="markov_mode"),
+    pytest.param(lambda: markov_next(0, CHAIN, np.random.default_rng(0)),
+                 ValueError, "mode 0 outside 1..2", id="markov_mode_zero"),
+])
+def test_invalid_arguments_raise(make, exc, fragment):
+    with pytest.raises(exc) as info:
+        make()
+    assert info.type is exc and fragment in str(info.value)

@@ -229,3 +229,11 @@ class TestSolver:
                 solve_coupled_riccati(single_mode(1.0), tol=tol)
         with pytest.raises(ValueError):
             solve_coupled_riccati(single_mode(1.0), max_iter=0)
+
+
+@pytest.mark.parametrize("mode", [0, 3])
+def test_invalid_arguments_raise(mode):
+    with pytest.raises(ValueError) as info:
+        riccati_rhs(np.ones((2, 1, 1)), scalar_two_mode(0.5, 0.5, 0.5), mode)
+    assert (info.type is ValueError
+            and f"mode {mode} outside 1..2" in str(info.value))
